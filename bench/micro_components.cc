@@ -960,20 +960,20 @@ void WriteScoringReport(size_t objects, const std::string& path) {
   }
 
   // ---- Shortlist-pruned end-to-end selection --------------------------
-  // Two agents drive the same steady-drift run: the PR 4 production path
-  // (incremental cache, exact forward over every pair, no pruning) and
-  // the new default (factorized head + shortlist pruning). Timed on
-  // SelectBatch end to end; the selected assignments must be identical
-  // every iteration — the pruned path's exactness gate falls back to full
-  // scoring whenever it cannot prove that.
+  // Two agents drive the same steady-drift run: full scoring through the
+  // public API (incremental cache, exact forward over every pair:
+  // Score + PickTopKSumAssignments + Commit) and the production default
+  // (factorized head + the gated SelectBatch engine). Timed on selection
+  // end to end; the selected assignments must be identical every
+  // iteration — the gate falls back to full scoring whenever it cannot
+  // prove that.
   const int kPrunedIters = 10;
-  const int kPrunedWarmup = 3;  // Pruner warmup (2 full passes) + 1.
+  const int kPrunedWarmup = 3;  // Must-score first pass + bound calibration.
   double best_base = 1e300;
   double best_pruned = 1e300;
   bool assignments_identical = true;
   ScoringScenario drift(objects, kAnnotators, kClasses);
   rl::DqnAgentOptions base_options;
-  base_options.prune = false;
   base_options.factorized_q_head = false;
   rl::DqnAgentOptions pruned_options;  // Production defaults.
   rl::DqnAgent base_agent(base_options);
@@ -985,8 +985,11 @@ void WriteScoringReport(size_t objects, const std::string& path) {
     drift.Mutate(/*steady=*/true);
     const rl::StateView view = drift.View();
     auto t0 = Clock::now();
-    std::vector<rl::Assignment> base_asg =
-        base_agent.SelectBatch(view, kTopK, kObjectsToPick, affordable);
+    rl::ScoredCandidates base_cand = base_agent.Score(view, affordable);
+    std::vector<size_t> base_chosen;
+    std::vector<rl::Assignment> base_asg = rl::PickTopKSumAssignments(
+        base_cand, kTopK, kObjectsToPick, drift.n, &base_chosen);
+    base_agent.Commit(base_cand, base_chosen);
     double base_s = secs(t0);
     t0 = Clock::now();
     std::vector<rl::Assignment> pruned_asg =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -27,32 +26,51 @@ constexpr size_t kFeaturizeGrain = 128;
 constexpr size_t kFeaturizeChunksPerLane = 4;
 
 /// Absolute slack required between per-object top-k sums before the
-/// pruned selection trusts their ordering. Sums are accumulated in heap
-/// order, which can differ between the pruned and the full pass, so two
+/// gated selection trusts their ordering. Sums are accumulated in heap
+/// order, which can differ between the gated and the full pass, so two
 /// sums closer than a few ULPs could legitimately compare differently
-/// there; anything inside this band falls back to full scoring. Far above
-/// any reachable reordering error (~1e-15 at these magnitudes), far below
+/// there; anything inside this band fails the gate. Far above any
+/// reachable reordering error (~1e-15 at these magnitudes), far below
 /// meaningful score differences.
 constexpr double kSumGateBand = 1e-9;
 
-/// Shortlist-expansion rounds before a gate failure falls back to full
-/// scoring. One round usually suffices: the first gate run names the
-/// contender objects, whose unscored candidates are a tiny exact batch;
-/// the second round exists for the rare case where expansion shuffles the
-/// provisional winners and a new contender appears.
-constexpr int kPruneExpandRounds = 2;
+/// Suspect-rescoring rounds (ladder rung 1) per selection. One round
+/// usually suffices: the first gate run names the contender objects, whose
+/// unscored candidates are a tiny exact batch; the second exists for the
+/// rare case where rescoring shuffles the provisional winners and a new
+/// contender appears.
+constexpr int kSuspectRounds = 2;
 
-/// Descent rounds of the hierarchical path before it resorts to exact
-/// scoring of every live bucket. Each round expands the buckets the gate
-/// named as suspects, so a handful of rounds covers any realistic
-/// contention; the cap only bounds pathological drift.
-constexpr int kHierMaxRounds = 4;
+/// Re-bounding rounds (after a precheck violation) plus bucket-expansion
+/// rounds (ladder rung 2) per selection before the engine resorts to
+/// full scoring. A handful covers any realistic contention; the cap only
+/// bounds pathological drift.
+constexpr int kMaxRounds = 4;
 
-/// Floor on the hierarchical exact-scoring budget per round (scaled by
-/// the pruner's adaptive boost and by the selection size). Far below any
-/// grid the hierarchy engages on, far above the handful of pairs a
-/// selection actually commits.
+/// Floor on the tiled descent's exact-scoring target (scaled by the
+/// pruner's adaptive boost and by the selection size). Far below any grid
+/// the tiling engages on, far above the handful of pairs a selection
+/// actually commits.
 constexpr size_t kHierTargetPairsFloor = 4096;
+
+/// Appends the valid pairs of objects [begin, end) in ascending (object,
+/// annotator) order: object unlabelled, annotator affordable, pair
+/// unanswered.
+void AppendValidPairs(const StateView& view,
+                      const std::vector<bool>& annotator_affordable,
+                      size_t begin, size_t end, std::vector<Action>* out) {
+  const size_t num_annotators = annotator_affordable.size();
+  for (size_t i = begin; i < end; ++i) {
+    if ((*view.labelled)[i]) continue;
+    for (size_t j = 0; j < num_annotators; ++j) {
+      if (!annotator_affordable[j]) continue;
+      if (view.answers->HasAnswer(static_cast<int>(i), static_cast<int>(j))) {
+        continue;
+      }
+      out->push_back({static_cast<int>(i), static_cast<int>(j)});
+    }
+  }
+}
 
 /// Surfaces the cache's refresh accounting into the metrics registry by
 /// replaying the deltas of its own CumulativeStats since the previous
@@ -152,24 +170,24 @@ void RecordPruneMetrics(const ShortlistPruner& pruner,
   }
 }
 
-/// Outcome of one gated pruned selection attempt.
+/// Outcome of one gate run.
 struct GatedSelection {
   bool sound = false;
   std::vector<Assignment> assignments;
   /// Chosen candidates in Commit order (the full path's chosen_indices
-  /// order), as actions — the pruned path has no dense candidate matrix
+  /// order), as actions — the gated engine has no dense candidate matrix
   /// to index into.
   std::vector<Action> chosen_actions;
   /// The contenders: provisionally chosen objects plus every object whose
   /// (upper-bounded) sum crowds the selection cutoff. When the gates
   /// fail, exactly these objects' unscored candidates need exact scores
-  /// for the selection to become provable — the caller expands the
-  /// shortlist to them and retries before falling back to full scoring.
+  /// for the selection to become provable — ladder rung 1 scores them and
+  /// retries.
   std::vector<int> suspect_objects;
   /// Weakest chosen object's top-k sum (the selection cutoff) — the
-  /// hierarchical caller separates it from the unexpanded buckets' sum
-  /// bounds. Meaningful whenever at least one object was rankable, even
-  /// when a later gate returned sound = false.
+  /// unexpanded-bucket gate separates it from the buckets' sum bounds.
+  /// Meaningful whenever at least one object was rankable, even when a
+  /// later gate returned sound = false.
   double min_chosen_sum = -std::numeric_limits<double>::infinity();
 };
 
@@ -184,8 +202,7 @@ struct GatedSelection {
 ///    full pass's heap);
 ///  * the chosen objects' top-k sums are separated from each other and
 ///    from every non-chosen object's (upper-bounded) sum by kSumGateBand.
-/// Any violation returns sound = false and the caller falls back — the
-/// bounds themselves are never trusted for correctness.
+/// Any violation returns sound = false and the caller climbs its ladder.
 GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
                                 const std::vector<double>& scores,
                                 const std::vector<uint8_t>& is_exact,
@@ -237,8 +254,8 @@ GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
   for (const auto& entry : best) chosen_slot[entry.second] = 1;
   const double min_chosen_sum = best.back().first;
   result.min_chosen_sum = min_chosen_sum;
-  // Contenders, for shortlist expansion on gate failure: the chosen
-  // objects plus anything whose (inflated) sum reaches the cutoff band.
+  // Contenders, for rescoring on gate failure: the chosen objects plus
+  // anything whose (inflated) sum reaches the cutoff band.
   for (const auto& entry : best) {
     result.suspect_objects.push_back(object_ids[entry.second]);
   }
@@ -306,11 +323,8 @@ DqnAgent::DqnAgent(DqnAgentOptions options)
   CROWDRL_CHECK(options.epsilon_decay > 0.0 && options.epsilon_decay <= 1.0);
   CROWDRL_CHECK(options.max_bootstrap_candidates > 0);
   CROWDRL_CHECK(options.threads >= 1);
-  CROWDRL_CHECK(options.prune_margin >= 0.0);
   ShortlistOptions prune_options;
   prune_options.shortlist = options.prune_shortlist;
-  prune_options.margin = options.prune_margin;
-  prune_options.warmup = options.prune_warmup;
   pruner_ = ShortlistPruner(prune_options);
   if (options.shared_pool != nullptr) {
     pool_ = options.shared_pool;
@@ -328,8 +342,13 @@ void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
   total_selections_ = 0;
   pending_.clear();
   epsilon_ = options_.epsilon;
+  ResetSelectionState();
+  hier_stats_ = HierStats{};
+}
+
+void DqnAgent::ResetSelectionState() {
   score_cache_.Invalidate();
-  pruner_.Reset(num_objects, num_annotators);
+  pruner_.Reset(episode_objects_, episode_annotators_);
   sync_metrics_seen_ = ScoreCache::CumulativeStats{};
   score_cache_.ConfigureObjectBuckets(HierEngaged() ? options_.hier_object_bucket
                                                     : 0);
@@ -337,31 +356,29 @@ void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
     HierarchyOptions hier_options;
     hier_options.object_bucket = options_.hier_object_bucket;
     hier_options.annotator_group = options_.hier_annotator_group;
-    hierarchy_.Reset(num_objects, num_annotators, hier_options);
+    hierarchy_.Reset(episode_objects_, episode_annotators_, hier_options);
   }
-  hier_stats_ = HierStats{};
 }
 
-bool DqnAgent::PruneEligible() const {
-  // Epsilon-greedy consumes RNG inside Score, so a pruned iteration would
+bool DqnAgent::GateEligible() const {
+  // Epsilon-greedy consumes RNG inside Score, so a gated iteration would
   // desynchronize the stream against the full path; the other modes score
-  // deterministically and the pruned/full choice is then unobservable.
-  return options_.prune && options_.incremental &&
-         options_.feature_mask.empty() &&
+  // deterministically and the gated/full choice is then unobservable.
+  return options_.feature_mask.empty() &&
          options_.exploration != ExplorationMode::kEpsilonGreedy;
 }
 
 bool DqnAgent::HierEngaged() const {
-  return options_.hier && PruneEligible() && episode_objects_ > 0 &&
+  return GateEligible() && episode_objects_ > 0 &&
          episode_objects_ * episode_annotators_ >= options_.hier_min_pairs;
 }
 
 bool DqnAgent::UseFactorizedHead() const {
   // The factorized head keeps O(|O| x hidden) per-object partials
-  // resident — exactly what the hierarchical scale path must avoid, and
-  // its shortlists are small enough that dense assembly wins anyway.
-  return options_.factorized_q_head && options_.incremental &&
-         options_.feature_mask.empty() && !HierEngaged();
+  // resident — exactly what the tiled scale path must avoid, and its
+  // shortlists are small enough that dense assembly wins anyway.
+  return options_.factorized_q_head && options_.feature_mask.empty() &&
+         !HierEngaged();
 }
 
 FeatureBlocks DqnAgent::CacheBlocks() const {
@@ -389,22 +406,11 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
     const StateView& view, const std::vector<bool>& annotator_affordable,
     size_t max_pairs, Matrix* features) {
   CROWDRL_CHECK(view.answers != nullptr && view.labelled != nullptr);
-  size_t num_objects = view.answers->num_objects();
-  size_t num_annotators = view.answers->num_annotators();
-  CROWDRL_CHECK(annotator_affordable.size() == num_annotators);
+  const size_t num_objects = view.answers->num_objects();
+  CROWDRL_CHECK(annotator_affordable.size() == view.answers->num_annotators());
 
   std::vector<Action> valid;
-  for (size_t i = 0; i < num_objects; ++i) {
-    if ((*view.labelled)[i]) continue;
-    for (size_t j = 0; j < num_annotators; ++j) {
-      if (!annotator_affordable[j]) continue;
-      if (view.answers->HasAnswer(static_cast<int>(i),
-                                  static_cast<int>(j))) {
-        continue;
-      }
-      valid.push_back({static_cast<int>(i), static_cast<int>(j)});
-    }
-  }
+  AppendValidPairs(view, annotator_affordable, 0, num_objects, &valid);
   if (valid.size() > max_pairs) {
     // Uniform subsample keeps the scan bounded for huge workloads.
     std::vector<int> keep = rng_.SampleWithoutReplacement(
@@ -415,7 +421,7 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
     valid = std::move(sampled);
   }
 
-  if (options_.incremental) {
+  {
     // Serial: recomputes only the blocks dirtied since the last Sync. The
     // parallel assembly below then only reads the cache.
     CROWDRL_TRACE_SPAN("scorecache.sync");
@@ -426,8 +432,8 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
     CROWDRL_CHECK(options_.feature_mask.size() == StateFeaturizer::kFeatureDim);
   }
   if (features == nullptr) {
-    // Caller never reads dense rows (factorized bootstrap, pruned
-    // selection): enumeration and the Sync above are all it needs.
+    // Caller never reads dense rows (factorized bootstrap): enumeration
+    // and the Sync above are all it needs.
     return valid;
   }
 
@@ -437,16 +443,10 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
   // disjoint rows and the parallel result is bit-identical to the serial
   // one at every thread count.
   auto featurize_range = [&](size_t idx_begin, size_t idx_end) {
-    StateFeaturizer::Scratch scratch;  // Per-chunk, reused across rows.
     for (size_t idx = idx_begin; idx < idx_end; ++idx) {
       double* row = features->Row(idx);
-      if (options_.incremental) {
-        score_cache_.AssembleRowInto(valid[idx].object, valid[idx].annotator,
-                                     row);
-      } else {
-        featurizer_.Featurize(view, valid[idx].object, valid[idx].annotator,
-                              &scratch, row);
-      }
+      score_cache_.AssembleRowInto(valid[idx].object, valid[idx].annotator,
+                                   row);
       if (!options_.feature_mask.empty()) {
         for (size_t f = 0; f < StateFeaturizer::kFeatureDim; ++f) {
           if (!options_.feature_mask[f]) row[f] = 0.0;
@@ -570,13 +570,8 @@ std::vector<Assignment> PickTopKSumAssignments(
 std::vector<Assignment> DqnAgent::SelectBatch(
     const StateView& view, int k, int num_objects_to_pick,
     const std::vector<bool>& annotator_affordable) {
-  if (HierEngaged()) {
-    return SelectBatchHierarchical(view, k, num_objects_to_pick,
-                                   annotator_affordable);
-  }
-  if (PruneEligible()) {
-    return SelectBatchPruned(view, k, num_objects_to_pick,
-                             annotator_affordable);
+  if (GateEligible()) {
+    return SelectGated(view, k, num_objects_to_pick, annotator_affordable);
   }
   ScoredCandidates candidates = Score(view, annotator_affordable);
   std::vector<size_t> chosen;
@@ -614,230 +609,7 @@ void DqnAgent::NoteScoringBackend() {
   }
 }
 
-std::vector<Assignment> DqnAgent::SelectBatchPruned(
-    const StateView& view, int k, int num_objects_to_pick,
-    const std::vector<bool>& annotator_affordable) {
-  CROWDRL_CHECK(episode_objects_ > 0)
-      << "BeginEpisode must be called before SelectBatch";
-  CheckViewMatchesEpisode(view);
-  NoteScoringBackend();
-  // Enumerate + Sync only: the pruned path reads the cached blocks
-  // directly and assembles dense rows just for the pairs it commits.
-  std::vector<Action> valid =
-      EnumerateCandidates(view, annotator_affordable,
-                          std::numeric_limits<size_t>::max(), nullptr);
-  if (valid.empty()) return {};
-  pruner_.BeginIteration(score_cache_);
-
-  // Exact exploration bonus from current counts (closed form, never
-  // stale); identical expression to Score's so a pruned pair's exact
-  // score reproduces the full path bit for bit.
-  std::vector<double> bonus(valid.size(), 0.0);
-  if (options_.exploration == ExplorationMode::kUcb) {
-    double log_term =
-        2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
-    for (size_t idx = 0; idx < valid.size(); ++idx) {
-      const Action& a = valid[idx];
-      int n = selection_counts_.Get(a.object, a.annotator);
-      bonus[idx] = options_.ucb_c *
-                   std::sqrt(log_term / (static_cast<double>(n) + 1.0));
-    }
-  }
-  const size_t train_steps = q_network_.train_steps();
-
-  if (pruner_.Ready()) {
-    std::vector<double> ub;
-    size_t must_score = 0;
-    {
-      CROWDRL_TRACE_SPAN("agent.prune_bounds");
-      must_score = pruner_.UpperBounds(score_cache_, train_steps, valid,
-                                       bonus, &ub);
-    }
-    const size_t shortlist_size =
-        pruner_.ShortlistSize(valid.size(), must_score);
-    if (shortlist_size < valid.size()) {
-      // Global top-M by upper bound (must-score pairs carry +inf, so they
-      // are always admitted). Ascending candidate order afterwards keeps
-      // the exact pass deterministic.
-      std::vector<uint32_t> shortlist;
-      {
-        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-        // Reused scratch: Reset keeps the heap and sort buffers' capacity
-        // across iterations, so the per-iteration cut allocates nothing
-        // once warm.
-        shortlist_topk_.Reset(shortlist_size);
-        for (size_t idx = 0; idx < valid.size(); ++idx) {
-          shortlist_topk_.Push(ub[idx], static_cast<uint32_t>(idx));
-        }
-        shortlist_topk_.TakeSortedDescendingInto(&shortlist_scratch_);
-        shortlist.reserve(shortlist_scratch_.size());
-        for (const auto& entry : shortlist_scratch_) {
-          shortlist.push_back(entry.second);
-        }
-        std::sort(shortlist.begin(), shortlist.end());
-      }
-
-      std::vector<Action> shortlist_actions;
-      std::vector<double> shortlist_ub;
-      std::vector<double> shortlist_bonus;
-      shortlist_actions.reserve(shortlist.size());
-      shortlist_ub.reserve(shortlist.size());
-      shortlist_bonus.reserve(shortlist.size());
-      for (uint32_t idx : shortlist) {
-        shortlist_actions.push_back(valid[idx]);
-        shortlist_ub.push_back(ub[idx]);
-        shortlist_bonus.push_back(bonus[idx]);
-      }
-      std::vector<double> shortlist_q = ExactQ(shortlist_actions);
-      size_t violations = pruner_.RecordExact(
-          score_cache_, train_steps, shortlist_actions, shortlist_q,
-          &shortlist_ub, &shortlist_bonus, /*full_pass=*/false);
-      if (violations == 0) {
-        // Merged score vector: exact (+ bonus) on the shortlist, upper
-        // bounds elsewhere.
-        std::vector<double> merged = ub;
-        std::vector<uint8_t> is_exact(valid.size(), 0);
-        for (size_t s = 0; s < shortlist.size(); ++s) {
-          merged[shortlist[s]] = shortlist_q[s] + shortlist_bonus[s];
-          is_exact[shortlist[s]] = 1;
-        }
-        size_t exact_count = shortlist.size();
-        GatedSelection selection;
-        for (int round = 0; round <= kPruneExpandRounds; ++round) {
-          {
-            CROWDRL_TRACE_SPAN("agent.topk");
-            selection = GatedPickTopKSum(valid, merged, is_exact, ub, k,
-                                         num_objects_to_pick,
-                                         episode_objects_);
-          }
-          if (selection.sound || round == kPruneExpandRounds) break;
-          // Targeted expansion: the gate failed, but only the suspect
-          // objects' unscored candidates stand between this selection and
-          // a proof — exact-score just those (a handful of objects, so a
-          // tiny batch) and retry before giving up on the iteration.
-          std::vector<uint8_t> suspect(episode_objects_, 0);
-          for (int object : selection.suspect_objects) {
-            suspect[static_cast<size_t>(object)] = 1;
-          }
-          std::vector<Action> expand_actions;
-          std::vector<double> expand_ub;
-          std::vector<double> expand_bonus;
-          std::vector<size_t> expand_idx;
-          for (size_t idx = 0; idx < valid.size(); ++idx) {
-            if (is_exact[idx] ||
-                !suspect[static_cast<size_t>(valid[idx].object)]) {
-              continue;
-            }
-            expand_idx.push_back(idx);
-            expand_actions.push_back(valid[idx]);
-            expand_ub.push_back(ub[idx]);
-            expand_bonus.push_back(bonus[idx]);
-          }
-          // Nothing to expand (the failure was an exact tie or an exact
-          // sum collision) or the suspects cover so much of the grid that
-          // full scoring is the honest answer.
-          if (expand_idx.empty() || expand_idx.size() > valid.size() / 4) {
-            break;
-          }
-          std::vector<double> expand_q = ExactQ(expand_actions);
-          if (pruner_.RecordExact(score_cache_, train_steps, expand_actions,
-                                  expand_q, &expand_ub, &expand_bonus,
-                                  /*full_pass=*/false) > 0) {
-            violations = 1;
-            break;
-          }
-          for (size_t e = 0; e < expand_idx.size(); ++e) {
-            merged[expand_idx[e]] = expand_q[e] + expand_bonus[e];
-            is_exact[expand_idx[e]] = 1;
-          }
-          exact_count += expand_idx.size();
-        }
-        if (violations > 0) {
-          pruner_.NotePrecheckFallback();
-        } else if (selection.sound) {
-          if (options_.prune_audit) {
-            // Verification only: rescore everything exactly and demand
-            // the identical selection, ordering included. Must not
-            // perturb the run (Score is RNG-neutral outside
-            // epsilon-greedy and nothing below records into the pruner).
-            ScoredCandidates full = Score(view, annotator_affordable);
-            std::vector<size_t> full_chosen;
-            std::vector<Assignment> full_assignments =
-                PickTopKSumAssignments(full, k, num_objects_to_pick,
-                                       episode_objects_, &full_chosen);
-            CROWDRL_CHECK(full_assignments.size() ==
-                          selection.assignments.size())
-                << "pruned selection audit: assignment count diverged";
-            for (size_t i = 0; i < full_assignments.size(); ++i) {
-              CROWDRL_CHECK(full_assignments[i].object ==
-                                selection.assignments[i].object &&
-                            full_assignments[i].annotators ==
-                                selection.assignments[i].annotators)
-                  << "pruned selection audit: assignment " << i
-                  << " diverged on object "
-                  << full_assignments[i].object;
-            }
-            CROWDRL_CHECK(full_chosen.size() ==
-                          selection.chosen_actions.size());
-            for (size_t i = 0; i < full_chosen.size(); ++i) {
-              const Action& a = full.actions[full_chosen[i]];
-              CROWDRL_CHECK(a.object ==
-                                selection.chosen_actions[i].object &&
-                            a.annotator ==
-                                selection.chosen_actions[i].annotator)
-                  << "pruned selection audit: commit order diverged at "
-                  << i;
-            }
-          }
-          // Commit: identical bookkeeping (and identical feature bits —
-          // AssembleRowInto is a pure copy of the same cached blocks the
-          // full path's features matrix is built from).
-          for (const Action& action : selection.chosen_actions) {
-            std::vector<double> row(StateFeaturizer::kFeatureDim);
-            score_cache_.AssembleRowInto(action.object, action.annotator,
-                                         row.data());
-            pending_.push_back(std::move(row));
-            selection_counts_.Increment(action.object, action.annotator);
-            ++total_selections_;
-          }
-          pruner_.NotePrunedSuccess(exact_count,
-                                    valid.size() - exact_count);
-          RecordPruneMetrics(pruner_, &prune_metrics_seen_, valid.size(),
-                             exact_count);
-          return selection.assignments;
-        } else {
-          pruner_.NoteGateFallback();
-        }
-      } else {
-        pruner_.NotePrecheckFallback();
-      }
-    }
-  }
-
-  // Full exact pass: warmup, too-small grids, or a gate/precheck
-  // fallback. Seeds/refreshes the stale table for the next iteration.
-  ScoredCandidates candidates = Score(view, annotator_affordable);
-  std::vector<double> raw(candidates.scores.size());
-  for (size_t idx = 0; idx < raw.size(); ++idx) {
-    raw[idx] = candidates.scores[idx] - bonus[idx];
-  }
-  pruner_.RecordExact(score_cache_, train_steps, candidates.actions, raw,
-                      /*prior_ub=*/nullptr, /*bonus=*/nullptr,
-                      /*full_pass=*/true);
-  std::vector<size_t> chosen;
-  std::vector<Assignment> assignments;
-  {
-    CROWDRL_TRACE_SPAN("agent.topk");
-    assignments = PickTopKSumAssignments(candidates, k, num_objects_to_pick,
-                                         episode_objects_, &chosen);
-  }
-  Commit(candidates, chosen);
-  RecordPruneMetrics(pruner_, &prune_metrics_seen_, valid.size(),
-                     valid.size());
-  return assignments;
-}
-
-std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
+std::vector<Assignment> DqnAgent::SelectGated(
     const StateView& view, int k, int num_objects_to_pick,
     const std::vector<bool>& annotator_affordable) {
   CROWDRL_CHECK(episode_objects_ > 0)
@@ -847,36 +619,56 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
   CROWDRL_CHECK(view.labelled != nullptr);
   CROWDRL_CHECK(annotator_affordable.size() == episode_annotators_);
   NoteScoringBackend();
-
-  // Sync the cache and the bucket aggregates without ever touching the
-  // pair grid — the whole point of this path.
   {
     CROWDRL_TRACE_SPAN("scorecache.sync");
     score_cache_.Sync(view);
     RecordSyncMetrics(score_cache_, &sync_metrics_seen_);
   }
-  score_cache_.RefreshBucketBoxes();
   pruner_.BeginIteration(score_cache_);
-  hierarchy_.BeginIteration(score_cache_, *view.labelled,
-                            annotator_affordable);
   const size_t train_steps = q_network_.train_steps();
-  ++hier_stats_.iterations;
+  const double neg_inf = -std::numeric_limits<double>::infinity();
 
-  const size_t num_buckets = hierarchy_.num_buckets();
-  size_t live_buckets = 0;
-  size_t live_unlabelled = 0;
-  for (size_t b = 0; b < num_buckets; ++b) {
-    if (hierarchy_.BucketLive(b)) {
-      ++live_buckets;
+  // Exploration bonus: per pair exact, in closed form from current counts
+  // (the same expression as Score's, so exact scores reproduce full
+  // scoring bit for bit); tile bounds charge the grid-wide maximum,
+  // reached at selection count zero.
+  const bool ucb = options_.exploration == ExplorationMode::kUcb;
+  const double log_term =
+      ucb ? 2.0 * std::log(static_cast<double>(total_selections_) + 1.0)
+          : 0.0;
+  const double bonus_max = ucb ? options_.ucb_c * std::sqrt(log_term) : 0.0;
+
+  // Grid size decides the initial candidate set. Untiled, one bucket spans
+  // every object and starts expanded; tiled, the coarse-to-fine descent
+  // below picks the first buckets and the rest stay bounded per bucket.
+  const bool tiled = HierEngaged();
+  const size_t num_buckets = tiled ? hierarchy_.num_buckets() : 1;
+  std::vector<uint8_t> expanded(num_buckets, tiled ? 0 : 1);
+  std::vector<double> bucket_bound(num_buckets, neg_inf);
+  const auto bound_buckets = [&]() {
+    for (size_t b = 0; b < num_buckets; ++b) {
+      bucket_bound[b] = hierarchy_.BucketLive(b)
+                            ? hierarchy_.BucketBound(b, score_cache_, pruner_,
+                                                     train_steps, bonus_max)
+                            : neg_inf;
+    }
+  };
+  if (tiled) {
+    score_cache_.RefreshBucketBoxes();
+    hierarchy_.BeginIteration(score_cache_, *view.labelled,
+                              annotator_affordable);
+    ++hier_stats_.iterations;
+    std::vector<size_t> order;
+    size_t live_unlabelled = 0;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      if (!hierarchy_.BucketLive(b)) continue;
+      order.push_back(b);
       live_unlabelled += hierarchy_.bucket_unlabelled(b);
     }
-  }
-  hier_stats_.live_buckets += live_buckets;
-  if (live_buckets == 0) return {};
+    hier_stats_.live_buckets += order.size();
 
-  // Refresh every live tile whose representative record is stale, in one
-  // exact batch — afterwards every live tile's bound is finite.
-  {
+    // Refresh every live tile whose representative record is stale, in
+    // one exact batch — afterwards every live tile's bound is finite.
     std::vector<std::pair<size_t, size_t>> stale_tiles;
     std::vector<Action> stale_reps;
     hierarchy_.CollectStaleReps(score_cache_, train_steps, &stale_tiles,
@@ -890,56 +682,75 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
       }
       hier_stats_.rep_refreshes += stale_tiles.size();
     }
-  }
 
-  // Exploration-bonus terms: per-pair bonuses are exact (closed form from
-  // current counts); tile bounds charge the grid-wide maximum, reached at
-  // selection count zero.
-  const bool ucb = options_.exploration == ExplorationMode::kUcb;
-  const double log_term =
-      ucb ? 2.0 * std::log(static_cast<double>(total_selections_) + 1.0)
-          : 0.0;
-  const double bonus_max = ucb ? options_.ucb_c * std::sqrt(log_term) : 0.0;
-
-  const size_t target_pairs =
-      std::max(kHierTargetPairsFloor,
-               static_cast<size_t>(k) *
-                   static_cast<size_t>(num_objects_to_pick) * 8) *
-      pruner_.boost();
-
-  std::vector<uint8_t> expanded(num_buckets, 0);
-  // Exact raw-Q memo for this iteration (no training between rounds, so
-  // scores stay valid and re-expanded pairs are never re-forwarded).
-  std::unordered_map<uint64_t, double> exact_memo;
-  const auto pair_key = [m = episode_annotators_](const Action& a) {
-    return static_cast<uint64_t>(a.object) * m +
-           static_cast<uint64_t>(a.annotator);
-  };
-
-  // Enumerates the expanded buckets' valid pairs in bucket-index order —
-  // i.e. ascending (object, annotator), the exact order the full path
-  // enumerates in. An object's candidates all live in one bucket, so each
-  // per-object top-k sees the identical push sequence as full scoring and
-  // heap tie-breaks cannot diverge.
-  std::vector<Action> pairs;
-  std::vector<double> bonus;
-  const auto enumerate_expanded = [&]() {
-    pairs.clear();
-    for (size_t b = 0; b < num_buckets; ++b) {
-      if (!expanded[b]) continue;
-      const auto [obegin, oend] = hierarchy_.BucketRange(b);
-      for (size_t i = obegin; i < oend; ++i) {
-        if ((*view.labelled)[i]) continue;
-        for (size_t j = 0; j < episode_annotators_; ++j) {
-          if (!annotator_affordable[j]) continue;
-          if (view.answers->HasAnswer(static_cast<int>(i),
-                                      static_cast<int>(j))) {
-            continue;
-          }
-          pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
-        }
+    // Initial descent: expand highest-bound buckets until the set covers
+    // the requested objects and the exact-scoring target.
+    bound_buckets();
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (bucket_bound[a] != bucket_bound[b]) {
+        return bucket_bound[a] > bucket_bound[b];
+      }
+      return a < b;
+    });
+    const size_t target_pairs =
+        (options_.prune_shortlist > 0
+             ? options_.prune_shortlist
+             : std::max(kHierTargetPairsFloor,
+                        static_cast<size_t>(k) *
+                            static_cast<size_t>(num_objects_to_pick) * 8)) *
+        pruner_.boost();
+    size_t num_affordable = 0;
+    for (bool a : annotator_affordable) num_affordable += a ? 1 : 0;
+    const size_t objects_needed =
+        std::min(static_cast<size_t>(num_objects_to_pick), live_unlabelled);
+    size_t covered_objects = 0;
+    size_t covered_pairs = 0;  // Upper estimate; exact count comes below.
+    for (size_t b : order) {
+      expanded[b] = 1;
+      covered_objects += hierarchy_.bucket_unlabelled(b);
+      covered_pairs += hierarchy_.bucket_unlabelled(b) * num_affordable;
+      if (covered_objects >= objects_needed &&
+          covered_pairs >= target_pairs) {
+        break;
       }
     }
+  }
+
+  // The iteration's candidates: the expanded buckets' valid pairs in
+  // ascending (object, annotator) order — the order full scoring
+  // enumerates in. An object's candidates all live in one bucket, so each
+  // per-object top-k sees the identical push sequence as full scoring and
+  // heap tie-breaks cannot diverge. Exact raw Q values are kept alongside
+  // (no training runs inside an iteration, so they stay valid and no pair
+  // is ever forwarded twice).
+  std::vector<Action> pairs;
+  std::vector<double> bonus;
+  std::vector<double> raw;
+  std::vector<uint8_t> is_exact;
+  std::vector<double> ub;
+  size_t exact_count = 0;
+  const auto enumerate = [&]() {
+    std::vector<Action> next;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      if (!expanded[b]) continue;
+      const auto [begin, end] = tiled ? hierarchy_.BucketRange(b)
+                                      : std::make_pair(size_t{0},
+                                                       episode_objects_);
+      AppendValidPairs(view, annotator_affordable, begin, end, &next);
+    }
+    // Carry the exact scores over: the previous set is an ordered subset.
+    std::vector<double> next_raw(next.size(), 0.0);
+    std::vector<uint8_t> next_exact(next.size(), 0);
+    for (size_t i = 0, old = 0; i < next.size() && old < pairs.size(); ++i) {
+      if (next[i] == pairs[old]) {
+        next_raw[i] = raw[old];
+        next_exact[i] = is_exact[old];
+        ++old;
+      }
+    }
+    pairs = std::move(next);
+    raw = std::move(next_raw);
+    is_exact = std::move(next_exact);
     bonus.assign(pairs.size(), 0.0);
     if (ucb) {
       for (size_t idx = 0; idx < pairs.size(); ++idx) {
@@ -950,335 +761,269 @@ std::vector<Assignment> DqnAgent::SelectBatchHierarchical(
       }
     }
   };
+  enumerate();
 
-  std::vector<double> bound(num_buckets);
-  std::vector<double> ub;
-  std::vector<double> merged;
-  std::vector<uint8_t> is_exact;
-  bool give_up = false;
-  bool descended = false;
-  // Counts bound-adaptation and expansion retries; in-bucket resolution
-  // rounds are excluded (they are strictly monotone in exact pairs and
-  // cannot loop, so they never justify the full fallback).
-  int round = 0;
-
-  while (!give_up) {
-    ++hier_stats_.rounds;
-    // Bucket bounds under the current (possibly just-adapted) alpha/beta.
-    for (size_t b = 0; b < num_buckets; ++b) {
-      bound[b] = hierarchy_.BucketLive(b)
-                     ? hierarchy_.BucketBound(b, score_cache_, pruner_,
-                                              train_steps, bonus_max)
-                     : -std::numeric_limits<double>::infinity();
-    }
-
-    if (!descended) {
-      descended = true;
-      // Initial descent: expand highest-bound buckets until the set can
-      // cover the requested objects and the exact-scoring target.
-      std::vector<size_t> order;
-      order.reserve(live_buckets);
-      for (size_t b = 0; b < num_buckets; ++b) {
-        if (hierarchy_.BucketLive(b)) order.push_back(b);
-      }
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (bound[a] != bound[b]) return bound[a] > bound[b];
-        return a < b;
-      });
-      size_t num_affordable = 0;
-      for (bool a : annotator_affordable) num_affordable += a ? 1 : 0;
-      const size_t objects_needed = std::min(
-          static_cast<size_t>(num_objects_to_pick), live_unlabelled);
-      size_t covered_objects = 0;
-      size_t covered_pairs = 0;  // Upper estimate; exact count comes below.
-      for (size_t b : order) {
-        expanded[b] = 1;
-        covered_objects += hierarchy_.bucket_unlabelled(b);
-        covered_pairs += hierarchy_.bucket_unlabelled(b) * num_affordable;
-        if (covered_objects >= objects_needed &&
-            covered_pairs >= target_pairs) {
-          break;
-        }
+  // Exact-scores the listed candidates. With `precheck`, every new exact
+  // score is checked against the bound it was admitted under; a violation
+  // adapts alpha/beta (tile records first, then the per-pair entries) and
+  // the count is returned so the caller re-bounds.
+  const auto score_exact = [&](const std::vector<uint32_t>& batch,
+                               bool precheck) -> size_t {
+    std::vector<Action> actions;
+    std::vector<double> batch_ub;
+    std::vector<double> batch_bonus;
+    actions.reserve(batch.size());
+    for (uint32_t idx : batch) {
+      actions.push_back(pairs[idx]);
+      if (precheck) {
+        batch_ub.push_back(ub[idx]);
+        batch_bonus.push_back(bonus[idx]);
       }
     }
-
-    enumerate_expanded();
-    if (pairs.empty()) {
-      // Expanded buckets hold no valid pair (all answered or nothing
-      // affordable). If unexpanded live buckets remain they may still
-      // hold some: resolve exactly.
-      bool unexpanded_live = false;
-      for (size_t b = 0; b < num_buckets; ++b) {
-        if (hierarchy_.BucketLive(b) && !expanded[b]) unexpanded_live = true;
-      }
-      if (!unexpanded_live) return {};
-      break;  // Full fallback.
-    }
-
-    // Per-pair upper bound: the tile-derived bound with the pair's exact
-    // bonus, tightened by the pair's own stale entry when one exists.
-    ub.resize(pairs.size());
-    size_t exact_count = 0;
-    is_exact.assign(pairs.size(), 0);
-    merged.resize(pairs.size());
-    {
-      CROWDRL_TRACE_SPAN("agent.prune_bounds");
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        const Action& a = pairs[idx];
-        const double tile_ub = hierarchy_.TileBound(
-            hierarchy_.BucketOf(a.object), hierarchy_.GroupOf(a.annotator),
-            score_cache_, pruner_, train_steps, bonus[idx]);
-        const double pair_ub = pruner_.PairUpperBound(
-            score_cache_, train_steps, a.object, a.annotator, bonus[idx]);
-        ub[idx] = std::min(tile_ub, pair_ub);
-        auto it = exact_memo.find(pair_key(a));
-        if (it != exact_memo.end()) {
-          is_exact[idx] = 1;
-          merged[idx] = it->second + bonus[idx];
-          ++exact_count;
-        } else {
-          merged[idx] = ub[idx];
-        }
-      }
-    }
-
-    // Shortlist the highest-bounded unscored pairs and score them exactly.
-    std::vector<uint32_t> shortlist;
-    {
-      CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-      shortlist_topk_.Reset(target_pairs);
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (!is_exact[idx]) {
-          shortlist_topk_.Push(ub[idx], static_cast<uint32_t>(idx));
-        }
-      }
-      shortlist_topk_.TakeSortedDescendingInto(&shortlist_scratch_);
-      shortlist.reserve(shortlist_scratch_.size());
-      for (const auto& entry : shortlist_scratch_) {
-        shortlist.push_back(entry.second);
-      }
-      std::sort(shortlist.begin(), shortlist.end());
-    }
-    size_t violations = 0;
-    if (!shortlist.empty()) {
-      std::vector<Action> shortlist_actions;
-      shortlist_actions.reserve(shortlist.size());
-      for (uint32_t idx : shortlist) shortlist_actions.push_back(pairs[idx]);
-      std::vector<double> shortlist_q = ExactQ(shortlist_actions);
-      hier_stats_.scored_pairs += shortlist_actions.size();
-      for (size_t s = 0; s < shortlist.size(); ++s) {
-        const uint32_t idx = shortlist[s];
-        const Action& a = pairs[idx];
-        if (shortlist_q[s] + bonus[idx] > ub[idx]) {
-          // The bound this pair was admitted under was unsound: replay
-          // the move against its tile record so alpha/beta absorb it,
-          // then re-descend under the adapted bounds.
-          ++violations;
+    std::vector<double> q = ExactQ(actions);
+    if (tiled) {
+      hier_stats_.scored_pairs += actions.size();
+      for (size_t s = 0; precheck && s < actions.size(); ++s) {
+        if (q[s] + batch_bonus[s] > batch_ub[s]) {
           hierarchy_.ObserveTileViolation(
-              hierarchy_.BucketOf(a.object), hierarchy_.GroupOf(a.annotator),
-              shortlist_q[s], score_cache_, train_steps, &pruner_);
+              hierarchy_.BucketOf(actions[s].object),
+              hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
+              train_steps, &pruner_);
         }
-        exact_memo.emplace(pair_key(a), shortlist_q[s]);
-        merged[idx] = shortlist_q[s] + bonus[idx];
-        is_exact[idx] = 1;
       }
-      exact_count += shortlist.size();
-      // Seeds the flat per-pair table too (RecordExact's own adaptation
-      // covers pairs that already had entries).
-      pruner_.RecordExact(score_cache_, train_steps, shortlist_actions,
-                          shortlist_q, /*prior_ub=*/nullptr,
-                          /*bonus=*/nullptr, /*full_pass=*/false);
     }
-    if (violations > 0) {
-      pruner_.NotePrecheckFallback();
-      if (round >= kHierMaxRounds) break;  // Full fallback.
-      ++round;
-      continue;
+    const size_t violations = pruner_.RecordExact(
+        score_cache_, train_steps, actions, q,
+        precheck ? &batch_ub : nullptr, precheck ? &batch_bonus : nullptr);
+    for (size_t s = 0; s < batch.size(); ++s) {
+      raw[batch[s]] = q[s];
+      is_exact[batch[s]] = 1;
+    }
+    exact_count += batch.size();
+    return violations;
+  };
+
+  GatedSelection selection;
+  bool served = false;
+  bool gate_failed = false;
+  // One gate fallback per selection, noted when the ladder first climbs
+  // past rung 1: it grows the pruner's shortlist boost.
+  bool fell_back = false;
+  const auto note_fallback = [&]() {
+    if (!fell_back) pruner_.NoteGateFallback();
+    fell_back = true;
+  };
+  bool need_shortlist = true;
+  bool rebound = false;  // Alpha/beta adapted: the bucket bounds are stale.
+  int rounds = 0;
+  int suspect_rounds = 0;
+  const auto note_violation = [&]() {
+    pruner_.NotePrecheckFallback();
+    need_shortlist = rebound = true;
+    return rounds++ >= kMaxRounds;
+  };
+  for (;;) {
+    if (need_shortlist) {
+      // Bound every candidate — the pair's own stale entry, tightened by
+      // its tile's bound when a tiling exists — and exact-score the
+      // highest-bounded unscored ones. Must-score pairs (+inf) are always
+      // admitted on top of the shortlist size.
+      need_shortlist = false;
+      if (tiled) {
+        ++hier_stats_.rounds;
+        if (rebound) bound_buckets();
+      }
+      rebound = false;
+      size_t must_score = 0;
+      {
+        CROWDRL_TRACE_SPAN("agent.prune_bounds");
+        pruner_.UpperBounds(score_cache_, train_steps, pairs, bonus, &ub);
+        for (size_t idx = 0; idx < pairs.size(); ++idx) {
+          if (tiled) {
+            const Action& a = pairs[idx];
+            ub[idx] = std::min(
+                ub[idx], hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
+                                              hierarchy_.GroupOf(a.annotator),
+                                              score_cache_, pruner_,
+                                              train_steps, bonus[idx]));
+          }
+          if (!is_exact[idx] && std::isinf(ub[idx])) ++must_score;
+        }
+      }
+      std::vector<uint32_t> shortlist;
+      {
+        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
+        const size_t unscored = pairs.size() - exact_count;
+        const size_t size = pruner_.ShortlistSize(pairs.size(), must_score);
+        if (size >= unscored) {
+          for (size_t idx = 0; idx < pairs.size(); ++idx) {
+            if (!is_exact[idx]) shortlist.push_back(static_cast<uint32_t>(idx));
+          }
+        } else {
+          // Reused scratch: Reset keeps the heap and sort buffers' capacity
+          // across rounds, so the cut allocates nothing once warm.
+          shortlist_topk_.Reset(size);
+          for (size_t idx = 0; idx < pairs.size(); ++idx) {
+            if (!is_exact[idx]) {
+              shortlist_topk_.Push(ub[idx], static_cast<uint32_t>(idx));
+            }
+          }
+          shortlist_topk_.TakeSortedDescendingInto(&shortlist_scratch_);
+          for (const auto& entry : shortlist_scratch_) {
+            shortlist.push_back(entry.second);
+          }
+          std::sort(shortlist.begin(), shortlist.end());
+        }
+      }
+      if (!shortlist.empty() && score_exact(shortlist, true) > 0) {
+        if (note_violation()) break;
+        continue;
+      }
     }
 
-    GatedSelection selection;
+    bool unexpanded_live = false;
+    for (size_t b = 0; tiled && b < num_buckets; ++b) {
+      if (hierarchy_.BucketLive(b) && !expanded[b]) unexpanded_live = true;
+    }
+    // Nothing left to bound: full scoring's answer is already at hand.
+    if (exact_count == pairs.size() && !unexpanded_live) break;
+
+    std::vector<double> merged(pairs.size());
+    for (size_t idx = 0; idx < pairs.size(); ++idx) {
+      merged[idx] = is_exact[idx] ? raw[idx] + bonus[idx] : ub[idx];
+    }
     {
       CROWDRL_TRACE_SPAN("agent.topk");
       selection = GatedPickTopKSum(pairs, merged, is_exact, ub, k,
                                    num_objects_to_pick, episode_objects_);
     }
-
-    // Hierarchy-level gates over the unexpanded remainder: every live
-    // unexpanded bucket's best top-k sum — k times its pair bound when
+    // Unexpanded-bucket gate (vacuous without a tiling): every live
+    // unexpanded bucket's best top-k sum — k times its bound when
     // positive, the bound itself otherwise (j <= k negative terms sum to
-    // at most one of them) — must sit clearly below the selection cutoff,
-    // and the selection must not be starved of objects the remainder
-    // could still provide.
-    std::vector<size_t> sum_offenders;
-    bool starved = false;
+    // at most one of them) — must sit clearly below the selection cutoff.
+    // A selection short of objects has no cutoff: any bucket with a valid
+    // pair could still contribute one.
+    std::vector<size_t> offenders;
     if (selection.sound) {
-      bool unexpanded_live = false;
-      for (size_t b = 0; b < num_buckets; ++b) {
+      const double cutoff = selection.assignments.size() <
+                                    static_cast<size_t>(num_objects_to_pick)
+                                ? neg_inf
+                                : selection.min_chosen_sum;
+      for (size_t b = 0; tiled && b < num_buckets; ++b) {
         if (!hierarchy_.BucketLive(b) || expanded[b]) continue;
-        unexpanded_live = true;
-        const double sum_bound =
-            bound[b] >= 0.0 ? static_cast<double>(k) * bound[b] : bound[b];
-        if (selection.min_chosen_sum - sum_bound <= kSumGateBand) {
-          sum_offenders.push_back(b);
-        }
+        const double sum_bound = bucket_bound[b] >= 0.0
+                                     ? static_cast<double>(k) * bucket_bound[b]
+                                     : bucket_bound[b];
+        if (cutoff - sum_bound <= kSumGateBand) offenders.push_back(b);
       }
-      starved = unexpanded_live &&
-                selection.assignments.size() <
-                    static_cast<size_t>(num_objects_to_pick);
+      if (offenders.empty()) {
+        served = true;
+        break;
+      }
     }
+    gate_failed = true;
 
-    if (selection.sound && sum_offenders.empty() && !starved) {
-      if (options_.prune_audit) {
-        // Verification only (feasible sizes): full exact scoring must
-        // reproduce the selection, ordering included.
-        ScoredCandidates full = Score(view, annotator_affordable);
-        std::vector<size_t> full_chosen;
-        std::vector<Assignment> full_assignments =
-            PickTopKSumAssignments(full, k, num_objects_to_pick,
-                                   episode_objects_, &full_chosen);
-        CROWDRL_CHECK(full_assignments.size() ==
-                      selection.assignments.size())
-            << "hierarchical selection audit: assignment count diverged";
-        for (size_t i = 0; i < full_assignments.size(); ++i) {
-          CROWDRL_CHECK(full_assignments[i].object ==
-                            selection.assignments[i].object &&
-                        full_assignments[i].annotators ==
-                            selection.assignments[i].annotators)
-              << "hierarchical selection audit: assignment " << i
-              << " diverged on object " << full_assignments[i].object;
-        }
-        CROWDRL_CHECK(full_chosen.size() == selection.chosen_actions.size());
-        for (size_t i = 0; i < full_chosen.size(); ++i) {
-          const Action& a = full.actions[full_chosen[i]];
-          CROWDRL_CHECK(a.object == selection.chosen_actions[i].object &&
-                        a.annotator == selection.chosen_actions[i].annotator)
-              << "hierarchical selection audit: commit order diverged at "
-              << i;
-        }
-      }
-      for (const Action& action : selection.chosen_actions) {
-        std::vector<double> row(StateFeaturizer::kFeatureDim);
-        score_cache_.AssembleRowInto(action.object, action.annotator,
-                                     row.data());
-        pending_.push_back(std::move(row));
-        selection_counts_.Increment(action.object, action.annotator);
-        ++total_selections_;
-      }
-      pruner_.NotePrunedSuccess(exact_count, pairs.size() - exact_count);
-      ++hier_stats_.gated_iterations;
-      hier_stats_.enumerated_pairs += pairs.size();
-      for (size_t b = 0; b < num_buckets; ++b) {
-        hier_stats_.expanded_buckets += expanded[b] ? 1 : 0;
-      }
-      RecordPruneMetrics(pruner_, &prune_metrics_seen_, pairs.size(),
-                         exact_count);
-      return selection.assignments;
-    }
-
-    // Gate failure: expand exactly the buckets that stand between this
-    // selection and a proof, then retry. No growth (or starvation, or
-    // round exhaustion) means the remainder must be resolved exactly.
-    bool grew = false;
-    if (!starved) {
+    // Rung 1: exact-score the suspect objects' unscored candidates — a
+    // handful of objects, so a tiny batch — and re-run the gate.
+    if (!selection.sound && suspect_rounds < kSuspectRounds) {
+      std::vector<uint8_t> suspect(episode_objects_, 0);
       for (int object : selection.suspect_objects) {
-        const size_t b = hierarchy_.BucketOf(object);
-        if (!expanded[b]) {
-          expanded[b] = 1;
-          grew = true;
+        suspect[static_cast<size_t>(object)] = 1;
+      }
+      std::vector<uint32_t> batch;
+      for (size_t idx = 0; idx < pairs.size(); ++idx) {
+        if (!is_exact[idx] && suspect[static_cast<size_t>(pairs[idx].object)]) {
+          batch.push_back(static_cast<uint32_t>(idx));
         }
       }
-      for (size_t b : sum_offenders) {
-        if (!expanded[b]) {
-          expanded[b] = 1;
-          grew = true;
-        }
+      // Nothing to rescore (an exact tie or exact sum collision), or the
+      // suspects cover so much of the set that the later rungs are the
+      // honest answer.
+      if (!batch.empty() && batch.size() <= pairs.size() / 4) {
+        ++suspect_rounds;
+        if (score_exact(batch, true) > 0 && note_violation()) break;
+        continue;
       }
     }
-    if (!starved && !grew && exact_count < pairs.size()) {
-      // The offending pairs already sit inside the expanded set — the
-      // tiling has nothing left to expand; the remainder of the expanded
-      // set is merely bounded, not resolved (early iterations, before
-      // the per-pair stale table can discriminate inside a bucket).
-      // Resolve the expanded set exactly and re-run the gate: per-bucket
-      // resolution, never the global fallback. Strictly monotone —
-      // exact_count only grows — so this cannot loop.
-      std::vector<Action> rest;
-      rest.reserve(pairs.size() - exact_count);
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (!is_exact[idx]) rest.push_back(pairs[idx]);
-      }
-      std::vector<double> rest_q = ExactQ(rest);
-      hier_stats_.scored_pairs += rest.size();
-      for (size_t i = 0; i < rest.size(); ++i) {
-        exact_memo.emplace(pair_key(rest[i]), rest_q[i]);
-      }
-      pruner_.RecordExact(score_cache_, train_steps, rest, rest_q,
-                          /*prior_ub=*/nullptr, /*bonus=*/nullptr,
-                          /*full_pass=*/false);
+    // Rung 2: expand the buckets whose bounds threaten the cutoff.
+    note_fallback();
+    if (!offenders.empty() && rounds < kMaxRounds) {
+      ++rounds;
+      for (size_t b : offenders) expanded[b] = 1;
+      enumerate();
+      need_shortlist = true;
       continue;
     }
-    // A true gate fallback (expansion or give-up), not an in-bucket
-    // resolution: let the pruner grow its shortlist boost.
-    pruner_.NoteGateFallback();
-    give_up = starved || !grew || round >= kHierMaxRounds;
-    ++round;
+    // Rung 3: exact-score the rest of the expanded set, keeping the
+    // unexpanded remainder bounded. Without a remainder this is rung 4.
+    if (unexpanded_live && exact_count < pairs.size()) {
+      std::vector<uint32_t> batch;
+      for (size_t idx = 0; idx < pairs.size(); ++idx) {
+        if (!is_exact[idx]) batch.push_back(static_cast<uint32_t>(idx));
+      }
+      if (score_exact(batch, true) > 0 && note_violation()) break;
+      continue;
+    }
+    break;
   }
 
-  // Full fallback: exact-score every valid pair of every live bucket —
-  // the flat full pass, reached through the hierarchy's enumeration. The
-  // candidate list and scores are identical to Score()'s, so selections
-  // (and heap tie-breaks) match the unpruned path exactly.
-  ++hier_stats_.full_fallbacks;
-  for (size_t b = 0; b < num_buckets; ++b) {
-    if (hierarchy_.BucketLive(b)) expanded[b] = 1;
-  }
-  enumerate_expanded();
-  if (pairs.empty()) return {};
-  std::vector<Action> unscored;
-  for (const Action& a : pairs) {
-    if (exact_memo.find(pair_key(a)) == exact_memo.end()) {
-      unscored.push_back(a);
-    }
-  }
-  if (!unscored.empty()) {
-    std::vector<double> q = ExactQ(unscored);
-    hier_stats_.scored_pairs += unscored.size();
-    for (size_t i = 0; i < unscored.size(); ++i) {
-      exact_memo.emplace(pair_key(unscored[i]), q[i]);
-    }
-  }
-  ScoredCandidates candidates;
-  candidates.actions = pairs;
-  candidates.scores.resize(pairs.size());
-  std::vector<double> raw(pairs.size());
-  for (size_t idx = 0; idx < pairs.size(); ++idx) {
-    raw[idx] = exact_memo.at(pair_key(pairs[idx]));
-    candidates.scores[idx] = raw[idx] + bonus[idx];
-  }
-  pruner_.RecordExact(score_cache_, train_steps, pairs, raw,
-                      /*prior_ub=*/nullptr, /*bonus=*/nullptr,
-                      /*full_pass=*/true);
-  hier_stats_.enumerated_pairs += pairs.size();
-  for (size_t b = 0; b < num_buckets; ++b) {
-    hier_stats_.expanded_buckets += expanded[b] ? 1 : 0;
-  }
-  std::vector<size_t> chosen;
   std::vector<Assignment> assignments;
-  {
-    CROWDRL_TRACE_SPAN("agent.topk");
-    assignments = PickTopKSumAssignments(candidates, k, num_objects_to_pick,
-                                         episode_objects_, &chosen);
+  std::vector<Action> chosen;
+  if (served) {
+    assignments = std::move(selection.assignments);
+    chosen = std::move(selection.chosen_actions);
+    pruner_.NotePrunedSuccess(exact_count, pairs.size() - exact_count,
+                              gate_failed);
+    if (tiled) ++hier_stats_.gated_iterations;
+  } else {
+    // Rung 4: exact-score every live pair. The candidate list and scores
+    // are then exactly Score()'s, so PickTopKSumAssignments selects (and
+    // tie-breaks) exactly as full scoring does.
+    if (gate_failed) note_fallback();
+    if (tiled) {
+      for (size_t b = 0; b < num_buckets; ++b) {
+        if (hierarchy_.BucketLive(b)) expanded[b] = 1;
+      }
+      enumerate();
+    }
+    std::vector<uint32_t> batch;
+    for (size_t idx = 0; idx < pairs.size(); ++idx) {
+      if (!is_exact[idx]) batch.push_back(static_cast<uint32_t>(idx));
+    }
+    if (!batch.empty()) score_exact(batch, false);
+    ScoredCandidates full;
+    full.actions = pairs;
+    full.scores.resize(pairs.size());
+    for (size_t idx = 0; idx < pairs.size(); ++idx) {
+      full.scores[idx] = raw[idx] + bonus[idx];
+    }
+    std::vector<size_t> chosen_indices;
+    {
+      CROWDRL_TRACE_SPAN("agent.topk");
+      assignments = PickTopKSumAssignments(
+          full, k, num_objects_to_pick, episode_objects_, &chosen_indices);
+    }
+    for (size_t idx : chosen_indices) chosen.push_back(pairs[idx]);
+    pruner_.NoteFullPass();
+    if (tiled) ++hier_stats_.full_fallbacks;
   }
-  for (size_t idx : chosen) {
-    const Action& action = candidates.actions[idx];
+
+  // Commit: identical bookkeeping (and identical feature bits —
+  // AssembleRowInto is a pure copy of the same cached blocks Score's
+  // features matrix is built from).
+  for (const Action& action : chosen) {
     std::vector<double> row(StateFeaturizer::kFeatureDim);
     score_cache_.AssembleRowInto(action.object, action.annotator, row.data());
     pending_.push_back(std::move(row));
     selection_counts_.Increment(action.object, action.annotator);
     ++total_selections_;
   }
+  if (tiled) {
+    hier_stats_.enumerated_pairs += pairs.size();
+    for (uint8_t e : expanded) hier_stats_.expanded_buckets += e;
+  }
   RecordPruneMetrics(pruner_, &prune_metrics_seen_, pairs.size(),
-                     pairs.size());
+                     exact_count);
   return assignments;
 }
 
@@ -1289,7 +1034,6 @@ std::vector<Action> DqnAgent::EnumerateBootstrapSublinear(
   const size_t num_objects = view.answers->num_objects();
   const size_t num_annotators = view.answers->num_annotators();
   CROWDRL_CHECK(annotator_affordable.size() == num_annotators);
-  CROWDRL_CHECK(options_.incremental);
 
   size_t num_affordable = 0;
   for (bool a : annotator_affordable) num_affordable += a ? 1 : 0;
@@ -1412,20 +1156,10 @@ Status DqnAgent::LoadState(io::Reader* reader) {
   // The score cache is not serialized: its blocks are pure functions of
   // the StateView, so dropping it here and letting the next Sync rebuild
   // reproduces the same bits on the restored run. The pruner's stale
-  // table likewise restarts from its warmup full passes (see shortlist.h
+  // table likewise restarts with every pair must-score (see shortlist.h
   // for why that keeps restores bit-identical), and the metrics snapshot
   // resets with the cache's cumulative stats.
-  score_cache_.Invalidate();
-  pruner_.Reset(episode_objects_, episode_annotators_);
-  sync_metrics_seen_ = ScoreCache::CumulativeStats{};
-  score_cache_.ConfigureObjectBuckets(HierEngaged() ? options_.hier_object_bucket
-                                                    : 0);
-  if (HierEngaged()) {
-    HierarchyOptions hier_options;
-    hier_options.object_bucket = options_.hier_object_bucket;
-    hier_options.annotator_group = options_.hier_annotator_group;
-    hierarchy_.Reset(episode_objects_, episode_annotators_, hier_options);
-  }
+  ResetSelectionState();
   return Status::Ok();
 }
 

@@ -66,62 +66,38 @@ struct DqnAgentOptions {
   /// util/thread_pool.h), and bit-identical to a private pool because
   /// every parallel stage is bit-identical at any thread count.
   std::shared_ptr<ThreadPool> shared_pool;
-  /// Incremental candidate scoring: feature rows are assembled from the
-  /// per-object / per-annotator blocks kept in a ScoreCache (only dirty
-  /// blocks recompute between iterations) instead of being featurized from
-  /// scratch per pair. Bit-identical to the naive path — both are built
-  /// from the same StateFeaturizer block helpers — so it is on by default;
-  /// off reproduces the original full-grid featurization for A/B testing.
-  bool incremental = true;
-  /// Factorized first-layer Q head: W*x decomposed over the cached blocks
-  /// with per-object / per-annotator partial products reused across
+  /// Factorized first-layer Q head: W*x decomposed over the ScoreCache
+  /// blocks with per-object / per-annotator partial products reused across
   /// iterations (QNetwork::PredictBatchFactorized). Changes the
   /// floating-point accumulation order, so Q values are only ULP-close to
-  /// the exact path — on by default (the production scoring path); ignored
-  /// (exact path) when `incremental` is off or feature_mask is non-empty.
-  /// Tests that compare scores bitwise against from-scratch featurization
-  /// turn it off explicitly.
+  /// the dense forward — on by default (the production scoring path);
+  /// ignored (dense forward) when feature_mask is non-empty or the grid is
+  /// tiled (see hier_min_pairs). Tests that compare scores bitwise against
+  /// from-scratch featurization turn it off explicitly.
   bool factorized_q_head = true;
-  /// Shortlist-pruned selection: SelectBatch scores only a shortlist of
-  /// candidates chosen by cheap per-pair upper bounds (stale exact Q +
-  /// ScoreCache drift slack + the closed-form exploration bonus, see
-  /// ShortlistPruner) and verifies with a strict selection gate that the
-  /// non-scored remainder could not have altered the chosen assignments;
-  /// any gate failure falls back to exact full scoring, so selections are
-  /// always identical to the unpruned path. Requires `incremental`, an
-  /// empty feature_mask, and a non-epsilon-greedy exploration mode
-  /// (otherwise SelectBatch silently runs the full path). Public Score()
-  /// always scores every pair regardless.
-  bool prune = true;
-  /// Shortlist size; 0 = auto (num_pairs / 16, floor 256, adaptively
-  /// doubled after gate fallbacks).
+  /// Shortlist size of the gated selection engine: SelectBatch exact-scores
+  /// only the candidates whose cheap upper bounds (stale exact Q + drift
+  /// slack + the exact exploration bonus, see ShortlistPruner) rank
+  /// highest, and serves the selection only when a strict gate proves that
+  /// no bounded remainder could alter it; every gate failure climbs a
+  /// ladder of exact rescoring that ends in full scoring, so selections are
+  /// always identical to Score + PickTopKSumAssignments. Pairs without a
+  /// usable bound are always scored on top of this size. 0 = auto
+  /// (num_pairs / 16, floor 256, adaptively doubled after gate fallbacks).
+  /// A non-zero value also caps the tiled descent's initial expansion
+  /// (tests use it to scale the engine down). The engine stands down for
+  /// epsilon-greedy exploration and feature-masked agents, which always
+  /// run full scoring. Public Score() always scores every pair regardless.
   size_t prune_shortlist = 0;
-  /// Additive slack on every upper bound.
-  double prune_margin = 1e-6;
-  /// Full-scoring SelectBatch iterations per episode before pruning
-  /// engages (seeds the stale-Q table and drift sensitivities).
-  size_t prune_warmup = 2;
-  /// Audit mode: every pruned selection additionally runs the full exact
-  /// path and CHECK-fails unless both produced identical assignments (for
-  /// tests and benchmark gating; doubles scoring cost).
-  bool prune_audit = false;
-  /// Hierarchical candidate generation: on grids of at least
-  /// `hier_min_pairs` pairs, SelectBatch descends a bucket x group tiling
-  /// (BucketHierarchy) and only enumerates + bounds the buckets whose
-  /// tile-derived upper bound can still beat the provisional selection,
-  /// instead of touching every valid pair. The same selection gate as the
-  /// flat pruned path (extended with per-bucket sum bounds over the
-  /// unexpanded remainder) proves each served selection identical to full
-  /// exact scoring; a failed gate expands the suspect buckets and
-  /// retries, falling back to exact scoring of every live bucket as the
-  /// last resort. Requires the same eligibility as `prune`. While
-  /// engaged, the factorized Q head is bypassed (its per-object partial
-  /// cache is O(|O| x hidden) — exactly the resident state this path
-  /// exists to avoid) so Q values come from the dense exact forward.
-  bool hier = true;
-  /// Minimum |O| x |W| grid size before the hierarchy engages; below it
-  /// the flat shortlist path wins. The default keeps every existing
-  /// small-grid workload on the flat path.
+  /// Grid size (|O| x |W| pairs) from which the gated engine tiles the
+  /// grid into buckets x groups (BucketHierarchy): below it every valid
+  /// pair is a candidate from the start; at or above it a coarse-to-fine
+  /// descent over tile-derived upper bounds picks the first buckets, the
+  /// gate additionally bounds every unexpanded bucket, and the Q forward is
+  /// dense (the factorized head's per-object partial cache is
+  /// O(|O| x hidden) — exactly the resident state tiling exists to avoid).
+  /// SIZE_MAX never tiles. The default keeps every small-grid workload
+  /// untiled.
   size_t hier_min_pairs = size_t{1} << 22;
   /// Objects per bucket / annotators per group of the tiling.
   size_t hier_object_bucket = 1024;
@@ -226,21 +202,21 @@ class DqnAgent {
   size_t pending_transitions() const { return pending_.size(); }
   double current_epsilon() const { return epsilon_; }
   Rng* rng() { return &rng_; }
-  /// The incremental-scoring block cache (stats inspection; meaningful
-  /// only when options.incremental is on).
+  /// The incremental-scoring block cache (stats inspection).
   const ScoreCache& score_cache() const { return score_cache_; }
-  /// Shortlist-pruning state (stats inspection; meaningful only when
-  /// options.prune is on and SelectBatch drives the agent).
+  /// Gated-selection state (stats inspection; meaningful when SelectBatch
+  /// drives the agent).
   const ShortlistPruner& shortlist_pruner() const { return pruner_; }
 
-  /// Hierarchical-selection counters (bench/scale_stress reports the
+  /// Tiled-selection counters (bench/scale_stress reports the
   /// scored-candidate sub-linearity and expanded-bucket fraction from
-  /// these). Not checkpointed.
+  /// these). Every tiled SelectBatch counts in `iterations` and in exactly
+  /// one of `gated_iterations` / `full_fallbacks`. Not checkpointed.
   struct HierStats {
-    size_t iterations = 0;        ///< Hierarchical selections attempted.
-    size_t gated_iterations = 0;  ///< Served by the gated sub-linear path.
-    size_t full_fallbacks = 0;    ///< Every-live-bucket exact fallbacks.
-    size_t rounds = 0;            ///< Descent rounds across iterations.
+    size_t iterations = 0;        ///< Tiled selections attempted.
+    size_t gated_iterations = 0;  ///< Served by the gate.
+    size_t full_fallbacks = 0;    ///< Served by full scoring (last rung).
+    size_t rounds = 0;            ///< Bounding rounds across iterations.
     size_t scored_pairs = 0;      ///< Exact Q rows spent on selection.
     size_t enumerated_pairs = 0;  ///< Valid pairs materialized.
     size_t rep_refreshes = 0;     ///< Tile representative rescorings.
@@ -248,8 +224,7 @@ class DqnAgent {
     size_t live_buckets = 0;      ///< Live buckets seen, summed.
   };
   const HierStats& hier_stats() const { return hier_stats_; }
-  /// True when SelectBatch routes through the hierarchical generator for
-  /// the current episode shape.
+  /// True when SelectBatch tiles the grid for the current episode shape.
   bool HierEngaged() const;
   /// Total candidate feature rows assembled/featurized so far (diagnostic
   /// counter; not checkpointed). The factorized bootstrap path must not
@@ -266,26 +241,21 @@ class DqnAgent {
  private:
   /// Enumerates valid pairs and fills features (one candidate per row).
   /// `features` may be null for callers that never read dense rows (the
-  /// factorized bootstrap, the pruned selection path): enumeration and
-  /// the cache Sync still run, per-row assembly is skipped entirely.
+  /// factorized bootstrap): enumeration and the cache Sync still run,
+  /// per-row assembly is skipped entirely.
   std::vector<Action> EnumerateCandidates(
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
 
-  /// True when SelectBatch may use the shortlist-pruned path.
-  bool PruneEligible() const;
+  /// True when SelectBatch may run the gated engine (not epsilon-greedy,
+  /// no feature mask); otherwise it scores every pair.
+  bool GateEligible() const;
 
-  /// The shortlist-pruned SelectBatch: upper-bound all pairs, exact-score
-  /// a shortlist, run the gated selection, fall back to full scoring on
-  /// any gate failure. Selections are identical to the unpruned path.
-  std::vector<Assignment> SelectBatchPruned(
-      const StateView& view, int k, int num_objects_to_pick,
-      const std::vector<bool>& annotator_affordable);
-
-  /// The hierarchical SelectBatch (options.hier): coarse-to-fine descent
-  /// over the bucket x group tiling; enumerates only expanded buckets.
-  /// Selections are identical to the unpruned path (gate-proven).
-  std::vector<Assignment> SelectBatchHierarchical(
+  /// The gated selection engine behind SelectBatch: exact-scores a
+  /// shortlist of bounded candidates, proves the selection with the gate,
+  /// and climbs the fallback ladder on failure. Selections are identical
+  /// to full scoring.
+  std::vector<Assignment> SelectGated(
       const StateView& view, int k, int num_objects_to_pick,
       const std::vector<bool>& annotator_affordable);
 
@@ -315,24 +285,28 @@ class DqnAgent {
 
   /// Compares the serving backend's numerics token against the last one
   /// seen and raises the score-cache drift event on change. Called at the
-  /// top of every bound-gated selection so a backend switch (or quantized
+  /// top of every gated selection so a backend switch (or quantized
   /// auto-fallback) invalidates stale exact-Q bounds before they gate.
   void NoteScoringBackend();
+
+  /// Drops the never-checkpointed selection state (score cache, pruner
+  /// table, tiling) for the current episode shape; BeginEpisode and
+  /// LoadState share it.
+  void ResetSelectionState();
 
   DqnAgentOptions options_;
   QNetwork q_network_;
   ReplayBuffer replay_;
-  StateFeaturizer featurizer_;
   /// Block cache for incremental featurization; rebuilt (never
   /// checkpointed) after BeginEpisode/LoadState — blocks are pure
   /// functions of the StateView, so the rebuild is bit-identical.
   ScoreCache score_cache_;
-  /// Stale-Q table and upper bounds for shortlist pruning; reset (never
-  /// checkpointed) by BeginEpisode/LoadState — the warmup full passes
-  /// reseed it, and gated pruned iterations select exactly what full
-  /// scoring selects, so restores stay bit-identical.
+  /// Stale-Q table and upper bounds for gated selection; reset (never
+  /// checkpointed) by BeginEpisode/LoadState — the first selection after a
+  /// reset finds every pair must-score and reseeds it, and gated
+  /// selections equal full scoring, so restores stay bit-identical.
   ShortlistPruner pruner_;
-  /// Bucket x group tiling for hierarchical selection; reset (never
+  /// Bucket x group tiling for tiled selection; reset (never
   /// checkpointed) by BeginEpisode/LoadState for the same reason.
   BucketHierarchy hierarchy_;
   HierStats hier_stats_;
@@ -346,8 +320,8 @@ class DqnAgent {
   /// Featurization pool, null when options_.threads <= 1 (serial).
   std::shared_ptr<ThreadPool> pool_;
 
-  /// serving_numerics_token() value the bound-gated selection paths last
-  /// ran under (see NoteScoringBackend).
+  /// serving_numerics_token() value the gated engine last ran under (see
+  /// NoteScoringBackend).
   uint64_t scoring_numerics_token_ = 0;
 
   size_t episode_objects_ = 0;
@@ -356,8 +330,8 @@ class DqnAgent {
   /// million-object episode only pays for the ranges selection touches.
   PairCounts selection_counts_;
   size_t total_selections_ = 0;
-  /// Reusable scratch for the shortlist top-M cut (SelectBatchPruned runs
-  /// it every gated iteration; per-call heap allocation showed up on the
+  /// Reusable scratch for the shortlist top-M cut (the gated engine runs
+  /// it every bounding round; per-call heap allocation showed up on the
   /// selection hot path).
   TopK<uint32_t> shortlist_topk_;
   std::vector<std::pair<double, uint32_t>> shortlist_scratch_;

@@ -25,7 +25,7 @@ struct HierarchyOptions {
 /// \brief Bucket x group tiling with per-tile score upper bounds, the
 /// coarse level of the hierarchical candidate generator.
 ///
-/// Flat shortlist pruning (ShortlistPruner) still touches every valid
+/// Per-pair shortlist bounds (ShortlistPruner) still touch every valid
 /// pair per iteration to evaluate its bound — O(|O| x |W|) work that
 /// dominates a million-object campaign even when almost nothing is
 /// scored exactly. This class aggregates the same stale-Q + drift-slack
@@ -46,9 +46,10 @@ struct HierarchyOptions {
 /// blocks (ScoreCache::ObjectBucketWidth, maintained incrementally from
 /// the same dirty tracking the cache already does) and group width is
 /// the diameter of the group's annotator blocks (recomputed here each
-/// iteration, O(|W|)). Like the flat pruner's bounds these are
-/// heuristic: exactness comes from the caller's selection gate, never
-/// from the bounds (see DESIGN.md "Hierarchical candidate generation").
+/// iteration, O(|W|)). Like the per-pair bounds these are heuristic:
+/// exactness comes from the caller's selection gate, never from the
+/// bounds (see DESIGN.md "Gated selection" and "Hierarchical candidate
+/// generation").
 ///
 /// Representatives are dropped whenever the cache full-rebuilds (their
 /// drift snapshots lose their origin, exactly like the pruner table) and

@@ -32,13 +32,10 @@ constexpr size_t kBoostDecayStreak = 8;
 }  // namespace
 
 ShortlistPruner::ShortlistPruner(const ShortlistOptions& options)
-    : options_(options) {
-  CROWDRL_CHECK(options.margin >= 0.0);
-}
+    : options_(options) {}
 
 void ShortlistPruner::Reset(size_t num_objects, size_t num_annotators) {
   table_.Reset(num_objects, num_annotators);
-  full_passes_ = 0;
   epoch_seen_ = false;
 }
 
@@ -116,48 +113,46 @@ size_t ShortlistPruner::UpperBounds(const ScoreCache& cache,
                          (glob_drift - data->snap_glob[p]);
     const double ticks =
         static_cast<double>(train_steps - data->stale_step[p]);
+    // A sensitivity that has never measured a move bounds nothing: a pair
+    // that aged through drift or training before then is must-score.
+    if ((drift > kDriftEps && !drift_measured_) ||
+        (ticks > 0.0 && !ticks_measured_)) {
+      (*ub)[i] = std::numeric_limits<double>::infinity();
+      ++must_score;
+      continue;
+    }
     (*ub)[i] = data->stale_q[p] + alpha_ * drift + beta_ * ticks +
-               options_.margin + bonus[i];
+               kBoundMargin + bonus[i];
   }
   return must_score;
 }
 
-double ShortlistPruner::PairUpperBound(const ScoreCache& cache,
-                                       size_t train_steps, int object,
-                                       int annotator, double bonus) const {
-  const size_t o = static_cast<size_t>(object);
-  const size_t a = static_cast<size_t>(annotator);
-  const TableShard* data = table_.Get(o);
-  const size_t p = table_.OffsetOf(o, a);
-  if (data == nullptr || !data->valid[p]) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double drift = (cache.object_drift()[o] - data->snap_obj[p]) +
-                       (cache.annotator_drift()[a] - data->snap_ann[p]) +
-                       (cache.global_drift() - data->snap_glob[p]);
-  const double ticks = static_cast<double>(train_steps - data->stale_step[p]);
-  return data->stale_q[p] + alpha_ * drift + beta_ * ticks +
-         options_.margin + bonus;
-}
-
-bool ShortlistPruner::HasEntry(int object, int annotator) const {
-  const TableShard* data = table_.Get(static_cast<size_t>(object));
-  return data != nullptr &&
-         data->valid[table_.OffsetOf(static_cast<size_t>(object),
-                                     static_cast<size_t>(annotator))] != 0;
-}
-
 void ShortlistPruner::ObserveMove(double dq, double drift, double ticks) {
-  if (dq <= alpha_ * drift + beta_ * ticks) return;
   const bool has_drift = drift > kDriftEps;
   const bool has_ticks = ticks > 0.0;
+  const bool covered = dq <= alpha_ * drift + beta_ * ticks;
   if (has_drift && has_ticks) {
-    alpha_ = std::max(alpha_, dq / drift);
-    beta_ = std::max(beta_, dq / ticks);
-  } else if (has_drift) {
-    alpha_ = std::max(alpha_, 2.0 * dq / drift);
+    // A move through both signals cannot be split between them. One the
+    // combined slack missed raises each sensitivity to cover it alone; an
+    // unmeasured sensitivity takes the whole of any nonzero move. A
+    // covered move measures nothing more: it may be all the other signal.
+    if (!covered || (!drift_measured_ && dq > 0.0)) {
+      alpha_ = std::max(alpha_, dq / drift);
+      drift_measured_ = true;
+    }
+    if (!covered || (!ticks_measured_ && dq > 0.0)) {
+      beta_ = std::max(beta_, dq / ticks);
+      ticks_measured_ = true;
+    }
+    return;
+  }
+  // One signal alone: the move is its to measure.
+  if (has_drift) {
+    drift_measured_ = true;
+    if (!covered) alpha_ = std::max(alpha_, 2.0 * dq / drift);
   } else if (has_ticks) {
-    beta_ = std::max(beta_, 2.0 * dq / ticks);
+    ticks_measured_ = true;
+    if (!covered) beta_ = std::max(beta_, 2.0 * dq / ticks);
   }
 }
 
@@ -166,8 +161,7 @@ size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
                                     const std::vector<Action>& pairs,
                                     const std::vector<double>& raw_q,
                                     const std::vector<double>* prior_ub,
-                                    const std::vector<double>* bonus,
-                                    bool full_pass) {
+                                    const std::vector<double>* bonus) {
   CROWDRL_CHECK(raw_q.size() == pairs.size());
   CROWDRL_CHECK((prior_ub == nullptr) == (bonus == nullptr));
   const std::vector<double>& obj_drift = cache.object_drift();
@@ -208,16 +202,13 @@ size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
     data->stale_step[p] = static_cast<uint32_t>(train_steps);
     data->valid[p] = 1;
   }
-  if (full_pass) {
-    ++full_passes_;
-    ++stats_.full_iterations;
-  }
   return violations;
 }
 
 void ShortlistPruner::NotePrunedSuccess(size_t exact_rows,
-                                        size_t bounded_rows) {
+                                        size_t bounded_rows, bool recovered) {
   ++stats_.pruned_iterations;
+  if (recovered) ++stats_.gate_recoveries;
   stats_.exact_rows += exact_rows;
   stats_.bounded_rows += bounded_rows;
   if (++success_streak_ >= kBoostDecayStreak) {
@@ -225,6 +216,8 @@ void ShortlistPruner::NotePrunedSuccess(size_t exact_rows,
     boost_ = std::max<size_t>(1, boost_ / 2);
   }
 }
+
+void ShortlistPruner::NoteFullPass() { ++stats_.full_iterations; }
 
 void ShortlistPruner::NoteGateFallback() {
   ++stats_.gate_fallbacks;

@@ -11,20 +11,14 @@
 
 namespace crowdrl::rl {
 
-/// Knobs of the shortlist-pruned scoring stage (DqnAgentOptions::prune_*).
+/// Knobs of the gated engine's shortlist stage
+/// (DqnAgentOptions::prune_shortlist).
 struct ShortlistOptions {
   /// Shortlist size sent to the exact Q forward. 0 = auto:
   /// clamp(num_pairs / 16, 256, num_pairs), scaled up after gate
   /// fallbacks. Pairs with no usable stale entry are must-score and are
   /// added on top of this size.
   size_t shortlist = 0;
-  /// Additive slack on every upper bound. Larger margins make gate
-  /// fallbacks rarer at the cost of a slightly larger effective shortlist
-  /// pressure on the gates.
-  double margin = 1e-6;
-  /// Full-scoring selection iterations (per episode) before pruning is
-  /// attempted; these seed the stale-Q table and the drift sensitivities.
-  size_t warmup = 2;
 };
 
 /// \brief Per-pair stale-Q table and score upper bounds for shortlist
@@ -47,8 +41,8 @@ struct ShortlistOptions {
 /// doubled for headroom and decayed slowly. The bounds are heuristic —
 /// exactness is NOT assumed from them; the caller's selection gate
 /// verifies after the fact that no non-shortlisted pair could have
-/// altered the selection, and falls back to full scoring otherwise (see
-/// DESIGN.md "Candidate pruning").
+/// altered the selection, and climbs its fallback ladder otherwise (see
+/// DESIGN.md "Gated selection").
 ///
 /// Storage is sharded by object range (rl::PairShardMap): a range's
 /// entries materialize the first time one of its pairs is rescored, so a
@@ -59,18 +53,21 @@ struct ShortlistOptions {
 /// The table is invalidated wholesale whenever the ScoreCache full-
 /// rebuilds (its drift accumulators reset, so the snapshots no longer
 /// measure anything) and is deliberately NOT checkpointed: after a
-/// restore the warmup full passes rerun, and because gated pruned
-/// iterations select exactly what full scoring selects, the resumed run
-/// reproduces the uninterrupted run's assignments bit for bit.
+/// restore every pair is must-score until it is rescored (on a tiled grid
+/// its tile bound stands in), and because gated selections equal full
+/// scoring, the resumed run reproduces the uninterrupted run's
+/// assignments bit for bit.
 ///
 /// Not thread-safe; owned and driven by one DqnAgent.
 class ShortlistPruner {
  public:
   struct Stats {
     size_t pruned_iterations = 0;  ///< Gated shortlist selections served.
-    size_t full_iterations = 0;    ///< Warmup + fallback full scorings.
+    size_t full_iterations = 0;    ///< Must-score + fallback full scorings.
     size_t gate_fallbacks = 0;     ///< Selection gate rejected the shortlist.
     size_t precheck_fallbacks = 0; ///< A rescored pair exceeded its bound.
+    size_t gate_recoveries = 0;    ///< Gated selections served after the
+                                   ///< gate failed once in the iteration.
     size_t exact_rows = 0;         ///< Rows sent to the exact Q forward.
     size_t bounded_rows = 0;       ///< Rows served by upper bounds alone.
   };
@@ -96,29 +93,20 @@ class ShortlistPruner {
   /// no longer exists.
   void EvictAnnotator(int annotator);
 
-  /// True once the warmup full passes have run for this episode.
-  bool Ready() const { return full_passes_ >= options_.warmup; }
-
   /// Shortlist size for a grid of `num_pairs` candidates of which
   /// `must_score` have no usable stale entry.
   size_t ShortlistSize(size_t num_pairs, size_t must_score) const;
 
   /// Fills `ub[i]` with the score upper bound of `pairs[i]` (+infinity
-  /// when the pair has no valid stale entry). `bonus[i]` is the pair's
-  /// exact exploration bonus. Returns the number of +infinity entries.
+  /// when the pair has no valid stale entry, or when it aged through
+  /// feature drift or training steps before any rescore measured a move of
+  /// that kind — an unmeasured sensitivity bounds nothing). `bonus[i]` is
+  /// the pair's exact exploration bonus. Returns the number of +infinity
+  /// entries.
   size_t UpperBounds(const ScoreCache& cache, size_t train_steps,
                      const std::vector<Action>& pairs,
                      const std::vector<double>& bonus,
                      std::vector<double>* ub) const;
-
-  /// Single-pair form of UpperBounds (the hierarchical generator tightens
-  /// a tile-derived bound with the pair's own stale entry when one
-  /// exists). +infinity when the pair has no valid entry.
-  double PairUpperBound(const ScoreCache& cache, size_t train_steps,
-                        int object, int annotator, double bonus) const;
-
-  /// True when (object, annotator) holds a valid stale entry.
-  bool HasEntry(int object, int annotator) const;
 
   /// Records exact raw Q values (exploration bonus excluded) for `pairs`,
   /// snapshotting the drift accumulators and train step. When `prior_ub`
@@ -127,12 +115,12 @@ class ShortlistPruner {
   /// sensitivities adapt to any observed under-estimate. Returns the
   /// number of pairs whose exact score exceeded their prior bound — a
   /// non-zero return means the bounds were unsound this iteration and the
-  /// caller must fall back to full scoring.
+  /// caller must re-bound before trusting them.
   size_t RecordExact(const ScoreCache& cache, size_t train_steps,
                      const std::vector<Action>& pairs,
                      const std::vector<double>& raw_q,
                      const std::vector<double>* prior_ub,
-                     const std::vector<double>* bonus, bool full_pass);
+                     const std::vector<double>* bonus);
 
   /// Feeds one externally observed exact-rescore move into the
   /// sensitivity adaptation (the same max-update rule RecordExact
@@ -140,22 +128,32 @@ class ShortlistPruner {
   /// hierarchical tile representatives — report |dq| = |Q_new - Q_stale|
   /// against the feature drift and train-step delta the anchor aged
   /// through, so a drifting network loosens the shared bounds no matter
-  /// which layer observed the move first.
+  /// which layer observed the move first. A move measures a sensitivity
+  /// only when it can be attributed to it: the anchor aged through that
+  /// signal alone, or the move raised the sensitivity to cover it alone.
   void ObserveMove(double dq, double drift, double ticks);
 
-  /// Outcome notes, driving the adaptive shortlist boost and stats.
-  void NotePrunedSuccess(size_t exact_rows, size_t bounded_rows);
+  /// Outcome notes, driving the adaptive shortlist boost and stats: a
+  /// gate fallback doubles the boost, and a streak of gated successes
+  /// halves it. `recovered` marks a selection served after a failed gate
+  /// run.
+  void NotePrunedSuccess(size_t exact_rows, size_t bounded_rows,
+                         bool recovered = false);
+  void NoteFullPass();
   void NoteGateFallback();
   void NotePrecheckFallback();
 
   double alpha() const { return alpha_; }
   double beta() const { return beta_; }
-  double margin() const { return options_.margin; }
+  /// Additive slack on every upper bound.
+  double margin() const { return kBoundMargin; }
   size_t boost() const { return boost_; }
   size_t allocated_shards() const { return table_.allocated_shards(); }
   const Stats& stats() const { return stats_; }
 
  private:
+  static constexpr double kBoundMargin = 1e-6;
+
   /// One object range's stale entries; allocated on first rescore into
   /// the range (see PairShardMap).
   struct TableShard {
@@ -178,15 +176,17 @@ class ShortlistPruner {
 
   PairShardMap<TableShard> table_;
 
-  // Drift sensitivities (running maxima with 2x headroom, decayed).
+  // Drift sensitivities (running maxima with 2x headroom, decayed), and
+  // whether each has measured a move yet.
   double alpha_ = 1.0;
   double beta_ = 0.0;
+  bool drift_measured_ = false;
+  bool ticks_measured_ = false;
   // Shortlist-size multiplier: doubled on gate fallback, halved after a
   // streak of gated successes.
   size_t boost_ = 1;
   size_t success_streak_ = 0;
 
-  size_t full_passes_ = 0;
   size_t seen_full_rebuilds_ = 0;  // Last seen ScoreCache::rebuild_epoch().
   bool epoch_seen_ = false;
 

@@ -202,10 +202,8 @@ bool Campaign::CommitArrivals() {
     metric_answers_->Inc();
     const uint64_t now = obs::NowNs();
     last_commit_ns_.store(now, std::memory_order_relaxed);
-    const double latency_us =
-        static_cast<double>(now - answer.dispatch_ns) / 1000.0;
-    commit_latencies_us_.push_back(latency_us);
-    metric_latency_us_->Record(latency_us);
+    metric_latency_us_->Record(
+        static_cast<double>(now - answer.dispatch_ns) / 1000.0);
     if (obs::LifecycleEnabled()) {
       // The first three stage edges resolve here, entirely from stamps
       // the item carried (monotonic clock ⇒ the deltas are well-formed

@@ -129,10 +129,6 @@ class Campaign {
   /// obs::NowNs() of the most recent committed answer (0 before the
   /// first); the liveness signal of HealthSnapshot.
   uint64_t last_commit_ns() const { return last_commit_ns_; }
-  /// Dispatch-to-commit latency of every committed answer, microseconds.
-  const std::vector<double>& commit_latencies_us() const {
-    return commit_latencies_us_;
-  }
 
   /// Flight-recorder scope ordinal of this campaign (0 until Start).
   uint16_t flight_scope() const { return flight_scope_; }
@@ -219,7 +215,6 @@ class Campaign {
   std::atomic<uint64_t> ti_stall_ns_{0};
   std::atomic<size_t> abandoned_items_{0};
   std::atomic<uint64_t> last_commit_ns_{0};
-  std::vector<double> commit_latencies_us_;
 
   // Answer-lifecycle trace state (pump-thread-only; populated only while
   // lifecycle tracing is enabled).

@@ -1,13 +1,15 @@
-// Hierarchical candidate generation (BucketHierarchy +
-// DqnAgent::SelectBatch at scale):
-//  - the hierarchical path must select exactly what full enumeration +
-//    scoring selects, at every iteration of a randomized drifting run,
-//    including across checkpoint/resume, at thread counts 1 and 8 (audit
-//    mode additionally cross-checks every gated selection internally);
+// Tiled gated selection (BucketHierarchy + DqnAgent::SelectBatch at
+// scale):
+//  - on a tiled grid the gated engine must select exactly what full
+//    enumeration + scoring selects, at every iteration of a randomized
+//    drifting run, including across checkpoint/resume, at thread counts 1
+//    and 8 (every second SelectBatch is additionally audited against the
+//    agent's own full scoring);
+//  - every tiled selection is counted exactly once, as gated or as a full
+//    fallback, through the end of an episode;
 //  - the bucket x group tiling's bookkeeping: ranges, liveness, tile
 //    records, bound monotonicity, invalidation on cache rebuild;
-//  - the default hier_min_pairs threshold keeps small grids on the flat
-//    path.
+//  - the default hier_min_pairs threshold keeps small grids untiled.
 
 #include <cmath>
 #include <limits>
@@ -15,203 +17,112 @@
 
 #include <gtest/gtest.h>
 
-#include "io/serializer.h"
 #include "rl/dqn_agent.h"
 #include "rl/hierarchy.h"
 #include "rl/score_cache.h"
 #include "rl/shortlist.h"
+#include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
 namespace {
 
-constexpr size_t kObjects = 40;
-constexpr size_t kAnnotators = 10;
-constexpr int kClasses = 3;
-
-/// Same drifting workload as shortlist_test: answers arrive, classifier
-/// beliefs get nudged, qualities creep, progress counters advance.
-struct Scenario {
-  crowd::AnswerLog answers{kObjects, kAnnotators};
-  std::vector<double> costs;
-  std::vector<double> qualities;
-  std::vector<bool> is_expert;
-  std::vector<bool> labelled;
-  std::vector<bool> affordable;
-  Matrix class_probs{kObjects, static_cast<size_t>(kClasses)};
-  size_t probs_version = 0;
-  double budget_fraction = 1.0;
-  double fraction_labelled = 0.0;
-  Rng rng{907};
-
-  Scenario() {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      bool expert = j + 1 == kAnnotators;
-      costs.push_back(expert ? 6.0 : 1.0 + 0.2 * static_cast<double>(j));
-      qualities.push_back(0.55 + 0.03 * static_cast<double>(j));
-      is_expert.push_back(expert);
-      affordable.push_back(true);
-    }
-    labelled.assign(kObjects, false);
-    for (size_t i = 0; i < kObjects; ++i) {
-      double sum = 0.0;
-      double* row = class_probs.Row(i);
-      for (int c = 0; c < kClasses; ++c) {
-        row[c] = 0.1 + rng.Uniform();
-        sum += row[c];
-      }
-      for (int c = 0; c < kClasses; ++c) row[c] /= sum;
-    }
-    probs_version = 1;
-  }
-
-  void NudgeProbs() {
-    for (size_t i = 0; i < kObjects; ++i) {
-      double sum = 0.0;
-      double* row = class_probs.Row(i);
-      for (int c = 0; c < kClasses; ++c) {
-        row[c] = std::max(0.01, row[c] + 0.02 * (rng.Uniform() - 0.5));
-        sum += row[c];
-      }
-      for (int c = 0; c < kClasses; ++c) row[c] /= sum;
-    }
-    ++probs_version;
-  }
-
-  StateView View() const {
-    StateView view;
-    view.answers = &answers;
-    view.num_classes = kClasses;
-    view.annotator_costs = &costs;
-    view.annotator_qualities = &qualities;
-    view.annotator_is_expert = &is_expert;
-    view.class_probs = &class_probs;
-    view.class_probs_version = probs_version;
-    view.labelled = &labelled;
-    view.budget_fraction_remaining = budget_fraction;
-    view.fraction_labelled = fraction_labelled;
-    view.max_cost = 6.0;
-    return view;
-  }
-};
-
-DqnAgentOptions MakeOptions(bool hier, int threads) {
-  DqnAgentOptions options;
-  options.seed = 61;
-  options.q.seed = 67;
-  options.threads = threads;
-  // The factorized head is ULP-different from the dense forward and the
-  // hierarchical path always runs dense: pin both twins to dense so the
-  // comparison is over identical floating-point programs.
-  options.factorized_q_head = false;
-  options.min_replay_before_training = 16;
-  options.train_batch = 8;
-  options.train_steps_per_observe = 2;
-  options.hier = hier;
-  if (hier) {
-    // Force the hierarchy onto this deliberately tiny grid: engage at any
-    // size, with buckets small enough that the descent has real structure
-    // (5 buckets x 3 groups) and the gates real remainders to bound.
-    options.hier_min_pairs = 0;
-    options.hier_object_bucket = 8;
-    options.hier_annotator_group = 4;
-    options.prune_audit = true;
-  } else {
-    options.prune = false;
-  }
-  return options;
-}
-
-DqnAgent RoundTrip(const DqnAgent& agent, DqnAgentOptions options) {
-  io::Writer writer;
-  agent.SaveState(&writer);
-  DqnAgent fresh(std::move(options));
-  io::Reader reader(writer.bytes());
-  EXPECT_TRUE(fresh.LoadState(&reader).ok());
-  return fresh;
-}
-
-void ExpectSameAssignments(const std::vector<Assignment>& got,
-                           const std::vector<Assignment>& want, int iter) {
-  ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].object, want[i].object) << "iter " << iter;
-    ASSERT_EQ(got[i].annotators, want[i].annotators)
-        << "iter " << iter << " object " << got[i].object;
-  }
-}
+using Scenario = testing::SelectionScenario;
+constexpr size_t kObjects = Scenario::kObjects;
+constexpr size_t kAnnotators = Scenario::kAnnotators;
 
 class HierarchicalSelectionTest : public ::testing::TestWithParam<int> {};
 
-// Tentpole property: the hierarchical agent (audit mode double-checking
-// every gated selection against full scoring internally) must produce the
-// same assignments as a flat full-scoring twin at every iteration of a
-// drifting run, including across a mid-run checkpoint/restore, and the
-// run must not be vacuous (gated sub-linear selections actually served).
+// Core property: the tiled agent must serve the same assignments as
+// its own full scoring and as a full-scoring twin at every iteration of a
+// drifting run, including across a mid-run checkpoint/restore, over
+// several seeds, with and without exactly tied annotators, and the runs
+// must not be vacuous.
 TEST_P(HierarchicalSelectionTest, AuditedRunMatchesFullScoringExactly) {
-  const int threads = GetParam();
-  Scenario s;
-  DqnAgentOptions hier_options = MakeOptions(/*hier=*/true, threads);
-  DqnAgent hier(hier_options);
-  DqnAgent full(MakeOptions(/*hier=*/false, threads));
-  hier.BeginEpisode(kObjects, kAnnotators);
-  full.BeginEpisode(kObjects, kAnnotators);
-  ASSERT_TRUE(hier.HierEngaged());
-  ASSERT_FALSE(full.HierEngaged());
-
-  size_t gated_before_restore = 0;
-  for (int iter = 0; iter < 24; ++iter) {
-    if (iter % 2 == 1) s.NudgeProbs();
-    if (iter % 5 == 4) {
-      s.qualities[s.rng.UniformInt(static_cast<int>(kAnnotators))] += 0.01;
-    }
-    s.budget_fraction = std::max(0.0, s.budget_fraction - 0.02);
-
-    std::vector<Assignment> got = hier.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    std::vector<Assignment> want = full.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    ExpectSameAssignments(got, want, iter);
-
-    for (const Assignment& assignment : want) {
-      for (int j : assignment.annotators) {
-        s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
-      }
-    }
-    s.fraction_labelled = std::min(1.0, s.fraction_labelled + 0.01);
-    double reward = s.rng.Uniform();
-    hier.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-    full.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-
-    if (iter == 11) {
-      gated_before_restore = hier.hier_stats().gated_iterations;
-      hier = RoundTrip(hier, hier_options);
-      full = RoundTrip(full, MakeOptions(/*hier=*/false, threads));
-      ASSERT_TRUE(hier.HierEngaged());  // Restore re-engages the tiling.
+  testing::LockstepOutcome outcome;
+  for (bool twins : {false, true}) {
+    for (uint64_t seed : {907u, 1301u, 2203u}) {
+      testing::LockstepConfig config;
+      config.scenario_seed = seed;
+      config.twins = twins;
+      config.tiled = true;
+      config.threads = GetParam();
+      testing::RunAuditedLockstep(config, &outcome);
+      ASSERT_FALSE(HasFatalFailure()) << "seed " << seed << " twins " << twins;
     }
   }
 
-  // Non-vacuity: the hierarchical path genuinely ran, served gated
-  // sub-linear selections (not only full fallbacks), refreshed tile
-  // representatives, and the descent expanded a strict subset of the
-  // live buckets at least overall.
-  const DqnAgent::HierStats& stats = hier.hier_stats();
-  EXPECT_EQ(stats.iterations, 12u);  // Post-restore iterations only.
-  EXPECT_GT(stats.gated_iterations, 0u);
-  EXPECT_GT(stats.rep_refreshes, 0u);
-  EXPECT_GT(stats.scored_pairs, 0u);
-  EXPECT_GT(gated_before_restore, 0u);  // Pre-restore half engaged too.
-  EXPECT_LE(stats.expanded_buckets, stats.live_buckets);
+  // Non-vacuity on each side of the restore (the restored agent's stats
+  // cover its own 12 selections per run): the gate served tiled selections
+  // (not only full fallbacks), tile representatives were refreshed, and
+  // the descent expanded no more than the live buckets. Some gate failures
+  // were resolved before the last rung.
+  for (const testing::LockstepStats* half :
+       {&outcome.before, &outcome.after}) {
+    const DqnAgent::HierStats& stats = half->hier;
+    EXPECT_EQ(stats.iterations, 6u * 12u);
+    EXPECT_EQ(stats.gated_iterations + stats.full_fallbacks,
+              stats.iterations);
+    EXPECT_GT(stats.gated_iterations, 0u);
+    EXPECT_GT(stats.rep_refreshes, 0u);
+    EXPECT_GT(stats.scored_pairs, 0u);
+    EXPECT_LE(stats.expanded_buckets, stats.live_buckets);
+  }
+  EXPECT_GT(outcome.before.prune.gate_recoveries +
+                outcome.after.prune.gate_recoveries,
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, HierarchicalSelectionTest,
                          ::testing::Values(1, 8));
 
+// HierStats accounting: every tiled selection counts once, as gated or as
+// a full fallback — including the empty selections once every object is
+// labelled (no live bucket left).
+TEST(HierarchicalSelectionTest, EveryIterationCountsOnceThroughFullLabelling) {
+  Scenario s;
+  testing::LockstepConfig config;
+  config.tiled = true;
+  DqnAgent agent(testing::LockstepOptions(config));
+  agent.BeginEpisode(kObjects, kAnnotators);
+  size_t selections = 0;
+  size_t labelled = 0;
+  while (labelled < kObjects) {
+    ASSERT_LT(selections, kObjects) << "labelling did not progress";
+    std::vector<Assignment> got = agent.SelectBatch(
+        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
+    ++selections;
+    ASSERT_FALSE(got.empty());
+    for (const Assignment& assignment : got) {
+      for (int j : assignment.annotators) {
+        s.answers.Record(assignment.object, j,
+                         s.rng.UniformInt(Scenario::kClasses));
+      }
+      s.labelled[static_cast<size_t>(assignment.object)] = true;
+      ++labelled;
+    }
+    s.fraction_labelled =
+        static_cast<double>(labelled) / static_cast<double>(kObjects);
+    agent.Observe(s.rng.Uniform(), s.View(), s.affordable,
+                  /*terminal=*/false);
+  }
+  for (int extra = 0; extra < 2; ++extra) {
+    EXPECT_TRUE(agent
+                    .SelectBatch(s.View(), /*k=*/2, /*num_objects_to_pick=*/4,
+                                 s.affordable)
+                    .empty());
+    ++selections;
+  }
+  const DqnAgent::HierStats& stats = agent.hier_stats();
+  EXPECT_EQ(stats.iterations, selections);
+  EXPECT_EQ(stats.gated_iterations + stats.full_fallbacks, stats.iterations);
+}
+
 // The default hier_min_pairs keeps small grids (every existing workload)
-// on the flat path: no tiling, no behavior change.
+// untiled: no tiling, no behavior change.
 TEST(HierarchicalSelectionTest, SmallGridStaysOnFlatPathByDefault) {
   Scenario s;
-  DqnAgentOptions options;  // Defaults: hier on, threshold 2^22 pairs.
+  DqnAgentOptions options;  // Defaults: threshold 2^22 pairs.
   DqnAgent agent(options);
   agent.BeginEpisode(kObjects, kAnnotators);
   EXPECT_FALSE(agent.HierEngaged());

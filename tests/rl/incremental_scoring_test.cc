@@ -1,7 +1,8 @@
 // The incremental scoring engine's contract (ScoreCache + DqnAgent):
-//  - the cached path is bit-identical to the naive featurize-every-pair
-//    path — features, Q scores, and selected assignments — at every
-//    iteration of a randomized run, including across checkpoint/resume;
+//  - the agent's Score is bit-identical to the naive featurize-every-pair
+//    reference (tests/testing/reference_scoring.h) — features, Q scores,
+//    and selected assignments — at every iteration of a randomized run,
+//    including across checkpoint/resume;
 //  - dirty tracking refreshes exactly the blocks whose inputs changed;
 //  - the factorized Q head (opt-in) agrees with the exact forward to
 //    within a small ULP bound.
@@ -18,6 +19,7 @@
 #include "obs/metrics.h"
 #include "rl/dqn_agent.h"
 #include "rl/score_cache.h"
+#include "tests/testing/reference_scoring.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
@@ -86,11 +88,10 @@ struct Scenario {
   }
 };
 
-DqnAgentOptions MakeOptions(bool incremental) {
+DqnAgentOptions MakeOptions() {
   DqnAgentOptions options;
   options.seed = 29;
   options.q.seed = 31;
-  options.incremental = incremental;
   options.min_replay_before_training = 16;
   options.train_batch = 8;
   options.train_steps_per_observe = 2;
@@ -131,13 +132,13 @@ DqnAgent RoundTrip(const DqnAgent& agent, DqnAgentOptions options) {
 
 // Satellite property test: a randomized run (random k, inference-style
 // refreshes, budget exhaustion, checkpoint/resume mid-run) in which the
-// cached scorer's features, Q scores, and chosen assignments must be
-// bit-identical to the from-scratch naive scorer at every iteration.
+// cached agent's features, Q scores, and chosen assignments must be
+// bit-identical to the from-scratch reference scorer (evaluating the
+// agent's own network, mirroring its UCB counts) at every iteration.
 TEST(IncrementalScoringTest, CachedAgentMatchesNaiveOverRandomizedRun) {
   Scenario s;
-  DqnAgent naive(MakeOptions(/*incremental=*/false));
-  DqnAgent cached(MakeOptions(/*incremental=*/true));
-  naive.BeginEpisode(kObjects, kAnnotators);
+  DqnAgent cached(MakeOptions());
+  testing::ReferenceScorer naive(kObjects, kAnnotators, MakeOptions().ucb_c);
   cached.BeginEpisode(kObjects, kAnnotators);
 
   for (int iter = 0; iter < 24; ++iter) {
@@ -167,7 +168,8 @@ TEST(IncrementalScoringTest, CachedAgentMatchesNaiveOverRandomizedRun) {
     int k = 1 + s.rng.UniformInt(2);
     int picks = 1 + s.rng.UniformInt(3);
 
-    ScoredCandidates from_naive = naive.Score(view, s.affordable);
+    ScoredCandidates from_naive =
+        naive.Score(view, s.affordable, cached.q_network());
     ScoredCandidates from_cached = cached.Score(view, s.affordable);
     ExpectScoredBitIdentical(from_cached, from_naive, iter);
 
@@ -195,15 +197,12 @@ TEST(IncrementalScoringTest, CachedAgentMatchesNaiveOverRandomizedRun) {
 
     double reward = s.rng.Uniform();
     StateView next = s.View(/*versioned=*/iter % 5 != 0);
-    naive.Observe(reward, next, s.affordable, /*terminal=*/false);
     cached.Observe(reward, next, s.affordable, /*terminal=*/false);
 
-    // Mid-run checkpoint into fresh agents: the cached agent's ScoreCache
-    // is not serialized and must rebuild to the same bits.
-    if (iter == 11) {
-      naive = RoundTrip(naive, MakeOptions(false));
-      cached = RoundTrip(cached, MakeOptions(true));
-    }
+    // Mid-run checkpoint into a fresh agent: the ScoreCache is not
+    // serialized and must rebuild to the same bits, and the restored
+    // network and UCB counts must keep matching the reference.
+    if (iter == 11) cached = RoundTrip(cached, MakeOptions());
   }
 }
 
@@ -315,7 +314,7 @@ TEST(ScoreCacheTest, CumulativeStatsAccumulateAndPartitionExactly) {
 TEST(IncrementalScoringTest, CumulativeStatsResetAcrossEpisodeAndRestore) {
   Scenario s;
   s.RefreshProbs();
-  DqnAgent agent(MakeOptions(/*incremental=*/true));
+  DqnAgent agent(MakeOptions());
   agent.BeginEpisode(kObjects, kAnnotators);
   agent.Score(s.View(), s.affordable);
   s.answers.Record(1, 0, 2);
@@ -331,7 +330,7 @@ TEST(IncrementalScoringTest, CumulativeStatsResetAcrossEpisodeAndRestore) {
   // Neither must an agent restored from a checkpoint.
   agent.Score(s.View(), s.affordable);
   ASSERT_EQ(agent.score_cache().cumulative_stats().syncs, 1u);
-  DqnAgent restored = RoundTrip(agent, MakeOptions(/*incremental=*/true));
+  DqnAgent restored = RoundTrip(agent, MakeOptions());
   EXPECT_EQ(restored.score_cache().cumulative_stats().syncs, 0u);
   EXPECT_EQ(restored.score_cache().cumulative_stats().block_misses, 0u);
 }
@@ -445,7 +444,7 @@ TEST(FactorizedQHeadTest, FeatureMaskFallsBackToExactPath) {
   mask[4] = false;
   mask[5] = false;
 
-  DqnAgentOptions exact_options = MakeOptions(/*incremental=*/true);
+  DqnAgentOptions exact_options = MakeOptions();
   exact_options.feature_mask = mask;
   DqnAgentOptions fact_options = exact_options;
   fact_options.factorized_q_head = true;
@@ -465,7 +464,7 @@ TEST(FactorizedQHeadTest, FeatureMaskFallsBackToExactPath) {
 TEST(FactorizedQHeadTest, AgentSelectsValidAssignments) {
   Scenario s;
   s.RefreshProbs();
-  DqnAgentOptions options = MakeOptions(/*incremental=*/true);
+  DqnAgentOptions options = MakeOptions();
   options.factorized_q_head = true;
   DqnAgent agent(options);
   agent.BeginEpisode(kObjects, kAnnotators);
@@ -491,9 +490,8 @@ TEST(FactorizedQHeadTest, BootstrapSkipsDenseAssembly) {
   for (bool factorized : {true, false}) {
     Scenario s;
     s.RefreshProbs();
-    DqnAgentOptions options = MakeOptions(/*incremental=*/true);
+    DqnAgentOptions options = MakeOptions();
     options.factorized_q_head = factorized;
-    options.prune = false;
     DqnAgent agent(options);
     agent.BeginEpisode(kObjects, kAnnotators);
     std::vector<Assignment> assignments = agent.SelectBatch(
@@ -530,7 +528,7 @@ uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
 TEST(IncrementalScoringTest, SyncMetricsMatchCacheCumulativeStats) {
   Scenario s;
   s.RefreshProbs();
-  DqnAgent agent(MakeOptions(/*incremental=*/true));
+  DqnAgent agent(MakeOptions());
   agent.BeginEpisode(kObjects, kAnnotators);
 
   obs::SetEnabled(true);

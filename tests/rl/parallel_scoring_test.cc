@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rl/dqn_agent.h"
+#include "tests/testing/reference_scoring.h"
 #include "tests/testing/sim_helpers.h"
 #include "util/thread_pool.h"
 
@@ -61,14 +62,13 @@ struct WideFixture {
     return view;
   }
 
-  DqnAgent MakeAgent(int threads, bool incremental = true) const {
+  DqnAgent MakeAgent(int threads) const {
     DqnAgentOptions options;
     options.exploration = ExplorationMode::kUcb;
     options.seed = 13;
     options.q.seed = 17;
     options.threads = threads;
     options.q.threads = threads;
-    options.incremental = incremental;
     // This suite compares scores bitwise against from-scratch
     // featurization; the factorized head is only ULP-close.
     options.factorized_q_head = false;
@@ -107,17 +107,20 @@ TEST(ParallelScoringTest, ScoreIsBitIdenticalAcrossThreadCounts) {
 }
 
 // The incremental (ScoreCache) engine must reproduce the naive
-// featurize-every-pair path bit for bit, at every thread count — including
-// on a second Score after the state changed (exercising the dirty-block
-// resync rather than the first full rebuild).
+// featurize-every-pair reference bit for bit, at every thread count —
+// including on a second Score after the state changed (exercising the
+// dirty-block resync rather than the first full rebuild).
 TEST(ParallelScoringTest, CachedScoringMatchesNaiveAcrossThreadCounts) {
   WideFixture f;
-  DqnAgent naive = f.MakeAgent(1, /*incremental=*/false);
-  ScoredCandidates baseline = naive.Score(f.View(), f.affordable);
+  DqnAgent serial = f.MakeAgent(1);
+  const crowdrl::testing::ReferenceScorer naive(
+      f.kObjects, f.kAnnotators, DqnAgentOptions{}.ucb_c);
+  ScoredCandidates baseline =
+      naive.Score(f.View(), f.affordable, serial.q_network());
 
   std::vector<DqnAgent> cached;
   for (int threads : {1, 2, 4}) {
-    cached.push_back(f.MakeAgent(threads, /*incremental=*/true));
+    cached.push_back(f.MakeAgent(threads));
     ScoredCandidates got = cached.back().Score(f.View(), f.affordable);
     ExpectScoredBitIdentical(got, baseline);
   }
@@ -130,7 +133,8 @@ TEST(ParallelScoringTest, CachedScoringMatchesNaiveAcrossThreadCounts) {
   view.budget_fraction_remaining = 0.6;
   view.fraction_labelled = 0.25;
 
-  ScoredCandidates baseline2 = naive.Score(view, f.affordable);
+  ScoredCandidates baseline2 =
+      naive.Score(view, f.affordable, serial.q_network());
   for (DqnAgent& agent : cached) {
     ScoredCandidates got = agent.Score(view, f.affordable);
     ExpectScoredBitIdentical(got, baseline2);

@@ -1,9 +1,11 @@
-// Shortlist-pruned selection (ShortlistPruner + DqnAgent::SelectBatch):
-//  - the pruned path must select exactly what full scoring selects, at
+// Gated selection on an untiled grid (ShortlistPruner + DqnAgent::
+// SelectBatch):
+//  - the gated engine must select exactly what full scoring selects, at
 //    every iteration of a randomized run, including across
-//    checkpoint/resume (the exactness gate falls back on any ambiguity);
-//  - the pruner's bookkeeping: warmup, table invalidation on cache
-//    rebuild, bound soundness adaptation, boost dynamics;
+//    checkpoint/resume (the gate climbs its ladder to full scoring on any
+//    ambiguity);
+//  - the pruner's bookkeeping: must-score first pass, table invalidation
+//    on cache rebuild, bound soundness adaptation, boost dynamics;
 //  - the ScoreCache drift accumulators the bounds are built from.
 
 #include <cmath>
@@ -12,175 +14,106 @@
 
 #include <gtest/gtest.h>
 
-#include "io/serializer.h"
 #include "rl/dqn_agent.h"
 #include "rl/score_cache.h"
 #include "rl/shortlist.h"
+#include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
 namespace {
 
-constexpr size_t kObjects = 40;
-constexpr size_t kAnnotators = 10;
-constexpr int kClasses = 3;
+using Scenario = testing::SelectionScenario;
+constexpr size_t kObjects = Scenario::kObjects;
+constexpr size_t kAnnotators = Scenario::kAnnotators;
 
-/// A drifting workload: answers arrive, classifier beliefs get nudged (not
-/// re-rolled — steady drift is the regime pruning is built for), qualities
-/// creep, progress counters advance.
-struct Scenario {
-  crowd::AnswerLog answers{kObjects, kAnnotators};
-  std::vector<double> costs;
-  std::vector<double> qualities;
-  std::vector<bool> is_expert;
-  std::vector<bool> labelled;
-  std::vector<bool> affordable;
-  Matrix class_probs{kObjects, static_cast<size_t>(kClasses)};
-  size_t probs_version = 0;
-  double budget_fraction = 1.0;
-  double fraction_labelled = 0.0;
-  Rng rng{907};
-
-  Scenario() {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      bool expert = j + 1 == kAnnotators;
-      costs.push_back(expert ? 6.0 : 1.0 + 0.2 * static_cast<double>(j));
-      qualities.push_back(0.55 + 0.03 * static_cast<double>(j));
-      is_expert.push_back(expert);
-      affordable.push_back(true);
-    }
-    labelled.assign(kObjects, false);
-    for (size_t i = 0; i < kObjects; ++i) {
-      double sum = 0.0;
-      double* row = class_probs.Row(i);
-      for (int c = 0; c < kClasses; ++c) {
-        row[c] = 0.1 + rng.Uniform();
-        sum += row[c];
-      }
-      for (int c = 0; c < kClasses; ++c) row[c] /= sum;
-    }
-    probs_version = 1;
-  }
-
-  void NudgeProbs() {
-    for (size_t i = 0; i < kObjects; ++i) {
-      double sum = 0.0;
-      double* row = class_probs.Row(i);
-      for (int c = 0; c < kClasses; ++c) {
-        row[c] = std::max(0.01, row[c] + 0.02 * (rng.Uniform() - 0.5));
-        sum += row[c];
-      }
-      for (int c = 0; c < kClasses; ++c) row[c] /= sum;
-    }
-    ++probs_version;
-  }
-
-  StateView View() const {
-    StateView view;
-    view.answers = &answers;
-    view.num_classes = kClasses;
-    view.annotator_costs = &costs;
-    view.annotator_qualities = &qualities;
-    view.annotator_is_expert = &is_expert;
-    view.class_probs = &class_probs;
-    view.class_probs_version = probs_version;
-    view.labelled = &labelled;
-    view.budget_fraction_remaining = budget_fraction;
-    view.fraction_labelled = fraction_labelled;
-    view.max_cost = 6.0;
-    return view;
-  }
-};
-
-DqnAgentOptions MakeOptions(bool prune) {
-  DqnAgentOptions options;
-  options.seed = 61;
-  options.q.seed = 67;
-  options.prune = prune;
-  // Small grid: force pruning to engage by shrinking the shortlist well
-  // below the pair count (the auto floor of 256 would score everything).
-  options.prune_shortlist = 48;
-  options.min_replay_before_training = 16;
-  options.train_batch = 8;
-  options.train_steps_per_observe = 2;
-  return options;
-}
-
-DqnAgent RoundTrip(const DqnAgent& agent, DqnAgentOptions options) {
-  io::Writer writer;
-  agent.SaveState(&writer);
-  DqnAgent fresh(std::move(options));
-  io::Reader reader(writer.bytes());
-  EXPECT_TRUE(fresh.LoadState(&reader).ok());
-  return fresh;
-}
-
-void ExpectSameAssignments(const std::vector<Assignment>& got,
-                           const std::vector<Assignment>& want, int iter) {
-  ASSERT_EQ(got.size(), want.size()) << "iter " << iter;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].object, want[i].object) << "iter " << iter;
-    ASSERT_EQ(got[i].annotators, want[i].annotators)
-        << "iter " << iter << " object " << got[i].object;
-  }
-}
-
-// Tentpole property: a pruned agent (with audit mode double-checking every
-// gated selection internally) must produce the same assignments as an
-// unpruned twin at every iteration of a drifting run, including across a
-// mid-run checkpoint/restore (the pruner is not serialized; its warmup
-// reruns).
+// Core property: the gated agent must serve the same assignments as a
+// twin driven through Score + PickTopKSumAssignments + Commit (and as its
+// own full scoring, audited before every second SelectBatch), at every
+// iteration of a drifting run, across a mid-run checkpoint/restore (the
+// pruner is not serialized; its must-score first pass reruns), over
+// several seeds, with and without exactly tied annotators, at threads 1
+// and 8.
 TEST(ShortlistPruningTest, AuditedPrunedRunMatchesFullScoringExactly) {
-  Scenario s;
-  DqnAgentOptions pruned_options = MakeOptions(/*prune=*/true);
-  pruned_options.prune_audit = true;
-  DqnAgent pruned(pruned_options);
-  DqnAgent full(MakeOptions(/*prune=*/false));
-  pruned.BeginEpisode(kObjects, kAnnotators);
-  full.BeginEpisode(kObjects, kAnnotators);
-
-  for (int iter = 0; iter < 20; ++iter) {
-    if (iter % 2 == 1) s.NudgeProbs();
-    if (iter % 5 == 4) {
-      s.qualities[s.rng.UniformInt(static_cast<int>(kAnnotators))] += 0.01;
-    }
-    s.budget_fraction = std::max(0.0, s.budget_fraction - 0.02);
-
-    std::vector<Assignment> got = pruned.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    std::vector<Assignment> want = full.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/4, s.affordable);
-    ExpectSameAssignments(got, want, iter);
-
-    for (const Assignment& assignment : want) {
-      for (int j : assignment.annotators) {
-        s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
+  for (int threads : {1, 8}) {
+    testing::LockstepOutcome outcome;
+    for (bool twins : {false, true}) {
+      for (uint64_t seed : {907u, 1301u, 2203u}) {
+        testing::LockstepConfig config;
+        config.scenario_seed = seed;
+        config.twins = twins;
+        config.threads = threads;
+        testing::RunAuditedLockstep(config, &outcome);
+        ASSERT_FALSE(HasFatalFailure())
+            << "seed " << seed << " twins " << twins << " threads "
+            << threads;
       }
     }
-    s.fraction_labelled =
-        std::min(1.0, s.fraction_labelled + 0.01);
-    double reward = s.rng.Uniform();
-    pruned.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-    full.Observe(reward, s.View(), s.affordable, /*terminal=*/false);
-
-    if (iter == 9) {
-      pruned = RoundTrip(pruned, pruned_options);
-      full = RoundTrip(full, MakeOptions(/*prune=*/false));
+    // Non-vacuity on each side of the restore (the restored agent's stats
+    // cover only its own selections): the gate served selections with
+    // bounded rows genuinely skipped, and the must-score first pass of
+    // each run ran. Some gate failures were resolved before the last rung.
+    for (const testing::LockstepStats* half :
+         {&outcome.before, &outcome.after}) {
+      const ShortlistPruner::Stats& stats = half->prune;
+      EXPECT_GT(stats.pruned_iterations, 0u);
+      EXPECT_GT(stats.bounded_rows, 0u);
+      EXPECT_GE(stats.full_iterations, 6u);
+      EXPECT_EQ(half->hier.iterations, 0u);  // Untiled.
     }
+    EXPECT_GT(outcome.before.prune.gate_recoveries +
+                  outcome.after.prune.gate_recoveries,
+              0u);
   }
-  // Pruning actually engaged (this is not a vacuous all-fallback run) and
-  // bounded rows were genuinely skipped.
-  const ShortlistPruner::Stats& stats = pruned.shortlist_pruner().stats();
-  EXPECT_GT(stats.pruned_iterations, 0u);
-  EXPECT_GT(stats.bounded_rows, 0u);
-  EXPECT_GT(stats.full_iterations, 0u);  // Warmups ran (twice: restore).
 }
 
-// Epsilon-greedy consumes RNG inside Score, so the pruned path must stand
+// The same audited lockstep over randomized configurations — grid shape,
+// tiled or not (random tile geometry), shortlist size, exploration mode,
+// forward, training rate, tied annotators, checkpoint point — with churn:
+// objects get labelled, annotators flip affordability (evicted from the
+// gated agent on the way out), and k and the pick count change every
+// iteration. Every selection must equal full scoring.
+TEST(ShortlistPruningTest, RandomizedConfigurationsMatchFullScoring) {
+  Rng rng(2027);
+  testing::LockstepOutcome outcome;
+  for (int trial = 0; trial < 60; ++trial) {
+    testing::LockstepConfig config;
+    config.scenario_seed = 100 + static_cast<uint64_t>(trial);
+    config.objects = 10 + static_cast<size_t>(rng.UniformInt(70));
+    config.annotators = 3 + static_cast<size_t>(rng.UniformInt(14));
+    config.twins = rng.Bernoulli(0.3);
+    config.tiled = rng.Bernoulli(0.5);
+    config.bucket = 2 + static_cast<size_t>(rng.UniformInt(15));
+    config.group = 1 + static_cast<size_t>(rng.UniformInt(8));
+    const size_t shortlists[] = {0, 4, 8, 16, 48, 100};
+    config.shortlist = shortlists[rng.UniformInt(6)];
+    config.exploration = rng.Bernoulli(0.3) ? ExplorationMode::kGreedy
+                                            : ExplorationMode::kUcb;
+    config.factorized_q_head = rng.Bernoulli(0.7);
+    config.train_steps_per_observe = 1 + rng.UniformInt(8);
+    config.iterations = 10 + rng.UniformInt(30);
+    config.restore_after = rng.UniformInt(config.iterations);
+    config.churn = true;
+    testing::RunAuditedLockstep(config, &outcome);
+    ASSERT_FALSE(HasFatalFailure()) << "trial " << trial;
+  }
+  for (const testing::LockstepStats* half :
+       {&outcome.before, &outcome.after}) {
+    EXPECT_GT(half->prune.pruned_iterations, 0u);
+    EXPECT_GT(half->hier.gated_iterations, 0u);
+    EXPECT_EQ(half->hier.gated_iterations + half->hier.full_fallbacks,
+              half->hier.iterations);
+  }
+  EXPECT_GT(outcome.before.prune.gate_recoveries +
+                outcome.after.prune.gate_recoveries,
+            0u);
+}
+
+// Epsilon-greedy consumes RNG inside Score, so the gated engine must stand
 // down entirely (a shortlist pass would desync the exploration stream).
 TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
   Scenario s;
-  DqnAgentOptions options = MakeOptions(/*prune=*/true);
+  DqnAgentOptions options = testing::LockstepOptions({});
   options.exploration = ExplorationMode::kEpsilonGreedy;
   DqnAgent agent(options);
   agent.BeginEpisode(kObjects, kAnnotators);
@@ -198,11 +131,8 @@ TEST(ShortlistPrunerTest, WarmupAndInvalidationLifecycle) {
   ScoreCache cache;
   cache.Sync(s.View());
 
-  ShortlistOptions options;
-  options.warmup = 2;
-  ShortlistPruner pruner(options);
+  ShortlistPruner pruner{ShortlistOptions{}};
   pruner.Reset(kObjects, kAnnotators);
-  EXPECT_FALSE(pruner.Ready());
 
   std::vector<Action> pairs;
   for (size_t i = 0; i < kObjects; ++i) {
@@ -216,23 +146,22 @@ TEST(ShortlistPrunerTest, WarmupAndInvalidationLifecycle) {
   }
   std::vector<double> bonus(pairs.size(), 0.0);
 
+  // A fresh table bounds nothing: every pair is must-score, so the first
+  // gated selection of an episode scores the whole grid.
+  std::vector<double> ub;
   pruner.BeginIteration(cache);
+  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
+            pairs.size());
   pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  EXPECT_FALSE(pruner.Ready());
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  EXPECT_TRUE(pruner.Ready());
+                     nullptr);
 
   // With zero drift and zero elapsed train steps, every bound collapses
   // to stale_q + margin and none is infinite.
-  std::vector<double> ub;
   EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
             0u);
   for (size_t p = 0; p < pairs.size(); ++p) {
     EXPECT_GE(ub[p], raw_q[p]);
-    EXPECT_LE(ub[p], raw_q[p] + options.margin + 1e-15);
+    EXPECT_LE(ub[p], raw_q[p] + pruner.margin() + 1e-15);
   }
 
   // A cache full rebuild resets the drift accumulators, so the next
@@ -257,9 +186,7 @@ TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
   ScoreCache cache;
   cache.Sync(s.View());
 
-  ShortlistOptions options;
-  options.warmup = 1;
-  ShortlistPruner pruner(options);
+  ShortlistPruner pruner{ShortlistOptions{}};
   pruner.Reset(kObjects, kAnnotators);
 
   std::vector<Action> pairs;
@@ -272,8 +199,7 @@ TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
   std::vector<double> bonus(pairs.size(), 0.0);
   pruner.BeginIteration(cache);
   pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
-  ASSERT_TRUE(pruner.Ready());
+                     nullptr);
 
   std::vector<double> ub;
   ASSERT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
@@ -294,7 +220,7 @@ TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
   // Re-recording after a reconnect restores the column.
   pruner.BeginIteration(cache);
   pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr, /*full_pass=*/true);
+                     nullptr);
   EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
             0u);
 
@@ -313,14 +239,14 @@ TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
   std::vector<Action> pairs = {{0, 0}};
   pruner.BeginIteration(cache);
   pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr, /*full_pass=*/true);
+                     nullptr);
 
   // Q moved by 0.5 with no drift and 10 elapsed train steps: the bound
   // can only blame training, so beta must grow to at least 2*0.5/10.
   double beta_before = pruner.beta();
   pruner.BeginIteration(cache);
   pruner.RecordExact(cache, /*train_steps=*/10, pairs, {1.5}, nullptr,
-                     nullptr, /*full_pass=*/true);
+                     nullptr);
   EXPECT_GE(pruner.beta(), 2.0 * 0.5 / 10.0);
   EXPECT_GE(pruner.beta(), beta_before);
 
@@ -328,6 +254,78 @@ TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
   std::vector<double> ub;
   pruner.UpperBounds(cache, /*train_steps=*/20, pairs, {0.0}, &ub);
   EXPECT_GE(ub[0], 1.5 + 0.5);
+}
+
+// A sensitivity that has never measured a move bounds nothing: a pair that
+// aged through training steps or feature drift before any rescore
+// measured a move of that kind is must-score, and becomes boundable once
+// one rescore has measured it. A rescore that aged through both signals
+// measures only what it can be attributed to.
+TEST(ShortlistPrunerTest, UnmeasuredSensitivityBoundsNothing) {
+  Scenario s;
+  ScoreCache cache;
+  cache.Sync(s.View());
+  const std::vector<Action> pairs = {{0, 0}, {1, 1}};
+  const std::vector<double> bonus = {0.0, 0.0};
+  std::vector<double> ub;
+
+  ShortlistPruner training{ShortlistOptions{}};
+  training.Reset(kObjects, kAnnotators);
+  training.BeginIteration(cache);
+  training.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
+                       nullptr);
+  EXPECT_EQ(training.UpperBounds(cache, /*train_steps=*/3, pairs, bonus, &ub),
+            2u);
+  // One rescore after training measures it, even a move already covered.
+  training.RecordExact(cache, /*train_steps=*/3, {pairs[0]}, {1.0}, nullptr,
+                       nullptr);
+  EXPECT_EQ(training.UpperBounds(cache, /*train_steps=*/6, pairs, bonus, &ub),
+            0u);
+
+  ShortlistPruner drift{ShortlistOptions{}};
+  drift.Reset(kObjects, kAnnotators);
+  drift.BeginIteration(cache);
+  drift.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
+                    nullptr);
+  s.answers.Record(0, 3, 1);  // Object 0's history block drifts.
+  cache.Sync(s.View());
+  EXPECT_EQ(drift.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
+            1u);
+  EXPECT_TRUE(std::isinf(ub[0]));
+  drift.RecordExact(cache, /*train_steps=*/0, {pairs[0]}, {1.1}, nullptr,
+                    nullptr);
+  s.answers.Record(1, 4, 0);  // Now object 1 drifts: measured, so bounded.
+  cache.Sync(s.View());
+  EXPECT_EQ(drift.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
+            0u);
+  EXPECT_GE(ub[1], 2.0);
+
+  // Mixed ages: pair 0 drifts and trains, pair 1 only trains.
+  ShortlistPruner mixed{ShortlistOptions{}};
+  mixed.Reset(kObjects, kAnnotators);
+  mixed.BeginIteration(cache);
+  mixed.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
+                    nullptr);
+  s.answers.Record(0, 5, 2);
+  cache.Sync(s.View());
+  // An unmoved rescore of pair 0 is covered by drift slack alone, so it
+  // says nothing about training: pair 1 stays must-score.
+  mixed.RecordExact(cache, /*train_steps=*/3, {pairs[0]}, {1.0}, nullptr,
+                    nullptr);
+  EXPECT_EQ(mixed.beta(), 0.0);
+  EXPECT_EQ(mixed.UpperBounds(cache, /*train_steps=*/3, pairs, bonus, &ub),
+            1u);
+  EXPECT_TRUE(std::isinf(ub[1]));
+  // A move may be all training: the unmeasured sensitivity takes it whole,
+  // and pair 1's bound then covers the same move over the same steps.
+  s.answers.Record(0, 6, 0);
+  cache.Sync(s.View());
+  mixed.RecordExact(cache, /*train_steps=*/6, {pairs[0]}, {1.3}, nullptr,
+                    nullptr);
+  EXPECT_GE(mixed.beta(), 0.3 / 3.0);
+  EXPECT_EQ(mixed.UpperBounds(cache, /*train_steps=*/9, pairs, bonus, &ub),
+            0u);
+  EXPECT_GE(ub[1], 2.0 + 0.3);
 }
 
 TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
@@ -339,7 +337,7 @@ TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
   std::vector<Action> pairs = {{0, 0}};
   pruner.BeginIteration(cache);
   pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr, /*full_pass=*/true);
+                     nullptr);
 
   // Claim the pair was admitted under a bound of 1.0 but rescored to 2.0:
   // that is a precheck violation the caller must fall back on.
@@ -347,7 +345,7 @@ TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
   std::vector<double> bonus = {0.0};
   pruner.BeginIteration(cache);
   EXPECT_EQ(pruner.RecordExact(cache, /*train_steps=*/1, pairs, {2.0},
-                               &prior_ub, &bonus, /*full_pass=*/false),
+                               &prior_ub, &bonus),
             1u);
 
   // Boost dynamics: doubles on gate fallback (capped), halves back only
