@@ -3,12 +3,13 @@
 // enrichment, replay training, classifier fits — plus the GEMM kernel layer.
 //
 // Besides the google-benchmark suite, this binary emits BENCH_kernels.json:
-// a before/after comparison of the blocked GEMM kernels against the seed
-// (pre-kernel) implementation at the paper's MLP scale, with bit-identity
-// verified. It also emits BENCH_scoring.json: a per-iteration breakdown of
-// the candidate-scoring loop (featurize / Q forward / top-k) comparing the
-// seed featurizer against the incremental ScoreCache engine, with the
-// exact path's bit-identity verified every iteration.
+// a before/after comparison of the GEMM kernels against the seed
+// (pre-kernel) implementation at the paper's MLP scale and at the serving
+// shapes (the Q network's InferInto, a classifier training step), with
+// bit-identity verified. It also emits BENCH_scoring.json: a per-iteration
+// breakdown of the candidate-scoring loop (featurize / Q forward / top-k)
+// comparing the seed featurizer against the incremental ScoreCache
+// engine, with the exact path's bit-identity verified every iteration.
 // It also emits BENCH_obs.json: the per-op cost of the observability
 // hooks (counter increment, histogram record, trace-span enter/exit) with
 // metrics enabled vs disabled, net of an empty-loop baseline that stands
@@ -458,6 +459,101 @@ struct OpRow {
   bool bit_identical;
 };
 
+// One whole-network comparison row of the kernel report.
+struct NetRow {
+  const char* op;
+  std::vector<size_t> sizes;
+  size_t batch;
+  double seed_ms, kernel_ms;
+  bool bit_identical;
+};
+
+std::string SizesString(const std::vector<size_t>& sizes) {
+  std::string out = "[";
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    out += (i > 0 ? ", " : "") + std::to_string(sizes[i]);
+  }
+  return out + "]";
+}
+
+// ReLU hidden layers and an identity output, like the Q network and the
+// classifier.
+std::vector<nn::Activation> ReluNetActivations(size_t layers) {
+  std::vector<nn::Activation> acts(layers, nn::Activation::kRelu);
+  acts.back() = nn::Activation::kIdentity;
+  return acts;
+}
+
+// Seed vs kernel forward+backward of one `sizes` network at `batch` rows,
+// timed per step as the best of a few runs of `iters` steps each (many
+// steps for shapes that take microseconds); bit identity covers the
+// outputs and every weight and bias gradient.
+NetRow CompareForwardBackward(const char* op, const std::vector<size_t>& sizes,
+                              size_t batch, int iters, Rng* rng) {
+  const std::vector<nn::Activation> acts =
+      ReluNetActivations(sizes.size() - 1);
+  nn::Mlp net(sizes, acts, rng);
+  SeedNet seed(net, sizes, acts);
+  Matrix x(batch, sizes.front()), grad(batch, sizes.back());
+  x.FillUniform(rng, -1.0, 1.0);
+  grad.FillUniform(rng, -1.0, 1.0);
+  const int reps = iters > 3 ? 5 : 2;
+  const double seed_s = MinSeconds(reps, [&] {
+    for (int i = 0; i < iters; ++i) {
+      seed.ZeroGrad();
+      seed.Forward(x);
+      seed.Backward(grad);
+    }
+  });
+  const double kernel_s = MinSeconds(reps, [&] {
+    for (int i = 0; i < iters; ++i) {
+      net.ZeroGrad();
+      net.Forward(x);
+      net.Backward(grad);
+    }
+  });
+  // One more pass of each to compare bits: outputs and every gradient.
+  seed.ZeroGrad();
+  net.ZeroGrad();
+  Matrix seed_fwd = seed.Forward(x);
+  seed.Backward(grad);
+  Matrix kernel_fwd = net.Forward(x);
+  net.Backward(grad);
+  bool biteq = BitEqual(seed_fwd, kernel_fwd);
+  std::vector<nn::ParamView> views = net.ParamViews();
+  for (size_t l = 0; l < seed.layers.size(); ++l) {
+    biteq = biteq &&
+            std::memcmp(views[2 * l].grad,
+                        seed.layers[l].weight_grad.data().data(),
+                        seed.layers[l].weight_grad.size() *
+                            sizeof(double)) == 0 &&
+            std::memcmp(views[2 * l + 1].grad,
+                        seed.layers[l].bias_grad.data(),
+                        seed.layers[l].bias_grad.size() *
+                            sizeof(double)) == 0;
+  }
+  return {op, sizes, batch, seed_s * 1e3 / iters, kernel_s * 1e3 / iters,
+          biteq};
+}
+
+// Seed forward vs the loop-fused Mlp::InferInto (serial) of one `sizes`
+// network over `batch` rows.
+NetRow CompareInferInto(const char* op, const std::vector<size_t>& sizes,
+                        size_t batch, Rng* rng) {
+  const std::vector<nn::Activation> acts =
+      ReluNetActivations(sizes.size() - 1);
+  nn::Mlp net(sizes, acts, rng);
+  SeedNet seed(net, sizes, acts);
+  Matrix x(batch, sizes.front());
+  x.FillUniform(rng, -1.0, 1.0);
+  Matrix seed_out, kernel_out;
+  const double seed_s = MinSeconds(5, [&] { seed_out = seed.Forward(x); });
+  const double kernel_s =
+      MinSeconds(5, [&] { net.InferInto(x, nullptr, &kernel_out); });
+  return {op, sizes, batch, seed_s * 1e3, kernel_s * 1e3,
+          BitEqual(seed_out, kernel_out)};
+}
+
 void WriteKernelReport(size_t max_batch, const std::string& path) {
   std::printf("== kernel report (batch up to %zu, %zux%zux%zu net, "
               "simd tier %s) ==\n",
@@ -511,54 +607,25 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
                 r.seed_ms / r.kernel_ms, r.bit_identical);
   }
 
-  // Full MLP forward+backward at paper scale: the acceptance shape. Real
-  // network dataflow, so the seed's zero-skip sees genuine post-ReLU
-  // sparsity — this is the honest end-to-end comparison.
-  const std::vector<size_t> sizes = {kFeatureDim, kHiddenDim, kOutDim};
-  const std::vector<nn::Activation> acts = {nn::Activation::kRelu,
-                                            nn::Activation::kIdentity};
-  Rng net_rng(42);
-  nn::Mlp net(sizes, acts, &net_rng);
-  SeedNet seed(net, sizes, acts);
-  Matrix x(max_batch, kFeatureDim), grad(max_batch, kOutDim);
-  x.FillUniform(&rng, -1.0, 1.0);
-  grad.FillUniform(&rng, -1.0, 1.0);
-  const int mlp_reps = max_batch >= 2048 ? 2 : 3;
-  double seed_s = MinSeconds(mlp_reps, [&] {
-    seed.ZeroGrad();
-    seed.Forward(x);
-    seed.Backward(grad);
-  });
-  double kernel_s = MinSeconds(mlp_reps, [&] {
-    net.ZeroGrad();
-    net.Forward(x);
-    net.Backward(grad);
-  });
-  // One more pass of each to compare bits: outputs and every gradient.
-  seed.ZeroGrad();
-  net.ZeroGrad();
-  Matrix seed_fwd = seed.Forward(x);
-  seed.Backward(grad);
-  Matrix kernel_fwd = net.Forward(x);
-  net.Backward(grad);
-  bool biteq = BitEqual(seed_fwd, kernel_fwd);
-  std::vector<nn::ParamView> views = net.ParamViews();
-  for (size_t l = 0; l < seed.layers.size(); ++l) {
-    biteq = biteq &&
-            std::memcmp(views[2 * l].grad,
-                        seed.layers[l].weight_grad.data().data(),
-                        seed.layers[l].weight_grad.size() *
-                            sizeof(double)) == 0 &&
-            std::memcmp(views[2 * l + 1].grad,
-                        seed.layers[l].bias_grad.data(),
-                        seed.layers[l].bias_grad.size() *
-                            sizeof(double)) == 0;
+  // Whole networks, seed vs kernels, on real network dataflow (so the
+  // seed's zero-skip sees genuine post-ReLU sparsity): the paper-scale
+  // MLP forward+backward, and the two serving shapes every labelling
+  // iteration runs — the Q network's loop-fused InferInto over a scoring
+  // batch and one classifier training step at the M-step batch size.
+  std::vector<NetRow> nets;
+  nets.push_back(CompareForwardBackward("mlp_forward_backward",
+                                        {kFeatureDim, kHiddenDim, kOutDim},
+                                        max_batch, 1, &rng));
+  nets.push_back(CompareInferInto("q_infer_into", {12, 64, 32, 1}, 4096,
+                                  &rng));
+  nets.push_back(CompareForwardBackward("classifier_forward_backward",
+                                        {208, 16, 2}, 64, 2000, &rng));
+  for (const NetRow& r : nets) {
+    std::printf("  %-28s %s batch %5zu: seed %9.4f ms  kernel %9.4f ms  "
+                "%.2fx  biteq=%d\n",
+                r.op, SizesString(r.sizes).c_str(), r.batch, r.seed_ms,
+                r.kernel_ms, r.seed_ms / r.kernel_ms, r.bit_identical);
   }
-  double speedup = seed_s / kernel_s;
-  std::printf("  mlp fwd+bwd %zux%zu: seed %.3f ms  kernel %.3f ms  "
-              "%.2fx  biteq=%d\n",
-              max_batch, kFeatureDim, seed_s * 1e3, kernel_s * 1e3, speedup,
-              biteq);
 
   std::FILE* json = std::fopen(path.c_str(), "w");
   CROWDRL_CHECK(json != nullptr) << "cannot write " << path;
@@ -580,14 +647,19 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
                  r.seed_ms / r.kernel_ms, r.bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"mlp_forward_backward\": {\"batch\": %zu, "
-               "\"seed_ms\": %.4f, \"kernel_ms\": %.4f, "
-               "\"speedup\": %.3f, \"bit_identical\": %s}\n"
-               "}\n",
-               max_batch, seed_s * 1e3, kernel_s * 1e3, speedup,
-               biteq ? "true" : "false");
+  std::fprintf(json, "  ],\n");
+  for (size_t i = 0; i < nets.size(); ++i) {
+    const NetRow& r = nets[i];
+    std::fprintf(json,
+                 "  \"%s\": {\"sizes\": %s, \"batch\": %zu, "
+                 "\"seed_ms\": %.4f, \"kernel_ms\": %.4f, "
+                 "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
+                 r.op, SizesString(r.sizes).c_str(), r.batch, r.seed_ms,
+                 r.kernel_ms, r.seed_ms / r.kernel_ms,
+                 r.bit_identical ? "true" : "false",
+                 i + 1 < nets.size() ? "," : "");
+  }
+  std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("wrote %s\n", path.c_str());
 }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "math/backend.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -46,16 +50,6 @@ inline void RecordGemmCall(obs::Histogram* flops, size_t m, size_t k,
                 static_cast<double>(n));
 }
 
-// Tile shapes, chosen so the working set of the inner loops sits in L1/L2:
-//  * NN kernel: 4 output-row slices of kTileJ doubles (16 KB) plus one
-//    b-row slice per t step; the b panel (kTileK x kTileJ) cycles in L2.
-//  * TN kernel: a kTnTileI x kTnTileJ output tile (32 KB) stays resident
-//    across the whole k sweep while one a/b row pair streams per t step.
-constexpr size_t kTileJ = 512;
-constexpr size_t kTileK = 512;
-constexpr size_t kTnTileI = 16;
-constexpr size_t kTnTileJ = 256;
-
 // Minimum output rows per threaded chunk (and per serial epilogue block).
 constexpr size_t kRowGrain = 64;
 
@@ -69,214 +63,341 @@ constexpr size_t kRowGrain = 64;
 // same per-element ascending-k order, grain size never changes bits.
 constexpr size_t kChunksPerLane = 4;
 
-// Below this many multiply-adds the tiled/dispatched path costs more than
-// it saves; a plain inline loop (same per-element order) is used instead.
-constexpr size_t kSmallGemmFlops = size_t{1} << 18;
+// Below this many multiply-adds a TN product runs serially: handing it to
+// the pool costs more than it saves. Threading never changes bits.
+constexpr size_t kSerialTnFlops = size_t{1} << 18;
+
+// k panel of the register tiles: a tile's accumulators stay in registers
+// for kTileKc terms, then round-trip through the output row once (an exact
+// store and reload, so the per-element sum is unchanged). Every Q-network
+// and classifier layer (k <= 208) fits one panel; for the wide paper net
+// the panel keeps a tile's B slice (kTileKc x one tile width) in L1/L2.
+constexpr size_t kTileKc = 256;
+
+// Output tile of the portable schedule: kTnTileI x kTnTileJ doubles
+// (32 KB) stay resident across the whole k sweep.
+constexpr size_t kTnTileI = 16;
+constexpr size_t kTnTileJ = 256;
 
 // ---------------------------------------------------------------------------
-// SIMD micro-kernels.
+// Kernels.
 //
-// The axpy bodies are stamped out once per ISA tier with GCC target
-// attributes and selected once at runtime. Each tier performs the identical
-// IEEE mul-then-add per element (vectorization is across independent output
-// elements only), so every tier produces the same bits. fp-contract is
-// forced off in the tiers whose ISA includes FMA — a fused multiply-add
-// rounds once instead of twice and would change results.
+// Every product runs as "rows of C = A · B" over raw row-major B (k x n)
+// and C (rows x n), with A read through two strides: element (i, t) of the
+// left operand is a[i * a_row_stride + t * a_t_stride]. NN passes A as is
+// (strides k, 1), NT passes A with B packed as Bᵀ, and TN reads Aᵀ in
+// place (strides 1, m). A kernel writes every element of its rows.
+//
+// The SIMD tiers run a register tile: an MR x NR block of accumulators
+// that starts at +0.0, adds a(i, t) * b[t][j] for t ascending (one multiply,
+// then one add), and is stored once per k panel. That is exactly the
+// sequence of the historical loop, which zeroed the output row and then did
+// `out[j] += a(i, t) * b[t][j]` per t: the same two roundings per term, in
+// the same order, from the same +0.0 start (+0.0 matters: a sum whose
+// terms are all -0.0 is +0.0 from a +0.0 start and -0.0 otherwise). The
+// tile only removes the per-term load and store of the output row.
+// Vectorization is across independent output elements, so every tier
+// produces the same bits. The tile bodies are stamped out per ISA tier with
+// GCC target attributes and selected once at runtime; fp-contract is forced
+// off where the ISA includes FMA, because a fused multiply-add rounds once
+// instead of twice and would change results.
 // ---------------------------------------------------------------------------
 
-// out rows o0..o3 accumulate v0..v3 times the shared b row over [j0, j1).
-#define CROWDRL_AXPY4_BODY                        \
-  for (size_t j = j0; j < j1; ++j) {              \
-    const double x = br[j];                       \
-    o0[j] += v0 * x;                              \
-    o1[j] += v1 * x;                              \
-    o2[j] += v2 * x;                              \
-    o3[j] += v3 * x;                              \
+using ProductRowsFn = void (*)(const double* a, size_t a_row_stride,
+                               size_t a_t_stride, const double* b,
+                               double* c, size_t rows, size_t k, size_t n);
+
+// The portable tier keeps the historical TN schedule for every product:
+// per kTnTileI x kTnTileJ output tile, the tile is zeroed and then takes
+// rank-1 updates for t ascending.
+void ProductRowsPortable(const double* a, size_t a_row_stride,
+                         size_t a_t_stride, const double* b, double* c,
+                         size_t rows, size_t k, size_t n) {
+  std::fill(c, c + rows * n, 0.0);
+  for (size_t i0 = 0; i0 < rows; i0 += kTnTileI) {
+    const size_t i1 = std::min(i0 + kTnTileI, rows);
+    for (size_t j0 = 0; j0 < n; j0 += kTnTileJ) {
+      const size_t j1 = std::min(j0 + kTnTileJ, n);
+      for (size_t t = 0; t < k; ++t) {
+        const double* b_row = b + t * n;
+        for (size_t i = i0; i < i1; ++i) {
+          const double v = a[i * a_row_stride + t * a_t_stride];
+          double* c_row = c + i * n;
+          for (size_t j = j0; j < j1; ++j) c_row[j] += v * b_row[j];
+        }
+      }
+    }
   }
-
-#define CROWDRL_AXPY1_BODY \
-  for (size_t j = j0; j < j1; ++j) o[j] += v * br[j];
-
-using Axpy4Fn = void (*)(const double* br, size_t j0, size_t j1, double v0,
-                         double v1, double v2, double v3, double* o0,
-                         double* o1, double* o2, double* o3);
-using Axpy1Fn = void (*)(const double* br, size_t j0, size_t j1, double v,
-                         double* o);
-
-void Axpy4Portable(const double* br, size_t j0, size_t j1, double v0,
-                   double v1, double v2, double v3, double* o0, double* o1,
-                   double* o2, double* o3) {
-  CROWDRL_AXPY4_BODY
-}
-
-void Axpy1Portable(const double* br, size_t j0, size_t j1, double v,
-                   double* o) {
-  CROWDRL_AXPY1_BODY
 }
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #define CROWDRL_GEMM_X86_DISPATCH 1
 
 // Plain AVX2 (no FMA in the target set, so no contraction is possible).
-__attribute__((target("avx2"))) void Axpy4Avx2(
-    const double* br, size_t j0, size_t j1, double v0, double v1, double v2,
-    double v3, double* o0, double* o1, double* o2, double* o3) {
-  CROWDRL_AXPY4_BODY
-}
-
-__attribute__((target("avx2"))) void Axpy1Avx2(const double* br, size_t j0,
-                                               size_t j1, double v,
-                                               double* o) {
-  CROWDRL_AXPY1_BODY
-}
-
+#define CROWDRL_TARGET_AVX2 __attribute__((target("avx2")))
 // AVX-512F implies FMA instructions, so contraction must be disabled
 // explicitly to keep the two-rounding mul+add semantics.
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-Axpy4Avx512(const double* br, size_t j0, size_t j1, double v0, double v1,
-            double v2, double v3, double* o0, double* o1, double* o2,
-            double* o3) {
-  CROWDRL_AXPY4_BODY
+#define CROWDRL_TARGET_AVX512 \
+  __attribute__((target("avx512f"), optimize("fp-contract=off")))
+
+// The tiles below fully unroll their MR/NV loops (`#pragma GCC unroll`) so
+// the accumulator arrays live in registers; without it GCC keeps them in
+// memory and stores every accumulator on every k step.
+
+// AVX2 tile: MR rows x NV ymm vectors (4 doubles each). At MR=4, NV=2 the
+// 4 x 8 block holds 8 accumulators, 2 b vectors and a broadcast in the 16
+// ymm registers. The last vector loads and stores only the lanes in `tail`.
+template <size_t MR, size_t NV>
+CROWDRL_TARGET_AVX2 inline void TileAvx2(const double* a, size_t a_rs,
+                                         size_t a_ts, const double* b,
+                                         double* c, size_t n, size_t k0,
+                                         size_t k1, __m256i tail) {
+  __m256d acc[MR][NV];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      const double* src = c + r * n + 4 * v;
+      acc[r][v] = k0 == 0      ? _mm256_setzero_pd()
+                  : v + 1 < NV ? _mm256_loadu_pd(src)
+                               : _mm256_maskload_pd(src, tail);
+    }
+  }
+  for (size_t t = k0; t < k1; ++t) {
+    const double* a_t = a + t * a_ts;
+    const double* b_row = b + t * n;
+    __m256d bv[NV];
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      bv[v] = v + 1 < NV ? _mm256_loadu_pd(b_row + 4 * v)
+                         : _mm256_maskload_pd(b_row + 4 * v, tail);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < MR; ++r) {
+      const __m256d av = _mm256_broadcast_sd(a_t + r * a_rs);
+#pragma GCC unroll 4
+      for (size_t v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      double* dst = c + r * n + 4 * v;
+      if (v + 1 < NV) {
+        _mm256_storeu_pd(dst, acc[r][v]);
+      } else {
+        _mm256_maskstore_pd(dst, tail, acc[r][v]);
+      }
+    }
+  }
 }
 
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-Axpy1Avx512(const double* br, size_t j0, size_t j1, double v, double* o) {
-  CROWDRL_AXPY1_BODY
+template <size_t NV>
+CROWDRL_TARGET_AVX2 void PanelAvx2(const double* a, size_t a_rs,
+                                   size_t a_ts, const double* b, double* c,
+                                   size_t rows, size_t n, size_t k0,
+                                   size_t k1, __m256i tail) {
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileAvx2<4, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail);
+  }
+  for (; i < rows; ++i) {
+    TileAvx2<1, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail);
+  }
 }
+
+CROWDRL_TARGET_AVX2 void ProductRowsAvx2(const double* a, size_t a_rs,
+                                         size_t a_ts, const double* b,
+                                         double* c, size_t rows, size_t k,
+                                         size_t n) {
+  constexpr size_t kWidth = 8;
+  for (size_t j0 = 0; j0 < n; j0 += kWidth) {
+    const size_t width = std::min(kWidth, n - j0);
+    const size_t nv = (width + 3) / 4;
+    const __m256i tail = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(width - 4 * (nv - 1))),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    size_t k0 = 0;
+    do {  // At least one panel, so k == 0 still stores the +0.0 starts.
+      const size_t k1 = std::min(k0 + kTileKc, k);
+      if (nv == 2) {
+        PanelAvx2<2>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail);
+      } else {
+        PanelAvx2<1>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail);
+      }
+      k0 = k1;
+    } while (k0 < k);
+  }
+}
+
+// AVX-512 tile: MR rows x NV zmm vectors (8 doubles each). At MR=4, NV=4
+// the 4 x 32 block holds 16 accumulators plus 4 b vectors and a broadcast
+// in the 32 zmm registers. The last vector is masked by `tail`.
+template <size_t MR, size_t NV>
+CROWDRL_TARGET_AVX512 inline void TileAvx512(const double* a, size_t a_rs,
+                                             size_t a_ts, const double* b,
+                                             double* c, size_t n, size_t k0,
+                                             size_t k1, __mmask8 tail) {
+  __m512d acc[MR][NV];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      const double* src = c + r * n + 8 * v;
+      acc[r][v] = k0 == 0      ? _mm512_setzero_pd()
+                  : v + 1 < NV ? _mm512_loadu_pd(src)
+                               : _mm512_maskz_loadu_pd(tail, src);
+    }
+  }
+  for (size_t t = k0; t < k1; ++t) {
+    const double* a_t = a + t * a_ts;
+    const double* b_row = b + t * n;
+    __m512d bv[NV];
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      bv[v] = v + 1 < NV ? _mm512_loadu_pd(b_row + 8 * v)
+                         : _mm512_maskz_loadu_pd(tail, b_row + 8 * v);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < MR; ++r) {
+      const __m512d av = _mm512_set1_pd(a_t[r * a_rs]);
+#pragma GCC unroll 4
+      for (size_t v = 0; v < NV; ++v) {
+        acc[r][v] = _mm512_add_pd(acc[r][v], _mm512_mul_pd(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      double* dst = c + r * n + 8 * v;
+      if (v + 1 < NV) {
+        _mm512_storeu_pd(dst, acc[r][v]);
+      } else {
+        _mm512_mask_storeu_pd(dst, tail, acc[r][v]);
+      }
+    }
+  }
+}
+
+template <size_t NV>
+CROWDRL_TARGET_AVX512 void PanelAvx512(const double* a, size_t a_rs,
+                                       size_t a_ts, const double* b,
+                                       double* c, size_t rows, size_t n,
+                                       size_t k0, size_t k1, __mmask8 tail) {
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileAvx512<4, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1,
+                      tail);
+  }
+  for (; i < rows; ++i) {
+    TileAvx512<1, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1,
+                      tail);
+  }
+}
+
+CROWDRL_TARGET_AVX512 void ProductRowsAvx512(const double* a, size_t a_rs,
+                                             size_t a_ts, const double* b,
+                                             double* c, size_t rows,
+                                             size_t k, size_t n) {
+  constexpr size_t kWidth = 32;
+  for (size_t j0 = 0; j0 < n; j0 += kWidth) {
+    const size_t width = std::min(kWidth, n - j0);
+    const size_t nv = (width + 7) / 8;
+    const __mmask8 tail =
+        static_cast<__mmask8>((1u << (width - 8 * (nv - 1))) - 1);
+    size_t k0 = 0;
+    do {  // At least one panel, so k == 0 still stores the +0.0 starts.
+      const size_t k1 = std::min(k0 + kTileKc, k);
+      switch (nv) {
+        case 4:
+          PanelAvx512<4>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
+                         tail);
+          break;
+        case 3:
+          PanelAvx512<3>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
+                         tail);
+          break;
+        case 2:
+          PanelAvx512<2>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
+                         tail);
+          break;
+        default:
+          PanelAvx512<1>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
+                         tail);
+          break;
+      }
+      k0 = k1;
+    } while (k0 < k);
+  }
+}
+
+#undef CROWDRL_TARGET_AVX2
+#undef CROWDRL_TARGET_AVX512
 #endif  // x86-64 GCC
 
-#undef CROWDRL_AXPY4_BODY
-#undef CROWDRL_AXPY1_BODY
-
-struct Kernels {
-  Axpy4Fn axpy4;
-  Axpy1Fn axpy1;
-  const char* tier;
-};
+// The kernel of `tier`. backend.cc compiles its tier probe under the
+// identical cpp guard, so math::ActiveSimdTier() only returns a tier whose
+// kernel exists here; on other builds every tier maps to the portable one.
+ProductRowsFn KernelFor(math::SimdTier tier) {
+#ifdef CROWDRL_GEMM_X86_DISPATCH
+  switch (tier) {
+    case math::SimdTier::kAvx512:
+      return ProductRowsAvx512;
+    case math::SimdTier::kAvx2:
+      return ProductRowsAvx2;
+    case math::SimdTier::kPortable:
+      break;
+  }
+#else
+  (void)tier;
+#endif
+  return ProductRowsPortable;
+}
 
 // Tier selection consumes the process-wide cached probe in backend.cc
 // (math::ActiveSimdTier) instead of re-running cpuid checks here, so every
 // dispatch site — gemm, the quantized backend, bench metadata — reports
-// the same tier from one probe. backend.cc compiles its dispatch under the
-// identical cpp guard, so a tier is only returned when the kernels above
-// exist.
-Kernels SelectKernels() {
-#ifdef CROWDRL_GEMM_X86_DISPATCH
-  switch (math::ActiveSimdTier()) {
-    case math::SimdTier::kAvx512:
-      return {Axpy4Avx512, Axpy1Avx512, "avx512"};
-    case math::SimdTier::kAvx2:
-      return {Axpy4Avx2, Axpy1Avx2, "avx2"};
-    case math::SimdTier::kPortable:
-      break;
-  }
-#endif
-  return {Axpy4Portable, Axpy1Portable, "portable"};
+// the same tier from one probe.
+ProductRowsFn ActiveKernel() {
+  static const ProductRowsFn kernel = KernelFor(math::ActiveSimdTier());
+  return kernel;
 }
 
-const Kernels& ActiveKernels() {
-  static const Kernels kernels = SelectKernels();
-  return kernels;
+// The kernel of `tier`, which must not exceed the host's active tier.
+ProductRowsFn CheckedKernelFor(math::SimdTier tier) {
+  CROWDRL_CHECK(static_cast<int>(tier) <=
+                static_cast<int>(math::ActiveSimdTier()))
+      << "SIMD tier " << math::SimdTierName(tier)
+      << " is not supported on this host";
+  return KernelFor(tier);
 }
 
-// Zeroes `out` at the requested shape, reusing the allocation when possible.
-void ResizeZero(Matrix* out, size_t rows, size_t cols) {
+// Shapes `out` as rows x cols, reusing the allocation when possible; the
+// kernels overwrite every element.
+void Resize(Matrix* out, size_t rows, size_t cols) {
   if (out->rows() != rows || out->cols() != cols) {
     *out = Matrix(rows, cols);
-  } else {
-    out->Fill(0.0);
   }
 }
 
-// Plain i-k-j accumulation for small products, where tiling and the
-// function-pointer dispatch cost more than they save. Identical
-// per-element order to the blocked path.
-void NnRowsSmall(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-                 size_t r1) {
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  for (size_t i = r0; i < r1; ++i) {
-    const double* a_row = a.Row(i);
-    double* out_row = out->Row(i);
-    for (size_t t = 0; t < k; ++t) {
-      const double v = a_row[t];
-      const double* b_row = b.Row(t);
-      for (size_t j = 0; j < n; ++j) out_row[j] += v * b_row[j];
-    }
-  }
+// C[r0..r1) = A[r0..r1) · B (A: m x k, B: k x n).
+void NnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
+            Matrix* out, size_t r0, size_t r1) {
+  kernel(a.data().data() + r0 * a.cols(), a.cols(), 1, b.data().data(),
+         out->data().data() + r0 * out->cols(), r1 - r0, a.cols(), b.cols());
 }
 
-// C[r0..r1) = A[r0..r1) · B, blocked over j tiles and k panels with 4-row
-// register blocking. Each element's k terms are consumed in ascending
-// order (k panels ascend; within a panel t ascends; one accumulator —
-// the out element itself — per element).
-void NnRows(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-            size_t r1) {
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  if ((r1 - r0) * n * k < kSmallGemmFlops) {
-    NnRowsSmall(a, b, out, r0, r1);
-    return;
-  }
-  const Kernels& ker = ActiveKernels();
-  for (size_t j0 = 0; j0 < n; j0 += kTileJ) {
-    const size_t j1 = std::min(j0 + kTileJ, n);
-    for (size_t k0 = 0; k0 < k; k0 += kTileK) {
-      const size_t k1 = std::min(k0 + kTileK, k);
-      size_t i = r0;
-      for (; i + 4 <= r1; i += 4) {
-        const double* a0 = a.Row(i);
-        const double* a1 = a.Row(i + 1);
-        const double* a2 = a.Row(i + 2);
-        const double* a3 = a.Row(i + 3);
-        double* o0 = out->Row(i);
-        double* o1 = out->Row(i + 1);
-        double* o2 = out->Row(i + 2);
-        double* o3 = out->Row(i + 3);
-        for (size_t t = k0; t < k1; ++t) {
-          ker.axpy4(b.Row(t), j0, j1, a0[t], a1[t], a2[t], a3[t], o0, o1, o2,
-                    o3);
-        }
-      }
-      for (; i < r1; ++i) {
-        const double* a_row = a.Row(i);
-        double* out_row = out->Row(i);
-        for (size_t t = k0; t < k1; ++t) {
-          ker.axpy1(b.Row(t), j0, j1, a_row[t], out_row);
-        }
-      }
-    }
-  }
-}
-
-// C[r0..r1) rows of Aᵀ·B: for each output tile the full k range is swept
-// with t ascending, accumulating rank-1 updates — so per-element order is
-// ascending-k here too, matching what the naive loop over a materialized
-// Aᵀ would produce.
-void TnRows(const Matrix& a, const Matrix& b, Matrix* out, size_t r0,
-            size_t r1) {
-  const size_t k = a.rows();
-  const size_t n = b.cols();
-  const Kernels& ker = ActiveKernels();
-  for (size_t i0 = r0; i0 < r1; i0 += kTnTileI) {
-    const size_t i1 = std::min(i0 + kTnTileI, r1);
-    for (size_t j0 = 0; j0 < n; j0 += kTnTileJ) {
-      const size_t j1 = std::min(j0 + kTnTileJ, n);
-      for (size_t t = 0; t < k; ++t) {
-        const double* a_row = a.Row(t);
-        const double* b_row = b.Row(t);
-        size_t i = i0;
-        for (; i + 4 <= i1; i += 4) {
-          ker.axpy4(b_row, j0, j1, a_row[i], a_row[i + 1], a_row[i + 2],
-                    a_row[i + 3], out->Row(i), out->Row(i + 1),
-                    out->Row(i + 2), out->Row(i + 3));
-        }
-        for (; i < i1; ++i) {
-          ker.axpy1(b_row, j0, j1, a_row[i], out->Row(i));
-        }
-      }
-    }
-  }
+// C[r0..r1) = (Aᵀ · B)[r0..r1) (A: k x m, B: k x n), reading column r0
+// onward of A in place.
+void TnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
+            Matrix* out, size_t r0, size_t r1) {
+  kernel(a.data().data() + r0, 1, a.cols(), b.data().data(),
+         out->data().data() + r0 * out->cols(), r1 - r0, a.rows(), b.cols());
 }
 
 // Runs `body(r0, r1)` over [0, rows) in row chunks — on the pool when one
@@ -299,6 +420,57 @@ void RunRowChunks(ThreadPool* pool, size_t rows,
   }
 }
 
+void MatMul(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
+            Matrix* out, ThreadPool* pool) {
+  CROWDRL_CHECK(out != nullptr);
+  CROWDRL_CHECK(a.cols() == b.rows())
+      << "matmul shape mismatch: " << a.cols() << " vs " << b.rows();
+  CROWDRL_DCHECK(out != &a && out != &b);
+  RecordGemmCall(Metrics().nn_flops, a.rows(), a.cols(), b.cols());
+  Resize(out, a.rows(), b.cols());
+  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
+    NnRows(kernel, a, b, out, r0, r1);
+  });
+}
+
+void MatMulNT(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
+              Matrix* out, ThreadPool* pool, const RowEpilogue& epilogue,
+              Matrix* bt_scratch) {
+  CROWDRL_CHECK(out != nullptr);
+  CROWDRL_CHECK(a.cols() == b.cols())
+      << "matmul shape mismatch (NT): " << a.cols() << " vs " << b.cols();
+  CROWDRL_DCHECK(out != &a && out != &b && bt_scratch != &a &&
+                 bt_scratch != &b && bt_scratch != out);
+  RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), b.rows());
+  thread_local Matrix local_bt;
+  Matrix* bt = bt_scratch != nullptr ? bt_scratch : &local_bt;
+  TransposeInto(b, bt);
+  Resize(out, a.rows(), b.rows());
+  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
+    NnRows(kernel, a, *bt, out, r0, r1);
+    if (epilogue) epilogue(r0, r1);
+  });
+}
+
+void MatMulTN(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
+              Matrix* out, ThreadPool* pool) {
+  CROWDRL_CHECK(out != nullptr);
+  CROWDRL_CHECK(a.rows() == b.rows())
+      << "matmul shape mismatch (TN): " << a.rows() << " vs " << b.rows();
+  CROWDRL_DCHECK(out != &a && out != &b);
+  RecordGemmCall(Metrics().tn_flops, a.cols(), a.rows(), b.cols());
+  Resize(out, a.cols(), b.cols());
+  if (a.rows() == 0) {
+    out->Fill(0.0);  // Empty sums; A has no storage to read through.
+    return;
+  }
+  const size_t work = a.cols() * b.cols() * a.rows();
+  RunRowChunks(work < kSerialTnFlops ? nullptr : pool, a.cols(),
+               [&](size_t r0, size_t r1) {
+                 TnRows(kernel, a, b, out, r0, r1);
+               });
+}
+
 }  // namespace
 
 void TransposeInto(const Matrix& m, Matrix* out) {
@@ -318,50 +490,18 @@ void TransposeInto(const Matrix& m, Matrix* out) {
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 ThreadPool* pool) {
-  CROWDRL_CHECK(out != nullptr);
-  CROWDRL_CHECK(a.cols() == b.rows())
-      << "matmul shape mismatch: " << a.cols() << " vs " << b.rows();
-  CROWDRL_DCHECK(out != &a && out != &b);
-  RecordGemmCall(Metrics().nn_flops, a.rows(), a.cols(), b.cols());
-  ResizeZero(out, a.rows(), b.cols());
-  RunRowChunks(pool, a.rows(),
-               [&](size_t r0, size_t r1) { NnRows(a, b, out, r0, r1); });
+  MatMul(ActiveKernel(), a, b, out, pool);
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool, const RowEpilogue& epilogue,
                   Matrix* bt_scratch) {
-  CROWDRL_CHECK(out != nullptr);
-  CROWDRL_CHECK(a.cols() == b.cols())
-      << "matmul shape mismatch (NT): " << a.cols() << " vs " << b.cols();
-  CROWDRL_DCHECK(out != &a && out != &b && bt_scratch != &a &&
-                 bt_scratch != &b && bt_scratch != out);
-  RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), b.rows());
-  thread_local Matrix local_bt;
-  Matrix* bt = bt_scratch != nullptr ? bt_scratch : &local_bt;
-  TransposeInto(b, bt);
-  ResizeZero(out, a.rows(), b.rows());
-  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
-    NnRows(a, *bt, out, r0, r1);
-    if (epilogue) epilogue(r0, r1);
-  });
+  MatMulNT(ActiveKernel(), a, b, out, pool, epilogue, bt_scratch);
 }
 
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
                   ThreadPool* pool) {
-  CROWDRL_CHECK(out != nullptr);
-  CROWDRL_CHECK(a.rows() == b.rows())
-      << "matmul shape mismatch (TN): " << a.rows() << " vs " << b.rows();
-  CROWDRL_DCHECK(out != &a && out != &b);
-  RecordGemmCall(Metrics().tn_flops, a.cols(), a.rows(), b.cols());
-  ResizeZero(out, a.cols(), b.cols());
-  const size_t work = a.cols() * b.cols() * a.rows();
-  if (work < kSmallGemmFlops) {
-    TnRows(a, b, out, 0, a.cols());
-    return;
-  }
-  RunRowChunks(pool, a.cols(),
-               [&](size_t r0, size_t r1) { TnRows(a, b, out, r0, r1); });
+  MatMulTN(ActiveKernel(), a, b, out, pool);
 }
 
 Matrix MatMulNT(const Matrix& a, const Matrix& b) {
@@ -376,6 +516,23 @@ Matrix MatMulTN(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-const char* SimdTierName() { return ActiveKernels().tier; }
+void MatMulIntoAtTier(math::SimdTier tier, const Matrix& a, const Matrix& b,
+                      Matrix* out) {
+  MatMul(CheckedKernelFor(tier), a, b, out, nullptr);
+}
+
+void MatMulNTIntoAtTier(math::SimdTier tier, const Matrix& a,
+                        const Matrix& b, Matrix* out) {
+  MatMulNT(CheckedKernelFor(tier), a, b, out, nullptr, nullptr, nullptr);
+}
+
+void MatMulTNIntoAtTier(math::SimdTier tier, const Matrix& a,
+                        const Matrix& b, Matrix* out) {
+  MatMulTN(CheckedKernelFor(tier), a, b, out, nullptr);
+}
+
+const char* SimdTierName() {
+  return math::SimdTierName(math::ActiveSimdTier());
+}
 
 }  // namespace crowdrl::gemm

@@ -15,7 +15,7 @@ namespace crowdrl {
 ///
 /// The numeric workhorse behind the neural-network library, the confusion
 /// matrices, and the labelling-history state. Storage and element access
-/// live here; dense products are served by the cache-blocked, SIMD-dispatched
+/// live here; dense products are served by the register-tiled, SIMD-dispatched
 /// kernels in `math/gemm.h` (`MatMul` delegates to `gemm::MatMulInto`;
 /// transpose-aware and out-parameter variants live there too). Still no
 /// external BLAS dependency — the kernel layer is self-contained and keeps

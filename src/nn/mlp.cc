@@ -100,31 +100,40 @@ const Matrix& Mlp::InferFrom(size_t first_layer, const Matrix& acts,
 
 void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
                     math::Backend* backend) const {
-  CROWDRL_CHECK(out != nullptr);
   CROWDRL_CHECK(batch.cols() == input_size());
   CROWDRL_DCHECK(out != &batch);
+  const size_t in_cols = batch.cols();
+  InferInto(
+      batch.rows(),
+      [&batch, in_cols](size_t r0, size_t r1, Matrix* block) {
+        for (size_t r = r0; r < r1; ++r) {
+          const double* src = batch.Row(r);
+          std::copy(src, src + in_cols, block->Row(r - r0));
+        }
+      },
+      pool, out, backend);
+}
+
+void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
+                    Matrix* out, math::Backend* backend) const {
+  CROWDRL_CHECK(out != nullptr);
   math::Backend* be = backend != nullptr ? backend : inference_backend();
-  const size_t rows = batch.rows();
   const size_t out_cols = output_size();
   if (out->rows() != rows || out->cols() != out_cols) {
     *out = Matrix(rows, out_cols);
   }
   auto block_body = [&](size_t r0, size_t r1) {
-    // All scratch is per-thread: the block's input copy and ping-pong
+    // All scratch is per-thread: the block's input and ping-pong
     // activations live in thread_local matrices, and the kernels' weight-
     // transpose packing uses its own thread_local buffer (bt_scratch
     // nullptr) instead of the shared wt_scratch_.
     thread_local Matrix block_in;
     thread_local Matrix bufs[2];
     const size_t n = r1 - r0;
-    const size_t in_cols = batch.cols();
-    if (block_in.rows() != n || block_in.cols() != in_cols) {
-      block_in = Matrix(n, in_cols);
+    if (block_in.rows() != n || block_in.cols() != input_size()) {
+      block_in = Matrix(n, input_size());
     }
-    for (size_t r = 0; r < n; ++r) {
-      const double* src = batch.Row(r0 + r);
-      std::copy(src, src + in_cols, block_in.Row(r));
-    }
+    fill(r0, r1, &block_in);
     const Matrix* current = &block_in;
     for (size_t l = 0; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];

@@ -2,6 +2,7 @@
 #define CROWDRL_NN_MLP_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "math/backend.h"
@@ -93,6 +94,22 @@ class Mlp {
   /// run concurrently on a pool; `pool == nullptr` runs blocks serially.
   void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
                  math::Backend* backend = nullptr) const;
+
+  /// Writes rows [row_begin, row_end) of a forward's input batch into
+  /// `block`, which is already shaped (row_end - row_begin) x input_size():
+  /// batch row r goes to block row r - row_begin. Runs concurrently on
+  /// disjoint ranges when the forward has a pool.
+  using RowFiller =
+      std::function<void(size_t row_begin, size_t row_end, Matrix* block)>;
+
+  /// InferInto over a `rows`-row batch that is never materialized: each
+  /// row block is filled by `fill` into per-thread scratch just before it
+  /// runs through the layers, so the batch's rows are produced on the
+  /// pool's lanes and only block-sized inputs are ever resident. The
+  /// matrix overload above is this with a filler that copies rows;
+  /// results are bit-identical to it.
+  void InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
+                 Matrix* out, math::Backend* backend = nullptr) const;
 
   /// Stateless forward that starts at layer `first_layer`, treating `acts`
   /// as that layer's input batch (i.e. the previous layer's post-activation

@@ -592,13 +592,18 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
                                              /*use_target=*/false,
                                              /*serving=*/true);
   }
-  Matrix features(pairs.size(), StateFeaturizer::kFeatureDim);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    score_cache_.AssembleRowInto(pairs[i].object, pairs[i].annotator,
-                                 features.Row(i));
-  }
+  // Dense rows are assembled block by block inside the forward, on the Q
+  // pool's lanes (AssembleRowInto only reads the synced cache), so no
+  // pairs x features matrix is ever resident.
+  std::vector<double> q = q_network_.PredictBatchServing(
+      pairs.size(), [&](size_t r0, size_t r1, Matrix* block) {
+        for (size_t i = r0; i < r1; ++i) {
+          score_cache_.AssembleRowInto(pairs[i].object, pairs[i].annotator,
+                                       block->Row(i - r0));
+        }
+      });
   rows_featurized_ += pairs.size();
-  return q_network_.PredictBatchServing(features);
+  return q;
 }
 
 void DqnAgent::NoteScoringBackend() {

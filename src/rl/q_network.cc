@@ -21,6 +21,13 @@ nn::Mlp BuildNet(const QNetworkOptions& options, Rng* rng) {
   return nn::Mlp(sizes, acts, rng);
 }
 
+// Column 0 of a forward's output: one Q value per row.
+std::vector<double> QColumn(const Matrix& out) {
+  std::vector<double> q(out.rows());
+  for (size_t r = 0; r < out.rows(); ++r) q[r] = out.At(r, 0);
+  return q;
+}
+
 }  // namespace
 
 QNetwork::QNetwork(QNetworkOptions options)
@@ -54,9 +61,7 @@ std::vector<double> QNetwork::PredictBatch(const Matrix& features) const {
   // batch x h1 activations, which is memory-bandwidth-bound at scoring
   // batch sizes and defeats row-threading. Bit-identical (see InferInto).
   online_.InferInto(features, pool_.get(), &predict_out_);
-  std::vector<double> q(predict_out_.rows());
-  for (size_t r = 0; r < predict_out_.rows(); ++r) q[r] = predict_out_.At(r, 0);
-  return q;
+  return QColumn(predict_out_);
 }
 
 math::Backend* QNetwork::serving_backend() const {
@@ -68,19 +73,20 @@ std::vector<double> QNetwork::PredictBatchServing(
     const Matrix& features) const {
   online_.InferInto(features, pool_.get(), &predict_out_,
                     serving_backend());
-  std::vector<double> q(predict_out_.rows());
-  for (size_t r = 0; r < predict_out_.rows(); ++r) {
-    q[r] = predict_out_.At(r, 0);
-  }
-  return q;
+  return QColumn(predict_out_);
+}
+
+std::vector<double> QNetwork::PredictBatchServing(
+    size_t rows, const nn::Mlp::RowFiller& fill) const {
+  online_.InferInto(rows, fill, pool_.get(), &predict_out_,
+                    serving_backend());
+  return QColumn(predict_out_);
 }
 
 std::vector<double> QNetwork::TargetPredictBatch(
     const Matrix& features) const {
   target_.InferInto(features, pool_.get(), &predict_out_);
-  std::vector<double> q(predict_out_.rows());
-  for (size_t r = 0; r < predict_out_.rows(); ++r) q[r] = predict_out_.At(r, 0);
-  return q;
+  return QColumn(predict_out_);
 }
 
 double QNetwork::TrainBatch(const std::vector<const Transition*>& batch) {

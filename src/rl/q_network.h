@@ -83,6 +83,13 @@ class QNetwork {
   /// (DqnAgent::Score / ExactQ) call this.
   std::vector<double> PredictBatchServing(const Matrix& features) const;
 
+  /// PredictBatchServing over `rows` feature rows that `fill` writes block
+  /// by block inside the forward (see nn::Mlp::InferInto), on the
+  /// inference pool's lanes when there is one. Bit-identical to the
+  /// matrix overload on the same rows.
+  std::vector<double> PredictBatchServing(
+      size_t rows, const nn::Mlp::RowFiller& fill) const;
+
   /// Target-network Q values for a batch.
   std::vector<double> TargetPredictBatch(const Matrix& features) const;
 

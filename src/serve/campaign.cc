@@ -14,11 +14,6 @@ std::string MetricName(const std::string& campaign, const char* suffix) {
   return "crowdrl.serve." + campaign + "." + suffix;
 }
 
-// Assignment-latency histogram buckets, microseconds.
-const std::vector<double> kLatencyBoundsUs = {
-    50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-    25000.0, 50000.0, 100000.0, 250000.0, 1000000.0};
-
 }  // namespace
 
 Campaign::Campaign(CampaignOptions options, const data::Dataset* dataset,
@@ -48,8 +43,6 @@ Campaign::Campaign(CampaignOptions options, const data::Dataset* dataset,
   metric_connected_ = registry.GetGauge(MetricName(name, "connected"));
   metric_ti_stall_us_ =
       registry.GetGauge(MetricName(name, "ti_stall_us"));
-  metric_latency_us_ = registry.GetHistogram(
-      MetricName(name, "assignment_latency_us"), kLatencyBoundsUs);
   for (size_t s = 0; s < obs::kNumLifecycleStages; ++s) {
     const std::string stage = std::string("lifecycle.") +
         obs::LifecycleStageName(static_cast<obs::LifecycleStage>(s));
@@ -202,8 +195,6 @@ bool Campaign::CommitArrivals() {
     metric_answers_->Inc();
     const uint64_t now = obs::NowNs();
     last_commit_ns_.store(now, std::memory_order_relaxed);
-    metric_latency_us_->Record(
-        static_cast<double>(now - answer.dispatch_ns) / 1000.0);
     if (obs::LifecycleEnabled()) {
       // The first three stage edges resolve here, entirely from stamps
       // the item carried (monotonic clock ⇒ the deltas are well-formed

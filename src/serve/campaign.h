@@ -238,7 +238,6 @@ class Campaign {
   obs::Gauge* metric_inbox_depth_;
   obs::Gauge* metric_connected_;
   obs::Gauge* metric_ti_stall_us_;
-  obs::Histogram* metric_latency_us_;
   /// lifecycle.<stage>.{p50,p90,p99}_us quantile gauges, per stage.
   struct StageGauges {
     obs::Gauge* p50;

@@ -1,9 +1,12 @@
 #include "math/gemm.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "math/backend.h"
 #include "math/matrix.h"
 #include "tests/testing/reference_gemm.h"
 #include "util/random.h"
@@ -23,17 +26,88 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
 }
 
 /// Shapes chosen to hit every tiling edge: scalars, single rows/columns,
-/// sizes below/at/above the 4-row unroll, and sizes that are not multiples
-/// of any tile dimension (tiles are 512/512 for NN, 16/256 for TN).
+/// an empty inner dimension, sizes below/at/above the 4-row register tile,
+/// widths that are not multiples of any vector or tile width (8/32 on
+/// AVX-512, 4/8 on AVX2), depths across the 256-term k panel, and the
+/// portable 16x256 tile. The last rows are the serving shapes: 64-row
+/// chunks and 256-row blocks of every Q-network (12->64->32->1) and
+/// classifier (208->16->2) layer.
 struct Shape {
   size_t m, k, n;
 };
 
 const Shape kOddShapes[] = {
-    {1, 1, 1},   {1, 1, 7},    {1, 9, 1},    {3, 1, 5},
-    {2, 3, 4},   {4, 4, 4},    {5, 5, 5},    {7, 13, 3},
-    {17, 31, 9}, {64, 64, 64}, {65, 33, 67}, {130, 600, 19},
+    {1, 1, 1},    {1, 1, 7},     {1, 9, 1},     {3, 1, 5},     {3, 0, 5},
+    {2, 3, 4},    {4, 4, 4},     {5, 5, 5},     {7, 13, 3},
+    {17, 31, 9},  {64, 64, 64},  {65, 33, 67},  {130, 600, 19},
+    {64, 12, 64}, {64, 64, 32},  {64, 32, 1},   {64, 208, 16},
+    {64, 16, 2},  {256, 12, 64}, {256, 64, 32}, {256, 32, 1},
+    {256, 208, 16}, {256, 16, 2},
 };
+
+/// Every SIMD tier this host can run: each tier up to the active one.
+std::vector<math::SimdTier> SupportedTiers() {
+  std::vector<math::SimdTier> tiers;
+  for (math::SimdTier tier : {math::SimdTier::kPortable,
+                              math::SimdTier::kAvx2,
+                              math::SimdTier::kAvx512}) {
+    if (static_cast<int>(tier) <= static_cast<int>(math::ActiveSimdTier())) {
+      tiers.push_back(tier);
+    }
+  }
+  return tiers;
+}
+
+/// The naive i-k-j product from a +0.0 start without the reference's
+/// zero skip, so 0 * Inf and 0 * NaN terms count like any other.
+Matrix DenseReferenceMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t t = 0; t < a.cols(); ++t) {
+      for (size_t j = 0; j < b.cols(); ++j) {
+        out.At(i, j) += a.At(i, t) * b.At(t, j);
+      }
+    }
+  }
+  return out;
+}
+
+/// Bit equality that lets any NaN match any NaN: which operand's payload
+/// a NaN result carries depends on the instruction's operand order, which
+/// the compiler picks.
+bool BitEqualUpToNanPayload(const Matrix& a, const Matrix& b) {
+  if (!a.SameShape(b)) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double x = a.data()[i];
+    const double y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+/// Fills `m` with values drawn from IEEE edge cases: signed zeros,
+/// subnormals, NaN, both infinities, and ordinary finite values.
+void FillSpecial(Matrix* m, Rng* rng, bool with_non_finite) {
+  const double kSubnormal = std::numeric_limits<double>::denorm_min();
+  const double finite[] = {0.0,         -0.0,        kSubnormal * 3.0,
+                           -kSubnormal, 1e-310,      -2.5e-309,
+                           1.0,         -1.0,        0.375,
+                           1e300,       -1e-300};
+  const double non_finite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double& v : m->data()) {
+    const int pick = rng->UniformInt(16);
+    if (with_non_finite && pick == 15) {
+      v = non_finite[rng->UniformInt(3)];
+    } else if (pick < 11) {
+      v = finite[pick];
+    } else {
+      v = rng->Uniform(-1.0, 1.0);
+    }
+  }
+}
 
 TEST(GemmTest, MatMulIntoMatchesReferenceBitwise) {
   Rng rng(11);
@@ -66,6 +140,63 @@ TEST(GemmTest, MatMulTNMatchesReferenceBitwise) {
     Matrix got = MatMulTN(a, b);
     EXPECT_TRUE(BitEqual(got, ReferenceMatMul(ReferenceTransposed(a), b)))
         << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+TEST(GemmTest, EveryTierMatchesReferenceBitwise) {
+  for (math::SimdTier tier : SupportedTiers()) {
+    Rng rng(21);
+    for (const Shape& s : kOddShapes) {
+      const Matrix a = RandomMatrix(s.m, s.k, &rng);
+      const Matrix b = RandomMatrix(s.k, s.n, &rng);
+      const Matrix bt = RandomMatrix(s.n, s.k, &rng);
+      const Matrix at = RandomMatrix(s.k, s.m, &rng);
+      Matrix nn, nt, tn;
+      MatMulIntoAtTier(tier, a, b, &nn);
+      MatMulNTIntoAtTier(tier, a, bt, &nt);
+      MatMulTNIntoAtTier(tier, at, b, &tn);
+      EXPECT_TRUE(BitEqual(nn, ReferenceMatMul(a, b)))
+          << math::SimdTierName(tier) << " NN " << s.m << "x" << s.k << "x"
+          << s.n;
+      EXPECT_TRUE(BitEqual(nt, ReferenceMatMul(a, ReferenceTransposed(bt))))
+          << math::SimdTierName(tier) << " NT " << s.m << "x" << s.k << "x"
+          << s.n;
+      EXPECT_TRUE(BitEqual(tn, ReferenceMatMul(ReferenceTransposed(at), b)))
+          << math::SimdTierName(tier) << " TN " << s.m << "x" << s.k << "x"
+          << s.n;
+    }
+  }
+}
+
+TEST(GemmTest, EveryTierKeepsSpecialValuesBitwise) {
+  // Signed zeros, subnormals, NaN and infinities in both operands: every
+  // tier must produce the dense reference's bits (NaN payloads aside). The
+  // signed zeros pin the +0.0 accumulator start: an element whose terms
+  // are all -0.0 (and every element of the k = 0 shape) is +0.0 only from
+  // a +0.0 start.
+  for (math::SimdTier tier : SupportedTiers()) {
+    Rng rng(22);
+    for (const Shape& s : kOddShapes) {
+      for (bool non_finite : {false, true}) {
+        Matrix a(s.m, s.k), b(s.k, s.n);
+        FillSpecial(&a, &rng, non_finite);
+        FillSpecial(&b, &rng, non_finite);
+        const Matrix expect = DenseReferenceMatMul(a, b);
+        Matrix nn, nt, tn;
+        MatMulIntoAtTier(tier, a, b, &nn);
+        MatMulNTIntoAtTier(tier, a, ReferenceTransposed(b), &nt);
+        MatMulTNIntoAtTier(tier, ReferenceTransposed(a), b, &tn);
+        EXPECT_TRUE(BitEqualUpToNanPayload(nn, expect))
+            << math::SimdTierName(tier) << " NN " << s.m << "x" << s.k
+            << "x" << s.n << " non_finite=" << non_finite;
+        EXPECT_TRUE(BitEqualUpToNanPayload(nt, expect))
+            << math::SimdTierName(tier) << " NT " << s.m << "x" << s.k
+            << "x" << s.n << " non_finite=" << non_finite;
+        EXPECT_TRUE(BitEqualUpToNanPayload(tn, expect))
+            << math::SimdTierName(tier) << " TN " << s.m << "x" << s.k
+            << "x" << s.n << " non_finite=" << non_finite;
+      }
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
+#include "tests/testing/reference_gemm.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace crowdrl::nn {
 namespace {
@@ -38,6 +40,37 @@ TEST(MlpTest, InferMatchesForward) {
   }
   std::vector<double> single = net.Infer(std::vector<double>{0.1, -0.5, 0.7});
   EXPECT_DOUBLE_EQ(single[0], fwd.At(0, 0));
+}
+
+TEST(MlpTest, FillerFedInferIntoMatchesForwardBitwise) {
+  // The Q network's shape, at a row count that leaves a partial 256-row
+  // block. The filler writes rows straight from the source batch, like the
+  // agent's feature-row assembly does.
+  Rng rng(7);
+  Mlp net({12, 64, 32, 1},
+          {Activation::kRelu, Activation::kRelu, Activation::kIdentity},
+          &rng);
+  Matrix batch(1000, 12);
+  batch.FillUniform(&rng, -1.0, 1.0);
+  const Matrix expect = net.Forward(batch);
+  const Mlp::RowFiller fill = [&batch](size_t r0, size_t r1, Matrix* block) {
+    for (size_t r = r0; r < r1; ++r) {
+      for (size_t c = 0; c < batch.cols(); ++c) {
+        block->At(r - r0, c) = batch.At(r, c);
+      }
+    }
+  };
+  for (size_t lanes : {1, 4}) {
+    ThreadPool pool(lanes);
+    Matrix filled, copied;
+    net.InferInto(batch.rows(), fill, &pool, &filled);
+    net.InferInto(batch, &pool, &copied);
+    EXPECT_TRUE(testing::BitEqual(filled, expect)) << "lanes=" << lanes;
+    EXPECT_TRUE(testing::BitEqual(copied, expect)) << "lanes=" << lanes;
+  }
+  Matrix serial;
+  net.InferInto(batch.rows(), fill, nullptr, &serial);
+  EXPECT_TRUE(testing::BitEqual(serial, expect));
 }
 
 TEST(MlpTest, ParameterCountMatchesViews) {
