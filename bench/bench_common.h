@@ -18,15 +18,15 @@ namespace crowdrl::bench {
 /// call right after writing the opening "{":
 ///   "meta": {"backend": "...", "simd_tier": "...", "threads": N},
 /// Every BENCH_*.json writer emits this so committed results say which
-/// compute backend (math::Backend::Name()), SIMD tier and thread count
-/// produced them. Header-only so binaries that don't link
+/// compute backend (math::ReferenceBackend()->Name()), SIMD tier and
+/// thread count produced them. Header-only so binaries that don't link
 /// crowdrl_bench_common (micro_components) can stamp too.
-inline void WriteBenchMeta(std::FILE* out, int threads,
-                           const char* backend = "reference-cpu") {
+inline void WriteBenchMeta(std::FILE* out, int threads) {
   std::fprintf(out,
                "  \"meta\": {\"backend\": \"%s\", \"simd_tier\": \"%s\", "
                "\"threads\": %d},\n",
-               backend, math::SimdTierName(math::ActiveSimdTier()), threads);
+               math::ReferenceBackend()->Name(),
+               math::SimdTierName(math::ActiveSimdTier()), threads);
 }
 
 /// Command-line knobs shared by all figure benches.

@@ -41,6 +41,7 @@
 #include "inference/majority_vote.h"
 #include "inference/pm.h"
 #include "crowd/answer_log.h"
+#include "math/backend.h"
 #include "math/gemm.h"
 #include "math/vector_ops.h"
 #include "nn/mlp.h"
@@ -558,7 +559,7 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
   std::printf("== kernel report (batch up to %zu, %zux%zux%zu net, "
               "simd tier %s) ==\n",
               max_batch, kFeatureDim, kHiddenDim, kOutDim,
-              gemm::SimdTierName());
+              math::SimdTierName(math::ActiveSimdTier()));
   std::vector<size_t> batches;
   for (size_t b : {size_t{256}, size_t{1024}, max_batch}) {
     if (b <= max_batch &&
@@ -636,7 +637,8 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
                "  \"simd_tier\": \"%s\",\n"
                "  \"dims\": {\"in\": %zu, \"hidden\": %zu, \"out\": %zu},\n"
                "  \"gemm\": [\n",
-               gemm::SimdTierName(), kFeatureDim, kHiddenDim, kOutDim);
+               math::SimdTierName(math::ActiveSimdTier()), kFeatureDim,
+               kHiddenDim, kOutDim);
   for (size_t i = 0; i < rows.size(); ++i) {
     const OpRow& r = rows[i];
     std::fprintf(json,
@@ -1154,7 +1156,8 @@ void WriteScoringReport(size_t objects, const std::string& path) {
                "  \"dims\": {\"objects\": %zu, \"annotators\": %zu, "
                "\"classes\": %d, \"pairs\": %zu, \"feature_dim\": %zu},\n"
                "  \"stages\": [\n",
-               gemm::SimdTierName(), sc.n, sc.m, kClasses, pairs,
+               math::SimdTierName(math::ActiveSimdTier()), sc.n, sc.m,
+               kClasses, pairs,
                static_cast<size_t>(rl::StateFeaturizer::kFeatureDim));
   const size_t num_rows = sizeof(rows) / sizeof(rows[0]);
   for (size_t i = 0; i < num_rows; ++i) {

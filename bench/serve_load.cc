@@ -60,9 +60,6 @@ struct ServeBenchConfig {
   int churn_period_ms = 25;
   int shared_threads = 2;
   size_t objects = 0;  // 0 keeps each dataset variant's own size.
-  /// Serving compute backend for every campaign's selection forwards:
-  /// "reference" or "quantized" (math::BackendKind::kQuantizedInt8).
-  std::string backend = "reference";
   std::string json = "BENCH_serve.json";
   std::string lifecycle_json;  // Empty = no lifecycle report.
   std::string flight_dump;     // Empty = no flight-recorder dump.
@@ -90,8 +87,6 @@ ServeBenchConfig ParseServeArgs(int argc, char** argv) {
       config.shared_threads = std::atoi(v);
     } else if (const char* v = value("--objects=")) {
       config.objects = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--backend=")) {
-      config.backend = v;
     } else if (const char* v = value("--json=")) {
       config.json = v;
     } else if (const char* v = value("--lifecycle_json=")) {
@@ -103,16 +98,13 @@ ServeBenchConfig ParseServeArgs(int argc, char** argv) {
                    "usage: serve_load [--campaigns=N] [--scale=F] "
                    "[--annotators=M] [--mean_latency_us=U] "
                    "[--churn_period_ms=P] [--shared_threads=T] "
-                   "[--objects=N] [--backend=reference|quantized] "
+                   "[--objects=N] "
                    "[--json=PATH] [--lifecycle_json=PATH] "
                    "[--flight_dump=PATH]\n");
       std::exit(2);
     }
   }
   CROWDRL_CHECK(config.campaigns >= 1 && config.annotators >= 2);
-  CROWDRL_CHECK(config.backend == "reference" ||
-                config.backend == "quantized")
-      << "--backend must be reference or quantized";
   return config;
 }
 
@@ -182,10 +174,6 @@ int main(int argc, char** argv) {
     options.config.obs.enabled = true;
     options.config.obs.lifecycle = true;
     options.config.obs.flight_recorder = true;
-    if (serve_config.backend == "quantized") {
-      options.config.agent.inference_backend =
-          crowdrl::math::BackendKind::kQuantizedInt8;
-    }
     Campaign* campaign = service.AddCampaign(
         options, &setup.dataset, &setup.pool, setup.budget,
         bench_config.base_seed + static_cast<uint64_t>(c));
@@ -269,10 +257,7 @@ int main(int argc, char** argv) {
   std::FILE* out = std::fopen(serve_config.json.c_str(), "w");
   CROWDRL_CHECK(out != nullptr) << "cannot open " << serve_config.json;
   std::fprintf(out, "{\n");
-  crowdrl::bench::WriteBenchMeta(
-      out, serve_config.shared_threads,
-      serve_config.backend == "quantized" ? "quantized-int8"
-                                          : "reference-cpu");
+  crowdrl::bench::WriteBenchMeta(out, serve_config.shared_threads);
   std::fprintf(out,
                "  \"config\": {\"campaigns\": %d, \"scale\": %g, "
                "\"annotators\": %d, \"mean_latency_us\": %g, "

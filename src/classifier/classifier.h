@@ -7,10 +7,6 @@
 #include "math/matrix.h"
 #include "util/status.h"
 
-namespace crowdrl::math {
-class Backend;
-}  // namespace crowdrl::math
-
 namespace crowdrl::classifier {
 
 /// \brief Interface of the paper's classifier phi.
@@ -42,15 +38,6 @@ class Classifier {
   virtual int num_classes() const = 0;
   virtual size_t feature_dim() const = 0;
   virtual bool is_trained() const = 0;
-
-  /// Installs a compute backend for the prediction paths (see
-  /// math/backend.h). `nullptr` restores the reference kernels. The
-  /// default implementation ignores it — classifiers without a dense
-  /// inference stack have nothing to route. The pointee must outlive the
-  /// classifier; Clone() copies share it.
-  virtual void set_compute_backend(math::Backend* backend) {
-    (void)backend;
-  }
 
   /// Deep copy (used to snapshot phi across labelling iterations).
   virtual std::unique_ptr<Classifier> Clone() const = 0;

@@ -83,13 +83,7 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
     }
   }
   net_ = std::move(net);
-  net_->set_inference_backend(compute_backend_);
   return Status::Ok();
-}
-
-void MlpClassifier::set_compute_backend(math::Backend* backend) {
-  compute_backend_ = backend;
-  if (net_.has_value()) net_->set_inference_backend(backend);
 }
 
 std::vector<double> MlpClassifier::PredictProbs(
@@ -148,7 +142,6 @@ Status MlpClassifier::LoadState(io::Reader* reader) {
   nn::Mlp net = BuildNetwork(&scratch);
   CROWDRL_RETURN_IF_ERROR(net.LoadState(reader));
   net_ = std::move(net);
-  net_->set_inference_backend(compute_backend_);
   return Status::Ok();
 }
 

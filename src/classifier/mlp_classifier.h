@@ -50,12 +50,6 @@ class MlpClassifier : public Classifier {
 
   std::unique_ptr<Classifier> Clone() const override;
 
-  /// Routes prediction (PredictProbs / PredictProbsBatch) through
-  /// `backend`; re-applied to the freshly trained/restored network after
-  /// every Train() and LoadState(). Training itself always runs the
-  /// reference kernels (see nn::Mlp).
-  void set_compute_backend(math::Backend* backend) override;
-
   /// Checkpointable surface: feature_dim / num_classes (validated on
   /// restore — InvalidArgument on mismatch), the retrain counter (each
   /// Train() derives its init seed from it, so resumed retrains stay on
@@ -72,9 +66,6 @@ class MlpClassifier : public Classifier {
   MlpClassifierOptions options_;
   std::optional<nn::Mlp> net_;
   size_t retrain_count_ = 0;
-  /// Inference backend for the prediction paths; nullptr = reference.
-  /// Copied by Clone (clones share the externally owned backend).
-  math::Backend* compute_backend_ = nullptr;
 };
 
 /// Multinomial logistic regression: an MlpClassifier with no hidden layers.

@@ -128,9 +128,6 @@ Status JointInference::Infer(const InferenceInput& input,
   CROWDRL_TRACE_SPAN("joint.infer");
   CROWDRL_RETURN_IF_ERROR(ValidateInput(input));
   CROWDRL_RETURN_IF_ERROR(RequireClassifierInputs(input));
-  if (options_.compute_backend != nullptr) {
-    input.classifier->set_compute_backend(options_.compute_backend);
-  }
 
   size_t n = input.objects.size();
   size_t c = static_cast<size_t>(input.num_classes);

@@ -7,10 +7,6 @@
 #include "inference/truth_inference.h"
 #include "util/thread_pool.h"
 
-namespace crowdrl::math {
-class Backend;
-}  // namespace crowdrl::math
-
 namespace crowdrl::inference {
 
 /// Options for JointInference.
@@ -48,12 +44,6 @@ struct JointInferenceOptions {
   /// log-likelihood terms are reduced serially in object order, so results
   /// are bit-identical at every thread count.
   int threads = 1;
-  /// Compute backend installed on the input classifier's prediction paths
-  /// (see math/backend.h) before the EM loop runs. nullptr leaves the
-  /// classifier's own backend untouched (reference by default). The
-  /// pointee must outlive the inference call; classifier training always
-  /// runs the reference kernels regardless.
-  math::Backend* compute_backend = nullptr;
 };
 
 /// \brief CrowdRL's joint truth-inference model (Section V, Fig. 3b).

@@ -1,254 +1,37 @@
 #ifndef CROWDRL_MATH_BACKEND_H_
 #define CROWDRL_MATH_BACKEND_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
-#include "math/gemm.h"
-#include "math/matrix.h"
-#include "util/thread_pool.h"
-
 namespace crowdrl::math {
 
-/// \brief Pluggable compute backend for the NN inference stack.
+/// \brief Identity of the process's compute path, for report stamps.
 ///
-/// The math layer's kernels (gemm.h) guarantee bit-identical results across
-/// SIMD tiers and thread counts — that contract is what training,
-/// checkpointing, and the serve bridge's determinism argument rest on. A
-/// `Backend` wraps those ops behind one interface so *inference-only*
-/// consumers (Mlp::Infer*, QNetwork serving forwards, MlpClassifier
-/// prediction) can swap in cheaper, error-bounded implementations without
-/// touching the training path:
-///
-///   * `CpuBackend` (the default, also reachable via `ReferenceBackend()`)
-///     delegates every op to the gemm kernels verbatim — bit-identical to
-///     calling them directly, pinned by tests/testing/reference_gemm.h and
-///     the mlp_golden tests.
-///   * `QuantizedCpuBackend` serves `LinearNT` from int8-quantized weights
-///     (per-output-channel scales, fp32 accumulate) with an accuracy guard
-///     and automatic permanent fallback to the reference kernels.
-///
-/// Training (`Mlp::Forward/Backward`, optimizer steps, target-network
-/// bootstrap forwards) never routes through a Backend — it calls the gemm
-/// kernels directly, so every determinism and checkpoint guarantee is
-/// independent of backend selection.
+/// Every forward — training, the Q network's selection scoring and the
+/// classifier's prediction — calls the gemm kernels (math/gemm.h)
+/// directly, so there is one implementation to name: the SIMD tier its
+/// kernels were dispatched at and the "reference-cpu" backend. Benchmark
+/// reports record both so their numbers stay comparable across machines.
 
 /// SIMD ISA tier the process runs its dispatched kernels at.
 enum class SimdTier { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// The tier for this process, probed exactly once (first call, via cpuid)
-/// and cached. gemm.cc's kernel selection and every Backend report this
-/// same value, so there is one probe per process instead of one per
-/// dispatch site.
+/// and cached. gemm.cc selects its kernels from this same value, so the
+/// tier a report names is the tier that ran.
 SimdTier ActiveSimdTier();
 
 /// "portable", "avx2", or "avx512".
 const char* SimdTierName(SimdTier tier);
 
-/// Backend selector carried through options structs (DqnAgentOptions,
-/// QNetworkOptions) so campaigns can pick a serving backend per config.
-enum class BackendKind { kReference = 0, kQuantizedInt8 = 1 };
-
-const char* BackendKindName(BackendKind kind);
-
-/// Identity of a weight matrix across calls, for backends that cache a
-/// packed/quantized form. `owner` + `slot` name the weight (e.g. an Mlp
-/// instance and a layer index); `version` changes whenever the values may
-/// have changed. Versions are drawn from a process-wide monotone counter
-/// (NextWeightVersion), so a (owner, slot, version) triple never refers to
-/// two different value sets even if an owner address is reused.
-struct WeightTag {
-  const void* owner = nullptr;
-  uint32_t slot = 0;
-  uint64_t version = 0;
+/// The single CPU implementation behind every forward.
+struct ReferenceCpuBackend {
+  const char* Name() const { return "reference-cpu"; }
 };
 
-/// Process-wide monotone weight-version source (never returns 0).
-uint64_t NextWeightVersion();
-
-class Backend {
- public:
-  virtual ~Backend() = default;
-
-  /// Stable identifier, e.g. "reference-cpu", "quantized-int8".
-  virtual const char* Name() const = 0;
-
-  /// The process-wide SIMD tier (all CPU backends share the one probe).
-  math::SimdTier SimdTier() const { return ActiveSimdTier(); }
-  const char* SimdTierName() const {
-    return math::SimdTierName(ActiveSimdTier());
-  }
-
-  /// True when every op is bit-identical to the reference gemm kernels.
-  virtual bool BitIdentical() const = 0;
-
-  /// True once an error-bounded backend's accuracy guard has tripped and it
-  /// permanently serves from the reference kernels instead.
-  virtual bool FellBack() const { return false; }
-
-  /// Token that changes iff the numeric behaviour of this backend's
-  /// LinearNT changes — distinct across backend kinds and across a
-  /// fallback flip. Scoring caches treat a token change as a drift event
-  /// (ScoreCache::NoteScoringBackendSwitch) so stale bounds computed under
-  /// one numeric regime never gate selections scored under another.
-  virtual uint64_t NumericsToken() const;
-
-  /// Dense ops with reference-kernel semantics (see gemm.h for contracts).
-  /// Defaults delegate to the gemm kernels; backends override only what
-  /// they can serve differently.
-  virtual void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
-                          ThreadPool* pool = nullptr) const;
-  virtual void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
-                            ThreadPool* pool = nullptr,
-                            const gemm::RowEpilogue& epilogue = nullptr,
-                            Matrix* bt_scratch = nullptr) const;
-  virtual void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
-                            ThreadPool* pool = nullptr) const;
-
-  /// y += alpha * x over n elements.
-  virtual void Axpy(double alpha, const double* x, double* y,
-                    size_t n) const;
-  virtual double Dot(const double* x, const double* y, size_t n) const;
-  virtual double MaxAbsDiff(const double* x, const double* y,
-                            size_t n) const;
-
-  /// The serving linear layer: out = acts · weightᵀ (acts: m x k, weight:
-  /// n x k), then `epilogue` over completed row ranges (the MLP fuses
-  /// bias + activation through it). `tag` identifies the weight matrix so
-  /// quantizing backends can pack once per params version. Must be safe to
-  /// call concurrently (the MLP's blocked inference path invokes it from
-  /// pool lanes).
-  virtual void LinearNT(const Matrix& acts, const Matrix& weight,
-                        const WeightTag& tag, Matrix* out, ThreadPool* pool,
-                        const gemm::RowEpilogue& epilogue,
-                        Matrix* bt_scratch) = 0;
-};
-
-/// The reference backend: every op delegates to the gemm kernels, so
-/// results are bit-identical to pre-backend code by construction.
-class CpuBackend : public Backend {
- public:
-  const char* Name() const override { return "reference-cpu"; }
-  bool BitIdentical() const override { return true; }
-  void LinearNT(const Matrix& acts, const Matrix& weight,
-                const WeightTag& tag, Matrix* out, ThreadPool* pool,
-                const gemm::RowEpilogue& epilogue,
-                Matrix* bt_scratch) override;
-};
-
-struct QuantizedBackendOptions {
-  /// Every guard_period-th LinearNT recomputes the product with the
-  /// reference kernels and checks the quantized result element-wise
-  /// against ElementErrorBound. 0 disables the guard.
-  uint64_t guard_period = 64;
-  /// Multiplier on the analytic bound before the guard trips — headroom
-  /// for float accumulation rounding on top of the int8 rounding term.
-  double guard_slack = 2.0;
-  /// Absolute floor added to the bound (covers all-zero activation rows).
-  double guard_abs_floor = 1e-9;
-};
-
-/// Int8 weight-only quantization for serving inference.
-///
-/// Weights are packed once per (owner, slot, version): per-output-channel
-/// scale s_j = maxabs(row_j) / 127, stored transposed (k-major) so the
-/// inner loop runs over independent output channels and vectorizes without
-/// reassociating any per-element sum. Activations are converted to float
-/// per row; accumulation is fp32; the result is s_j * acc in double. This
-/// path is error-bounded, NOT bit-identical: per element
-///
-///   |out - ref| <= ElementErrorBound(s_j, ||acts_row||_1)
-///                = 0.51 * s_j * ||acts_row||_1  (x guard_slack, + floor)
-///
-/// where 0.5 is the int8 rounding half-step and the extra 0.01 absorbs
-/// double->float conversion of activations. Float accumulation rounding is
-/// orders of magnitude below that and is covered by guard_slack. If a
-/// guarded call ever exceeds the bound, the backend permanently falls back
-/// to the reference kernels (FellBack() flips, NumericsToken() changes, and
-/// the offending call already returns reference results).
-class QuantizedCpuBackend : public Backend {
- public:
-  explicit QuantizedCpuBackend(QuantizedBackendOptions options = {});
-
-  const char* Name() const override { return "quantized-int8"; }
-  bool BitIdentical() const override { return false; }
-  bool FellBack() const override {
-    return fell_back_.load(std::memory_order_acquire);
-  }
-
-  void LinearNT(const Matrix& acts, const Matrix& weight,
-                const WeightTag& tag, Matrix* out, ThreadPool* pool,
-                const gemm::RowEpilogue& epilogue,
-                Matrix* bt_scratch) override;
-
-  /// The documented per-element accuracy bound (pre-slack it is
-  /// 0.51 * scale * acts_l1; the guard compares against
-  /// guard_slack * that + guard_abs_floor).
-  static double ElementErrorBound(double scale, double acts_l1,
-                                  const QuantizedBackendOptions& options);
-
-  struct Stats {
-    uint64_t forwards = 0;        ///< LinearNT calls served quantized.
-    uint64_t quantizations = 0;   ///< weight packs (cache misses).
-    uint64_t guard_checks = 0;    ///< guarded calls verified vs reference.
-    uint64_t fallbacks = 0;       ///< guard violations (0 or 1).
-    double last_guard_max_abs_error = 0.0;
-    double last_guard_bound = 0.0;
-  };
-  Stats stats() const;
-
-  /// Bytes held by the quantized weight cache (int8 payload + scales) —
-  /// the serving-side weight footprint reported by BENCH_backend.json.
-  size_t CachedWeightBytes() const;
-
-  /// Test hook: corrupts the next weight pack so the accuracy guard must
-  /// trip on the next guarded call.
-  void PoisonForTest();
-
- private:
-  struct PackedWeights {
-    size_t out_dim = 0;            // weight rows (output channels)
-    size_t k = 0;                  // weight cols
-    uint64_t version = 0;
-    std::vector<int8_t> qt;        // k x out_dim, k-major (transposed)
-    std::vector<float> scale;      // out_dim per-channel scales
-  };
-
-  std::shared_ptr<const PackedWeights> GetOrQuantize(const Matrix& weight,
-                                                     const WeightTag& tag);
-  void ReferenceLinearNT(const Matrix& acts, const Matrix& weight,
-                         Matrix* out, ThreadPool* pool,
-                         const gemm::RowEpilogue& epilogue,
-                         Matrix* bt_scratch) const;
-
-  QuantizedBackendOptions options_;
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const PackedWeights>> cache_;
-  double last_guard_max_abs_error_ = 0.0;  // guarded by mu_
-  double last_guard_bound_ = 0.0;          // guarded by mu_
-  std::atomic<bool> fell_back_{false};
-  std::atomic<bool> poison_{false};
-  std::atomic<uint64_t> forwards_{0};
-  std::atomic<uint64_t> quantizations_{0};
-  std::atomic<uint64_t> guard_checks_{0};
-  std::atomic<uint64_t> fallbacks_{0};
-};
-
-/// Shared process-wide reference backend (never null, never deleted).
-Backend* ReferenceBackend();
-
-/// Factory for the registered backend kinds. kReference returns a fresh
-/// CpuBackend (stateless; ReferenceBackend() is usually what you want).
-std::unique_ptr<Backend> CreateBackend(
-    BackendKind kind, QuantizedBackendOptions quantized_options = {});
-
-/// Every kind CreateBackend accepts — the conformance tests iterate this.
-const std::vector<BackendKind>& RegisteredBackendKinds();
+/// The process-wide instance (never null).
+inline const ReferenceCpuBackend* ReferenceBackend() {
+  static constexpr ReferenceCpuBackend kBackend;
+  return &kBackend;
+}
 
 }  // namespace crowdrl::math
 

@@ -340,9 +340,19 @@ CROWDRL_TARGET_AVX512 void ProductRowsAvx512(const double* a, size_t a_rs,
 #undef CROWDRL_TARGET_AVX512
 #endif  // x86-64 GCC
 
-// The kernel of `tier`. backend.cc compiles its tier probe under the
-// identical cpp guard, so math::ActiveSimdTier() only returns a tier whose
-// kernel exists here; on other builds every tier maps to the portable one.
+// The host's best tier among those compiled above: the probe sits under
+// the same cpp guard as the tiered kernels, so a tier is only ever
+// reported if its kernel exists.
+math::SimdTier DetectSimdTier() {
+#ifdef CROWDRL_GEMM_X86_DISPATCH
+  if (__builtin_cpu_supports("avx512f")) return math::SimdTier::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return math::SimdTier::kAvx2;
+#endif
+  return math::SimdTier::kPortable;
+}
+
+// The kernel of `tier`; on builds without the x86 tiers every tier maps to
+// the portable one.
 ProductRowsFn KernelFor(math::SimdTier tier) {
 #ifdef CROWDRL_GEMM_X86_DISPATCH
   switch (tier) {
@@ -359,10 +369,9 @@ ProductRowsFn KernelFor(math::SimdTier tier) {
   return ProductRowsPortable;
 }
 
-// Tier selection consumes the process-wide cached probe in backend.cc
-// (math::ActiveSimdTier) instead of re-running cpuid checks here, so every
-// dispatch site — gemm, the quantized backend, bench metadata — reports
-// the same tier from one probe.
+// Tier selection consumes the process-wide cached probe
+// (math::ActiveSimdTier), so the kernels and every report stamp name the
+// same tier.
 ProductRowsFn ActiveKernel() {
   static const ProductRowsFn kernel = KernelFor(math::ActiveSimdTier());
   return kernel;
@@ -531,8 +540,25 @@ void MatMulTNIntoAtTier(math::SimdTier tier, const Matrix& a,
   MatMulTN(CheckedKernelFor(tier), a, b, out, nullptr);
 }
 
-const char* SimdTierName() {
-  return math::SimdTierName(math::ActiveSimdTier());
+}  // namespace crowdrl::gemm
+
+namespace crowdrl::math {
+
+SimdTier ActiveSimdTier() {
+  static const SimdTier tier = gemm::DetectSimdTier();
+  return tier;
 }
 
-}  // namespace crowdrl::gemm
+const char* SimdTierName(SimdTier tier) {
+  switch (tier) {
+    case SimdTier::kAvx512:
+      return "avx512";
+    case SimdTier::kAvx2:
+      return "avx2";
+    case SimdTier::kPortable:
+      break;
+  }
+  return "portable";
+}
+
+}  // namespace crowdrl::math

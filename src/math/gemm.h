@@ -109,11 +109,6 @@ void MatMulNTIntoAtTier(math::SimdTier tier, const Matrix& a,
 void MatMulTNIntoAtTier(math::SimdTier tier, const Matrix& a,
                         const Matrix& b, Matrix* out);
 
-/// Name of the SIMD tier selected at runtime: "avx512", "avx2", or
-/// "portable". Recorded in BENCH_kernels.json so perf baselines are
-/// comparable across machines.
-const char* SimdTierName();
-
 }  // namespace crowdrl::gemm
 
 #endif  // CROWDRL_MATH_GEMM_H_

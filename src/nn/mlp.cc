@@ -34,7 +34,7 @@ constexpr size_t kInferBlockRows = 256;
 
 Mlp::Mlp(const std::vector<size_t>& sizes,
          const std::vector<Activation>& activations, Rng* rng)
-    : sizes_(sizes), params_version_(math::NextWeightVersion()) {
+    : sizes_(sizes) {
   CROWDRL_CHECK(sizes.size() >= 2) << "need at least input and output sizes";
   CROWDRL_CHECK(activations.size() == sizes.size() - 1);
   CROWDRL_CHECK(rng != nullptr);
@@ -77,20 +77,13 @@ const Matrix& Mlp::Infer(const Matrix& batch) const {
 }
 
 const Matrix& Mlp::Infer(const Matrix& batch, ThreadPool* pool) const {
-  return InferFrom(0, batch, pool);
-}
-
-const Matrix& Mlp::InferFrom(size_t first_layer, const Matrix& acts,
-                             ThreadPool* pool) const {
-  CROWDRL_CHECK(first_layer < layers_.size());
-  CROWDRL_CHECK(acts.cols() == sizes_[first_layer]);
-  math::Backend* backend = inference_backend();
-  const Matrix* current = &acts;
-  for (size_t l = first_layer; l < layers_.size(); ++l) {
+  CROWDRL_CHECK(batch.cols() == input_size());
+  const Matrix* current = &batch;
+  for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &infer_buf_[l % 2];
-    backend->LinearNT(
-        *current, layer.weight, LayerTag(l), out, pool,
+    gemm::MatMulNTInto(
+        *current, layer.weight, out, pool,
         BiasActivationEpilogue(layer.bias, layer.activation, out),
         &wt_scratch_[l]);
     current = out;
@@ -98,8 +91,8 @@ const Matrix& Mlp::InferFrom(size_t first_layer, const Matrix& acts,
   return *current;
 }
 
-void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
-                    math::Backend* backend) const {
+void Mlp::InferInto(const Matrix& batch, ThreadPool* pool,
+                    Matrix* out) const {
   CROWDRL_CHECK(batch.cols() == input_size());
   CROWDRL_DCHECK(out != &batch);
   const size_t in_cols = batch.cols();
@@ -111,13 +104,14 @@ void Mlp::InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
           std::copy(src, src + in_cols, block->Row(r - r0));
         }
       },
-      pool, out, backend);
+      pool, out);
 }
 
 void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
-                    Matrix* out, math::Backend* backend) const {
+                    Matrix* out, size_t first_layer) const {
   CROWDRL_CHECK(out != nullptr);
-  math::Backend* be = backend != nullptr ? backend : inference_backend();
+  CROWDRL_CHECK(first_layer <= layers_.size());
+  const size_t in_cols = sizes_[first_layer];
   const size_t out_cols = output_size();
   if (out->rows() != rows || out->cols() != out_cols) {
     *out = Matrix(rows, out_cols);
@@ -130,17 +124,17 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
     thread_local Matrix block_in;
     thread_local Matrix bufs[2];
     const size_t n = r1 - r0;
-    if (block_in.rows() != n || block_in.cols() != input_size()) {
-      block_in = Matrix(n, input_size());
+    if (block_in.rows() != n || block_in.cols() != in_cols) {
+      block_in = Matrix(n, in_cols);
     }
     fill(r0, r1, &block_in);
     const Matrix* current = &block_in;
-    for (size_t l = 0; l < layers_.size(); ++l) {
+    for (size_t l = first_layer; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
       Matrix* o = &bufs[l % 2];
-      be->LinearNT(*current, layer.weight, LayerTag(l), o, nullptr,
-                   BiasActivationEpilogue(layer.bias, layer.activation, o),
-                   nullptr);
+      gemm::MatMulNTInto(
+          *current, layer.weight, o, nullptr,
+          BiasActivationEpilogue(layer.bias, layer.activation, o), nullptr);
       current = o;
     }
     for (size_t r = 0; r < n; ++r) {
@@ -160,9 +154,7 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
 std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   CROWDRL_CHECK(input.size() == input_size());
   // Function-local buffers only (the kernel's transpose scratch is
-  // per-thread and the backends are internally synchronized), keeping this
-  // overload safe for concurrent callers.
-  math::Backend* backend = inference_backend();
+  // per-thread), keeping this overload safe for concurrent callers.
   Matrix bufs[2];
   Matrix batch(1, input.size());
   batch.SetRow(0, input);
@@ -170,8 +162,8 @@ std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &bufs[l % 2];
-    backend->LinearNT(
-        *current, layer.weight, LayerTag(l), out, nullptr,
+    gemm::MatMulNTInto(
+        *current, layer.weight, out, nullptr,
         BiasActivationEpilogue(layer.bias, layer.activation, out), nullptr);
     current = out;
   }
@@ -221,11 +213,6 @@ void Mlp::ZeroGrad() {
 }
 
 std::vector<ParamView> Mlp::ParamViews() {
-  // Callers take mutable pointers (optimizers mutate in place), so the
-  // parameter identity must be assumed changed. Over-counting is harmless
-  // (a quantizing backend re-packs once); missing a mutation would serve
-  // stale quantized weights.
-  params_version_ = math::NextWeightVersion();
   std::vector<ParamView> views;
   views.reserve(layers_.size() * 2);
   for (Layer& layer : layers_) {
@@ -259,7 +246,6 @@ std::vector<double> Mlp::FlatParameters() const {
 
 void Mlp::SetFlatParameters(const std::vector<double>& flat) {
   CROWDRL_CHECK(flat.size() == ParameterCount());
-  params_version_ = math::NextWeightVersion();
   size_t offset = 0;
   for (Layer& layer : layers_) {
     for (double& w : layer.weight.data()) w = flat[offset++];
@@ -309,7 +295,6 @@ Status Mlp::LoadState(io::Reader* reader) {
     layer.bias = std::move(bias);
   }
   forward_input_ = nullptr;
-  params_version_ = math::NextWeightVersion();
   ZeroGrad();
   return Status::Ok();
 }
@@ -317,7 +302,6 @@ Status Mlp::LoadState(io::Reader* reader) {
 void Mlp::BlendFrom(const Mlp& other, double tau) {
   CROWDRL_CHECK(sizes_ == other.sizes_);
   CROWDRL_CHECK(tau >= 0.0 && tau <= 1.0);
-  params_version_ = math::NextWeightVersion();
   for (size_t l = 0; l < layers_.size(); ++l) {
     Layer& mine = layers_[l];
     const Layer& theirs = other.layers_[l];

@@ -5,7 +5,6 @@
 #include <functional>
 #include <vector>
 
-#include "math/backend.h"
 #include "math/matrix.h"
 #include "nn/activation.h"
 #include "util/random.h"
@@ -32,18 +31,9 @@ struct ParamView {
 /// calls perform no allocations and never materialize `Transposed()`
 /// weights. Results are bit-identical to the historical naive-loop
 /// implementation (see the accumulation-order guarantee in gemm.h), at any
-/// thread count.
-///
-/// **Compute backends.** The stateless inference paths (`Infer`,
-/// `InferFrom`, `InferInto`) route their linear layers through a
-/// `math::Backend` — the member backend set via `set_inference_backend`
-/// (or a per-call override on `InferInto`). The default is the reference
-/// CPU backend, whose `LinearNT` is the exact gemm call these paths made
-/// historically, so results stay bit-identical unless a non-reference
-/// backend is installed deliberately. `Forward`/`Backward` (training)
-/// always call the reference kernels directly and ignore the backend:
-/// training numerics, checkpoints, and the determinism property tests
-/// never depend on backend selection.
+/// thread count. Training and the stateless inference paths run the same
+/// `gemm::MatMulNTInto` per linear layer, so a forward never depends on
+/// which entry point produced it.
 class Mlp {
  public:
   /// `sizes` lists layer widths, input first: {in, h1, ..., out}.
@@ -92,13 +82,13 @@ class Mlp {
   /// ascending, see gemm.h), so results are bit-identical to Infer at any
   /// thread count and any block size. All scratch is per-thread, so blocks
   /// run concurrently on a pool; `pool == nullptr` runs blocks serially.
-  void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out,
-                 math::Backend* backend = nullptr) const;
+  void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out) const;
 
   /// Writes rows [row_begin, row_end) of a forward's input batch into
-  /// `block`, which is already shaped (row_end - row_begin) x input_size():
-  /// batch row r goes to block row r - row_begin. Runs concurrently on
-  /// disjoint ranges when the forward has a pool.
+  /// `block`, which is already shaped (row_end - row_begin) x the input
+  /// width of the forward's first layer: batch row r goes to block row
+  /// r - row_begin. Runs concurrently on disjoint ranges when the forward
+  /// has a pool.
   using RowFiller =
       std::function<void(size_t row_begin, size_t row_end, Matrix* block)>;
 
@@ -106,19 +96,14 @@ class Mlp {
   /// row block is filled by `fill` into per-thread scratch just before it
   /// runs through the layers, so the batch's rows are produced on the
   /// pool's lanes and only block-sized inputs are ever resident. The
-  /// matrix overload above is this with a filler that copies rows;
-  /// results are bit-identical to it.
+  /// forward starts at layer `first_layer` and `fill` writes that layer's
+  /// input, i.e. the previous layer's post-activation output; callers that
+  /// compute the earlier layers themselves (QNetwork's factorized head
+  /// assembles layer 0 from cached partial products) resume after them.
+  /// The matrix overload above is this with first_layer 0 and a filler
+  /// that copies rows; results are bit-identical to it.
   void InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
-                 Matrix* out, math::Backend* backend = nullptr) const;
-
-  /// Stateless forward that starts at layer `first_layer`, treating `acts`
-  /// as that layer's input batch (i.e. the previous layer's post-activation
-  /// output). InferFrom(0, batch, pool) is exactly Infer(batch, pool) — the
-  /// batched Infer overloads delegate here. Callers that compute the first
-  /// layer themselves (QNetwork's factorized head) resume with
-  /// first_layer = 1.
-  const Matrix& InferFrom(size_t first_layer, const Matrix& acts,
-                          ThreadPool* pool = nullptr) const;
+                 Matrix* out, size_t first_layer = 0) const;
 
   /// Read-only parameter access for layer `l`, for callers that compute a
   /// layer's product from factorized inputs (QNetwork's factorized head).
@@ -161,24 +146,6 @@ class Mlp {
   /// Requires identical architecture.
   void BlendFrom(const Mlp& other, double tau);
 
-  /// Installs the compute backend consumed by the inference paths.
-  /// `nullptr` (the default) means the reference CPU backend. The pointee
-  /// must outlive this network (backends are owned by their configurer —
-  /// QNetwork, MlpClassifier — not by the Mlp).
-  void set_inference_backend(math::Backend* backend) { backend_ = backend; }
-
-  /// The backend inference currently routes through; never null.
-  math::Backend* inference_backend() const {
-    return backend_ != nullptr ? backend_ : math::ReferenceBackend();
-  }
-
-  /// Monotone identity of the current parameter values, drawn from the
-  /// process-wide math::NextWeightVersion() counter on construction and on
-  /// every mutation path (optimizer access via ParamViews,
-  /// SetFlatParameters, BlendFrom, LoadState). Quantizing backends key
-  /// their pack-once weight caches on it.
-  uint64_t params_version() const { return params_version_; }
-
   /// Checkpointable surface: architecture (validated on load — the
   /// restored-into network must have been built with the same layer
   /// sizes and activations) plus every weight and bias, bit-exact.
@@ -200,17 +167,8 @@ class Mlp {
     Matrix dw_scratch;    // grad^T * input, staged before one Add
   };
 
-  /// Tag for layer `l`'s weight matrix under the current params version.
-  math::WeightTag LayerTag(size_t l) const {
-    return {this, static_cast<uint32_t>(l), params_version_};
-  }
-
   std::vector<size_t> sizes_;
   std::vector<Layer> layers_;
-  // Inference backend; nullptr = reference. Deliberately NOT checkpointed
-  // (backend selection is a runtime serving decision, not model state).
-  math::Backend* backend_ = nullptr;
-  uint64_t params_version_ = 0;
   // Batch passed to the latest Forward; layer 0's backward input. Cleared
   // by LoadState.
   const Matrix* forward_input_ = nullptr;

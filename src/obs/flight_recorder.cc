@@ -23,7 +23,6 @@ const char* FlightEventTypeName(uint16_t type) {
     case FlightEventType::kDrain: return "drain";
     case FlightEventType::kCheckpoint: return "checkpoint";
     case FlightEventType::kGateFallback: return "gate_fallback";
-    case FlightEventType::kBackendFallback: return "backend_fallback";
     case FlightEventType::kWatchdogFiring: return "watchdog_firing";
     case FlightEventType::kWatchdogCleared: return "watchdog_cleared";
     case FlightEventType::kServiceShutdown: return "service_shutdown";

@@ -17,11 +17,11 @@
 /// The recorder answers "what was the service doing just before it
 /// died?". Every structurally interesting transition (session connect /
 /// disconnect, abandoned work, TI snapshot / swap, drain, checkpoint,
-/// exactness-gate fallback, compute-backend fallback, watchdog verdicts,
-/// campaign lifecycle, fatal signals) appends one 32-byte event. The ring
-/// is preallocated at Configure() time and never grows, so appending is
-/// wait-free (one fetch_add + five plain stores + one release store) and
-/// safe from any thread, including a fatal-signal handler.
+/// exactness-gate fallback, watchdog verdicts, campaign lifecycle, fatal
+/// signals) appends one 32-byte event. The ring is preallocated at
+/// Configure() time and never grows, so appending is wait-free (one
+/// fetch_add + five plain stores + one release store) and safe from any
+/// thread, including a fatal-signal handler.
 ///
 /// Crash safety: events are self-validating. A writer claims a slot with
 /// a fetch_add on the global index and publishes it by storing the
@@ -73,7 +73,7 @@ enum class FlightEventType : uint16_t {
   kDrain = 9,
   kCheckpoint = 10,        ///< a = iteration.
   kGateFallback = 11,      ///< a = cumulative gate fallbacks.
-  kBackendFallback = 12,   ///< Backend switch/fallback drift event.
+  // 12 is retired (it named a compute-backend fallback); never reuse it.
   kWatchdogFiring = 13,    ///< a = rule ordinal, b = value bits (double).
   kWatchdogCleared = 14,   ///< a = rule ordinal, b = value bits (double).
   kServiceShutdown = 15,

@@ -303,16 +303,7 @@ GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
 
 DqnAgent::DqnAgent(DqnAgentOptions options)
     : options_(options),
-      q_network_([&options] {
-        QNetworkOptions q = options.q;
-        // Agent-level backend selection flows into the network's serving
-        // forwards; an explicit q.inference_backend is respected when the
-        // agent-level field is left at the reference default.
-        if (options.inference_backend != math::BackendKind::kReference) {
-          q.inference_backend = options.inference_backend;
-        }
-        return q;
-      }()),
+      q_network_(options.q),
       replay_(options.replay_capacity),
       rng_(options.seed),
       epsilon_(options.epsilon) {
@@ -331,7 +322,6 @@ DqnAgent::DqnAgent(DqnAgentOptions options)
   } else if (options.threads > 1) {
     pool_ = std::make_shared<ThreadPool>(options.threads);
   }
-  scoring_numerics_token_ = q_network_.serving_numerics_token();
 }
 
 void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
@@ -487,9 +477,8 @@ ScoredCandidates DqnAgent::Score(
     CROWDRL_TRACE_SPAN("agent.q_forward");
     out.scores = UseFactorizedHead()
                      ? q_network_.PredictBatchFactorized(
-                           CacheBlocks(), out.actions, /*use_target=*/false,
-                           /*serving=*/true)
-                     : q_network_.PredictBatchServing(out.features);
+                           CacheBlocks(), out.actions, /*use_target=*/false)
+                     : q_network_.PredictBatch(out.features);
     if (options_.exploration == ExplorationMode::kUcb) {
       double log_term =
           2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
@@ -589,13 +578,12 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
   CROWDRL_TRACE_SPAN("agent.q_forward");
   if (UseFactorizedHead()) {
     return q_network_.PredictBatchFactorized(CacheBlocks(), pairs,
-                                             /*use_target=*/false,
-                                             /*serving=*/true);
+                                             /*use_target=*/false);
   }
   // Dense rows are assembled block by block inside the forward, on the Q
   // pool's lanes (AssembleRowInto only reads the synced cache), so no
   // pairs x features matrix is ever resident.
-  std::vector<double> q = q_network_.PredictBatchServing(
+  std::vector<double> q = q_network_.PredictBatch(
       pairs.size(), [&](size_t r0, size_t r1, Matrix* block) {
         for (size_t i = r0; i < r1; ++i) {
           score_cache_.AssembleRowInto(pairs[i].object, pairs[i].annotator,
@@ -604,14 +592,6 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
       });
   rows_featurized_ += pairs.size();
   return q;
-}
-
-void DqnAgent::NoteScoringBackend() {
-  const uint64_t token = q_network_.serving_numerics_token();
-  if (token != scoring_numerics_token_) {
-    scoring_numerics_token_ = token;
-    score_cache_.NoteScoringBackendSwitch();
-  }
 }
 
 std::vector<Assignment> DqnAgent::SelectGated(
@@ -623,7 +603,6 @@ std::vector<Assignment> DqnAgent::SelectGated(
   CheckViewMatchesEpisode(view);
   CROWDRL_CHECK(view.labelled != nullptr);
   CROWDRL_CHECK(annotator_affordable.size() == episode_annotators_);
-  NoteScoringBackend();
   {
     CROWDRL_TRACE_SPAN("scorecache.sync");
     score_cache_.Sync(view);

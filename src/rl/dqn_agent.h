@@ -102,16 +102,6 @@ struct DqnAgentOptions {
   /// Objects per bucket / annotators per group of the tiling.
   size_t hier_object_bucket = 1024;
   size_t hier_annotator_group = 128;
-  /// Compute backend for the serving-side Q forwards (Score / ExactQ —
-  /// the SelectBatch scoring paths). Training and bootstrap forwards are
-  /// unaffected. Non-reference values are copied into q.inference_backend
-  /// at construction; a backend switch (including a quantized backend's
-  /// auto-fallback) is treated as a score-cache drift event, so stale
-  /// exact-Q bounds from one numeric regime never gate selections scored
-  /// under another. With a non-reference backend, selections are no
-  /// longer guaranteed identical to reference scoring (the gate still
-  /// proves them identical to *full scoring under the same backend*).
-  math::BackendKind inference_backend = math::BackendKind::kReference;
   uint64_t seed = 23;
 };
 
@@ -283,12 +273,6 @@ class DqnAgent {
   bool UseFactorizedHead() const;
   FeatureBlocks CacheBlocks() const;
 
-  /// Compares the serving backend's numerics token against the last one
-  /// seen and raises the score-cache drift event on change. Called at the
-  /// top of every gated selection so a backend switch (or quantized
-  /// auto-fallback) invalidates stale exact-Q bounds before they gate.
-  void NoteScoringBackend();
-
   /// Drops the never-checkpointed selection state (score cache, pruner
   /// table, tiling) for the current episode shape; BeginEpisode and
   /// LoadState share it.
@@ -319,10 +303,6 @@ class DqnAgent {
   double epsilon_;
   /// Featurization pool, null when options_.threads <= 1 (serial).
   std::shared_ptr<ThreadPool> pool_;
-
-  /// serving_numerics_token() value the gated engine last ran under (see
-  /// NoteScoringBackend).
-  uint64_t scoring_numerics_token_ = 0;
 
   size_t episode_objects_ = 0;
   size_t episode_annotators_ = 0;

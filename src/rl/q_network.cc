@@ -1,6 +1,6 @@
 #include "rl/q_network.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "math/gemm.h"
 #include "nn/loss.h"
@@ -43,9 +43,6 @@ QNetwork::QNetwork(QNetworkOptions options)
   if (options.threads > 1) {
     pool_ = std::make_shared<ThreadPool>(options.threads);
   }
-  if (options.inference_backend != math::BackendKind::kReference) {
-    serving_backend_owned_ = math::CreateBackend(options.inference_backend);
-  }
   CROWDRL_CHECK(options.gamma > 0.0 && options.gamma <= 1.0);
   CROWDRL_CHECK(options.soft_tau >= 0.0 && options.soft_tau <= 1.0);
   CROWDRL_CHECK(options.soft_tau > 0.0 || options.target_sync_period > 0);
@@ -64,22 +61,9 @@ std::vector<double> QNetwork::PredictBatch(const Matrix& features) const {
   return QColumn(predict_out_);
 }
 
-math::Backend* QNetwork::serving_backend() const {
-  return serving_backend_owned_ != nullptr ? serving_backend_owned_.get()
-                                           : math::ReferenceBackend();
-}
-
-std::vector<double> QNetwork::PredictBatchServing(
-    const Matrix& features) const {
-  online_.InferInto(features, pool_.get(), &predict_out_,
-                    serving_backend());
-  return QColumn(predict_out_);
-}
-
-std::vector<double> QNetwork::PredictBatchServing(
+std::vector<double> QNetwork::PredictBatch(
     size_t rows, const nn::Mlp::RowFiller& fill) const {
-  online_.InferInto(rows, fill, pool_.get(), &predict_out_,
-                    serving_backend());
+  online_.InferInto(rows, fill, pool_.get(), &predict_out_);
   return QColumn(predict_out_);
 }
 
@@ -193,7 +177,7 @@ void QNetwork::RefreshFactorizedCache(const nn::Mlp& net,
 
 std::vector<double> QNetwork::PredictBatchFactorized(
     const FeatureBlocks& blocks, const std::vector<Action>& pairs,
-    bool use_target, bool serving) {
+    bool use_target) {
   CROWDRL_CHECK(options_.feature_dim == StateFeaturizer::kFeatureDim)
       << "the factorized head assumes the StateFeaturizer feature layout";
   CROWDRL_CHECK(blocks.object_blocks != nullptr &&
@@ -220,70 +204,33 @@ std::vector<double> QNetwork::PredictBatchFactorized(
         w_row[0] * g[0] + w_row[10] * g[1] + w_row[11] * g[2] + bias[h];
   }
 
-  // Loop-fused over row blocks, like Mlp::InferInto: each block assembles
-  // its first-layer activations from the cached partials and runs the
-  // remaining layers before the next block starts, so no batch-sized
-  // activation matrix is ever materialized. Block boundaries are fixed by
-  // kFactorizedBlockRows (never by thread count) and every per-element
-  // accumulation order matches the unblocked formulation, so results are
-  // bit-identical at any thread count.
-  constexpr size_t kFactorizedBlockRows = 256;
-  const size_t num_pairs = pairs.size();
-  // Serving calls route the post-first-layer products through the
-  // configured backend (weight tags use the Mlp's own params version, the
-  // same identity the dense serving path tags with, so the quantized pack
-  // is shared). Bootstrap/training calls pin the reference backend.
-  math::Backend* backend =
-      serving ? serving_backend() : math::ReferenceBackend();
-  std::vector<double> q(num_pairs);
-  auto block_body = [&](size_t p0, size_t p1) {
-    thread_local Matrix acts;
-    thread_local Matrix bufs[2];
-    const size_t n = p1 - p0;
-    if (acts.rows() != n || acts.cols() != h1) acts = Matrix(n, h1);
-    for (size_t p = p0; p < p1; ++p) {
-      const double* object_row = cache.object_partials.Row(
-          static_cast<size_t>(pairs[p].object));
-      const double* annotator_row = cache.annotator_partials.Row(
-          static_cast<size_t>(pairs[p].annotator));
-      double* acts_row = acts.Row(p - p0);
-      for (size_t h = 0; h < h1; ++h) {
-        acts_row[h] = global_partial[h] + object_row[h] + annotator_row[h];
-      }
-    }
-    nn::ApplyActivationRows(net.layer_activation(0), &acts, 0, n);
-    const Matrix* current = &acts;
-    for (size_t l = 1; l < net.num_layers(); ++l) {
-      const std::vector<double>& layer_bias = net.layer_bias(l);
-      const nn::Activation act = net.layer_activation(l);
-      Matrix* o = &bufs[l % 2];
-      backend->LinearNT(*current, net.layer_weight(l),
-                        {&net, static_cast<uint32_t>(l),
-                         net.params_version()},
-                        o, nullptr,
-                        [&layer_bias, act, o](size_t r0, size_t r1) {
-                          const size_t cols = o->cols();
-                          for (size_t r = r0; r < r1; ++r) {
-                            double* row = o->Row(r);
-                            for (size_t c = 0; c < cols; ++c) {
-                              row[c] += layer_bias[c];
-                            }
-                          }
-                          nn::ApplyActivationRows(act, o, r0, r1);
-                        },
-                        nullptr);
-      current = o;
-    }
-    for (size_t p = p0; p < p1; ++p) q[p] = current->At(p - p0, 0);
-  };
-  if (pool_ != nullptr && num_pairs > kFactorizedBlockRows) {
-    pool_->ParallelFor(0, num_pairs, kFactorizedBlockRows, block_body);
-  } else {
-    for (size_t p0 = 0; p0 < num_pairs; p0 += kFactorizedBlockRows) {
-      block_body(p0, std::min(p0 + kFactorizedBlockRows, num_pairs));
-    }
-  }
-  return q;
+  // Each row block's layer-0 activations are assembled from the cached
+  // partials inside the blocked forward, which runs the remaining layers
+  // before the next block starts, so no batch-sized activation matrix is
+  // ever materialized. Every per-element accumulation order matches the
+  // unblocked formulation, so results are bit-identical at any thread
+  // count. The output is a fresh pairs x 1 matrix whose storage becomes
+  // the result: these batches span the whole candidate grid, and a
+  // persistent buffer would keep one grid-sized copy resident.
+  const nn::Activation act0 = net.layer_activation(0);
+  Matrix q;
+  net.InferInto(
+      pairs.size(),
+      [&](size_t p0, size_t p1, Matrix* acts) {
+        for (size_t p = p0; p < p1; ++p) {
+          const double* object_row = cache.object_partials.Row(
+              static_cast<size_t>(pairs[p].object));
+          const double* annotator_row = cache.annotator_partials.Row(
+              static_cast<size_t>(pairs[p].annotator));
+          double* acts_row = acts->Row(p - p0);
+          for (size_t h = 0; h < h1; ++h) {
+            acts_row[h] = global_partial[h] + object_row[h] + annotator_row[h];
+          }
+        }
+        nn::ApplyActivationRows(act0, acts, 0, p1 - p0);
+      },
+      pool_.get(), &q, /*first_layer=*/1);
+  return std::move(q.data());
 }
 
 }  // namespace crowdrl::rl

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "math/backend.h"
 #include "math/matrix.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
@@ -49,14 +48,6 @@ struct QNetworkOptions {
   /// every thread count because each row's forward pass is independent.
   int threads = 1;
   uint64_t seed = 17;
-  /// Compute backend for the *serving* forward passes only
-  /// (PredictBatchServing and PredictBatchFactorized with serving=true —
-  /// the selection-scoring paths). Training, the bootstrap/target
-  /// forwards, and the plain PredictBatch always run the reference
-  /// kernels, so learning dynamics and checkpoints are identical across
-  /// backend choices. kQuantizedInt8 serves from int8 weights with an
-  /// accuracy guard and automatic fallback (see math/backend.h).
-  math::BackendKind inference_backend = math::BackendKind::kReference;
 };
 
 /// \brief Q(S, A; theta) as a small MLP over per-action features, with a
@@ -76,19 +67,12 @@ class QNetwork {
   /// Online-network Q values for a batch (one action per row).
   std::vector<double> PredictBatch(const Matrix& features) const;
 
-  /// Like PredictBatch, but routed through the configured serving backend
-  /// (options.inference_backend). With the default reference backend this
-  /// is bit-identical to PredictBatch; with a quantized backend the
-  /// results are error-bounded instead. Only the selection-scoring paths
-  /// (DqnAgent::Score / ExactQ) call this.
-  std::vector<double> PredictBatchServing(const Matrix& features) const;
-
-  /// PredictBatchServing over `rows` feature rows that `fill` writes block
-  /// by block inside the forward (see nn::Mlp::InferInto), on the
-  /// inference pool's lanes when there is one. Bit-identical to the
-  /// matrix overload on the same rows.
-  std::vector<double> PredictBatchServing(
-      size_t rows, const nn::Mlp::RowFiller& fill) const;
+  /// PredictBatch over `rows` feature rows that `fill` writes block by
+  /// block inside the forward (see nn::Mlp::InferInto), on the inference
+  /// pool's lanes when there is one. Bit-identical to the matrix overload
+  /// on the same rows.
+  std::vector<double> PredictBatch(size_t rows,
+                                   const nn::Mlp::RowFiller& fill) const;
 
   /// Target-network Q values for a batch.
   std::vector<double> TargetPredictBatch(const Matrix& features) const;
@@ -102,27 +86,12 @@ class QNetwork {
   ///
   /// NOT bit-identical to PredictBatch: regrouping the first-layer sum
   /// changes the floating-point accumulation order, so results agree only
-  /// to within a few ULPs (see DESIGN.md "Numerics & kernels"). Callers
-  /// must opt in (DqnAgentOptions::factorized_q_head, default off).
-  /// `serving` routes the post-first-layer products through the configured
-  /// serving backend (reference backend: unchanged bits; quantized:
-  /// error-bounded). The bootstrap callers (use_target or double-DQN
-  /// argmax) pass serving=false and always get reference numerics.
+  /// to within a few ULPs (see DESIGN.md "Numerics & kernels"). The agent
+  /// selects it through DqnAgentOptions::factorized_q_head (on by
+  /// default).
   std::vector<double> PredictBatchFactorized(const FeatureBlocks& blocks,
                                              const std::vector<Action>& pairs,
-                                             bool use_target,
-                                             bool serving = false);
-
-  /// The backend serving forwards route through; never null (reference
-  /// when options.inference_backend is kReference).
-  math::Backend* serving_backend() const;
-
-  /// Token identifying the serving numerics regime — changes across
-  /// backend kinds and when a quantized backend falls back. The agent
-  /// treats a change as a score-cache drift event.
-  uint64_t serving_numerics_token() const {
-    return serving_backend()->NumericsToken();
-  }
+                                             bool use_target);
 
   /// One SGD step on a replay minibatch; returns the TD loss.
   double TrainBatch(const std::vector<const Transition*>& batch);
@@ -167,10 +136,6 @@ class QNetwork {
   /// Inference pool, null when options_.threads <= 1 (serial). Shared so
   /// the network stays copyable; copies score on the same workers.
   std::shared_ptr<ThreadPool> pool_;
-  /// Owned non-reference serving backend; null when the options select the
-  /// reference backend. Shared (like the pool) so the network stays
-  /// copyable; copies share one quantized-weight cache and guard state.
-  std::shared_ptr<math::Backend> serving_backend_owned_;
 
   /// Parameter-change counters keying the factorized caches: bumped on
   /// every mutation of the corresponding network's weights.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/flight_recorder.h"
 #include "util/logging.h"
 
 namespace crowdrl::rl {
@@ -41,20 +40,6 @@ void ScoreCache::AccumulateSync() {
   cumulative_stats_.blocks_rebuilt += misses;
   cumulative_stats_.block_misses += misses;
   cumulative_stats_.block_hits += consulted - misses;
-}
-
-void ScoreCache::NoteScoringBackendSwitch() {
-  // The blocks stay valid (they are backend-independent); only the drift
-  // bookkeeping that consumers use to bound *score* staleness restarts.
-  // Bumping the epoch without touching valid_ means the next Sync is still
-  // incremental, while every epoch-watching consumer drops its stale-Q
-  // snapshots exactly as it would after a full rebuild.
-  std::fill(object_drift_.begin(), object_drift_.end(), 0.0);
-  std::fill(annotator_drift_.begin(), annotator_drift_.end(), 0.0);
-  global_drift_ = 0.0;
-  ++rebuild_epoch_;
-  obs::RecordFlightEvent(obs::FlightEventType::kBackendFallback, /*scope=*/0,
-                         static_cast<uint64_t>(rebuild_epoch_));
 }
 
 bool ScoreCache::NeedsFullRebuild(const StateView& view) const {

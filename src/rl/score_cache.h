@@ -118,17 +118,6 @@ class ScoreCache {
   /// restarted from zero since the consumer last looked.
   size_t rebuild_epoch() const { return rebuild_epoch_; }
 
-  /// The serving backend scoring Q values changed numeric regime (backend
-  /// switch, or a quantized backend's guard fell back to reference).
-  /// Cached exact-Q values and the drift accumulators bounding them were
-  /// computed under the old numerics, so they can no longer bound scores
-  /// produced under the new ones: bump rebuild_epoch() and restart the
-  /// drift accumulators, which makes every epoch-watching consumer
-  /// (ShortlistPruner, BucketHierarchy) drop its stale-Q snapshots on its
-  /// next BeginIteration. The feature blocks themselves are untouched —
-  /// they are backend-independent.
-  void NoteScoringBackendSwitch();
-
   /// Object-bucket aggregates for the hierarchical candidate generator:
   /// bucket b covers objects [b * stride, (b+1) * stride). When enabled,
   /// Sync tracks which buckets' object blocks changed and

@@ -25,18 +25,19 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
   return m;
 }
 
-/// Shapes chosen to hit every tiling edge: scalars, single rows/columns,
-/// an empty inner dimension, sizes below/at/above the 4-row register tile,
-/// widths that are not multiples of any vector or tile width (8/32 on
-/// AVX-512, 4/8 on AVX2), depths across the 256-term k panel, and the
-/// portable 16x256 tile. The last rows are the serving shapes: 64-row
-/// chunks and 256-row blocks of every Q-network (12->64->32->1) and
-/// classifier (208->16->2) layer.
+/// Shapes chosen to hit every tiling edge: an empty product (zero output
+/// rows), scalars, single rows/columns, an empty inner dimension, sizes
+/// below/at/above the 4-row register tile, widths that are not multiples
+/// of any vector or tile width (8/32 on AVX-512, 4/8 on AVX2), depths
+/// across the 256-term k panel, and the portable 16x256 tile. The last
+/// rows are the serving shapes: 64-row chunks and 256-row blocks of every
+/// Q-network (12->64->32->1) and classifier (208->16->2) layer.
 struct Shape {
   size_t m, k, n;
 };
 
 const Shape kOddShapes[] = {
+    {0, 4, 3},
     {1, 1, 1},    {1, 1, 7},     {1, 9, 1},     {3, 1, 5},     {3, 0, 5},
     {2, 3, 4},    {4, 4, 4},     {5, 5, 5},     {7, 13, 3},
     {17, 31, 9},  {64, 64, 64},  {65, 33, 67},  {130, 600, 19},
@@ -351,7 +352,7 @@ TEST(GemmTest, PersistentScratchMatchesThreadLocalFallback) {
 }
 
 TEST(GemmTest, SimdTierNameIsKnown) {
-  const std::string tier = SimdTierName();
+  const std::string tier = math::SimdTierName(math::ActiveSimdTier());
   EXPECT_TRUE(tier == "portable" || tier == "avx2" || tier == "avx512")
       << tier;
 }

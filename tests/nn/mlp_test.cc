@@ -1,6 +1,8 @@
 #include "nn/mlp.h"
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +73,31 @@ TEST(MlpTest, FillerFedInferIntoMatchesForwardBitwise) {
   Matrix serial;
   net.InferInto(batch.rows(), fill, nullptr, &serial);
   EXPECT_TRUE(testing::BitEqual(serial, expect));
+
+  // Resuming at layer 1, as the factorized Q head does: the filler writes
+  // layer 0's post-activation output, here from a one-layer network that
+  // holds the first layer's parameters.
+  Mlp first({12, 64}, {Activation::kRelu}, &rng);
+  const std::vector<double> flat = net.FlatParameters();
+  first.SetFlatParameters(std::vector<double>(
+      flat.begin(),
+      flat.begin() + static_cast<std::ptrdiff_t>(first.ParameterCount())));
+  const Matrix hidden = first.Forward(batch);
+  const Mlp::RowFiller fill_hidden = [&hidden](size_t r0, size_t r1,
+                                               Matrix* block) {
+    for (size_t r = r0; r < r1; ++r) {
+      for (size_t c = 0; c < hidden.cols(); ++c) {
+        block->At(r - r0, c) = hidden.At(r, c);
+      }
+    }
+  };
+  for (size_t lanes : {1, 4}) {
+    ThreadPool pool(lanes);
+    Matrix resumed;
+    net.InferInto(hidden.rows(), fill_hidden, &pool, &resumed,
+                  /*first_layer=*/1);
+    EXPECT_TRUE(testing::BitEqual(resumed, expect)) << "lanes=" << lanes;
+  }
 }
 
 TEST(MlpTest, ParameterCountMatchesViews) {

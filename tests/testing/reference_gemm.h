@@ -40,6 +40,9 @@ inline Matrix ReferenceTransposed(const Matrix& m) {
 /// payloads, which EXPECT_DOUBLE_EQ would not).
 inline bool BitEqual(const Matrix& a, const Matrix& b) {
   if (!a.SameShape(b)) return false;
+  // An empty matrix may own no buffer, and memcmp must not be handed a
+  // null pointer even for zero bytes.
+  if (a.size() == 0) return true;
   return std::memcmp(a.data().data(), b.data().data(),
                      a.size() * sizeof(double)) == 0;
 }

@@ -16,10 +16,9 @@ namespace crowdrl::testing {
 /// kept as the bitwise reference for DqnAgent::Score: every valid pair
 /// (object unlabelled, annotator affordable, pair unanswered) enumerated in
 /// ascending (object, annotator) order, featurized from scratch by
-/// StateFeaturizer::Featurize, run through the network's dense serving
-/// forward, plus the UCB1 bonus from selection counts this class mirrors
-/// itself (Commit). Do not speed this up; its only job is to be obviously
-/// right.
+/// StateFeaturizer::Featurize, run through the network's dense forward,
+/// plus the UCB1 bonus from selection counts this class mirrors itself
+/// (Commit). Do not speed this up; its only job is to be obviously right.
 class ReferenceScorer {
  public:
   ReferenceScorer(size_t num_objects, size_t num_annotators, double ucb_c)
@@ -53,7 +52,7 @@ class ReferenceScorer {
                            out.features.Row(idx));
     }
     if (out.actions.empty()) return out;
-    out.scores = network.PredictBatchServing(out.features);
+    out.scores = network.PredictBatch(out.features);
     const double log_term =
         2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
     for (size_t idx = 0; idx < out.actions.size(); ++idx) {
