@@ -43,11 +43,7 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
       soft_labels.cols() != static_cast<size_t>(num_classes_)) {
     return Status::InvalidArgument("soft label shape mismatch");
   }
-  std::vector<double> sample_weights = weights;
-  if (sample_weights.empty()) {
-    sample_weights.assign(features.rows(), 1.0);
-  }
-  if (sample_weights.size() != features.rows()) {
+  if (!weights.empty() && weights.size() != features.rows()) {
     return Status::InvalidArgument("weight count mismatch");
   }
 
@@ -58,26 +54,42 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
   nn::Adam optimizer(options_.learning_rate, 0.9, 0.999, 1e-8,
                      options_.weight_decay);
 
-  std::vector<int> order(static_cast<int>(features.rows()));
+  // Mini-batch buffers live for the whole call: one set shaped for full
+  // batches and one for the short last batch of every epoch, so the steady
+  // state gathers rows by pointer and allocates nothing.
+  struct Batch {
+    Matrix x;
+    Matrix t;
+    std::vector<double> w;
+  };
+  const size_t num_rows = features.rows();
+  const size_t classes = static_cast<size_t>(num_classes_);
+  auto make_batch = [&](size_t rows) {
+    return Batch{Matrix(rows, feature_dim_), Matrix(rows, classes),
+                 std::vector<double>(rows)};
+  };
+  Batch full = make_batch(std::min(options_.batch_size, num_rows));
+  Batch tail = make_batch(num_rows % options_.batch_size);
+  Matrix grad;
+
+  std::vector<int> order(static_cast<int>(num_rows));
   std::iota(order.begin(), order.end(), 0);
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
-    for (size_t start = 0; start < order.size();
-         start += options_.batch_size) {
-      size_t end = std::min(order.size(), start + options_.batch_size);
+    for (size_t start = 0; start < num_rows; start += options_.batch_size) {
+      size_t end = std::min(num_rows, start + options_.batch_size);
       size_t batch = end - start;
-      Matrix x(batch, feature_dim_);
-      Matrix t(batch, static_cast<size_t>(num_classes_));
-      std::vector<double> w(batch);
+      Batch& buf = batch == full.w.size() ? full : tail;
       for (size_t b = 0; b < batch; ++b) {
-        int row = order[start + b];
-        x.SetRow(b, features.RowVector(static_cast<size_t>(row)));
-        t.SetRow(b, soft_labels.RowVector(static_cast<size_t>(row)));
-        w[b] = sample_weights[static_cast<size_t>(row)];
+        size_t row = static_cast<size_t>(order[start + b]);
+        const double* x_src = features.Row(row);
+        std::copy(x_src, x_src + feature_dim_, buf.x.Row(b));
+        const double* t_src = soft_labels.Row(row);
+        std::copy(t_src, t_src + classes, buf.t.Row(b));
+        buf.w[b] = weights.empty() ? 1.0 : weights[row];
       }
-      const Matrix& logits = net.Forward(x);
-      Matrix grad;
-      nn::WeightedSoftmaxCrossEntropyLoss(logits, t, w, &grad);
+      const Matrix& logits = net.Forward(buf.x);
+      nn::WeightedSoftmaxCrossEntropyLoss(logits, buf.t, buf.w, &grad);
       net.Backward(grad);
       optimizer.Step(&net);
     }
@@ -105,7 +117,7 @@ Matrix MlpClassifier::PredictProbsBatch(const Matrix& features) const {
   const Matrix& logits = net_->Infer(features);
   Matrix out(logits.rows(), logits.cols());
   for (size_t r = 0; r < logits.rows(); ++r) {
-    out.SetRow(r, Softmax(logits.RowVector(r)));
+    Softmax(logits.Row(r), logits.cols(), out.Row(r));
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef CROWDRL_CORE_ENRICHMENT_H_
 #define CROWDRL_CORE_ENRICHMENT_H_
 
-#include "classifier/classifier.h"
 #include "core/framework.h"
 #include "math/matrix.h"
 
@@ -26,10 +25,14 @@ struct EnrichmentOptions {
 /// and labels those whose top-two confidence gap exceeds epsilon
 /// (source kClassifier). Returns the number of objects labelled.
 ///
-/// No-op when phi is untrained or fewer than `min_labelled` objects are
-/// labelled.
-size_t EnrichLabelledSet(const classifier::Classifier& phi,
-                         const Matrix& features,
+/// `class_probs` is phi's prediction for every object, one row per object
+/// (RunState::class_probs), or null while phi is untrained. A row of the
+/// batch prediction carries the same bits as a single-object prediction,
+/// so reading the matrix rates each object exactly as phi would.
+///
+/// No-op when `class_probs` is null or fewer than `min_labelled` objects
+/// are labelled.
+size_t EnrichLabelledSet(const Matrix* class_probs,
                          const EnrichmentOptions& options, LabelState* state);
 
 }  // namespace crowdrl::core

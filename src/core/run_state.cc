@@ -299,7 +299,10 @@ void RunState::PlanIteration(const std::vector<bool>* connected,
   plan->unlabelled_before = n - state.num_labelled();
   {
     CROWDRL_TRACE_SPAN("framework.enrich");
-    plan->enriched = EnrichLabelledSet(phi, dataset->features,
+    // class_probs is phi's batch prediction; every change to phi refreshes
+    // it (FoldInference, ApplyRestore).
+    CROWDRL_CHECK(have_probs == phi.is_trained());
+    plan->enriched = EnrichLabelledSet(have_probs ? &class_probs : nullptr,
                                        config->enrichment, &state);
   }
   fw.enrichment_labels->Inc(plan->enriched);
@@ -469,24 +472,26 @@ Status RunState::Finalize(LabellingResult* result) {
   // re-rated with the *final* phi: it has been retrained by every
   // joint-inference round since those objects were first enriched, so its
   // current prediction strictly dominates the snapshot that enriched
-  // them.
-  if (phi.is_trained()) {
-    Matrix final_probs = phi.PredictProbsBatch(dataset->features);
+  // them. phi cannot change after the last fold, so class_probs is that
+  // prediction.
+  CROWDRL_CHECK(have_probs == phi.is_trained());
+  const size_t classes = static_cast<size_t>(num_classes);
+  if (have_probs) {
     for (size_t i = 0; i < n; ++i) {
       int object = static_cast<int>(i);
       if (state.IsLabelled(object) &&
           state.source(object) == LabelSource::kClassifier) {
         state.SetLabel(object,
-                       static_cast<int>(Argmax(final_probs.RowVector(i))),
+                       static_cast<int>(Argmax(class_probs.Row(i), classes)),
                        LabelSource::kClassifier);
       }
     }
   }
   for (int object : state.UnlabelledObjects()) {
     int label = 0;
-    if (phi.is_trained()) {
-      label = static_cast<int>(Argmax(phi.PredictProbs(
-          dataset->features.RowVector(static_cast<size_t>(object)))));
+    if (have_probs) {
+      label = static_cast<int>(
+          Argmax(class_probs.Row(static_cast<size_t>(object)), classes));
     }
     state.SetLabel(object, label, LabelSource::kFallback);
   }
@@ -673,7 +678,12 @@ Status RunState::ApplyRestore(const io::Snapshot& snapshot) {
   CROWDRL_RETURN_IF_ERROR(local.LoadStateString(rng_state));
   CROWDRL_RETURN_IF_ERROR(section.ExpectEnd());
 
-  // class_probs is a pure function of the restored phi.
+  // class_probs is a pure function of the restored phi, and is valid
+  // exactly when phi is trained (enrichment and Finalize rely on it).
+  if (have_probs != phi.is_trained()) {
+    return Status::DataLoss(
+        "checkpoint's class-probability flag disagrees with its classifier");
+  }
   if (have_probs) {
     class_probs = phi.PredictProbsBatch(env.dataset().features);
     ++class_probs_version;

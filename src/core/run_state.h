@@ -144,9 +144,13 @@ struct RunState {
   std::vector<crowd::AnnotatorType> types;
   std::vector<bool> is_expert;
   std::vector<double> qualities;
-  /// phi's class posteriors over all objects. Not serialized: it is a
-  /// deterministic function of the restored phi and is recomputed on
-  /// restore when have_probs says it was valid.
+  /// phi's class posteriors over all objects. Invariant: whenever phi
+  /// changes, class_probs is refreshed to phi.PredictProbsBatch(features)
+  /// before anything reads it (FoldInference after every fit or swap,
+  /// ApplyRestore after a restore), and have_probs == phi.is_trained().
+  /// Enrichment and Finalize therefore read phi's predictions from here
+  /// instead of running phi again. Not serialized: it is a deterministic
+  /// function of the restored phi and is recomputed on restore.
   Matrix class_probs;
   bool have_probs = false;
   /// Bumped every time class_probs is refreshed; plumbed into the

@@ -1,5 +1,6 @@
 #include "inference/joint_inference.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/vector_ops.h"
@@ -15,12 +16,44 @@ constexpr double kLogFloor = 1e-12;
 
 // Gathers the feature rows of the inference targets.
 Matrix GatherFeatures(const InferenceInput& input) {
-  Matrix out(input.objects.size(), input.features->cols());
+  const size_t cols = input.features->cols();
+  Matrix out(input.objects.size(), cols);
   for (size_t row = 0; row < input.objects.size(); ++row) {
-    out.SetRow(row, input.features->RowVector(
-                        static_cast<size_t>(input.objects[row])));
+    const double* src =
+        input.features->Row(static_cast<size_t>(input.objects[row]));
+    std::copy(src, src + cols, out.Row(row));
   }
   return out;
+}
+
+/// log(max(p(c | phi), floor)) for every target row: the E-step's
+/// classifier prior. phi changes only when the EM loop retrains it, so
+/// this runs once per parameter version instead of once per round.
+Matrix PredictLogProbs(const classifier::Classifier& phi,
+                       const Matrix& target_features) {
+  Matrix log_probs = phi.PredictProbsBatch(target_features);
+  for (double& p : log_probs.data()) p = std::log(std::max(p, kLogFloor));
+  return log_probs;
+}
+
+/// log(max(Pi^j(truth, label), floor)) for every annotator j, flat in
+/// [annotator][truth][label] order. Built once per M-step, so the E-step
+/// looks each answer's term up instead of taking a log per answer, per
+/// class, per round.
+std::vector<double> LogConfusionTable(
+    const std::vector<crowd::ConfusionMatrix>& confusions, size_t c) {
+  std::vector<double> table(confusions.size() * c * c);
+  double* out = table.data();
+  for (const crowd::ConfusionMatrix& cm : confusions) {
+    for (size_t truth = 0; truth < c; ++truth) {
+      for (size_t label = 0; label < c; ++label) {
+        *out++ = std::log(std::max(
+            cm.At(static_cast<int>(truth), static_cast<int>(label)),
+            kLogFloor));
+      }
+    }
+  }
+  return table;
 }
 
 /// Objects per parallel E-step chunk.
@@ -28,14 +61,15 @@ constexpr size_t kEStepGrain = 32;
 
 /// One E-step sweep: for every target row, the posterior
 /// q(y_i = c) proportional to p(c | phi)^w * prod_j Pi^j(c, y_ij), written
-/// into `posteriors`, plus that row's log-sum-exp term of the likelihood in
-/// `row_lse`. Rows are independent, so the sweep parallelizes over objects
-/// (`pool` may be null = serial); callers reduce `row_lse` serially in row
-/// order, which keeps the summed likelihood bit-identical at every thread
-/// count.
+/// into `posteriors` (skipped when null), plus that row's log-sum-exp term
+/// of the likelihood in `row_lse`. The logs come precomputed: `log_probs`
+/// from PredictLogProbs and `log_confusions` from LogConfusionTable. Rows
+/// are independent, so the sweep parallelizes over objects (`pool` may be
+/// null = serial); callers reduce `row_lse` serially in row order, which
+/// keeps the summed likelihood bit-identical at every thread count.
 void EStep(const InferenceInput& input,
-           const std::vector<crowd::ConfusionMatrix>& confusions,
-           const Matrix& class_probs, const JointInferenceOptions& options,
+           const std::vector<double>& log_confusions,
+           const Matrix& log_probs, const JointInferenceOptions& options,
            ThreadPool* pool, Matrix* posteriors,
            std::vector<double>* row_lse) {
   size_t n = input.objects.size();
@@ -60,22 +94,19 @@ void EStep(const InferenceInput& input,
         if (answers.empty()) use_prior = true;
       }
       for (size_t truth = 0; truth < c; ++truth) {
-        double lp =
-            use_prior
-                ? options.classifier_weight *
-                      std::log(std::max(class_probs.At(row, truth),
-                                        kLogFloor))
-                : 0.0;
+        double lp = use_prior
+                        ? options.classifier_weight * log_probs.At(row, truth)
+                        : 0.0;
         for (const auto& [annotator, label] : answers) {
-          lp += std::log(std::max(
-              confusions[static_cast<size_t>(annotator)].At(
-                  static_cast<int>(truth), label),
-              kLogFloor));
+          lp += log_confusions[(static_cast<size_t>(annotator) * c + truth) *
+                                   c +
+                               static_cast<size_t>(label)];
         }
         log_post[truth] = lp;
       }
       double lse = LogSumExp(log_post);
       (*row_lse)[row] = lse;
+      if (posteriors == nullptr) continue;
       for (size_t truth = 0; truth < c; ++truth) {
         posteriors->At(row, truth) = std::exp(log_post[truth] - lse);
       }
@@ -142,11 +173,14 @@ Status JointInference::Infer(const InferenceInput& input,
         input.classifier->Train(target_features, posteriors, {}));
   }
 
+  // phi's E-step prior, refreshed only after a retrain below.
+  Matrix log_probs = PredictLogProbs(*input.classifier, target_features);
+
   std::vector<crowd::ConfusionMatrix> confusions;
+  std::vector<double> log_confusions;
   double log_likelihood = 0.0;
   int iteration = 0;
   for (; iteration < options_.em.max_iterations; ++iteration) {
-    Matrix class_probs;
     {
       CROWDRL_TRACE_SPAN("joint.m_step");
       static obs::Counter* const m_steps =
@@ -159,6 +193,7 @@ Status JointInference::Infer(const InferenceInput& input,
         BoundExpertQuality(*input.annotator_types, options_.expert_epsilon,
                            options_.expert_floor_slack, &confusions);
       }
+      log_confusions = LogConfusionTable(confusions, c);
       // M-step over Theta: retrain phi on the current posteriors. Skipped
       // at iteration 0: at that point `posteriors` is exactly what the
       // classifier was just seeded with (or, warm-started, the beliefs it
@@ -168,8 +203,8 @@ Status JointInference::Infer(const InferenceInput& input,
           iteration % options_.classifier_retrain_period == 0) {
         CROWDRL_RETURN_IF_ERROR(
             input.classifier->Train(target_features, posteriors, {}));
+        log_probs = PredictLogProbs(*input.classifier, target_features);
       }
-      class_probs = input.classifier->PredictProbsBatch(target_features);
     }
 
     // E-step: q(y_i = c) proportional to p(c | phi) * prod_j Pi^j(c, y_ij).
@@ -180,7 +215,7 @@ Status JointInference::Infer(const InferenceInput& input,
       static obs::Counter* const e_steps =
           obs::MetricsRegistry::Get().GetCounter("crowdrl.inference.e_steps");
       e_steps->Inc();
-      EStep(input, confusions, class_probs, options_, pool_.get(), &next,
+      EStep(input, log_confusions, log_probs, options_, pool_.get(), &next,
             &row_lse);
     }
     log_likelihood = 0.0;
@@ -207,22 +242,20 @@ Status JointInference::Infer(const InferenceInput& input,
   // Recompute the likelihood under the *final* confusions and the phi that
   // shaped the converged posteriors (i.e. before the enrichment-oriented
   // final fit below), so the reported value matches the returned
-  // confusions/posteriors instead of the pre-M-step ones.
+  // confusions/posteriors instead of the pre-M-step ones. That phi is the
+  // one `log_probs` was predicted from.
   {
     CROWDRL_TRACE_SPAN("joint.e_step");
-    Matrix final_probs =
-        input.classifier->PredictProbsBatch(target_features);
-    Matrix unused(n, c);
     std::vector<double> row_lse;
-    EStep(input, confusions, final_probs, options_, pool_.get(), &unused,
-          &row_lse);
+    EStep(input, LogConfusionTable(confusions, c), log_probs, options_,
+          pool_.get(), /*posteriors=*/nullptr, &row_lse);
     log_likelihood = 0.0;
     for (double lse : row_lse) log_likelihood += lse;
   }
   if (options_.final_fit_on_hard_labels) {
     Matrix hard(n, c);
     for (size_t row = 0; row < n; ++row) {
-      hard.At(row, Argmax(posteriors.RowVector(row))) = 1.0;
+      hard.At(row, Argmax(posteriors.Row(row), c)) = 1.0;
     }
     CROWDRL_RETURN_IF_ERROR(
         input.classifier->Train(target_features, hard, {}));
@@ -235,7 +268,7 @@ Status JointInference::Infer(const InferenceInput& input,
   result->labels.resize(n);
   for (size_t row = 0; row < n; ++row) {
     result->labels[row] =
-        static_cast<int>(Argmax(result->posteriors.RowVector(row)));
+        static_cast<int>(Argmax(result->posteriors.Row(row), c));
   }
   result->confusions = std::move(confusions);
   result->qualities.clear();
@@ -267,16 +300,15 @@ Status ClassifierAsAnnotator::Infer(const InferenceInput& input,
   size_t num_annotators = input.answers->num_annotators();
   crowd::AnswerLog extended(input.answers->num_objects(),
                             num_annotators + 1);
+  Matrix probs = input.classifier->PredictProbsBatch(target_features);
   for (size_t row = 0; row < input.objects.size(); ++row) {
     int object = input.objects[row];
     for (const auto& [annotator, label] :
          input.answers->AnswersFor(object)) {
       extended.Record(object, annotator, label);
     }
-    std::vector<double> probs =
-        input.classifier->PredictProbs(target_features.RowVector(row));
     extended.Record(object, static_cast<int>(num_annotators),
-                    static_cast<int>(Argmax(probs)));
+                    static_cast<int>(Argmax(probs.Row(row), probs.cols())));
   }
 
   InferenceInput extended_input;

@@ -8,6 +8,21 @@
 
 namespace crowdrl {
 
+namespace {
+
+// LogSumExp over a pointer span; the vector overload and the pointer-span
+// Softmax share it.
+double LogSumExpSpan(const double* v, size_t n) {
+  CROWDRL_CHECK(n > 0);
+  double max = *std::max_element(v, v + n);
+  if (!std::isfinite(max)) return max;
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += std::exp(v[i] - max);
+  return max + std::log(sum);
+}
+
+}  // namespace
+
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   CROWDRL_CHECK(a.size() == b.size());
   double sum = 0.0;
@@ -22,31 +37,31 @@ void Axpy(double alpha, const std::vector<double>& x,
 }
 
 size_t Argmax(const std::vector<double>& v) {
-  CROWDRL_CHECK(!v.empty());
+  return Argmax(v.data(), v.size());
+}
+
+size_t Argmax(const double* v, size_t n) {
+  CROWDRL_CHECK(n > 0);
   size_t best = 0;
-  for (size_t i = 1; i < v.size(); ++i) {
+  for (size_t i = 1; i < n; ++i) {
     if (v[i] > v[best]) best = i;
   }
   return best;
 }
 
 double LogSumExp(const std::vector<double>& v) {
-  CROWDRL_CHECK(!v.empty());
-  double max = *std::max_element(v.begin(), v.end());
-  if (!std::isfinite(max)) return max;
-  double sum = 0.0;
-  for (double x : v) sum += std::exp(x - max);
-  return max + std::log(sum);
+  return LogSumExpSpan(v.data(), v.size());
 }
 
 std::vector<double> Softmax(const std::vector<double>& logits) {
-  CROWDRL_CHECK(!logits.empty());
-  double lse = LogSumExp(logits);
   std::vector<double> out(logits.size());
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out[i] = std::exp(logits[i] - lse);
-  }
+  Softmax(logits.data(), logits.size(), out.data());
   return out;
+}
+
+void Softmax(const double* logits, size_t n, double* out) {
+  double lse = LogSumExpSpan(logits, n);
+  for (size_t i = 0; i < n; ++i) out[i] = std::exp(logits[i] - lse);
 }
 
 double Entropy(const std::vector<double>& probs) {

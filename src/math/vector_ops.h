@@ -15,11 +15,18 @@ void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);
 /// Index of the largest element (first on ties). Requires non-empty input.
 size_t Argmax(const std::vector<double>& v);
 
+/// Pointer-span Argmax (same result as the vector overload).
+size_t Argmax(const double* v, size_t n);
+
 /// Numerically stable log(sum(exp(v))).
 double LogSumExp(const std::vector<double>& v);
 
 /// Numerically stable softmax; returns a probability vector.
 std::vector<double> Softmax(const std::vector<double>& logits);
+
+/// Pointer-span Softmax into `out` (n doubles; may alias `logits`),
+/// bit-identical to the vector overload and allocation-free.
+void Softmax(const double* logits, size_t n, double* out);
 
 /// Shannon entropy (nats) of a probability vector; 0-probability terms
 /// contribute zero.

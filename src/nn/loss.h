@@ -5,6 +5,10 @@
 
 namespace crowdrl::nn {
 
+/// Every loss below overwrites every element of *grad and reuses its
+/// allocation when it already has the prediction's shape, so a training
+/// loop that keeps one gradient matrix across steps allocates nothing.
+
 /// Mean squared error over all elements of the batch.
 /// Returns the loss and writes dLoss/dPred into *grad (same shape as pred).
 /// Optional per-row weights scale each sample's contribution.

@@ -2,9 +2,162 @@
 
 #include <cmath>
 
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "math/backend.h"
 #include "util/logging.h"
 
 namespace crowdrl::nn {
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Adam element kernels, one per SIMD tier (the gemm.cc dispatch pattern).
+// Each vector lane runs the scalar sequence below operation for operation:
+// the same multiplies, adds, divisions and square root in the same order,
+// never fused. IEEE-754 division and square root are correctly rounded,
+// like add and multiply, so a lane ends on the scalar bits. Tails shorter
+// than a vector run the scalar loop.
+// ---------------------------------------------------------------------------
+
+using AdamKernelFn = void (*)(const AdamStepConstants& k, double* value,
+                              const double* grad, double* m, double* v,
+                              size_t n);
+
+void AdamPortable(const AdamStepConstants& k, double* value,
+                  const double* grad, double* m, double* v, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    double g = grad[j] + k.weight_decay * value[j];
+    m[j] = k.beta1 * m[j] + (1.0 - k.beta1) * g;
+    v[j] = k.beta2 * v[j] + (1.0 - k.beta2) * g * g;
+    double m_hat = m[j] / k.bc1;
+    double v_hat = v[j] / k.bc2;
+    value[j] -= k.learning_rate * m_hat / (std::sqrt(v_hat) + k.epsilon);
+  }
+}
+
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define CROWDRL_ADAM_X86_DISPATCH 1
+
+// A fused multiply-add rounds once where the scalar loop rounds twice, so
+// contraction is off in both tiers: AVX-512F implies FMA, and AVX2 keeps
+// it off in case a later target set adds FMA.
+#define CROWDRL_TARGET_AVX2 \
+  __attribute__((target("avx2"), optimize("fp-contract=off")))
+#define CROWDRL_TARGET_AVX512 \
+  __attribute__((target("avx512f"), optimize("fp-contract=off")))
+
+CROWDRL_TARGET_AVX2 void AdamAvx2(const AdamStepConstants& k, double* value,
+                                  const double* grad, double* m, double* v,
+                                  size_t n) {
+  const __m256d wd = _mm256_set1_pd(k.weight_decay);
+  const __m256d b1 = _mm256_set1_pd(k.beta1);
+  const __m256d one_minus_b1 = _mm256_set1_pd(1.0 - k.beta1);
+  const __m256d b2 = _mm256_set1_pd(k.beta2);
+  const __m256d one_minus_b2 = _mm256_set1_pd(1.0 - k.beta2);
+  const __m256d bc1 = _mm256_set1_pd(k.bc1);
+  const __m256d bc2 = _mm256_set1_pd(k.bc2);
+  const __m256d lr = _mm256_set1_pd(k.learning_rate);
+  const __m256d eps = _mm256_set1_pd(k.epsilon);
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d x = _mm256_loadu_pd(value + j);
+    const __m256d g =
+        _mm256_add_pd(_mm256_loadu_pd(grad + j), _mm256_mul_pd(wd, x));
+    const __m256d mj = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + j)),
+                                     _mm256_mul_pd(one_minus_b1, g));
+    const __m256d vj =
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + j)),
+                      _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, g), g));
+    _mm256_storeu_pd(m + j, mj);
+    _mm256_storeu_pd(v + j, vj);
+    const __m256d m_hat = _mm256_div_pd(mj, bc1);
+    const __m256d v_hat = _mm256_div_pd(vj, bc2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    _mm256_storeu_pd(value + j, _mm256_sub_pd(x, step));
+  }
+  AdamPortable(k, value + j, grad + j, m + j, v + j, n - j);
+}
+
+CROWDRL_TARGET_AVX512 void AdamAvx512(const AdamStepConstants& k,
+                                      double* value, const double* grad,
+                                      double* m, double* v, size_t n) {
+  const __m512d wd = _mm512_set1_pd(k.weight_decay);
+  const __m512d b1 = _mm512_set1_pd(k.beta1);
+  const __m512d one_minus_b1 = _mm512_set1_pd(1.0 - k.beta1);
+  const __m512d b2 = _mm512_set1_pd(k.beta2);
+  const __m512d one_minus_b2 = _mm512_set1_pd(1.0 - k.beta2);
+  const __m512d bc1 = _mm512_set1_pd(k.bc1);
+  const __m512d bc2 = _mm512_set1_pd(k.bc2);
+  const __m512d lr = _mm512_set1_pd(k.learning_rate);
+  const __m512d eps = _mm512_set1_pd(k.epsilon);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m512d x = _mm512_loadu_pd(value + j);
+    const __m512d g =
+        _mm512_add_pd(_mm512_loadu_pd(grad + j), _mm512_mul_pd(wd, x));
+    const __m512d mj = _mm512_add_pd(_mm512_mul_pd(b1, _mm512_loadu_pd(m + j)),
+                                     _mm512_mul_pd(one_minus_b1, g));
+    const __m512d vj =
+        _mm512_add_pd(_mm512_mul_pd(b2, _mm512_loadu_pd(v + j)),
+                      _mm512_mul_pd(_mm512_mul_pd(one_minus_b2, g), g));
+    _mm512_storeu_pd(m + j, mj);
+    _mm512_storeu_pd(v + j, vj);
+    const __m512d m_hat = _mm512_div_pd(mj, bc1);
+    const __m512d v_hat = _mm512_div_pd(vj, bc2);
+    // The zero-masked form with every lane selected is the plain square
+    // root; GCC 12's unmasked intrinsic passes an "undefined" vector that
+    // -Wmaybe-uninitialized flags under the optimize attribute.
+    const __m512d root =
+        _mm512_maskz_sqrt_pd(static_cast<__mmask8>(0xFF), v_hat);
+    const __m512d step = _mm512_div_pd(_mm512_mul_pd(lr, m_hat),
+                                       _mm512_add_pd(root, eps));
+    _mm512_storeu_pd(value + j, _mm512_sub_pd(x, step));
+  }
+  AdamPortable(k, value + j, grad + j, m + j, v + j, n - j);
+}
+
+#undef CROWDRL_TARGET_AVX2
+#undef CROWDRL_TARGET_AVX512
+#endif  // x86-64 GCC
+
+// The kernel of `tier`; on builds without the x86 tiers every tier maps to
+// the portable one.
+AdamKernelFn AdamKernelFor(math::SimdTier tier) {
+#ifdef CROWDRL_ADAM_X86_DISPATCH
+  switch (tier) {
+    case math::SimdTier::kAvx512:
+      return AdamAvx512;
+    case math::SimdTier::kAvx2:
+      return AdamAvx2;
+    case math::SimdTier::kPortable:
+      break;
+  }
+#else
+  (void)tier;
+#endif
+  return AdamPortable;
+}
+
+AdamKernelFn ActiveAdamKernel() {
+  static const AdamKernelFn kernel = AdamKernelFor(math::ActiveSimdTier());
+  return kernel;
+}
+
+}  // namespace
+
+void AdamUpdateAtTier(math::SimdTier tier, const AdamStepConstants& k,
+                      const ParamView& view, double* m, double* v) {
+  CROWDRL_CHECK(static_cast<int>(tier) <=
+                static_cast<int>(math::ActiveSimdTier()))
+      << "SIMD tier " << math::SimdTierName(tier)
+      << " is not supported on this host";
+  AdamKernelFor(tier)(k, view.value, view.grad, m, v, view.size);
+}
 
 void Optimizer::Step(Mlp* net) {
   CROWDRL_CHECK(net != nullptr);
@@ -127,22 +280,17 @@ void Adam::ApplyUpdate(std::vector<ParamView>* views) {
       v_[i].assign((*views)[i].size, 0.0);
     }
   }
-  CROWDRL_CHECK(m_.size() == views->size());
+  CROWDRL_CHECK(m_.size() == views->size() && v_.size() == views->size());
   ++step_;
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  const AdamStepConstants k{
+      learning_rate_, beta1_, beta2_, epsilon_, weight_decay_,
+      1.0 - std::pow(beta1_, static_cast<double>(step_)),
+      1.0 - std::pow(beta2_, static_cast<double>(step_))};
+  const AdamKernelFn kernel = ActiveAdamKernel();
   for (size_t i = 0; i < views->size(); ++i) {
-    ParamView& view = (*views)[i];
-    std::vector<double>& m = m_[i];
-    std::vector<double>& v = v_[i];
-    for (size_t j = 0; j < view.size; ++j) {
-      double g = view.grad[j] + weight_decay_ * view.value[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
-      double m_hat = m[j] / bc1;
-      double v_hat = v[j] / bc2;
-      view.value[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+    const ParamView& view = (*views)[i];
+    CROWDRL_CHECK(m_[i].size() == view.size && v_[i].size() == view.size);
+    kernel(k, view.value, view.grad, m_[i].data(), v_[i].data(), view.size);
   }
 }
 

@@ -6,6 +6,10 @@
 
 #include "nn/mlp.h"
 
+namespace crowdrl::math {
+enum class SimdTier;  // Defined in math/backend.h.
+}  // namespace crowdrl::math
+
 namespace crowdrl::nn {
 
 /// \brief Base class for gradient-descent optimizers over an Mlp.
@@ -59,6 +63,11 @@ class Sgd : public Optimizer {
 };
 
 /// Adam (Kingma & Ba) with bias correction.
+///
+/// The element update runs on the host's SIMD tier (`math::ActiveSimdTier`,
+/// as the gemm kernels do). Every tier performs the scalar sequence per
+/// element, with no contraction, and IEEE division and square root are
+/// correctly rounded, so every tier produces the scalar loop's bits.
 class Adam : public Optimizer {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9,
@@ -81,6 +90,29 @@ class Adam : public Optimizer {
   std::vector<std::vector<double>> m_;
   std::vector<std::vector<double>> v_;
 };
+
+/// The constants of one Adam step: the hyperparameters plus the bias
+/// corrections bc1 = 1 - beta1^t and bc2 = 1 - beta2^t of step t.
+struct AdamStepConstants {
+  double learning_rate;
+  double beta1;
+  double beta2;
+  double epsilon;
+  double weight_decay;
+  double bc1;
+  double bc2;
+};
+
+/// Adam's element update over one parameter block and its moments, run
+/// with one SIMD tier's kernel instead of the active tier's, so a test can
+/// check every tier the host supports — every `tier` up to
+/// `math::ActiveSimdTier()`; a higher tier CHECK-fails. Per element:
+///   g = grad + weight_decay * value
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   value -= learning_rate * (m / bc1) / (sqrt(v / bc2) + epsilon)
+void AdamUpdateAtTier(math::SimdTier tier, const AdamStepConstants& k,
+                      const ParamView& view, double* m, double* v);
 
 }  // namespace crowdrl::nn
 

@@ -59,9 +59,10 @@ struct HealthWatchdog::Impl {
     }
   }
 
-  // Samples + evaluates every rule. Rule state is only touched here and
-  // in Start/Stop (thread joined), so no lock is needed for it; the
-  // verdict copies handed to Verdicts() are guarded by `mu`.
+  // Samples + evaluates every rule. The sampling state (window) is only
+  // touched here and in Start/Stop (thread joined), so it needs no lock;
+  // the verdict fields Verdicts() reads (firing, since_ns, last_value)
+  // are written under `mu`.
   void EvaluateLocked() {
     for (RuleState& state : rules) {
       const WatchdogRuleSet& set = sets[state.set_index];
@@ -125,9 +126,9 @@ struct HealthWatchdog::Impl {
 
   void Transition(RuleState& state, const WatchdogRuleSet& set, bool firing,
                   double value) {
+    std::lock_guard<std::mutex> lock(mu);
     state.last_value = value;
     if (firing == state.firing) return;
-    std::lock_guard<std::mutex> lock(mu);
     state.firing = firing;
     state.since_ns = NowNs();
     state.health_gauge->Set(firing ? 1.0 : 0.0);
@@ -206,6 +207,15 @@ bool HealthWatchdog::running() const {
 }
 
 std::vector<WatchdogVerdict> HealthWatchdog::Verdicts() const {
+  // An inactive scope reads healthy now, not at the monitor's next tick:
+  // a snapshot taken right after a campaign completes must not report
+  // verdicts older than the completion. `active` is sampled before taking
+  // the lock so no callback runs under it.
+  std::vector<bool> set_active(impl_->sets.size(), true);
+  for (size_t s = 0; s < impl_->sets.size(); ++s) {
+    const WatchdogRuleSet& set = impl_->sets[s];
+    set_active[s] = !set.active || set.active();
+  }
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<WatchdogVerdict> out;
   out.reserve(impl_->rules.size());
@@ -213,7 +223,7 @@ std::vector<WatchdogVerdict> HealthWatchdog::Verdicts() const {
     WatchdogVerdict verdict;
     verdict.scope_name = impl_->sets[state.set_index].scope_name;
     verdict.rule = state.rule.name;
-    verdict.firing = state.firing;
+    verdict.firing = state.firing && set_active[state.set_index];
     verdict.value = state.last_value;
     verdict.since_ns = state.since_ns;
     out.push_back(std::move(verdict));

@@ -119,6 +119,8 @@ class HealthWatchdog {
   bool running() const;
 
   /// Current verdict of every rule (one entry per rule, firing or not).
+  /// Every rule of a scope whose `active` reads false at the call reports
+  /// not firing, without waiting for the next tick to clear it.
   std::vector<WatchdogVerdict> Verdicts() const;
 
   /// Total healthy→firing transitions since Start (all rules).

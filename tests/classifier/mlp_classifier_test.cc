@@ -1,9 +1,15 @@
 #include "classifier/mlp_classifier.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 #include "math/vector_ops.h"
+#include "tests/testing/reference_gemm.h"
+#include "tests/testing/seed_training.h"
+#include "util/random.h"
 
 namespace crowdrl::classifier {
 namespace {
@@ -69,15 +75,69 @@ TEST(MlpClassifierTest, ProbabilitiesSumToOne) {
   }
 }
 
+// Bitwise: enrichment, Finalize and the naive baseline read rows of the
+// batch prediction in place of single-object predictions. Row counts 1-9
+// and 257 cover every tail of the 4-row GEMM tile and a 256-row block edge.
 TEST(MlpClassifierTest, BatchMatchesSinglePrediction) {
-  TrainingSet set = MakeSeparable(50, 5);
+  TrainingSet set = MakeSeparable(257, 5);
   MlpClassifier c(8, 2);
   ASSERT_TRUE(c.Train(set.x, set.y, {}).ok());
-  Matrix batch = c.PredictProbsBatch(set.x);
-  for (size_t i = 0; i < 10; ++i) {
-    std::vector<double> single = c.PredictProbs(set.x.RowVector(i));
-    for (size_t k = 0; k < 2; ++k) {
-      EXPECT_NEAR(batch.At(i, k), single[k], 1e-12);
+  for (size_t rows : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 257u}) {
+    Matrix x(rows, set.x.cols());
+    for (size_t i = 0; i < rows; ++i) x.SetRow(i, set.x.RowVector(i));
+    Matrix batch = c.PredictProbsBatch(x);
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<double> single = c.PredictProbs(set.x.RowVector(i));
+      ASSERT_EQ(std::memcmp(batch.Row(i), single.data(),
+                            single.size() * sizeof(double)),
+                0)
+          << "row " << i << " of a " << rows << "-row batch";
+    }
+  }
+}
+
+// Train must reproduce the seed loop (tests/testing/seed_training.h) bit
+// for bit — the same parameters after every retrain and the same batch
+// prediction — with sample weights, a short last batch (150 rows in
+// batches of 64), three classes, and warm starts on and off.
+TEST(MlpClassifierTest, TrainMatchesTheSeedLoopBitForBit) {
+  Rng rng(41);
+  Matrix x(150, 7);
+  x.FillUniform(&rng, -2.0, 2.0);
+  std::vector<double> weights(150);
+  for (double& w : weights) w = rng.Uniform(0.2, 3.0);
+  for (bool warm_start : {false, true}) {
+    MlpClassifierOptions options;
+    options.hidden_sizes = {16};
+    options.epochs = 4;
+    options.batch_size = 64;
+    options.weight_decay = 3e-3;
+    options.warm_start = warm_start;
+    MlpClassifier phi(7, 3, options);
+    testing::SeedMlpClassifier seed(7, 3, options);
+    for (int round = 0; round < 3; ++round) {
+      Matrix labels(150, 3);
+      labels.FillUniform(&rng, 0.0, 1.0);
+      for (size_t i = 0; i < 150; ++i) {
+        double sum = labels.At(i, 0) + labels.At(i, 1) + labels.At(i, 2);
+        for (size_t k = 0; k < 3; ++k) labels.At(i, k) /= sum;
+      }
+      // Weighted in the even rounds, unweighted (empty) in the odd one.
+      const std::vector<double> w =
+          round % 2 == 0 ? weights : std::vector<double>();
+      ASSERT_TRUE(phi.Train(x, labels, w).ok());
+      ASSERT_TRUE(seed.Train(x, labels, w).ok());
+      const std::vector<double> got =
+          testing::ClassifierFlatParameters(phi, *seed.net);
+      const std::vector<double> want = seed.net->FlatParameters();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+          0)
+          << "warm_start " << warm_start << " round " << round;
+      EXPECT_TRUE(testing::BitEqual(phi.PredictProbsBatch(x),
+                                    seed.PredictProbsBatch(x)))
+          << "warm_start " << warm_start << " round " << round;
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/crowdrl.h"
+#include "core/run_state.h"
 #include "io/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -289,6 +290,26 @@ TEST(CheckpointResumeTest, MismatchedRunIsRejected) {
         framework.Run(w.dataset, w.pool, kBudget + 1.0, kSeed, &result)
             .IsInvalidArgument());
   }
+}
+
+// class_probs is not serialized: a restore recomputes it from phi, so the
+// checkpoint's flag must agree with whether its phi is trained. A
+// checkpoint that disagrees is rejected instead of restoring a state that
+// enrichment and Finalize would CHECK-fail on.
+TEST(CheckpointResumeTest, ClassProbsFlagDisagreeingWithPhiIsDataLoss) {
+  const Workload& w = SharedWorkload();
+  CrowdRlConfig config;
+  RunState rs(&config, &w.dataset, &w.pool, kBudget, kSeed);
+  ASSERT_TRUE(rs.Bootstrap().ok());
+  ASSERT_TRUE(rs.phi.is_trained());
+  ASSERT_TRUE(rs.have_probs);
+  rs.have_probs = false;
+  io::SnapshotBuilder builder;
+  rs.BuildSnapshot(&builder);
+  io::Snapshot snapshot;
+  ASSERT_TRUE(io::Snapshot::Parse(builder.Serialize(), &snapshot).ok());
+  RunState fresh(&config, &w.dataset, &w.pool, kBudget, kSeed);
+  EXPECT_TRUE(fresh.ApplyRestore(snapshot).IsDataLoss());
 }
 
 class CorruptionTest : public ::testing::Test {

@@ -2,60 +2,24 @@
 
 #include <gtest/gtest.h>
 
-#include "classifier/classifier.h"
 #include "core/reward.h"
 
 namespace crowdrl::core {
 namespace {
 
-// Classifier stub returning canned probabilities per object row.
-class FakeClassifier : public classifier::Classifier {
- public:
-  explicit FakeClassifier(Matrix probs) : probs_(std::move(probs)) {}
-
-  Status Train(const Matrix&, const Matrix&,
-               const std::vector<double>&) override {
-    return Status::Ok();
-  }
-
-  std::vector<double> PredictProbs(
-      const std::vector<double>& features) const override {
-    // Feature 0 carries the object id.
-    return probs_.RowVector(static_cast<size_t>(features[0]));
-  }
-
-  int num_classes() const override {
-    return static_cast<int>(probs_.cols());
-  }
-  size_t feature_dim() const override { return 1; }
-  bool is_trained() const override { return trained_; }
-  void set_trained(bool trained) { trained_ = trained; }
-
-  std::unique_ptr<Classifier> Clone() const override {
-    return std::make_unique<FakeClassifier>(*this);
-  }
-
- private:
-  Matrix probs_;
-  bool trained_ = true;
-};
-
-Matrix IdFeatures(size_t n) {
-  Matrix features(n, 1);
-  for (size_t i = 0; i < n; ++i) features.At(i, 0) = static_cast<double>(i);
-  return features;
-}
+// Each test hands EnrichLabelledSet a canned class-probability matrix, one
+// row per object, in place of phi's batch prediction.
 
 TEST(EnrichmentTest, LabelsConfidentSkipsAmbiguous) {
-  FakeClassifier phi(Matrix::FromRows(
-      {{0.95, 0.05}, {0.55, 0.45}, {0.05, 0.95}, {0.7, 0.3}}));
+  Matrix probs = Matrix::FromRows(
+      {{0.95, 0.05}, {0.55, 0.45}, {0.05, 0.95}, {0.7, 0.3}});
   LabelState state(4, 2);
   state.SetLabel(3, 0, LabelSource::kInference);  // Pre-labelled.
   EnrichmentOptions options;
   options.epsilon = 0.5;
   options.min_labelled = 1;
   options.min_labelled_fraction = 0.0;
-  size_t enriched = EnrichLabelledSet(phi, IdFeatures(4), options, &state);
+  size_t enriched = EnrichLabelledSet(&probs, options, &state);
   EXPECT_EQ(enriched, 2u);  // Objects 0 and 2; 1 too ambiguous; 3 taken.
   EXPECT_EQ(state.label(0), 0);
   EXPECT_EQ(state.source(0), LabelSource::kClassifier);
@@ -66,45 +30,45 @@ TEST(EnrichmentTest, LabelsConfidentSkipsAmbiguous) {
 
 TEST(EnrichmentTest, ExactThresholdStaysUnlabelled) {
   // Gap == epsilon must NOT label (Algorithm 1: <= epsilon is ambiguous).
-  FakeClassifier phi(Matrix::FromRows({{0.75, 0.25}}));
+  Matrix probs = Matrix::FromRows({{0.75, 0.25}});
   LabelState state(1, 2);
   EnrichmentOptions options;
   options.epsilon = 0.5;
   options.min_labelled = 0;
   options.min_labelled_fraction = 0.0;
-  EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(1), options, &state), 0u);
+  EXPECT_EQ(EnrichLabelledSet(&probs, options, &state), 0u);
 }
 
 TEST(EnrichmentTest, UntrainedClassifierIsNoop) {
-  FakeClassifier phi(Matrix::FromRows({{1.0, 0.0}}));
-  phi.set_trained(false);
+  // An untrained phi has no predictions: the caller passes null.
   LabelState state(1, 2);
   EnrichmentOptions options;
   options.min_labelled = 0;
   options.min_labelled_fraction = 0.0;
-  EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(1), options, &state), 0u);
+  EXPECT_EQ(EnrichLabelledSet(nullptr, options, &state), 0u);
+  EXPECT_FALSE(state.IsLabelled(0));
 }
 
 TEST(EnrichmentTest, MinLabelledGateBlocks) {
-  FakeClassifier phi(Matrix::FromRows({{1.0, 0.0}, {1.0, 0.0}}));
+  Matrix probs = Matrix::FromRows({{1.0, 0.0}, {1.0, 0.0}});
   LabelState state(2, 2);
   EnrichmentOptions options;
   options.epsilon = 0.5;
   options.min_labelled = 1;
   options.min_labelled_fraction = 0.0;
-  EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(2), options, &state), 0u);
+  EXPECT_EQ(EnrichLabelledSet(&probs, options, &state), 0u);
   state.SetLabel(0, 0, LabelSource::kInference);
-  EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(2), options, &state), 1u);
+  EXPECT_EQ(EnrichLabelledSet(&probs, options, &state), 1u);
 }
 
 TEST(EnrichmentTest, FractionGateScalesWithWorkload) {
-  FakeClassifier phi(Matrix(10, 2, 0.0));
+  Matrix probs(10, 2, 0.0);
   LabelState state(10, 2);
   state.SetLabel(0, 0, LabelSource::kInference);
   EnrichmentOptions options;
   options.min_labelled = 1;
   options.min_labelled_fraction = 0.5;  // Needs 5 labelled, has 1.
-  EXPECT_EQ(EnrichLabelledSet(phi, IdFeatures(10), options, &state), 0u);
+  EXPECT_EQ(EnrichLabelledSet(&probs, options, &state), 0u);
 }
 
 TEST(RewardTest, SharedEnrichmentReward) {

@@ -1,9 +1,14 @@
 #include "inference/joint_inference.h"
 
+#include <cstring>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "classifier/mlp_classifier.h"
 #include "inference/dawid_skene.h"
+#include "tests/testing/reference_gemm.h"
+#include "tests/testing/seed_training.h"
 #include "tests/testing/sim_helpers.h"
 
 namespace crowdrl::inference {
@@ -129,6 +134,63 @@ TEST(BoundExpertQualityTest, ClampsOnlyExperts) {
   EXPECT_NEAR(confusions[1].At(1, 1), 0.9, 1e-12);
   EXPECT_TRUE(confusions[1].Validate().ok());
 }
+
+// Infer must reproduce the seed EM loop (tests/testing/seed_training.h:
+// phi predicted every round, a std::log per answer per class) bit for bit,
+// whichever rounds retrain phi and whichever objects take its prior. Two
+// consecutive calls cover the cold (seeded) and the warm-started phi.
+class JointMatchesSeedTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(JointMatchesSeedTest, BitIdenticalToTheSeedLoop) {
+  const auto [retrain_period, prior_on_unanimous] = GetParam();
+  testing::SimWorld world = testing::MakeSimWorld(120, 3, 1, 3, 77);
+  std::vector<crowd::AnnotatorType> types;
+  for (const auto& a : world.pool) types.push_back(a.type());
+  JointInferenceOptions options;
+  options.em.max_iterations = 8;
+  options.em.smoothing = 2.0;
+  options.classifier_retrain_period = retrain_period;
+  options.classifier_prior_on_unanimous = prior_on_unanimous;
+  options.classifier_weight = 0.7;
+  classifier::MlpClassifierOptions phi_options;
+  phi_options.hidden_sizes = {16};
+  phi_options.epochs = 4;
+  phi_options.warm_start = true;
+  classifier::MlpClassifier phi(world.dataset.feature_dim(), 2, phi_options);
+  classifier::MlpClassifier seed_phi = phi;
+
+  JointInference joint(options);
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE(call);
+    InferenceResult got;
+    InferenceResult want;
+    ASSERT_TRUE(joint.Infer(MakeInput(world, &phi, &types), &got).ok());
+    ASSERT_TRUE(testing::SeedJointInfer(
+                    options, MakeInput(world, &seed_phi, &types), &want)
+                    .ok());
+    EXPECT_TRUE(testing::BitEqual(got.posteriors, want.posteriors));
+    EXPECT_EQ(got.labels, want.labels);
+    ASSERT_EQ(got.confusions.size(), want.confusions.size());
+    for (size_t j = 0; j < got.confusions.size(); ++j) {
+      EXPECT_TRUE(testing::BitEqual(got.confusions[j].probs(),
+                                    want.confusions[j].probs()))
+          << "annotator " << j;
+    }
+    EXPECT_EQ(std::memcmp(&got.log_likelihood, &want.log_likelihood,
+                          sizeof(double)),
+              0)
+        << got.log_likelihood << " vs " << want.log_likelihood;
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_TRUE(testing::BitEqual(phi.PredictProbsBatch(world.dataset.features),
+                                  seed_phi.PredictProbsBatch(
+                                      world.dataset.features)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RetrainPeriodAndPrior, JointMatchesSeedTest,
+    ::testing::Combine(::testing::Values(1, 2, 1000), ::testing::Bool()));
 
 TEST(ClassifierAsAnnotatorTest, RunsAndTrimsOutputsToRealAnnotators) {
   testing::SimWorld world = testing::MakeSimWorld(150, 3, 1, 3, 99);

@@ -1,6 +1,9 @@
 #include "nn/activation.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +60,42 @@ TEST_P(ActivationGradTest, MatchesFiniteDifference) {
     EXPECT_NEAR(grad.At(0, 0), numeric, 1e-5)
         << ActivationName(act) << " at x=" << x;
   }
+}
+
+// The ReLU gradient is a select, not a branch; it must keep the seed's
+// `if (post <= 0) grad = 0` values bit for bit: +0.0 where post is -0.0,
+// +0.0 or negative (whatever grad was, NaN included), and grad untouched
+// where post is positive or NaN (its sign of zero and NaN included). The
+// row is longer than any SIMD width so vector bodies and tails both run.
+TEST(ActivationTest, ReluGradMatchesTheSeedBranchOnZerosAndNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> posts = {-0.0, 0.0, nan, -2.5, 3.0, 1e-300};
+  const std::vector<double> grads = {7.0, -7.0, nan, -0.0, 0.0, 5.0};
+  Matrix post(1, 37);
+  Matrix grad(1, 37);
+  for (size_t i = 0; i < 37; ++i) {
+    post.At(0, i) = posts[i % posts.size()];
+    grad.At(0, i) = grads[(i / posts.size()) % grads.size()];
+  }
+  Matrix expected = grad;
+  for (size_t i = 0; i < expected.data().size(); ++i) {
+    if (post.data()[i] <= 0.0) expected.data()[i] = 0.0;  // Seed branch.
+  }
+  ApplyActivationGrad(Activation::kRelu, post, &grad);
+  for (size_t i = 0; i < 37; ++i) {
+    EXPECT_EQ(std::memcmp(&grad.At(0, i), &expected.At(0, i), sizeof(double)),
+              0)
+        << "post " << post.At(0, i) << " grad " << grad.At(0, i)
+        << " expected " << expected.At(0, i);
+  }
+  // Spot checks of the contract itself, independent of the seed loop.
+  EXPECT_FALSE(std::signbit(grad.At(0, 0)));  // post -0.0, grad 7 -> +0.0.
+  EXPECT_FALSE(std::signbit(grad.At(0, 1)));  // post +0.0, grad 7 -> +0.0.
+  EXPECT_EQ(grad.At(0, 2), 7.0);              // post NaN: untouched.
+  EXPECT_EQ(grad.At(0, 4), 7.0);              // post positive: untouched.
+  EXPECT_TRUE(std::isnan(grad.At(0, 14)));    // post NaN, grad NaN.
+  EXPECT_FALSE(std::signbit(grad.At(0, 15))); // post -2.5, grad NaN -> +0.0.
+  EXPECT_TRUE(std::signbit(grad.At(0, 22)));  // post 3.0, grad -0.0 kept.
 }
 
 INSTANTIATE_TEST_SUITE_P(All, ActivationGradTest,

@@ -6,6 +6,7 @@
 
 #include "obs/watchdog.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -213,6 +214,49 @@ TEST_F(WatchdogTest, InactiveScopeReadsHealthyAndResetsItsWindow) {
   EXPECT_FALSE(FindVerdict(dog, "deep").firing);  // enough to fire...
   dog.EvaluateOnce();
   EXPECT_TRUE(FindVerdict(dog, "deep").firing);  // ...two are.
+  dog.Stop();
+}
+
+// A snapshot taken right after a scope goes inactive must not report the
+// verdicts of its last tick. With an hour-long tick the monitor thread
+// evaluates once at start and then sleeps, so nothing clears the verdict
+// but Verdicts() itself.
+TEST_F(WatchdogTest, InactiveScopeReadsHealthyBeforeTheNextTick) {
+  Gauge* depth = MetricsRegistry::Get().GetGauge("test.wd.completed");
+  depth->Set(100.0);
+  WatchdogRule rule;
+  rule.name = "deep";
+  rule.kind = WatchdogRule::Kind::kGaugeAbove;
+  rule.metric = "test.wd.completed";
+  rule.threshold = 10.0;
+  rule.window_ticks = 2;
+
+  std::atomic<bool> active{true};
+  WatchdogRuleSet set;
+  set.scope_name = "camp";
+  set.rules = {rule};
+  set.active = [&active] { return active.load(); };
+
+  WatchdogOptions options;
+  options.enabled = true;
+  options.tick_micros = int64_t{3'600'000'000};
+  HealthWatchdog dog;
+  dog.Start(options, {set});
+  // The thread's first tick samples the gauge (its value shows in the
+  // verdict) and leaves the window one sample short of firing. After it
+  // the thread sleeps, so the second tick is ours.
+  for (int i = 0; i < 5000 && FindVerdict(dog, "deep").value != 100.0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(FindVerdict(dog, "deep").value, 100.0);
+  EXPECT_FALSE(FindVerdict(dog, "deep").firing);
+  dog.EvaluateOnce();
+  ASSERT_TRUE(FindVerdict(dog, "deep").firing);
+
+  active.store(false);  // The campaign completes; no tick follows.
+  EXPECT_FALSE(FindVerdict(dog, "deep").firing);
+  active.store(true);   // The stored verdict is untouched until a tick.
+  EXPECT_TRUE(FindVerdict(dog, "deep").firing);
   dog.Stop();
 }
 
