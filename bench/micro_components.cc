@@ -1036,27 +1036,37 @@ void WriteScoringReport(size_t objects, const std::string& path) {
     }
   }
 
-  // ---- Shortlist-pruned end-to-end selection --------------------------
+  // ---- Gated (tiled) end-to-end selection -----------------------------
   // Two agents drive the same steady-drift run: full scoring through the
-  // public API (incremental cache, exact forward over every pair:
-  // Score + PickTopKSumAssignments + Commit) and the production default
-  // (factorized head + the gated SelectBatch engine). Timed on selection
-  // end to end; the selected assignments must be identical every
-  // iteration — the gate falls back to full scoring whenever it cannot
-  // prove that.
+  // public API (incremental cache, exact dense forward over every pair:
+  // Score + PickTopKSumAssignments + Commit) and the gated SelectBatch
+  // engine. The gate runs only on tiled grids, which by default start at
+  // 2^22 pairs; untiled, SelectBatch is itself one full pass. So the gated
+  // agent tiles this grid (hier_min_pairs = 0, kGateBucket-object buckets
+  // x kGateGroup-annotator groups) and the row keeps timing the gate. The
+  // tiled forward is dense like the baseline's, so exact scores agree bit
+  // for bit. Timed on selection end to end; the selected assignments must
+  // be identical every iteration — the gate falls back to full scoring
+  // whenever it cannot prove that.
   const int kPrunedIters = 10;
   const int kPrunedWarmup = 3;  // Must-score first pass + bound calibration.
+  const size_t kGateBucket = 64;
+  const size_t kGateGroup = 8;
   double best_base = 1e300;
   double best_pruned = 1e300;
   bool assignments_identical = true;
   ScoringScenario drift(objects, kAnnotators, kClasses);
   rl::DqnAgentOptions base_options;
   base_options.factorized_q_head = false;
-  rl::DqnAgentOptions pruned_options;  // Production defaults.
+  rl::DqnAgentOptions pruned_options;
+  pruned_options.hier_min_pairs = 0;
+  pruned_options.hier_object_bucket = kGateBucket;
+  pruned_options.hier_annotator_group = kGateGroup;
   rl::DqnAgent base_agent(base_options);
   rl::DqnAgent pruned_agent(pruned_options);
   base_agent.BeginEpisode(drift.n, drift.m);
   pruned_agent.BeginEpisode(drift.n, drift.m);
+  CROWDRL_CHECK(pruned_agent.HierEngaged());
   std::vector<bool> affordable(drift.m, true);
   for (int iter = 0; iter < kPrunedIters; ++iter) {
     drift.Mutate(/*steady=*/true);
@@ -1103,13 +1113,13 @@ void WriteScoringReport(size_t objects, const std::string& path) {
   const rl::ShortlistPruner::Stats& prune_stats =
       pruned_agent.shortlist_pruner().stats();
   double pruned_speedup = best_base / best_pruned;
-  std::printf("  pruned selection: base %.3f ms  pruned %.3f ms  %.2fx  "
-              "identical=%d  (pruned_iters=%zu gate_fallbacks=%zu "
-              "exact_rows=%zu bounded_rows=%zu)\n",
-              best_base * 1e3, best_pruned * 1e3, pruned_speedup,
-              assignments_identical, prune_stats.pruned_iterations,
-              prune_stats.gate_fallbacks, prune_stats.exact_rows,
-              prune_stats.bounded_rows);
+  std::printf("  gated selection (tiled %zux%zu): base %.3f ms  gated "
+              "%.3f ms  %.2fx  identical=%d  (pruned_iters=%zu "
+              "gate_fallbacks=%zu exact_rows=%zu bounded_rows=%zu)\n",
+              kGateBucket, kGateGroup, best_base * 1e3, best_pruned * 1e3,
+              pruned_speedup, assignments_identical,
+              prune_stats.pruned_iterations, prune_stats.gate_fallbacks,
+              prune_stats.exact_rows, prune_stats.bounded_rows);
 
   struct StageRow {
     const char* stage;
@@ -1196,14 +1206,17 @@ void WriteScoringReport(size_t objects, const std::string& path) {
                iter_fact * 1e3, iter_seed / iter_fact,
                static_cast<unsigned long long>(max_ulps), max_abs_diff);
   std::fprintf(json,
-               "  \"pruned_selection\": {\"baseline_ms\": %.4f, "
+               "  \"pruned_selection\": {\"tiled\": true, "
+               "\"object_bucket\": %zu, \"annotator_group\": %zu, "
+               "\"baseline_ms\": %.4f, "
                "\"pruned_ms\": %.4f, \"speedup\": %.3f, "
                "\"assignments_identical\": %s, "
                "\"pruned_iterations\": %zu, \"full_iterations\": %zu, "
                "\"gate_fallbacks\": %zu, \"precheck_fallbacks\": %zu, "
                "\"exact_rows\": %zu, \"bounded_rows\": %zu}\n"
                "}\n",
-               best_base * 1e3, best_pruned * 1e3, pruned_speedup,
+               kGateBucket, kGateGroup, best_base * 1e3, best_pruned * 1e3,
+               pruned_speedup,
                assignments_identical ? "true" : "false",
                prune_stats.pruned_iterations, prune_stats.full_iterations,
                prune_stats.gate_fallbacks, prune_stats.precheck_fallbacks,

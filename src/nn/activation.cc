@@ -29,13 +29,18 @@ void ApplyActivationRows(Activation act, Matrix* values, size_t row_begin,
                          size_t row_end) {
   CROWDRL_CHECK(values != nullptr);
   CROWDRL_DCHECK(row_begin <= row_end && row_end <= values->rows());
-  double* p = values->data().data() + row_begin * values->cols();
-  double* const end = values->data().data() + row_end * values->cols();
+  ApplyActivationSpan(act, values->data().data() + row_begin * values->cols(),
+                      (row_end - row_begin) * values->cols());
+}
+
+void ApplyActivationSpan(Activation act, double* values, size_t n) {
+  double* p = values;
+  double* const end = values + n;
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      for (; p != end; ++p) *p = *p > 0.0 ? *p : 0.0;
+      for (; p != end; ++p) *p = Relu(*p);
       return;
     case Activation::kSigmoid:
       for (; p != end; ++p) *p = 1.0 / (1.0 + std::exp(-*p));

@@ -11,17 +11,16 @@ namespace crowdrl::nn {
 namespace {
 
 /// Fused per-row-block tail of a linear layer: bias add + activation,
-/// applied while the block is still cache-hot inside the GEMM. Blocks are
-/// disjoint row ranges, so this is safe under kernel row-threading.
+/// applied row by row while the block is still cache-hot inside the GEMM.
+/// Blocks are disjoint row ranges, so this is safe under kernel
+/// row-threading.
 gemm::RowEpilogue BiasActivationEpilogue(const std::vector<double>& bias,
                                          Activation act, Matrix* out) {
   return [&bias, act, out](size_t row_begin, size_t row_end) {
-    const size_t cols = out->cols();
     for (size_t r = row_begin; r < row_end; ++r) {
       double* row = out->Row(r);
-      for (size_t c = 0; c < cols; ++c) row[c] += bias[c];
+      AddActivate(act, row, bias.data(), out->cols(), row);
     }
-    ApplyActivationRows(act, out, row_begin, row_end);
   };
 }
 

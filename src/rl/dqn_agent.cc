@@ -350,16 +350,15 @@ void DqnAgent::ResetSelectionState() {
   }
 }
 
-bool DqnAgent::GateEligible() const {
-  // Epsilon-greedy consumes RNG inside Score, so a gated iteration would
-  // desynchronize the stream against the full path; the other modes score
-  // deterministically and the gated/full choice is then unobservable.
-  return options_.feature_mask.empty() &&
-         options_.exploration != ExplorationMode::kEpsilonGreedy;
-}
-
 bool DqnAgent::HierEngaged() const {
-  return GateEligible() && episode_objects_ > 0 &&
+  // Only agents the gate can serve tile. Epsilon-greedy consumes RNG
+  // inside Score, so a gated iteration would desynchronize the stream
+  // against the full path; the other modes score deterministically and
+  // the gated/full choice is then unobservable. Masked agents keep the
+  // dense forward of the full pass.
+  return options_.feature_mask.empty() &&
+         options_.exploration != ExplorationMode::kEpsilonGreedy &&
+         episode_objects_ > 0 &&
          episode_objects_ * episode_annotators_ >= options_.hier_min_pairs;
 }
 
@@ -422,8 +421,9 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
     CROWDRL_CHECK(options_.feature_mask.size() == StateFeaturizer::kFeatureDim);
   }
   if (features == nullptr) {
-    // Caller never reads dense rows (factorized bootstrap): enumeration
-    // and the Sync above are all it needs.
+    // Caller never reads dense rows (the full selection pass, the
+    // factorized bootstrap): enumeration and the Sync above are all it
+    // needs.
     return valid;
   }
 
@@ -434,14 +434,7 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
   // one at every thread count.
   auto featurize_range = [&](size_t idx_begin, size_t idx_end) {
     for (size_t idx = idx_begin; idx < idx_end; ++idx) {
-      double* row = features->Row(idx);
-      score_cache_.AssembleRowInto(valid[idx].object, valid[idx].annotator,
-                                   row);
-      if (!options_.feature_mask.empty()) {
-        for (size_t f = 0; f < StateFeaturizer::kFeatureDim; ++f) {
-          if (!options_.feature_mask[f]) row[f] = 0.0;
-        }
-      }
+      AssembleRow(valid[idx], features->Row(idx));
     }
   };
   if (pool_ != nullptr) {
@@ -456,15 +449,29 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
   return valid;
 }
 
+void DqnAgent::AssembleRow(const Action& pair, double* row) const {
+  score_cache_.AssembleRowInto(pair.object, pair.annotator, row);
+  if (options_.feature_mask.empty()) return;
+  for (size_t f = 0; f < StateFeaturizer::kFeatureDim; ++f) {
+    if (!options_.feature_mask[f]) row[f] = 0.0;
+  }
+}
+
 ScoredCandidates DqnAgent::Score(
     const StateView& view, const std::vector<bool>& annotator_affordable) {
+  return ScoreValidPairs(view, annotator_affordable, /*with_features=*/true);
+}
+
+ScoredCandidates DqnAgent::ScoreValidPairs(
+    const StateView& view, const std::vector<bool>& annotator_affordable,
+    bool with_features) {
   CROWDRL_CHECK(episode_objects_ > 0)
-      << "BeginEpisode must be called before Score";
+      << "BeginEpisode must be called before Score or SelectBatch";
   CheckViewMatchesEpisode(view);
   ScoredCandidates out;
   out.actions = EnumerateCandidates(view, annotator_affordable,
                                     std::numeric_limits<size_t>::max(),
-                                    &out.features);
+                                    with_features ? &out.features : nullptr);
   if (out.actions.empty()) return out;
 
   bool explore_randomly =
@@ -474,11 +481,13 @@ ScoredCandidates DqnAgent::Score(
     out.scores.resize(out.actions.size());
     for (double& s : out.scores) s = rng_.Uniform();
   } else {
-    CROWDRL_TRACE_SPAN("agent.q_forward");
-    out.scores = UseFactorizedHead()
-                     ? q_network_.PredictBatchFactorized(
-                           CacheBlocks(), out.actions, /*use_target=*/false)
-                     : q_network_.PredictBatch(out.features);
+    if (with_features && !UseFactorizedHead()) {
+      // The rows are already resident: forward them as they are.
+      CROWDRL_TRACE_SPAN("agent.q_forward");
+      out.scores = q_network_.PredictBatch(out.features);
+    } else {
+      out.scores = ExactQ(out.actions);
+    }
     if (options_.exploration == ExplorationMode::kUcb) {
       double log_term =
           2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
@@ -500,13 +509,13 @@ ScoredCandidates DqnAgent::Score(
 
 void DqnAgent::Commit(const ScoredCandidates& candidates,
                       const std::vector<size_t>& chosen_indices) {
+  std::vector<Action> chosen;
+  chosen.reserve(chosen_indices.size());
   for (size_t idx : chosen_indices) {
     CROWDRL_CHECK(idx < candidates.actions.size());
-    const Action& action = candidates.actions[idx];
-    pending_.push_back(candidates.features.RowVector(idx));
-    selection_counts_.Increment(action.object, action.annotator);
-    ++total_selections_;
+    chosen.push_back(candidates.actions[idx]);
   }
+  CommitActions(chosen);
 }
 
 std::vector<Assignment> PickTopKSumAssignments(
@@ -559,19 +568,33 @@ std::vector<Assignment> PickTopKSumAssignments(
 std::vector<Assignment> DqnAgent::SelectBatch(
     const StateView& view, int k, int num_objects_to_pick,
     const std::vector<bool>& annotator_affordable) {
-  if (GateEligible()) {
+  if (HierEngaged()) {
     return SelectGated(view, k, num_objects_to_pick, annotator_affordable);
   }
-  ScoredCandidates candidates = Score(view, annotator_affordable);
-  std::vector<size_t> chosen;
+  // Untiled: one exact pass over the whole valid grid. Score's candidates
+  // and scores, minus its dense feature matrix — only the committed pairs'
+  // rows are ever assembled.
+  ScoredCandidates candidates =
+      ScoreValidPairs(view, annotator_affordable, /*with_features=*/false);
+  std::vector<size_t> chosen_indices;
   std::vector<Assignment> assignments;
   {
     CROWDRL_TRACE_SPAN("agent.topk");
     assignments = PickTopKSumAssignments(candidates, k, num_objects_to_pick,
-                                         episode_objects_, &chosen);
+                                         episode_objects_, &chosen_indices);
   }
-  Commit(candidates, chosen);
+  Commit(candidates, chosen_indices);
   return assignments;
+}
+
+void DqnAgent::CommitActions(const std::vector<Action>& chosen) {
+  for (const Action& action : chosen) {
+    std::vector<double> row(StateFeaturizer::kFeatureDim);
+    AssembleRow(action, row.data());
+    pending_.push_back(std::move(row));
+    selection_counts_.Increment(action.object, action.annotator);
+    ++total_selections_;
+  }
 }
 
 std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
@@ -581,13 +604,12 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
                                              /*use_target=*/false);
   }
   // Dense rows are assembled block by block inside the forward, on the Q
-  // pool's lanes (AssembleRowInto only reads the synced cache), so no
+  // pool's lanes (AssembleRow only reads the synced cache), so no
   // pairs x features matrix is ever resident.
   std::vector<double> q = q_network_.PredictBatch(
       pairs.size(), [&](size_t r0, size_t r1, Matrix* block) {
         for (size_t i = r0; i < r1; ++i) {
-          score_cache_.AssembleRowInto(pairs[i].object, pairs[i].annotator,
-                                       block->Row(i - r0));
+          AssembleRow(pairs[i], block->Row(i - r0));
         }
       });
   rows_featurized_ += pairs.size();
@@ -597,8 +619,7 @@ std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
 std::vector<Assignment> DqnAgent::SelectGated(
     const StateView& view, int k, int num_objects_to_pick,
     const std::vector<bool>& annotator_affordable) {
-  CROWDRL_CHECK(episode_objects_ > 0)
-      << "BeginEpisode must be called before SelectBatch";
+  CROWDRL_CHECK(HierEngaged());
   CROWDRL_CHECK(k > 0 && num_objects_to_pick > 0);
   CheckViewMatchesEpisode(view);
   CROWDRL_CHECK(view.labelled != nullptr);
@@ -622,12 +643,10 @@ std::vector<Assignment> DqnAgent::SelectGated(
           : 0.0;
   const double bonus_max = ucb ? options_.ucb_c * std::sqrt(log_term) : 0.0;
 
-  // Grid size decides the initial candidate set. Untiled, one bucket spans
-  // every object and starts expanded; tiled, the coarse-to-fine descent
-  // below picks the first buckets and the rest stay bounded per bucket.
-  const bool tiled = HierEngaged();
-  const size_t num_buckets = tiled ? hierarchy_.num_buckets() : 1;
-  std::vector<uint8_t> expanded(num_buckets, tiled ? 0 : 1);
+  // The coarse-to-fine descent below picks the first buckets; the rest
+  // stay bounded per bucket.
+  const size_t num_buckets = hierarchy_.num_buckets();
+  std::vector<uint8_t> expanded(num_buckets, 0);
   std::vector<double> bucket_bound(num_buckets, neg_inf);
   const auto bound_buckets = [&]() {
     for (size_t b = 0; b < num_buckets; ++b) {
@@ -637,11 +656,11 @@ std::vector<Assignment> DqnAgent::SelectGated(
                             : neg_inf;
     }
   };
-  if (tiled) {
-    score_cache_.RefreshBucketBoxes();
-    hierarchy_.BeginIteration(score_cache_, *view.labelled,
-                              annotator_affordable);
-    ++hier_stats_.iterations;
+  score_cache_.RefreshBucketBoxes();
+  hierarchy_.BeginIteration(score_cache_, *view.labelled,
+                            annotator_affordable);
+  ++hier_stats_.iterations;
+  {
     std::vector<size_t> order;
     size_t live_unlabelled = 0;
     for (size_t b = 0; b < num_buckets; ++b) {
@@ -717,9 +736,7 @@ std::vector<Assignment> DqnAgent::SelectGated(
     std::vector<Action> next;
     for (size_t b = 0; b < num_buckets; ++b) {
       if (!expanded[b]) continue;
-      const auto [begin, end] = tiled ? hierarchy_.BucketRange(b)
-                                      : std::make_pair(size_t{0},
-                                                       episode_objects_);
+      const auto [begin, end] = hierarchy_.BucketRange(b);
       AppendValidPairs(view, annotator_affordable, begin, end, &next);
     }
     // Carry the exact scores over: the previous set is an ordered subset.
@@ -765,15 +782,13 @@ std::vector<Assignment> DqnAgent::SelectGated(
       }
     }
     std::vector<double> q = ExactQ(actions);
-    if (tiled) {
-      hier_stats_.scored_pairs += actions.size();
-      for (size_t s = 0; precheck && s < actions.size(); ++s) {
-        if (q[s] + batch_bonus[s] > batch_ub[s]) {
-          hierarchy_.ObserveTileViolation(
-              hierarchy_.BucketOf(actions[s].object),
-              hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
-              train_steps, &pruner_);
-        }
+    hier_stats_.scored_pairs += actions.size();
+    for (size_t s = 0; precheck && s < actions.size(); ++s) {
+      if (q[s] + batch_bonus[s] > batch_ub[s]) {
+        hierarchy_.ObserveTileViolation(
+            hierarchy_.BucketOf(actions[s].object),
+            hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
+            train_steps, &pruner_);
       }
     }
     const size_t violations = pruner_.RecordExact(
@@ -809,28 +824,24 @@ std::vector<Assignment> DqnAgent::SelectGated(
   for (;;) {
     if (need_shortlist) {
       // Bound every candidate — the pair's own stale entry, tightened by
-      // its tile's bound when a tiling exists — and exact-score the
-      // highest-bounded unscored ones. Must-score pairs (+inf) are always
-      // admitted on top of the shortlist size.
+      // its tile's bound — and exact-score the highest-bounded unscored
+      // ones. Must-score pairs (+inf) are always admitted on top of the
+      // shortlist size.
       need_shortlist = false;
-      if (tiled) {
-        ++hier_stats_.rounds;
-        if (rebound) bound_buckets();
-      }
+      ++hier_stats_.rounds;
+      if (rebound) bound_buckets();
       rebound = false;
       size_t must_score = 0;
       {
         CROWDRL_TRACE_SPAN("agent.prune_bounds");
         pruner_.UpperBounds(score_cache_, train_steps, pairs, bonus, &ub);
         for (size_t idx = 0; idx < pairs.size(); ++idx) {
-          if (tiled) {
-            const Action& a = pairs[idx];
-            ub[idx] = std::min(
-                ub[idx], hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
-                                              hierarchy_.GroupOf(a.annotator),
-                                              score_cache_, pruner_,
-                                              train_steps, bonus[idx]));
-          }
+          const Action& a = pairs[idx];
+          ub[idx] = std::min(
+              ub[idx], hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
+                                            hierarchy_.GroupOf(a.annotator),
+                                            score_cache_, pruner_,
+                                            train_steps, bonus[idx]));
           if (!is_exact[idx] && std::isinf(ub[idx])) ++must_score;
         }
       }
@@ -866,7 +877,7 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
 
     bool unexpanded_live = false;
-    for (size_t b = 0; tiled && b < num_buckets; ++b) {
+    for (size_t b = 0; b < num_buckets; ++b) {
       if (hierarchy_.BucketLive(b) && !expanded[b]) unexpanded_live = true;
     }
     // Nothing left to bound: full scoring's answer is already at hand.
@@ -881,19 +892,18 @@ std::vector<Assignment> DqnAgent::SelectGated(
       selection = GatedPickTopKSum(pairs, merged, is_exact, ub, k,
                                    num_objects_to_pick, episode_objects_);
     }
-    // Unexpanded-bucket gate (vacuous without a tiling): every live
-    // unexpanded bucket's best top-k sum — k times its bound when
-    // positive, the bound itself otherwise (j <= k negative terms sum to
-    // at most one of them) — must sit clearly below the selection cutoff.
-    // A selection short of objects has no cutoff: any bucket with a valid
-    // pair could still contribute one.
+    // Unexpanded-bucket gate: every live unexpanded bucket's best top-k
+    // sum — k times its bound when positive, the bound itself otherwise
+    // (j <= k negative terms sum to at most one of them) — must sit
+    // clearly below the selection cutoff. A selection short of objects has
+    // no cutoff: any bucket with a valid pair could still contribute one.
     std::vector<size_t> offenders;
     if (selection.sound) {
       const double cutoff = selection.assignments.size() <
                                     static_cast<size_t>(num_objects_to_pick)
                                 ? neg_inf
                                 : selection.min_chosen_sum;
-      for (size_t b = 0; tiled && b < num_buckets; ++b) {
+      for (size_t b = 0; b < num_buckets; ++b) {
         if (!hierarchy_.BucketLive(b) || expanded[b]) continue;
         const double sum_bound = bucket_bound[b] >= 0.0
                                      ? static_cast<double>(k) * bucket_bound[b]
@@ -958,18 +968,16 @@ std::vector<Assignment> DqnAgent::SelectGated(
     chosen = std::move(selection.chosen_actions);
     pruner_.NotePrunedSuccess(exact_count, pairs.size() - exact_count,
                               gate_failed);
-    if (tiled) ++hier_stats_.gated_iterations;
+    ++hier_stats_.gated_iterations;
   } else {
     // Rung 4: exact-score every live pair. The candidate list and scores
     // are then exactly Score()'s, so PickTopKSumAssignments selects (and
     // tie-breaks) exactly as full scoring does.
     if (gate_failed) note_fallback();
-    if (tiled) {
-      for (size_t b = 0; b < num_buckets; ++b) {
-        if (hierarchy_.BucketLive(b)) expanded[b] = 1;
-      }
-      enumerate();
+    for (size_t b = 0; b < num_buckets; ++b) {
+      if (hierarchy_.BucketLive(b)) expanded[b] = 1;
     }
+    enumerate();
     std::vector<uint32_t> batch;
     for (size_t idx = 0; idx < pairs.size(); ++idx) {
       if (!is_exact[idx]) batch.push_back(static_cast<uint32_t>(idx));
@@ -989,23 +997,12 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
     for (size_t idx : chosen_indices) chosen.push_back(pairs[idx]);
     pruner_.NoteFullPass();
-    if (tiled) ++hier_stats_.full_fallbacks;
+    ++hier_stats_.full_fallbacks;
   }
 
-  // Commit: identical bookkeeping (and identical feature bits —
-  // AssembleRowInto is a pure copy of the same cached blocks Score's
-  // features matrix is built from).
-  for (const Action& action : chosen) {
-    std::vector<double> row(StateFeaturizer::kFeatureDim);
-    score_cache_.AssembleRowInto(action.object, action.annotator, row.data());
-    pending_.push_back(std::move(row));
-    selection_counts_.Increment(action.object, action.annotator);
-    ++total_selections_;
-  }
-  if (tiled) {
-    hier_stats_.enumerated_pairs += pairs.size();
-    for (uint8_t e : expanded) hier_stats_.expanded_buckets += e;
-  }
+  CommitActions(chosen);
+  hier_stats_.enumerated_pairs += pairs.size();
+  for (uint8_t e : expanded) hier_stats_.expanded_buckets += e;
   RecordPruneMetrics(pruner_, &prune_metrics_seen_, pairs.size(),
                      exact_count);
   return assignments;

@@ -52,31 +52,38 @@ struct DqnAgentOptions {
   /// must have StateFeaturizer::kFeatureDim entries and masked-off
   /// features are zeroed before reaching the Q-network. Empty = all on.
   std::vector<bool> feature_mask;
-  /// Worker threads for candidate featurization: the per-pair feature rows
-  /// of EnumerateCandidates are built in parallel chunks. 1 (the default)
-  /// runs the original serial path; every feature row depends only on its
+  /// Worker threads for dense candidate featurization: the feature matrix
+  /// of Score() and of the untiled dense bootstrap (factorized head off or
+  /// feature mask set) is built in parallel chunks. SelectBatch never
+  /// featurizes the grid — untiled it scores through the factorized head
+  /// and assembles only the committed rows, tiled it assembles shortlist
+  /// rows inside the Q forward on `q.threads` — so an agent driven by
+  /// SelectBatch on the factorized head never dispatches here. 1 (the
+  /// default) runs the serial path; every feature row depends only on its
   /// own (object, annotator), so results are bit-identical at any thread
-  /// count. Q-network inference threads are configured separately via
-  /// `q.threads`.
+  /// count.
   int threads = 1;
   /// Externally owned featurization pool; takes precedence over `threads`
-  /// when set. The labelling service hands every campaign's agent the same
-  /// shared pool — safe because exactly one scheduler pump thread drives
-  /// the agents (ThreadPool external dispatch is single-owner, see
+  /// when set and does the same (and only the same) work. The labelling
+  /// service hands every campaign's agent the same shared pool — exactly
+  /// one scheduler pump thread drives the agents, so they never contend
+  /// for it (a concurrent caller would run its range inline, see
   /// util/thread_pool.h), and bit-identical to a private pool because
-  /// every parallel stage is bit-identical at any thread count.
+  /// featurization is bit-identical at any thread count.
   std::shared_ptr<ThreadPool> shared_pool;
   /// Factorized first-layer Q head: W*x decomposed over the ScoreCache
   /// blocks with per-object / per-annotator partial products reused across
   /// iterations (QNetwork::PredictBatchFactorized). Changes the
   /// floating-point accumulation order, so Q values are only ULP-close to
-  /// the dense forward — on by default (the production scoring path);
-  /// ignored (dense forward) when feature_mask is non-empty or the grid is
+  /// the dense forward — on by default: it is the forward of every
+  /// untiled selection (one full pass over the valid grid) and of Score.
+  /// Ignored (dense forward) when feature_mask is non-empty or the grid is
   /// tiled (see hier_min_pairs). Tests that compare scores bitwise against
   /// from-scratch featurization turn it off explicitly.
   bool factorized_q_head = true;
-  /// Shortlist size of the gated selection engine: SelectBatch exact-scores
-  /// only the candidates whose cheap upper bounds (stale exact Q + drift
+  /// Shortlist size of the gated selection engine, which runs only on
+  /// tiled grids (see hier_min_pairs): SelectBatch exact-scores only the
+  /// expanded candidates whose cheap upper bounds (stale exact Q + drift
   /// slack + the exact exploration bonus, see ShortlistPruner) rank
   /// highest, and serves the selection only when a strict gate proves that
   /// no bounded remainder could alter it; every gate failure climbs a
@@ -85,19 +92,20 @@ struct DqnAgentOptions {
   /// usable bound are always scored on top of this size. 0 = auto
   /// (num_pairs / 16, floor 256, adaptively doubled after gate fallbacks).
   /// A non-zero value also caps the tiled descent's initial expansion
-  /// (tests use it to scale the engine down). The engine stands down for
-  /// epsilon-greedy exploration and feature-masked agents, which always
-  /// run full scoring. Public Score() always scores every pair regardless.
+  /// (tests use it to scale the engine down). Untiled grids, epsilon-greedy
+  /// exploration and feature-masked agents never consult it: they score
+  /// every valid pair. Public Score() always scores every pair regardless.
   size_t prune_shortlist = 0;
-  /// Grid size (|O| x |W| pairs) from which the gated engine tiles the
-  /// grid into buckets x groups (BucketHierarchy): below it every valid
-  /// pair is a candidate from the start; at or above it a coarse-to-fine
-  /// descent over tile-derived upper bounds picks the first buckets, the
-  /// gate additionally bounds every unexpanded bucket, and the Q forward is
+  /// Grid size (|O| x |W| pairs) from which SelectBatch tiles the grid
+  /// into buckets x groups (BucketHierarchy) and runs the gated engine: a
+  /// coarse-to-fine descent over tile-derived upper bounds picks the first
+  /// buckets, the gate bounds every unexpanded bucket, and the Q forward is
   /// dense (the factorized head's per-object partial cache is
   /// O(|O| x hidden) — exactly the resident state tiling exists to avoid).
-  /// SIZE_MAX never tiles. The default keeps every small-grid workload
-  /// untiled.
+  /// Below it every selection is one exact full pass over the valid grid
+  /// on the factorized head, which measured faster than the gate there
+  /// (DESIGN.md §11). SIZE_MAX never tiles. The default keeps every
+  /// small-grid workload untiled.
   size_t hier_min_pairs = size_t{1} << 22;
   /// Objects per bucket / annotators per group of the tiling.
   size_t hier_object_bucket = 1024;
@@ -110,7 +118,8 @@ struct DqnAgentOptions {
 /// DqnAgent::Commit.
 struct ScoredCandidates {
   std::vector<Action> actions;
-  Matrix features;  ///< One row per action.
+  /// One dense (masked) Q input row per action. Commit does not read it.
+  Matrix features;
   /// Q(S, A) plus the exploration bonus when the mode adds one.
   std::vector<double> scores;
 };
@@ -142,7 +151,10 @@ class DqnAgent {
                          const std::vector<bool>& annotator_affordable);
 
   /// Registers the candidate indices that were actually executed: caches
-  /// their features as pending transitions and bumps UCB counts.
+  /// their features as pending transitions and bumps UCB counts. The rows
+  /// are reassembled from the cache this agent's Score synced, equal to
+  /// `candidates.features` bit for bit, so Commit must follow the Score
+  /// that produced `candidates` with no scoring or observing call between.
   void Commit(const ScoredCandidates& candidates,
               const std::vector<size_t>& chosen_indices);
 
@@ -195,7 +207,8 @@ class DqnAgent {
   /// The incremental-scoring block cache (stats inspection).
   const ScoreCache& score_cache() const { return score_cache_; }
   /// Gated-selection state (stats inspection; meaningful when SelectBatch
-  /// drives the agent).
+  /// drives the agent on a tiled grid — untiled selections never touch
+  /// it).
   const ShortlistPruner& shortlist_pruner() const { return pruner_; }
 
   /// Tiled-selection counters (bench/scale_stress reports the
@@ -214,7 +227,9 @@ class DqnAgent {
     size_t live_buckets = 0;      ///< Live buckets seen, summed.
   };
   const HierStats& hier_stats() const { return hier_stats_; }
-  /// True when SelectBatch tiles the grid for the current episode shape.
+  /// True when SelectBatch tiles the grid and runs the gated engine for
+  /// the current episode shape; never for epsilon-greedy or feature-masked
+  /// agents, which always take the full pass.
   bool HierEngaged() const;
   /// Total candidate feature rows assembled/featurized so far (diagnostic
   /// counter; not checkpointed). The factorized bootstrap path must not
@@ -237,17 +252,32 @@ class DqnAgent {
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
 
-  /// True when SelectBatch may run the gated engine (not epsilon-greedy,
-  /// no feature mask); otherwise it scores every pair.
-  bool GateEligible() const;
+  /// The one full-grid scorer behind Score and untiled SelectBatch:
+  /// enumerates every valid pair (syncing the cache), scores it — Q plus
+  /// the exploration bonus, or uniform draws on an epsilon-greedy
+  /// exploration step — and fills the candidates' dense (masked) feature
+  /// rows only when `with_features` is set.
+  ScoredCandidates ScoreValidPairs(
+      const StateView& view, const std::vector<bool>& annotator_affordable,
+      bool with_features);
 
-  /// The gated selection engine behind SelectBatch: exact-scores a
-  /// shortlist of bounded candidates, proves the selection with the gate,
-  /// and climbs the fallback ladder on failure. Selections are identical
-  /// to full scoring.
+  /// The gated selection engine behind SelectBatch on tiled grids (CHECKs
+  /// HierEngaged): exact-scores a shortlist of bounded candidates, proves
+  /// the selection with the gate, and climbs the fallback ladder on
+  /// failure. Selections are identical to full scoring.
   std::vector<Assignment> SelectGated(
       const StateView& view, int k, int num_objects_to_pick,
       const std::vector<bool>& annotator_affordable);
+
+  /// The one commit path (Commit and both SelectBatch paths): caches each
+  /// chosen pair's feature row, assembled from the ScoreCache as the
+  /// selection's enumeration synced it, as a pending transition and bumps
+  /// its UCB count.
+  void CommitActions(const std::vector<Action>& chosen);
+
+  /// One candidate's dense feature row from the synced cache, with the
+  /// ablation feature mask applied.
+  void AssembleRow(const Action& pair, double* row) const;
 
   /// Bootstrap candidate enumeration that never materializes the full
   /// valid-pair list: counts valid pairs in O(|O| + answers + |W|) and
@@ -259,8 +289,8 @@ class DqnAgent {
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
 
-  /// Exact Q forward over a subset of candidate pairs (factorized head
-  /// when enabled, dense assembly + PredictBatch otherwise).
+  /// Exact Q forward over candidate pairs (factorized head when enabled,
+  /// dense assembly + PredictBatch otherwise).
   std::vector<double> ExactQ(const std::vector<Action>& pairs);
 
   /// Aborts unless the view's answer log matches the BeginEpisode shape:
@@ -285,10 +315,11 @@ class DqnAgent {
   /// checkpointed) after BeginEpisode/LoadState — blocks are pure
   /// functions of the StateView, so the rebuild is bit-identical.
   ScoreCache score_cache_;
-  /// Stale-Q table and upper bounds for gated selection; reset (never
-  /// checkpointed) by BeginEpisode/LoadState — the first selection after a
-  /// reset finds every pair must-score and reseeds it, and gated
-  /// selections equal full scoring, so restores stay bit-identical.
+  /// Stale-Q table and upper bounds for gated (tiled) selection; reset
+  /// (never checkpointed) by BeginEpisode/LoadState — the first selection
+  /// after a reset finds every pair must-score and reseeds it, and gated
+  /// selections equal full scoring, so restores stay bit-identical. Its
+  /// table never allocates on untiled grids.
   ShortlistPruner pruner_;
   /// Bucket x group tiling for tiled selection; reset (never
   /// checkpointed) by BeginEpisode/LoadState for the same reason.

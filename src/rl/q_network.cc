@@ -217,17 +217,27 @@ std::vector<double> QNetwork::PredictBatchFactorized(
   net.InferInto(
       pairs.size(),
       [&](size_t p0, size_t p1, Matrix* acts) {
+        // g + O_i is computed once per run of pairs on one object
+        // (candidate lists arrive object-major; any order is correct) and
+        // each row is summed and activated in one pass. The sum keeps the
+        // association (g + O_i) + A_j, so rows are bit-identical to
+        // filling the block and then activating it.
+        std::vector<double> object_sum(h1);
+        int run_object = -1;
         for (size_t p = p0; p < p1; ++p) {
-          const double* object_row = cache.object_partials.Row(
-              static_cast<size_t>(pairs[p].object));
-          const double* annotator_row = cache.annotator_partials.Row(
-              static_cast<size_t>(pairs[p].annotator));
-          double* acts_row = acts->Row(p - p0);
-          for (size_t h = 0; h < h1; ++h) {
-            acts_row[h] = global_partial[h] + object_row[h] + annotator_row[h];
+          if (pairs[p].object != run_object) {
+            run_object = pairs[p].object;
+            const double* object_row =
+                cache.object_partials.Row(static_cast<size_t>(run_object));
+            for (size_t h = 0; h < h1; ++h) {
+              object_sum[h] = global_partial[h] + object_row[h];
+            }
           }
+          nn::AddActivate(act0, object_sum.data(),
+                          cache.annotator_partials.Row(
+                              static_cast<size_t>(pairs[p].annotator)),
+                          h1, acts->Row(p - p0));
         }
-        nn::ApplyActivationRows(act0, acts, 0, p1 - p0);
       },
       pool_.get(), &q, /*first_layer=*/1);
   return std::move(q.data());

@@ -24,8 +24,11 @@ struct ShortlistOptions {
 /// \brief Per-pair stale-Q table and score upper bounds for shortlist
 /// pruning of the |O| x |W| candidate grid.
 ///
-/// The selection structure (per-object top-k by score, then objects by
-/// top-k sums) only ever needs exact scores near the top of the score
+/// Used only by the gated engine, which runs only on tiled grids (see
+/// DqnAgentOptions::hier_min_pairs); untiled selections score the whole
+/// grid and never touch it, so its table stays unallocated there. The
+/// selection structure (per-object top-k by score, then objects by top-k
+/// sums) only ever needs exact scores near the top of the score
 /// distribution. This table keeps, for every (object, annotator) pair,
 /// the last exactly-computed raw Q value together with snapshots of the
 /// ScoreCache drift accumulators and the train-step counter taken at that
@@ -53,8 +56,8 @@ struct ShortlistOptions {
 /// The table is invalidated wholesale whenever the ScoreCache full-
 /// rebuilds (its drift accumulators reset, so the snapshots no longer
 /// measure anything) and is deliberately NOT checkpointed: after a
-/// restore every pair is must-score until it is rescored (on a tiled grid
-/// its tile bound stands in), and because gated selections equal full
+/// restore every pair is must-score until it is rescored (its tile bound
+/// stands in meanwhile), and because gated selections equal full
 /// scoring, the resumed run reproduces the uninterrupted run's
 /// assignments bit for bit.
 ///

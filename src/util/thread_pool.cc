@@ -72,6 +72,21 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     fn(begin, end);
     return;
   }
+  // One dispatch at a time: `job_`, `acked_` and `generation_` describe a
+  // single job. A second caller racing in (two lanes of another pool
+  // dispatching here, or two threads sharing this pool) would overwrite
+  // them, and one worker ack could then release both callers while the
+  // worker still runs a job whose frame has returned. The loser runs its
+  // whole range inline instead, as a same-pool nested call does; chunks
+  // write outputs chosen by index, so results cannot change. A flag, not
+  // a mutex: the owner itself may come back here through another pool's
+  // loop body (A -> B -> A), and must then find the pool busy too.
+  bool idle = false;
+  if (!dispatching_.compare_exchange_strong(idle, true,
+                                            std::memory_order_acquire)) {
+    fn(begin, end);
+    return;
+  }
 
   // Chunk boundaries depend only on (begin, end, grain), never on thread
   // count or scheduling; workers claim chunks from a shared counter.
@@ -126,6 +141,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   done_cv_.wait(lock, [&] { return acked_ == workers_.size(); });
   job_ = nullptr;
   if (observed) Metrics().queue_depth->Set(0.0);
+  dispatching_.store(false, std::memory_order_release);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,6 +1,7 @@
 #ifndef CROWDRL_UTIL_THREAD_POOL_H_
 #define CROWDRL_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +40,14 @@ namespace crowdrl {
 /// deadlock, which is exactly what the pre-flag implementation did
 /// (overwriting `job_`/`generation_` mid-dispatch). Nesting across two
 /// *different* pools dispatches normally.
+///
+/// Concurrent callers: ParallelFor may be called from several threads at
+/// once (e.g. every lane of one pool dispatching into a second, shared
+/// pool). One caller at a time owns the workers; a caller that finds the
+/// pool busy runs its whole range inline on its own thread, exactly like
+/// a same-pool nested call, so it never waits on another caller's job.
+/// That includes the owner re-entering through a second pool's loop body
+/// (A -> B -> A on one thread), which the same-pool check cannot see.
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (none when `threads <= 1`); the calling
@@ -62,6 +71,9 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
+  /// Set while one caller's job owns the workers; see "Concurrent
+  /// callers" above.
+  std::atomic<bool> dispatching_{false};
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/reference_fills.h"
+#include "tests/testing/reference_gemm.h"
+
 namespace crowdrl::nn {
 namespace {
 
@@ -37,6 +40,72 @@ TEST(ActivationTest, IdentityIsNoop) {
   Matrix m = Matrix::FromRows({{-3.0, 4.0}});
   ApplyActivation(Activation::kIdentity, &m);
   EXPECT_DOUBLE_EQ(m.At(0, 0), -3.0);
+}
+
+// ApplyActivationRows on a row range against the element-wise seed loop
+// (testing::ReferenceActivationRows), bit for bit, for every activation:
+// ReLU must map -0.0, +0.0 and NaN to +0.0, and rows outside the range
+// stay untouched. Rows are longer than any SIMD width so vector bodies
+// and tails both run.
+TEST(ActivationTest, RowRangeMatchesTheSeedLoopOnZerosAndNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {-0.0,  0.0,    nan,    -2.5,
+                                      3.0,   1e-300, -1e-300};
+  Matrix pre(4, 37);
+  for (size_t i = 0; i < pre.data().size(); ++i) {
+    pre.data()[i] = values[i % values.size()];
+  }
+  for (Activation act : {Activation::kRelu, Activation::kIdentity,
+                         Activation::kSigmoid, Activation::kTanh}) {
+    Matrix got = pre;
+    Matrix want = pre;
+    ApplyActivationRows(act, &got, 1, 3);
+    testing::ReferenceActivationRows(act, &want, 1, 3);
+    EXPECT_TRUE(testing::BitEqual(got, want)) << ActivationName(act);
+  }
+  Matrix relu = pre;
+  ApplyActivationRows(Activation::kRelu, &relu, 0, 1);
+  EXPECT_FALSE(std::signbit(relu.At(0, 0)));  // -0.0 -> +0.0.
+  EXPECT_EQ(relu.At(0, 2), 0.0);              // NaN -> +0.0.
+  EXPECT_EQ(relu.At(0, 4), 3.0);
+}
+
+// AddActivate (the fused row tail of the MLP's bias epilogue and the
+// factorized Q head's layer 0) against the two-pass seed form — write
+// a[i] + b[i], then testing::ReferenceActivationRows — bit for bit, for
+// every activation, out of place and in place (out == a, as the bias
+// epilogue calls it). The sums cover -0.0 (-0.0 + -0.0: ReLU must give
+// +0.0), +0.0 (-0.0 + +0.0), NaN, negative and positive values.
+TEST(ActivationTest, AddActivateMatchesTheTwoPassSeedFormBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> as = {-0.0, -0.0, nan, 1.0, -3.0, 0.25, 2.0};
+  const std::vector<double> bs = {-0.0, 0.0, 0.5, -1.5, 1.0, 0.5, nan};
+  constexpr size_t kLength = 37;
+  Matrix a(1, kLength);
+  Matrix b(1, kLength);
+  for (size_t i = 0; i < kLength; ++i) {
+    a.At(0, i) = as[i % as.size()];
+    b.At(0, i) = bs[(i + i / as.size()) % bs.size()];
+  }
+  for (Activation act : {Activation::kRelu, Activation::kIdentity,
+                         Activation::kSigmoid, Activation::kTanh}) {
+    Matrix want(1, kLength);
+    for (size_t i = 0; i < kLength; ++i) {
+      want.At(0, i) = a.At(0, i) + b.At(0, i);
+    }
+    testing::ReferenceActivationRows(act, &want, 0, 1);
+    Matrix got(1, kLength);
+    AddActivate(act, a.Row(0), b.Row(0), kLength, got.Row(0));
+    EXPECT_TRUE(testing::BitEqual(got, want)) << ActivationName(act);
+    Matrix in_place = a;
+    AddActivate(act, in_place.Row(0), b.Row(0), kLength, in_place.Row(0));
+    EXPECT_TRUE(testing::BitEqual(in_place, want)) << ActivationName(act);
+  }
+  Matrix relu(1, kLength);
+  AddActivate(Activation::kRelu, a.Row(0), b.Row(0), kLength, relu.Row(0));
+  EXPECT_FALSE(std::signbit(relu.At(0, 0)));  // -0.0 + -0.0 -> +0.0.
+  EXPECT_EQ(relu.At(0, 2), 0.0);              // NaN + 0.5 -> +0.0.
+  EXPECT_EQ(relu.At(0, 5), 0.75);             // 0.25 + 0.5.
 }
 
 class ActivationGradTest : public ::testing::TestWithParam<Activation> {};

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
+#include "tests/testing/reference_fills.h"
 #include "tests/testing/reference_gemm.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -97,6 +99,40 @@ TEST(MlpTest, FillerFedInferIntoMatchesForwardBitwise) {
     net.InferInto(hidden.rows(), fill_hidden, &pool, &resumed,
                   /*first_layer=*/1);
     EXPECT_TRUE(testing::BitEqual(resumed, expect)) << "lanes=" << lanes;
+  }
+}
+
+// Inference (bias add and activation fused per row into the GEMM's row
+// blocks) against the unfused reference forward, bit for bit, for every
+// activation on the hidden layers, serially and on 4 lanes, over more
+// rows than one 256-row block. The batch yields pre-activations that are
+// +0.0 (an all-zero row on units whose bias is +0.0 or -0.0), NaN (a NaN
+// input), negative and positive.
+TEST(MlpTest, FusedEpilogueMatchesUnfusedReferenceBitwise) {
+  Rng rng(29);
+  Matrix batch(300, 4);
+  batch.FillUniform(&rng, -2.0, 2.0);
+  for (size_t c = 0; c < batch.cols(); ++c) batch.At(5, c) = 0.0;
+  batch.At(7, 1) = std::numeric_limits<double>::quiet_NaN();
+  for (Activation act : {Activation::kRelu, Activation::kIdentity,
+                         Activation::kSigmoid, Activation::kTanh}) {
+    Mlp net({4, 6, 5, 3}, {act, act, Activation::kIdentity}, &rng);
+    std::vector<ParamView> views = net.ParamViews();
+    for (size_t l = 0; l < net.num_layers(); ++l) {
+      views[2 * l + 1].value[0] = 0.0;
+      views[2 * l + 1].value[1] = -0.0;
+    }
+    const Matrix want = testing::ReferenceLayers(net, batch, 0);
+    EXPECT_TRUE(testing::BitEqual(net.Infer(batch), want))
+        << ActivationName(act);
+    ThreadPool pool(4);
+    Matrix pooled;
+    net.InferInto(batch, &pool, &pooled);
+    EXPECT_TRUE(testing::BitEqual(pooled, want)) << ActivationName(act);
+    // The special values really occur: ReLU turns the NaN row into +0.0,
+    // every other activation carries the NaN through to the output.
+    EXPECT_EQ(std::isnan(want.At(7, 0)), act != Activation::kRelu)
+        << ActivationName(act);
   }
 }
 

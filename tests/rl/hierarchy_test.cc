@@ -54,9 +54,10 @@ TEST_P(HierarchicalSelectionTest, AuditedRunMatchesFullScoringExactly) {
 
   // Non-vacuity on each side of the restore (the restored agent's stats
   // cover its own 12 selections per run): the gate served tiled selections
-  // (not only full fallbacks), tile representatives were refreshed, and
-  // the descent expanded no more than the live buckets. Some gate failures
-  // were resolved before the last rung.
+  // (not only full fallbacks) with bounded rows genuinely skipped, tile
+  // representatives were refreshed, and the descent expanded no more than
+  // the live buckets. Some gate failures were resolved before the last
+  // rung.
   for (const testing::LockstepStats* half :
        {&outcome.before, &outcome.after}) {
     const DqnAgent::HierStats& stats = half->hier;
@@ -67,6 +68,7 @@ TEST_P(HierarchicalSelectionTest, AuditedRunMatchesFullScoringExactly) {
     EXPECT_GT(stats.rep_refreshes, 0u);
     EXPECT_GT(stats.scored_pairs, 0u);
     EXPECT_LE(stats.expanded_buckets, stats.live_buckets);
+    EXPECT_GT(half->prune.bounded_rows, 0u);
   }
   EXPECT_GT(outcome.before.prune.gate_recoveries +
                 outcome.after.prune.gate_recoveries,

@@ -1,7 +1,13 @@
 #include "rl/q_network.h"
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "rl/state.h"
+#include "tests/testing/reference_fills.h"
 #include "util/random.h"
 
 namespace crowdrl::rl {
@@ -116,6 +122,106 @@ TEST(QNetworkTest, ParameterRoundTripResetsTarget) {
   EXPECT_DOUBLE_EQ(a.PredictBatch(probe)[0], b.PredictBatch(probe)[0]);
   EXPECT_DOUBLE_EQ(b.PredictBatch(probe)[0],
                    b.TargetPredictBatch(probe)[0]);
+}
+
+// Candidate-list shapes the fused fill must get right: object-major runs
+// (enumeration order), strictly alternating objects (every pair starts a
+// new run, so a hoist that skips an object boundary reads the wrong
+// object), and an arbitrary order with repeats.
+std::vector<std::vector<Action>> FillPairLists(size_t objects,
+                                               size_t annotators,
+                                               size_t length, Rng* rng) {
+  std::vector<Action> runs;
+  for (size_t i = 0; runs.size() < length; i = (i + 1) % objects) {
+    for (size_t j = 0; j < annotators && runs.size() < length; ++j) {
+      runs.push_back({static_cast<int>(i), static_cast<int>(j)});
+    }
+  }
+  std::vector<Action> alternating;
+  for (size_t p = 0; p < length; ++p) {
+    alternating.push_back({static_cast<int>(p % 2),
+                           static_cast<int>((p / 2) % annotators)});
+  }
+  std::vector<Action> arbitrary;
+  for (size_t p = 0; p < length; ++p) {
+    arbitrary.push_back(
+        {rng->UniformInt(static_cast<int>(objects)),
+         rng->UniformInt(static_cast<int>(annotators))});
+    if (rng->Bernoulli(0.3)) arbitrary.push_back(arbitrary.back());
+  }
+  return {runs, alternating, arbitrary};
+}
+
+// PredictBatchFactorized end to end against the from-first-principles
+// reference (unfused layer-0 fill, no hoisted g + O_i), bitwise, for the
+// online and the target network (which differ after a few training
+// steps), serially and on 4 lanes, with lists longer than one 256-row
+// forward block. Object 2's block holds a NaN, so its pre-activations are
+// NaN and ReLU must turn them into +0.0.
+TEST(FactorizedFillTest, PredictBatchFactorizedMatchesReferenceBitwise) {
+  constexpr size_t kObjects = 37;
+  constexpr size_t kAnnotators = 6;
+  Rng rng(73);
+  Matrix object_blocks(kObjects, StateFeaturizer::kObjectBlockDim);
+  Matrix annotator_blocks(kAnnotators, StateFeaturizer::kAnnotatorBlockDim);
+  object_blocks.FillUniform(&rng, -1.0, 1.0);
+  annotator_blocks.FillUniform(&rng, -1.0, 1.0);
+  object_blocks.At(2, 0) = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> global_block = {0.4, -0.7, 0.25};
+  FeatureBlocks blocks;
+  blocks.object_blocks = &object_blocks;
+  blocks.annotator_blocks = &annotator_blocks;
+  blocks.global_block = global_block.data();
+  blocks.object_version = 1;
+  blocks.annotator_version = 1;
+
+  std::vector<Transition> transitions(16);
+  for (Transition& t : transitions) {
+    t.features.resize(StateFeaturizer::kFeatureDim);
+    for (double& f : t.features) f = rng.Uniform(-1.0, 1.0);
+    t.reward = rng.Uniform();
+    t.terminal = true;
+  }
+  std::vector<const Transition*> batch;
+  for (const Transition& t : transitions) batch.push_back(&t);
+
+  for (int threads : {1, 4}) {
+    QNetworkOptions options;  // Production shape: 12 -> 64 -> 32 -> 1.
+    options.threads = threads;
+    options.learning_rate = 1e-2;
+    QNetwork q(options);
+    const std::vector<double> initial = q.FlatParameters();
+    for (int step = 0; step < 3; ++step) q.TrainBatch(batch);  // < sync.
+    Rng net_rng(1);
+    nn::Mlp online({12, 64, 32, 1},
+                   {nn::Activation::kRelu, nn::Activation::kRelu,
+                    nn::Activation::kIdentity},
+                   &net_rng);
+    nn::Mlp target = online;
+    online.SetFlatParameters(q.FlatParameters());
+    target.SetFlatParameters(initial);
+    ASSERT_NE(q.FlatParameters(), initial);
+
+    for (const std::vector<Action>& pairs :
+         FillPairLists(kObjects, kAnnotators, 700, &rng)) {
+      for (bool use_target : {false, true}) {
+        const std::vector<double> got =
+            q.PredictBatchFactorized(blocks, pairs, use_target);
+        const std::vector<double> want = testing::ReferenceFactorizedQ(
+            use_target ? target : online, blocks, pairs);
+        ASSERT_EQ(got.size(), want.size());
+        size_t mismatches = 0;
+        for (size_t p = 0; p < got.size(); ++p) {
+          if (std::memcmp(&got[p], &want[p], sizeof(double)) != 0) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "threads " << threads << " target " << use_target << ", "
+            << pairs.size() << " pairs";
+      }
+    }
+  }
 }
 
 }  // namespace

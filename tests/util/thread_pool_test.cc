@@ -135,6 +135,61 @@ TEST(ThreadPoolTest, NestedCallOnDifferentPoolStillDispatches) {
   }
 }
 
+// Two threads dispatching into one pool at once: one owns the workers,
+// the other runs its range inline, and both cover their ranges exactly
+// once. Unguarded, the callers overwrote each other's job and could be
+// released by one worker ack while the worker still ran a returned job.
+TEST(ThreadPoolTest, ConcurrentExternalCallersEachCoverTheirRange) {
+  ThreadPool pool(3);
+  constexpr size_t kRange = 500;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::atomic<int>> visits(2 * kRange);
+    for (auto& v : visits) v.store(0);
+    auto dispatch = [&](size_t base) {
+      pool.ParallelFor(base, base + kRange, 7, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) ++visits[i];
+      });
+    };
+    std::thread other(dispatch, kRange);
+    dispatch(0);
+    other.join();
+    for (size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "round " << round << " slot " << i;
+    }
+  }
+}
+
+// A -> B -> A: a loop body of `a` dispatches into `b`, whose body
+// dispatches back into `a`. The same-pool check only sees the innermost
+// pool, so on the thread that owns `a` the innermost call must find `a`
+// busy and run inline instead of re-dispatching on (or deadlocking) it.
+TEST(ThreadPoolTest, ReentryThroughASecondPoolRunsInline) {
+  ThreadPool a(2);
+  ThreadPool b(2);
+  constexpr size_t kOuter = 8;
+  constexpr size_t kMiddle = 6;
+  constexpr size_t kInner = 40;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> visits(kOuter * kMiddle * kInner);
+    for (auto& v : visits) v.store(0);
+    a.ParallelFor(0, kOuter, 1, [&](size_t o0, size_t o1) {
+      for (size_t o = o0; o < o1; ++o) {
+        b.ParallelFor(0, kMiddle, 1, [&](size_t m0, size_t m1) {
+          for (size_t m = m0; m < m1; ++m) {
+            const size_t base = (o * kMiddle + m) * kInner;
+            a.ParallelFor(base, base + kInner, 3, [&](size_t i0, size_t i1) {
+              for (size_t i = i0; i < i1; ++i) ++visits[i];
+            });
+          }
+        });
+      }
+    });
+    for (size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "round " << round << " slot " << i;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, DispatchAfterNestedInlineRunStillWorks) {
   // The in-pool flag must be restored when an outer dispatch finishes so
   // later top-level ParallelFor calls go wide again.
