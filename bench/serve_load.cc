@@ -5,9 +5,10 @@
 // worker. Runs fully instrumented — lifecycle tracing, flight recorder,
 // and health watchdog all on — and emits BENCH_serve.json with
 // per-campaign answers/sec, the answer-lifecycle stage breakdown
-// (dispatch→deliver→arrive→commit→observe, streaming p50/p90/p99 per
-// stage), TI swap counts, and the time the pump spent stalled waiting on
-// a truth-inference swap.
+// (dispatch→deliver→arrive→commit→observe: count, sum, max and
+// p50/p90/p99 in nanoseconds per stage, read from the metrics registry),
+// TI swap counts, and the time the pump spent stalled waiting on a
+// truth-inference swap.
 //
 // Flags (self-parsed; this bench's knobs are serve-specific):
 //   --campaigns=N        concurrent campaigns            (default 2)
@@ -39,7 +40,6 @@
 
 #include "bench/bench_common.h"
 #include "io/flight_dump.h"
-#include "obs/lifecycle.h"
 #include "serve/service.h"
 #include "util/logging.h"
 
@@ -106,25 +106,6 @@ ServeBenchConfig ParseServeArgs(int argc, char** argv) {
   }
   CROWDRL_CHECK(config.campaigns >= 1 && config.annotators >= 2);
   return config;
-}
-
-/// One campaign's "stages" JSON object from its lifecycle store:
-/// {"dispatch_deliver":{"count":N,"p50_us":...,"p90_us":...,"p99_us":...,
-/// "max_us":...},...}.
-void WriteStageBreakdown(std::FILE* out, const Campaign& campaign) {
-  std::fprintf(out, "\"stages\": {");
-  for (size_t s = 0; s < crowdrl::obs::kNumLifecycleStages; ++s) {
-    const auto stage = static_cast<crowdrl::obs::LifecycleStage>(s);
-    const crowdrl::obs::LifecycleSample::StageSample sample =
-        crowdrl::obs::SummarizeStage(campaign.lifecycle().stage(stage));
-    std::fprintf(out,
-                 "%s\"%s\": {\"count\": %llu, \"p50_us\": %.1f, "
-                 "\"p90_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f}",
-                 s == 0 ? "" : ", ", crowdrl::obs::LifecycleStageName(stage),
-                 static_cast<unsigned long long>(sample.count), sample.p50_us,
-                 sample.p90_us, sample.p99_us, sample.max_us);
-  }
-  std::fprintf(out, "}");
 }
 
 }  // namespace
@@ -274,17 +255,16 @@ int main(int argc, char** argv) {
   for (size_t c = 0; c < campaigns.size(); ++c) {
     Campaign* campaign = campaigns[c];
     total_answers += campaign->answers_committed();
-    const auto commit_sample = crowdrl::obs::SummarizeStage(
-        campaign->lifecycle().stage(
-            crowdrl::obs::LifecycleStage::kArriveToCommit));
+    const crowdrl::obs::Histogram& commit =
+        campaign->lifecycle(crowdrl::obs::LifecycleStage::kArriveToCommit);
     std::fprintf(
         out,
         "    {\"name\": \"%s\", \"answers\": %zu, \"rounds\": %zu, "
-        "\"answers_per_sec\": %.1f, ",
+        "\"answers_per_sec\": %.1f, \"stages\": %s",
         setups[c].name.c_str(), campaign->answers_committed(),
         campaign->rounds_completed(),
-        static_cast<double>(campaign->answers_committed()) / wall_seconds);
-    WriteStageBreakdown(out, *campaign);
+        static_cast<double>(campaign->answers_committed()) / wall_seconds,
+        crowdrl::serve::LifecycleStagesJson(campaign->name()).c_str());
     std::fprintf(
         out,
         ", \"ti_swaps\": %zu, \"ti_stall_ms\": %.3f, \"abandoned\": %zu, "
@@ -299,8 +279,8 @@ int main(int argc, char** argv) {
         "%-22s answers %6zu  rounds %4zu  commit p50 %8.1fus  "
         "p99 %8.1fus  ti_swaps %3zu  stall %7.1fms  abandoned %4zu\n",
         setups[c].name.c_str(), campaign->answers_committed(),
-        campaign->rounds_completed(), commit_sample.p50_us,
-        commit_sample.p99_us, campaign->ti_swaps(),
+        campaign->rounds_completed(), commit.Quantile(0.50) / 1e3,
+        commit.Quantile(0.99) / 1e3, campaign->ti_swaps(),
         static_cast<double>(campaign->ti_stall_ns()) / 1e6,
         campaign->abandoned_items());
   }
@@ -312,8 +292,16 @@ int main(int argc, char** argv) {
   std::fclose(out);
 
   if (!serve_config.lifecycle_json.empty()) {
-    CROWDRL_CHECK(crowdrl::obs::LifecycleRegistry::Get().WriteJson(
-        serve_config.lifecycle_json))
+    std::vector<std::string> names;
+    for (const Campaign* campaign : campaigns) {
+      names.push_back(campaign->name());
+    }
+    std::FILE* report = std::fopen(serve_config.lifecycle_json.c_str(), "w");
+    CROWDRL_CHECK(report != nullptr)
+        << "cannot write " << serve_config.lifecycle_json;
+    std::fprintf(report, "%s\n",
+                 crowdrl::serve::LifecycleReportJson(names).c_str());
+    CROWDRL_CHECK(std::fclose(report) == 0)
         << "cannot write " << serve_config.lifecycle_json;
     std::printf("lifecycle report -> %s\n",
                 serve_config.lifecycle_json.c_str());

@@ -152,14 +152,15 @@ int Run(int argc, char** argv) {
         row.name, metrics.accuracy, row.campaign->answers_committed(),
         row.campaign->rounds_completed(), row.campaign->ti_swaps(),
         row.campaign->abandoned_items(), result.budget_spent);
-    // Where each answer spent its time, per stage transition.
+    // Where each answer spent its time, per stage transition (the
+    // registry's lifecycle histograms, in nanoseconds).
     for (size_t s = 0; s < crowdrl::obs::kNumLifecycleStages; ++s) {
       const auto stage = static_cast<crowdrl::obs::LifecycleStage>(s);
-      const auto sample = crowdrl::obs::SummarizeStage(
-          row.campaign->lifecycle().stage(stage));
+      const crowdrl::obs::Histogram& latency = row.campaign->lifecycle(stage);
       std::printf("  %-18s p50 %8.1fus  p99 %8.1fus  max %8.1fus\n",
-                  crowdrl::obs::LifecycleStageName(stage), sample.p50_us,
-                  sample.p99_us, sample.max_us);
+                  crowdrl::obs::LifecycleStageName(stage),
+                  latency.Quantile(0.50) / 1e3, latency.Quantile(0.99) / 1e3,
+                  static_cast<double>(latency.max()) / 1e3);
     }
   }
 

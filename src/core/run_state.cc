@@ -537,11 +537,6 @@ void RunState::SnapshotInference(TruthInferenceJob* job) const {
   job->num_classes = num_classes;
   job->use_pm = config->use_pm_inference;
   job->joint_options = config->joint;
-  // The background worker does not dispatch on a shared ThreadPool: it
-  // would compete with the pump for the workers (the loser of a concurrent
-  // dispatch runs inline, see util/thread_pool.h), so snapshot jobs always
-  // run their E-steps serially.
-  job->joint_options.threads = 1;
   job->pm_options = config->pm;
   job->base_revision = env.answers_revision();
   job->result = inference::InferenceResult();

@@ -56,66 +56,52 @@ std::vector<double> LogConfusionTable(
   return table;
 }
 
-/// Objects per parallel E-step chunk.
-constexpr size_t kEStepGrain = 32;
-
 /// One E-step sweep: for every target row, the posterior
 /// q(y_i = c) proportional to p(c | phi)^w * prod_j Pi^j(c, y_ij), written
 /// into `posteriors` (skipped when null), plus that row's log-sum-exp term
 /// of the likelihood in `row_lse`. The logs come precomputed: `log_probs`
-/// from PredictLogProbs and `log_confusions` from LogConfusionTable. Rows
-/// are independent, so the sweep parallelizes over objects (`pool` may be
-/// null = serial); callers reduce `row_lse` serially in row order, which
-/// keeps the summed likelihood bit-identical at every thread count.
+/// from PredictLogProbs and `log_confusions` from LogConfusionTable.
 void EStep(const InferenceInput& input,
            const std::vector<double>& log_confusions,
            const Matrix& log_probs, const JointInferenceOptions& options,
-           ThreadPool* pool, Matrix* posteriors,
-           std::vector<double>* row_lse) {
+           Matrix* posteriors, std::vector<double>* row_lse) {
   size_t n = input.objects.size();
   size_t c = static_cast<size_t>(input.num_classes);
   row_lse->assign(n, 0.0);
-  auto e_step_range = [&](size_t row_begin, size_t row_end) {
-    std::vector<double> log_post(c);  // Per-chunk scratch.
-    for (size_t row = row_begin; row < row_end; ++row) {
-      // One span binding per row, shared by the prior scan and every truth
-      // hypothesis below.
-      const crowd::AnswerSpan answers =
-          input.answers->AnswersFor(input.objects[row]);
-      bool use_prior = options.classifier_prior_on_unanimous;
-      if (!use_prior) {
-        // Prior only for split votes (or no votes at all).
-        for (size_t a = 1; a < answers.size(); ++a) {
-          if (answers[a].second != answers[0].second) {
-            use_prior = true;
-            break;
-          }
+  std::vector<double> log_post(c);
+  for (size_t row = 0; row < n; ++row) {
+    // One span binding per row, shared by the prior scan and every truth
+    // hypothesis below.
+    const crowd::AnswerSpan answers =
+        input.answers->AnswersFor(input.objects[row]);
+    bool use_prior = options.classifier_prior_on_unanimous;
+    if (!use_prior) {
+      // Prior only for split votes (or no votes at all).
+      for (size_t a = 1; a < answers.size(); ++a) {
+        if (answers[a].second != answers[0].second) {
+          use_prior = true;
+          break;
         }
-        if (answers.empty()) use_prior = true;
       }
-      for (size_t truth = 0; truth < c; ++truth) {
-        double lp = use_prior
-                        ? options.classifier_weight * log_probs.At(row, truth)
-                        : 0.0;
-        for (const auto& [annotator, label] : answers) {
-          lp += log_confusions[(static_cast<size_t>(annotator) * c + truth) *
-                                   c +
-                               static_cast<size_t>(label)];
-        }
-        log_post[truth] = lp;
-      }
-      double lse = LogSumExp(log_post);
-      (*row_lse)[row] = lse;
-      if (posteriors == nullptr) continue;
-      for (size_t truth = 0; truth < c; ++truth) {
-        posteriors->At(row, truth) = std::exp(log_post[truth] - lse);
-      }
+      if (answers.empty()) use_prior = true;
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, n, kEStepGrain, e_step_range);
-  } else {
-    e_step_range(0, n);
+    for (size_t truth = 0; truth < c; ++truth) {
+      double lp = use_prior
+                      ? options.classifier_weight * log_probs.At(row, truth)
+                      : 0.0;
+      for (const auto& [annotator, label] : answers) {
+        lp += log_confusions[(static_cast<size_t>(annotator) * c + truth) *
+                                 c +
+                             static_cast<size_t>(label)];
+      }
+      log_post[truth] = lp;
+    }
+    double lse = LogSumExp(log_post);
+    (*row_lse)[row] = lse;
+    if (posteriors == nullptr) continue;
+    for (size_t truth = 0; truth < c; ++truth) {
+      posteriors->At(row, truth) = std::exp(log_post[truth] - lse);
+    }
   }
 }
 
@@ -141,10 +127,6 @@ JointInference::JointInference(JointInferenceOptions options)
     : options_(options) {
   CROWDRL_CHECK(options.em.max_iterations > 0);
   CROWDRL_CHECK(options.classifier_retrain_period > 0);
-  CROWDRL_CHECK(options.threads >= 1);
-  if (options.threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(options.threads);
-  }
   CROWDRL_CHECK(options.expert_epsilon >= 0.0 &&
                 options.expert_epsilon <= 1.0);
   CROWDRL_CHECK(options.expert_floor_slack >= 0.0 &&
@@ -215,8 +197,7 @@ Status JointInference::Infer(const InferenceInput& input,
       static obs::Counter* const e_steps =
           obs::MetricsRegistry::Get().GetCounter("crowdrl.inference.e_steps");
       e_steps->Inc();
-      EStep(input, log_confusions, log_probs, options_, pool_.get(), &next,
-            &row_lse);
+      EStep(input, log_confusions, log_probs, options_, &next, &row_lse);
     }
     log_likelihood = 0.0;
     for (double lse : row_lse) log_likelihood += lse;
@@ -248,7 +229,7 @@ Status JointInference::Infer(const InferenceInput& input,
     CROWDRL_TRACE_SPAN("joint.e_step");
     std::vector<double> row_lse;
     EStep(input, LogConfusionTable(confusions, c), log_probs, options_,
-          pool_.get(), /*posteriors=*/nullptr, &row_lse);
+          /*posteriors=*/nullptr, &row_lse);
     log_likelihood = 0.0;
     for (double lse : row_lse) log_likelihood += lse;
   }

@@ -1,11 +1,8 @@
 #ifndef CROWDRL_INFERENCE_JOINT_INFERENCE_H_
 #define CROWDRL_INFERENCE_JOINT_INFERENCE_H_
 
-#include <memory>
-
 #include "inference/dawid_skene.h"
 #include "inference/truth_inference.h"
-#include "util/thread_pool.h"
 
 namespace crowdrl::inference {
 
@@ -39,11 +36,6 @@ struct JointInferenceOptions {
   /// (phi re-labelling objects the crowd already agrees on) while keeping
   /// phi's value exactly where the paper motivates it — ambiguous cases.
   bool classifier_prior_on_unanimous = false;
-  /// Worker threads for the per-object E-step. 1 (the default) runs the
-  /// original serial path. Per-object posteriors are independent and the
-  /// log-likelihood terms are reduced serially in object order, so results
-  /// are bit-identical at every thread count.
-  int threads = 1;
 };
 
 /// \brief CrowdRL's joint truth-inference model (Section V, Fig. 3b).
@@ -70,8 +62,6 @@ class JointInference : public TruthInference {
 
  private:
   JointInferenceOptions options_;
-  /// E-step pool, null when options_.threads <= 1 (serial).
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 /// \brief The naive alternative the paper argues against (Fig. 3a):

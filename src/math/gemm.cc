@@ -16,9 +16,9 @@ namespace {
 
 // Per-variant flop-count histograms (2*m*k*n per call), registered
 // eagerly so metrics snapshots always carry the gemm keys. Recording is
-// one bounds scan + two relaxed atomics per GEMM call — noise next to
-// even the smallest kernel — and no spans here: these entry points are
-// far too hot for clock reads per call.
+// one bucket search + a few relaxed atomics per GEMM call — noise next
+// to even the smallest kernel — and no spans here: these entry points
+// are far too hot for clock reads per call.
 struct GemmMetrics {
   obs::Counter* calls;
   obs::Histogram* nn_flops;
@@ -27,11 +27,10 @@ struct GemmMetrics {
 
   GemmMetrics() {
     auto& registry = obs::MetricsRegistry::Get();
-    const std::vector<double> flop_bounds = {1e4, 1e5, 1e6, 1e7, 1e8, 1e9};
     calls = registry.GetCounter("crowdrl.gemm.calls");
-    nn_flops = registry.GetHistogram("crowdrl.gemm.nn.flops", flop_bounds);
-    nt_flops = registry.GetHistogram("crowdrl.gemm.nt.flops", flop_bounds);
-    tn_flops = registry.GetHistogram("crowdrl.gemm.tn.flops", flop_bounds);
+    nn_flops = registry.GetHistogram("crowdrl.gemm.nn.flops");
+    nt_flops = registry.GetHistogram("crowdrl.gemm.nt.flops");
+    tn_flops = registry.GetHistogram("crowdrl.gemm.tn.flops");
   }
 };
 
@@ -46,15 +45,14 @@ inline void RecordGemmCall(obs::Histogram* flops, size_t m, size_t k,
                            size_t n) {
   if (!obs::Enabled()) return;
   Metrics().calls->Inc();
-  flops->Record(2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                static_cast<double>(n));
+  flops->Record(2 * static_cast<uint64_t>(m) * k * n);
 }
 
 // Minimum output rows per threaded chunk (and per serial epilogue block).
 constexpr size_t kRowGrain = 64;
 
 // Target chunks per lane when a pool is supplied. Profiling the
-// threadpool task_wait_us/task_run_us histograms at scoring batch shapes
+// threadpool task_wait_ns/task_run_ns histograms at scoring batch shapes
 // (81920 x 12 features) showed fixed 64-row chunks produce 1280 chunks —
 // each so short that dispatch wake-up latency dominates run time and the
 // 4-thread speedup collapses to ~1.07x. Sizing the grain so each lane

@@ -1,12 +1,5 @@
 #include "obs/lifecycle.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <map>
-#include <memory>
-#include <mutex>
-
 namespace crowdrl::obs {
 
 namespace internal {
@@ -25,182 +18,6 @@ const char* LifecycleStageName(LifecycleStage stage) {
     case LifecycleStage::kCommitToObserve: return "commit_observe";
   }
   return "unknown";
-}
-
-namespace {
-
-// Geometric bounds: 1 µs · 1.25^i, precomputed once. 64 bounds reach
-// ~1.5e6 µs ≈ 25 minutes; anything slower is overflow (reported as the
-// last bound).
-struct BoundTable {
-  uint64_t ns[LatencyRecorder::kNumBounds];
-  BoundTable() {
-    double bound = 1000.0;  // 1 µs in ns.
-    for (size_t i = 0; i < LatencyRecorder::kNumBounds; ++i) {
-      ns[i] = static_cast<uint64_t>(bound);
-      bound *= 1.25;
-    }
-  }
-};
-
-const BoundTable& Bounds() {
-  static const BoundTable table;
-  return table;
-}
-
-}  // namespace
-
-uint64_t LatencyRecorder::BucketBoundNs(size_t i) {
-  return Bounds().ns[std::min(i, kNumBounds - 1)];
-}
-
-void LatencyRecorder::RecordAlways(uint64_t ns) {
-  const uint64_t* bounds = Bounds().ns;
-  // Branchless-ish binary search: first bound >= ns, else overflow.
-  const uint64_t* it = std::lower_bound(bounds, bounds + kNumBounds, ns);
-  const size_t bucket = static_cast<size_t>(it - bounds);  // kNumBounds = overflow.
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-  uint64_t prev = max_ns_.load(std::memory_order_relaxed);
-  while (prev < ns &&
-         !max_ns_.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
-  }
-}
-
-double LatencyRecorder::QuantileUs(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  // Copy counts once so the walk is over a consistent-ish view (recorders
-  // race benignly; quantiles are summaries, not invariants).
-  uint64_t counts[kNumBounds + 1];
-  uint64_t total = 0;
-  for (size_t i = 0; i <= kNumBounds; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0.0;
-  const double rank = q * static_cast<double>(total - 1);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i <= kNumBounds; ++i) {
-    if (counts[i] == 0) continue;
-    const double first_rank = static_cast<double>(cumulative);
-    cumulative += counts[i];
-    if (rank < static_cast<double>(cumulative)) {
-      // Interpolate inside the bucket between its lower and upper bound.
-      const double lo_ns =
-          i == 0 ? 0.0 : static_cast<double>(Bounds().ns[i - 1]);
-      const double hi_ns = i >= kNumBounds
-                               ? static_cast<double>(max_ns())
-                               : static_cast<double>(Bounds().ns[i]);
-      const double span = std::max(0.0, hi_ns - lo_ns);
-      const double frac =
-          counts[i] <= 1
-              ? 0.5
-              : (rank - first_rank) / static_cast<double>(counts[i] - 1);
-      return (lo_ns + frac * span) / 1000.0;
-    }
-  }
-  return static_cast<double>(max_ns()) / 1000.0;
-}
-
-void LatencyRecorder::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_ns_.store(0, std::memory_order_relaxed);
-  max_ns_.store(0, std::memory_order_relaxed);
-}
-
-void LifecycleStats::Reset() {
-  for (auto& stage : stages_) stage.Reset();
-}
-
-LifecycleSample::StageSample SummarizeStage(const LatencyRecorder& r) {
-  LifecycleSample::StageSample s;
-  s.count = r.count();
-  if (s.count > 0) {
-    s.mean_us = static_cast<double>(r.sum_ns()) /
-                static_cast<double>(s.count) / 1000.0;
-  }
-  s.p50_us = r.QuantileUs(0.50);
-  s.p90_us = r.QuantileUs(0.90);
-  s.p99_us = r.QuantileUs(0.99);
-  s.max_us = static_cast<double>(r.max_ns()) / 1000.0;
-  return s;
-}
-
-struct LifecycleRegistry::Impl {
-  mutable std::mutex mutex;
-  std::map<std::string, std::unique_ptr<LifecycleStats>> stats;
-};
-
-LifecycleRegistry::Impl& LifecycleRegistry::impl() const {
-  // Leaked intentionally, like MetricsRegistry: recorders may be touched
-  // from detached threads at process exit.
-  static Impl* const impl = new Impl();
-  return *impl;
-}
-
-LifecycleRegistry& LifecycleRegistry::Get() {
-  static LifecycleRegistry* const registry = new LifecycleRegistry();
-  return *registry;
-}
-
-LifecycleStats* LifecycleRegistry::GetStats(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  auto& slot = im.stats[name];
-  if (!slot) slot = std::make_unique<LifecycleStats>();
-  return slot.get();
-}
-
-std::vector<LifecycleSample> LifecycleRegistry::Snapshot() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  std::vector<LifecycleSample> out;
-  out.reserve(im.stats.size());
-  for (const auto& [name, stats] : im.stats) {
-    LifecycleSample sample;
-    sample.name = name;
-    for (size_t s = 0; s < kNumLifecycleStages; ++s) {
-      sample.stages[s] =
-          SummarizeStage(stats->stage(static_cast<LifecycleStage>(s)));
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-bool LifecycleRegistry::WriteJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  std::fputs("{\"campaigns\":[", file);
-  const std::vector<LifecycleSample> samples = Snapshot();
-  for (size_t c = 0; c < samples.size(); ++c) {
-    const LifecycleSample& sample = samples[c];
-    std::fprintf(file, "%s{\"name\":\"%s\",\"stages\":{",
-                 c == 0 ? "" : ",", sample.name.c_str());
-    for (size_t s = 0; s < kNumLifecycleStages; ++s) {
-      const auto& stage = sample.stages[s];
-      std::fprintf(file,
-                   "%s\"%s\":{\"count\":%llu,\"mean_us\":%.3f,"
-                   "\"p50_us\":%.3f,\"p90_us\":%.3f,\"p99_us\":%.3f,"
-                   "\"max_us\":%.3f}",
-                   s == 0 ? "" : ",",
-                   LifecycleStageName(static_cast<LifecycleStage>(s)),
-                   static_cast<unsigned long long>(stage.count),
-                   stage.mean_us, stage.p50_us, stage.p90_us, stage.p99_us,
-                   stage.max_us);
-    }
-    std::fputs("}}", file);
-  }
-  std::fputs("]}\n", file);
-  return std::fclose(file) == 0;
-}
-
-void LifecycleRegistry::ResetAll() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mutex);
-  for (auto& [name, stats] : im.stats) stats->Reset();
 }
 
 }  // namespace crowdrl::obs

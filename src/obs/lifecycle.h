@@ -1,12 +1,8 @@
 #ifndef CROWDRL_OBS_LIFECYCLE_H_
 #define CROWDRL_OBS_LIFECYCLE_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -32,10 +28,10 @@
 /// CompletedAnswer carry monotonic stage timestamps (dispatch_ns,
 /// deliver_ns, arrive_ns), stamped where each transition happens, so no
 /// side lookup table exists and driver threads never touch shared
-/// lifecycle state. All recording into the per-stage stores happens on
-/// the campaign pump thread at commit / observe time; the stores
-/// themselves are relaxed atomics so the health watchdog and exporters
-/// can read them concurrently.
+/// lifecycle state. The campaign pump thread records every stage latency
+/// at commit / observe time, in nanoseconds, into the MetricsRegistry
+/// histogram crowdrl.serve.<campaign>.lifecycle.<stage>; exporters read
+/// them from the registry like any other metric.
 ///
 /// Same contract as the rest of src/obs/: recording is gated on
 /// LifecycleEnabled() (one relaxed load when disabled), options are
@@ -70,111 +66,6 @@ enum class LifecycleStage : int {
 };
 inline constexpr size_t kNumLifecycleStages = 4;
 const char* LifecycleStageName(LifecycleStage stage);
-
-/// \brief Lock-free streaming latency store: geometric buckets (ratio
-/// 1.25 from 1 µs, 64 bounds + overflow) plus count/sum/max on relaxed
-/// atomics. Recording is wait-free (one binary search over a constexpr
-/// bound table + three atomic ops); quantiles are interpolated within
-/// the landing bucket, so a reported p99 is exact to one bucket width
-/// (< +25%) — the documented accuracy of every `*_p99_us` figure.
-class LatencyRecorder {
- public:
-  static constexpr size_t kNumBounds = 64;
-
-  /// Upper bound of bucket `i` in nanoseconds (ascending; samples above
-  /// the last bound land in the overflow bucket).
-  static uint64_t BucketBoundNs(size_t i);
-
-  void Record(uint64_t ns) {
-#if CROWDRL_OBS_BUILD
-    if (!LifecycleEnabled()) return;
-    RecordAlways(ns);
-#else
-    (void)ns;
-#endif
-  }
-
-  /// Record() without the enabled gate — for callers that already
-  /// checked, and for unit tests.
-  void RecordAlways(uint64_t ns);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
-  uint64_t max_ns() const { return max_ns_.load(std::memory_order_relaxed); }
-
-  /// Interpolated quantile in microseconds, q in [0, 1]. 0 when empty.
-  double QuantileUs(double q) const;
-
-  void Reset();
-
- private:
-  std::array<std::atomic<uint64_t>, kNumBounds + 1> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_ns_{0};
-  std::atomic<uint64_t> max_ns_{0};
-};
-
-/// \brief Per-campaign stage-breakdown store: one LatencyRecorder per
-/// stage transition. Owned by the process-wide LifecycleRegistry so
-/// exporters and the watchdog outlive any one campaign.
-class LifecycleStats {
- public:
-  void Record(LifecycleStage stage, uint64_t ns) {
-    stages_[static_cast<size_t>(stage)].Record(ns);
-  }
-  const LatencyRecorder& stage(LifecycleStage s) const {
-    return stages_[static_cast<size_t>(s)];
-  }
-  LatencyRecorder& mutable_stage(LifecycleStage s) {
-    return stages_[static_cast<size_t>(s)];
-  }
-  void Reset();
-
- private:
-  std::array<LatencyRecorder, kNumLifecycleStages> stages_;
-};
-
-/// One exported campaign entry of WriteLifecycleJson.
-struct LifecycleSample {
-  std::string name;
-  struct StageSample {
-    uint64_t count = 0;
-    double mean_us = 0.0;
-    double p50_us = 0.0;
-    double p90_us = 0.0;
-    double p99_us = 0.0;
-    double max_us = 0.0;
-  };
-  std::array<StageSample, kNumLifecycleStages> stages;
-};
-
-/// \brief Process-wide name → LifecycleStats store (the lifecycle analog
-/// of MetricsRegistry): registration is idempotent and returns stable
-/// pointers that live for the rest of the process.
-class LifecycleRegistry {
- public:
-  static LifecycleRegistry& Get();
-
-  LifecycleStats* GetStats(const std::string& name);
-
-  std::vector<LifecycleSample> Snapshot() const;
-
-  /// Writes {"campaigns":[{"name":...,"stages":{...}}]} — the
-  /// --lifecycle_json report of serve_load and the observability CI job.
-  bool WriteJson(const std::string& path) const;
-
-  /// Zeroes every recorder (names stay registered). Tests only.
-  void ResetAll();
-
- private:
-  LifecycleRegistry() = default;
-  struct Impl;
-  Impl& impl() const;
-};
-
-/// Computes the StageSample summary of one recorder (shared by the JSON
-/// export and the per-campaign gauge refresh).
-LifecycleSample::StageSample SummarizeStage(const LatencyRecorder& recorder);
 
 }  // namespace crowdrl::obs
 

@@ -3,6 +3,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/lifecycle.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -36,31 +38,108 @@ void ApplyOptions(const ObsOptions& options) {
   }
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
+namespace {
 
-std::vector<uint64_t> Histogram::counts() const {
-  std::vector<uint64_t> out(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
+// 1, 2, 3, ... while 1.25^i grows by less than one per step, then
+// floor(1.25^i). Built at compile time.
+constexpr std::array<uint64_t, Histogram::kNumBounds> MakeBounds() {
+  std::array<uint64_t, Histogram::kNumBounds> bounds{};
+  double geometric = 1.0;
+  uint64_t previous = 0;
+  for (uint64_t& bound : bounds) {
+    bound = std::max(previous + 1, static_cast<uint64_t>(geometric));
+    previous = bound;
+    geometric *= 1.25;
   }
-  return out;
+  return bounds;
 }
 
-uint64_t Histogram::total_count() const {
+constexpr std::array<uint64_t, Histogram::kNumBounds> kBounds = MakeBounds();
+static_assert(kBounds.back() >= (uint64_t{1} << 40),
+              "the bucket layout must cover 2^40");
+
+// First bucket that can hold a value of bit width w: the bucket of
+// 2^(w-1). A power of two spans at most six bounds, so recording is a
+// table load and a short scan instead of a binary search.
+constexpr std::array<uint8_t, 65> MakeFirstBucketByWidth() {
+  std::array<uint8_t, 65> first{};
+  for (size_t w = 1; w < first.size(); ++w) {
+    const uint64_t low = uint64_t{1} << (w - 1);
+    size_t i = 0;
+    while (i < kBounds.size() && kBounds[i] < low) ++i;
+    first[w] = static_cast<uint8_t>(i);
+  }
+  return first;
+}
+
+constexpr std::array<uint8_t, 65> kFirstBucketByWidth =
+    MakeFirstBucketByWidth();
+
+}  // namespace
+
+uint64_t Histogram::BucketBound(size_t i) { return kBounds[i]; }
+
+uint64_t Histogram::count() const {
   uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
+  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
   return total;
 }
 
-void Histogram::Reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+size_t Histogram::BucketIndex(uint64_t value) {
+  size_t i = kFirstBucketByWidth[std::bit_width(value)];
+  while (i < kNumBounds && kBounds[i] < value) ++i;
+  return i;
 }
 
-namespace {
+void Histogram::Add(uint64_t value) {
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  uint64_t prev = max_.load(std::memory_order_relaxed);
+  while (prev < value &&
+         !max_.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+  }
+}
 
-void AppendJsonString(const std::string& s, std::string* out) {
+double Histogram::Quantile(double q) const {
+  q = std::clamp(q, 0.0, 1.0);
+  // One copy of the counts, so the walk sees a single view (concurrent
+  // recorders race benignly: quantiles are summaries, not invariants).
+  std::array<uint64_t, kNumBounds + 1> counts;
+  uint64_t total = 0;
+  for (size_t i = 0; i <= kNumBounds; ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += counts[i];
+  }
+  if (total == 0) return 0.0;
+  const double top = static_cast<double>(max());
+  const double rank = q * static_cast<double>(total - 1);
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i <= kNumBounds; ++i) {
+    if (counts[i] == 0) continue;
+    const double first_rank = static_cast<double>(cumulative);
+    cumulative += counts[i];
+    if (rank >= static_cast<double>(cumulative)) continue;
+    // The integer samples of bucket i lie in [previous bound + 1, bound],
+    // and none above the max; interpolate by rank inside that range.
+    const double lo = i == 0 ? 0.0 : static_cast<double>(kBounds[i - 1] + 1);
+    const double hi =
+        i == kNumBounds ? top : std::min(top, static_cast<double>(kBounds[i]));
+    const double frac =
+        counts[i] == 1
+            ? 0.5
+            : (rank - first_rank) / static_cast<double>(counts[i] - 1);
+    return lo + frac * std::max(0.0, hi - lo);
+  }
+  return top;
+}
+
+void Histogram::Reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -92,6 +171,8 @@ void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+namespace {
+
 // JSON has no Inf/NaN literals; map them to null so the file stays
 // parseable by any consumer.
 void AppendJsonDouble(double v, std::string* out) {
@@ -112,10 +193,38 @@ void AppendJsonUint(uint64_t v, std::string* out) {
 
 }  // namespace
 
+HistogramSample HistogramSample::From(const Histogram& histogram) {
+  HistogramSample sample;
+  sample.count = histogram.count();
+  sample.sum = histogram.sum();
+  sample.max = histogram.max();
+  sample.p50 = histogram.Quantile(0.50);
+  sample.p90 = histogram.Quantile(0.90);
+  sample.p99 = histogram.Quantile(0.99);
+  return sample;
+}
+
+std::string HistogramSample::ToJson() const {
+  std::string out = "{\"count\":";
+  AppendJsonUint(count, &out);
+  out += ",\"sum\":";
+  AppendJsonUint(sum, &out);
+  out += ",\"max\":";
+  AppendJsonUint(max, &out);
+  out += ",\"p50\":";
+  AppendJsonDouble(p50, &out);
+  out += ",\"p90\":";
+  AppendJsonDouble(p90, &out);
+  out += ",\"p99\":";
+  AppendJsonDouble(p99, &out);
+  out.push_back('}');
+  return out;
+}
+
 std::string MetricsSnapshot::ToJson() const {
   std::string out;
   out.reserve(256 + 64 * (counters.size() + gauges.size()) +
-              256 * histograms.size());
+              160 * histograms.size());
   out += "{\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i) out.push_back(',');
@@ -132,24 +241,10 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += "},\"histograms\":{";
   for (size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSample& h = histograms[i];
     if (i) out.push_back(',');
-    AppendJsonString(h.name, &out);
-    out += ":{\"bounds\":[";
-    for (size_t b = 0; b < h.bounds.size(); ++b) {
-      if (b) out.push_back(',');
-      AppendJsonDouble(h.bounds[b], &out);
-    }
-    out += "],\"counts\":[";
-    for (size_t b = 0; b < h.counts.size(); ++b) {
-      if (b) out.push_back(',');
-      AppendJsonUint(h.counts[b], &out);
-    }
-    out += "],\"sum\":";
-    AppendJsonDouble(h.sum, &out);
-    out += ",\"count\":";
-    AppendJsonUint(h.total_count, &out);
-    out.push_back('}');
+    AppendJsonString(histograms[i].name, &out);
+    out.push_back(':');
+    out += histograms[i].ToJson();
   }
   out += "}}";
   return out;
@@ -193,12 +288,11 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<double>& bounds) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);
   auto& slot = im.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>(bounds);
+  if (!slot) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
@@ -216,14 +310,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   snap.histograms.reserve(im.histograms.size());
   for (const auto& [name, h] : im.histograms) {
-    HistogramSample sample;
-    sample.name = name;
-    sample.bounds = h->bounds();
-    sample.counts = h->counts();
-    sample.sum = h->sum();
-    sample.total_count = 0;
-    for (uint64_t c : sample.counts) sample.total_count += c;
-    snap.histograms.push_back(std::move(sample));
+    snap.histograms.push_back(HistogramSample::From(*h));
+    snap.histograms.back().name = name;
   }
   return snap;
 }

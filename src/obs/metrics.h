@@ -1,24 +1,26 @@
 #ifndef CROWDRL_OBS_METRICS_H_
 #define CROWDRL_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// \file
 /// \brief Process-wide runtime metrics: monotonic counters, gauges, and
-/// fixed-bucket histograms behind a thread-safe registry.
+/// geometric histograms behind a thread-safe registry.
 ///
 /// Design constraints (see DESIGN.md §10):
 ///
 ///  * **Lock-free hot path.** Incrementing a counter, setting a gauge, or
-///    recording a histogram sample is a relaxed atomic op on a stable
-///    pointer — no locks, no allocation. The registry mutex is taken only
-///    at registration and snapshot time.
+///    recording a histogram sample is a few relaxed atomic ops on a
+///    stable pointer — no locks, no allocation. The registry mutex is
+///    taken only at registration and snapshot time.
 ///  * **Near-zero when disabled.** Every mutation first checks the global
 ///    enabled flag (one relaxed atomic load + predictable branch, well
 ///    under a nanosecond); `-DCROWDRL_OBS_BUILD=0` additionally compiles
@@ -55,8 +57,8 @@ struct ObsOptions {
   /// accumulated spans as Chrome trace-event JSON at the end of the run.
   std::string trace_json_path;
   /// Record answer-lifecycle stage latencies (dispatch→deliver→arrive→
-  /// commit→observe) into the per-campaign LifecycleRegistry stores and
-  /// export per-stage quantile gauges. Serve-mode only; implies
+  /// commit→observe) in nanoseconds into the registry histograms
+  /// crowdrl.serve.<campaign>.lifecycle.<stage>. Serve-mode only; implies
   /// `enabled`.
   bool lifecycle = false;
   /// Configure (preallocate) and enable the process-wide FlightRecorder
@@ -100,8 +102,8 @@ void SetTracing(bool tracing);
 /// observability another component enabled process-wide.
 void ApplyOptions(const ObsOptions& options);
 
-/// Monotonic steady-clock nanoseconds (the time base of spans and the
-/// ThreadPool wait/run histograms).
+/// Monotonic steady-clock nanoseconds (the time base of spans, the
+/// ThreadPool wait/run histograms and the lifecycle stages).
 inline uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -149,37 +151,51 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// \brief Fixed-bucket histogram with inclusive upper bounds
-/// (Prometheus-style `le` semantics): a sample lands in the first bucket
-/// whose bound is >= the value; samples above every bound land in the
-/// implicit overflow bucket. Bounds are fixed at registration.
+/// \brief Geometric histogram of non-negative integer samples, recorded
+/// wait-free on relaxed atomics.
+///
+/// Every histogram shares one layout of inclusive integer upper bounds:
+/// 1, 2, ..., 12, then floor(1.25^i) up to ~2.03e12 (above 2^40), plus
+/// an overflow bucket. A sample lands in the first bucket whose bound is
+/// >= the value. The layout holds nanosecond latencies of half an hour
+/// and GEMM flop counts alike, so call sites record integers in their
+/// natural unit and name the unit in the metric. Count, sum and max are
+/// exact. A quantile is interpolated inside the bucket holding its rank,
+/// so it is exact to one bucket width: exact up to 12, within ~26% above.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr size_t kNumBounds = 128;
 
-  void Record(double value) {
+  /// Upper bound of bucket `i` < kNumBounds (bucket kNumBounds is the
+  /// overflow).
+  static uint64_t BucketBound(size_t i);
+  /// The bucket `value` lands in (kNumBounds = overflow).
+  static size_t BucketIndex(uint64_t value);
+
+  void Record(uint64_t value) {
 #if CROWDRL_OBS_BUILD
     if (!Enabled()) return;
-    size_t b = 0;
-    while (b < bounds_.size() && value > bounds_[b]) ++b;
-    counts_[b].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    Add(value);
 #else
     (void)value;
 #endif
   }
 
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts, bounds().size() + 1 entries (last = overflow).
-  std::vector<uint64_t> counts() const;
-  uint64_t total_count() const;
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// The sum of the bucket counters: one atomic add per sample fewer
+  /// than a separate count, and always consistent with the quantiles.
+  uint64_t count() const;
+  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  /// Quantile `q` in [0, 1] in the recorded unit; 0 when empty.
+  double Quantile(double q) const;
   void Reset();
 
  private:
-  std::vector<double> bounds_;  // Ascending; immutable after construction.
-  std::vector<std::atomic<uint64_t>> counts_;
-  std::atomic<double> sum_{0.0};
+  void Add(uint64_t value);
+
+  std::array<std::atomic<uint64_t>, kNumBounds + 1> buckets_{};
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> max_{0};
 };
 
 struct CounterSample {
@@ -192,12 +208,20 @@ struct GaugeSample {
   double value = 0.0;
 };
 
+/// One histogram's exported summary, in the recorded unit.
 struct HistogramSample {
   std::string name;
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;  // bounds.size() + 1 (overflow last).
-  double sum = 0.0;
-  uint64_t total_count = 0;
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t max = 0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+
+  /// Reads count, sum, max and the three quantiles of `histogram`.
+  static HistogramSample From(const Histogram& histogram);
+  /// {"count":N,"sum":S,"max":M,"p50":..,"p90":..,"p99":..}
+  std::string ToJson() const;
 };
 
 /// A point-in-time copy of every registered metric, sorted by name.
@@ -207,9 +231,9 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 
   /// One JSON object (no trailing newline):
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{"bounds":[...],
-  /// "counts":[...],"sum":S,"count":N}}}. Non-finite gauge values are
-  /// emitted as null (JSON has no Inf/NaN).
+  /// {"counters":{...},"gauges":{...},"histograms":{name:{"count":N,
+  /// "sum":S,"max":M,"p50":..,"p90":..,"p99":..}}}. Non-finite gauge
+  /// values are emitted as null (JSON has no Inf/NaN).
   std::string ToJson() const;
 };
 
@@ -227,14 +251,11 @@ class MetricsRegistry {
   /// Finds or creates. The returned pointer is never invalidated.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `bounds` must be ascending; applies only on first registration (a
-  /// later call with different bounds returns the existing histogram).
-  Histogram* GetHistogram(const std::string& name,
-                          const std::vector<double>& bounds);
+  Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every value (names and bucket layouts stay registered).
+  /// Zeroes every value (names stay registered).
   /// For tests and run isolation; not meant for the hot path.
   void ResetAll();
 
@@ -243,6 +264,11 @@ class MetricsRegistry {
   struct Impl;
   Impl& impl() const;
 };
+
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters (every JSON writer of src/obs uses
+/// this one escaper).
+void AppendJsonString(std::string_view s, std::string* out);
 
 /// \brief Line-per-record sink for MetricsSnapshots (the `--metrics_out`
 /// run_metrics.jsonl file): {"iteration":N,<snapshot fields>}\n.

@@ -11,31 +11,6 @@ namespace crowdrl::obs {
 
 namespace {
 
-// Span names are string literals under our control, but the export must
-// be valid JSON whatever they contain.
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 // Per-thread cap: 1M events ≈ 24 MB/thread worst case. Beyond it we count
 // drops instead of growing — a tracing run must not OOM the process.
 // Runtime-settable (tests only) so the overflow path is testable without
@@ -117,16 +92,21 @@ bool TraceRecorder::WriteChromeTrace(const std::string& path) const {
   std::fputs("{\"traceEvents\":[", file);
   bool first = true;
   uint64_t dropped = 0;
+  std::string name;
   for (ThreadBuffer* buffer : impl().AllBuffers()) {
     std::lock_guard<std::mutex> lock(buffer->mutex);
     dropped += buffer->dropped;
     for (const TraceEvent& event : buffer->events) {
+      // Span names are literals under our control, but the export must
+      // be valid JSON whatever they contain.
+      name.clear();
+      AppendJsonString(event.name, &name);
       // Chrome trace-event timestamps are microseconds; keep fractional
       // precision so sub-µs spans stay visible.
       std::fprintf(file,
-                   "%s{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
+                   "%s{\"name\":%s,\"ph\":\"X\",\"ts\":%.3f,"
                    "\"dur\":%.3f,\"pid\":1,\"tid\":%u}",
-                   first ? "" : ",", EscapeJson(event.name).c_str(),
+                   first ? "" : ",", name.c_str(),
                    static_cast<double>(event.start_ns) / 1000.0,
                    static_cast<double>(event.dur_ns) / 1000.0, buffer->tid);
       first = false;

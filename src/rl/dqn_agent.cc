@@ -16,7 +16,7 @@ namespace {
 
 /// Minimum candidates per parallel featurization chunk. The actual grain
 /// adapts upward to candidates / (lanes * kFeaturizeChunksPerLane): the
-/// threadpool task_wait_us/task_run_us histograms showed that at the big
+/// threadpool task_wait_ns/task_run_ns histograms showed that at the big
 /// scoring batches (tens of thousands of rows) a fixed small grain makes
 /// per-chunk run time comparable to dispatch wake-up latency, which is
 /// why row-tiling barely paid. A handful of chunks per lane amortizes the

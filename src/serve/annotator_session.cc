@@ -1,5 +1,7 @@
 #include "serve/annotator_session.h"
 
+#include <string>
+
 #include "obs/lifecycle.h"
 #include "util/logging.h"
 
@@ -13,25 +15,33 @@ AnnotatorSessionRegistry::AnnotatorSessionRegistry(size_t num_annotators,
   CROWDRL_CHECK(num_annotators > 0);
 }
 
-void AnnotatorSessionRegistry::Connect(int annotator) {
+namespace {
+
+Status OutOfRange(int annotator) {
+  return Status::InvalidArgument("annotator id " + std::to_string(annotator) +
+                                 " is out of range");
+}
+
+}  // namespace
+
+Status AnnotatorSessionRegistry::Connect(int annotator) {
+  if (!InRange(annotator)) return OutOfRange(annotator);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    CROWDRL_CHECK(annotator >= 0 &&
-                  static_cast<size_t>(annotator) < connected_.size());
     connected_[static_cast<size_t>(annotator)] = 1;
   }
   obs::RecordFlightEvent(obs::FlightEventType::kSessionConnect, flight_scope_,
                          static_cast<uint64_t>(annotator));
   if (hub_ != nullptr) hub_->Notify();
+  return Status::Ok();
 }
 
-void AnnotatorSessionRegistry::Disconnect(int annotator) {
+Status AnnotatorSessionRegistry::Disconnect(int annotator) {
+  if (!InRange(annotator)) return OutOfRange(annotator);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    CROWDRL_CHECK(annotator >= 0 &&
-                  static_cast<size_t>(annotator) < connected_.size());
     const size_t j = static_cast<size_t>(annotator);
-    if (!connected_[j]) return;
+    if (!connected_[j]) return Status::Ok();
     connected_[j] = 0;
     disconnect_events_.push_back(annotator);
     for (const WorkItem& item : inbox_[j]) {
@@ -42,6 +52,7 @@ void AnnotatorSessionRegistry::Disconnect(int annotator) {
   obs::RecordFlightEvent(obs::FlightEventType::kSessionDisconnect,
                          flight_scope_, static_cast<uint64_t>(annotator));
   if (hub_ != nullptr) hub_->Notify();
+  return Status::Ok();
 }
 
 void AnnotatorSessionRegistry::ConnectAll() {
@@ -50,9 +61,8 @@ void AnnotatorSessionRegistry::ConnectAll() {
 }
 
 bool AnnotatorSessionRegistry::connected(int annotator) const {
+  if (!InRange(annotator)) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  CROWDRL_CHECK(annotator >= 0 &&
-                static_cast<size_t>(annotator) < connected_.size());
   return connected_[static_cast<size_t>(annotator)] != 0;
 }
 
@@ -89,9 +99,8 @@ void AnnotatorSessionRegistry::Dispatch(const WorkItem& item) {
 }
 
 std::optional<WorkItem> AnnotatorSessionRegistry::RequestWork(int annotator) {
+  if (!InRange(annotator)) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  CROWDRL_CHECK(annotator >= 0 &&
-                static_cast<size_t>(annotator) < inbox_.size());
   const size_t j = static_cast<size_t>(annotator);
   if (!connected_[j] || inbox_[j].empty()) return std::nullopt;
   WorkItem item = inbox_[j].front();

@@ -10,6 +10,7 @@
 
 #include "obs/flight_recorder.h"
 #include "serve/answer_ingest.h"
+#include "util/status.h"
 
 namespace crowdrl::serve {
 
@@ -33,15 +34,21 @@ using WorkItem = CompletedAnswer;
 /// (DqnAgent::NoteAnnotatorDisconnected) — the agent is not thread-safe,
 /// so the registry only records events and the pump applies them.
 ///
+/// Annotator ids arrive from clients, so the client-facing calls reject
+/// an id outside [0, num_annotators) and change nothing.
+///
 /// Thread-safe; every method takes the one registry mutex.
 class AnnotatorSessionRegistry {
  public:
   AnnotatorSessionRegistry(size_t num_annotators, EventHub* hub = nullptr);
 
-  void Connect(int annotator);
-  void Disconnect(int annotator);
+  /// InvalidArgument for an out-of-range id.
+  Status Connect(int annotator);
+  /// InvalidArgument for an out-of-range id.
+  Status Disconnect(int annotator);
   void ConnectAll();
 
+  /// False for an out-of-range id.
   bool connected(int annotator) const;
   std::vector<bool> ConnectedMask() const;
   size_t num_connected() const;
@@ -53,7 +60,8 @@ class AnnotatorSessionRegistry {
   void Dispatch(const WorkItem& item);
 
   /// Driver side: next queued task for this annotator, if any. Returns
-  /// nullopt when the inbox is empty or the annotator is not connected.
+  /// nullopt when the inbox is empty, the annotator is not connected, or
+  /// the id is out of range.
   std::optional<WorkItem> RequestWork(int annotator);
 
   /// Pump side: seqs dropped by disconnects or CancelAllQueued since the
@@ -84,6 +92,11 @@ class AnnotatorSessionRegistry {
   void set_flight_scope(uint16_t scope) { flight_scope_ = scope; }
 
  private:
+  bool InRange(int annotator) const {
+    return annotator >= 0 &&
+           static_cast<size_t>(annotator) < connected_.size();
+  }
+
   mutable std::mutex mu_;
   std::vector<uint8_t> connected_;
   std::vector<std::deque<WorkItem>> inbox_;

@@ -16,6 +16,38 @@ std::string MetricName(const std::string& campaign, const char* suffix) {
 
 }  // namespace
 
+std::string LifecycleHistogramName(const std::string& campaign,
+                                   obs::LifecycleStage stage) {
+  return MetricName(campaign, "lifecycle.") + obs::LifecycleStageName(stage);
+}
+
+std::string LifecycleStagesJson(const std::string& campaign) {
+  auto& registry = obs::MetricsRegistry::Get();
+  std::string out = "{";
+  for (size_t s = 0; s < obs::kNumLifecycleStages; ++s) {
+    const auto stage = static_cast<obs::LifecycleStage>(s);
+    const std::string name = LifecycleHistogramName(campaign, stage);
+    if (s > 0) out.push_back(',');
+    obs::AppendJsonString(obs::LifecycleStageName(stage), &out);
+    out.push_back(':');
+    out += obs::HistogramSample::From(*registry.GetHistogram(name)).ToJson();
+  }
+  out.push_back('}');
+  return out;
+}
+
+std::string LifecycleReportJson(const std::vector<std::string>& campaigns) {
+  std::string out = "{\"campaigns\":[";
+  for (size_t c = 0; c < campaigns.size(); ++c) {
+    if (c > 0) out.push_back(',');
+    out += "{\"name\":";
+    obs::AppendJsonString(campaigns[c], &out);
+    out += ",\"stages\":" + LifecycleStagesJson(campaigns[c]) + "}";
+  }
+  out += "]}";
+  return out;
+}
+
 Campaign::Campaign(CampaignOptions options, const data::Dataset* dataset,
                    const std::vector<crowd::Annotator>* pool, double budget,
                    uint64_t seed, EventHub* hub, InferenceWorker* ti_worker)
@@ -36,6 +68,8 @@ Campaign::Campaign(CampaignOptions options, const data::Dataset* dataset,
   metric_answers_ = registry.GetCounter(MetricName(name, "answers"));
   metric_rounds_ = registry.GetCounter(MetricName(name, "rounds"));
   metric_abandoned_ = registry.GetCounter(MetricName(name, "abandoned"));
+  metric_rejected_ =
+      registry.GetCounter(MetricName(name, "rejected_answers"));
   metric_ti_swaps_ = registry.GetCounter(MetricName(name, "ti_swaps"));
   metric_delivered_ = registry.GetCounter(MetricName(name, "delivered"));
   metric_queue_depth_ = registry.GetGauge(MetricName(name, "queue_depth"));
@@ -44,16 +78,9 @@ Campaign::Campaign(CampaignOptions options, const data::Dataset* dataset,
   metric_ti_stall_us_ =
       registry.GetGauge(MetricName(name, "ti_stall_us"));
   for (size_t s = 0; s < obs::kNumLifecycleStages; ++s) {
-    const std::string stage = std::string("lifecycle.") +
-        obs::LifecycleStageName(static_cast<obs::LifecycleStage>(s));
-    metric_stage_gauges_[s].p50 =
-        registry.GetGauge(MetricName(name, (stage + ".p50_us").c_str()));
-    metric_stage_gauges_[s].p90 =
-        registry.GetGauge(MetricName(name, (stage + ".p90_us").c_str()));
-    metric_stage_gauges_[s].p99 =
-        registry.GetGauge(MetricName(name, (stage + ".p99_us").c_str()));
+    metric_stages_[s] = registry.GetHistogram(
+        LifecycleHistogramName(name, static_cast<obs::LifecycleStage>(s)));
   }
-  lifecycle_ = obs::LifecycleRegistry::Get().GetStats(name);
 }
 
 Campaign::~Campaign() {
@@ -151,9 +178,25 @@ bool Campaign::ProcessSessionEvents() {
   return progress;
 }
 
+bool Campaign::Mismatched(const CompletedAnswer& answer) const {
+  if (!round_active_ || answer.seq < reorder_.first_seq()) return false;
+  const uint64_t p = answer.seq - reorder_.first_seq();
+  if (p >= plan_.pairs.size()) return false;
+  return plan_.pairs[p].first != answer.object ||
+         plan_.pairs[p].second != answer.annotator;
+}
+
 bool Campaign::CommitArrivals() {
   bool progress = false;
   for (const CompletedAnswer& answer : ingest_.Drain()) {
+    // The planned pair is what commits, so a completion must name it: a
+    // client answering someone else's seq is dropped, and the slot stays
+    // open for the genuine completion.
+    if (Mismatched(answer)) {
+      ++rejected_answers_;
+      metric_rejected_->Inc();
+      continue;
+    }
     // Out-of-range / already-resolved seqs are late echoes of cancelled
     // work; dropping them here is what makes cancellation safe.
     if (reorder_.Offer(answer)) progress = true;
@@ -203,12 +246,12 @@ bool Campaign::CommitArrivals() {
       if (answer.deliver_ns >= answer.dispatch_ns &&
           answer.arrive_ns >= answer.deliver_ns && answer.deliver_ns != 0 &&
           answer.arrive_ns != 0) {
-        lifecycle_->Record(obs::LifecycleStage::kDispatchToDeliver,
-                           answer.deliver_ns - answer.dispatch_ns);
-        lifecycle_->Record(obs::LifecycleStage::kDeliverToArrive,
-                           answer.arrive_ns - answer.deliver_ns);
-        lifecycle_->Record(obs::LifecycleStage::kArriveToCommit,
-                           now - answer.arrive_ns);
+        RecordStage(obs::LifecycleStage::kDispatchToDeliver,
+                    answer.deliver_ns - answer.dispatch_ns);
+        RecordStage(obs::LifecycleStage::kDeliverToArrive,
+                    answer.arrive_ns - answer.deliver_ns);
+        RecordStage(obs::LifecycleStage::kArriveToCommit,
+                    now - answer.arrive_ns);
       }
       // The observe edge closes when the reward covering this commit is
       // handed to the agent (next plan's pending pass in sync mode, the
@@ -224,22 +267,11 @@ void Campaign::RecordObserveLatencies(std::vector<uint64_t>* stamps) {
   if (obs::LifecycleEnabled()) {
     const uint64_t now = obs::NowNs();
     for (uint64_t t : *stamps) {
-      lifecycle_->Record(obs::LifecycleStage::kCommitToObserve,
-                         now >= t ? now - t : 0);
+      RecordStage(obs::LifecycleStage::kCommitToObserve,
+                  now >= t ? now - t : 0);
     }
   }
   stamps->clear();
-}
-
-void Campaign::UpdateLifecycleGauges() {
-  if (!obs::LifecycleEnabled()) return;
-  for (size_t s = 0; s < obs::kNumLifecycleStages; ++s) {
-    const obs::LifecycleSample::StageSample sample = obs::SummarizeStage(
-        lifecycle_->stage(static_cast<obs::LifecycleStage>(s)));
-    metric_stage_gauges_[s].p50->Set(sample.p50_us);
-    metric_stage_gauges_[s].p90->Set(sample.p90_us);
-    metric_stage_gauges_[s].p99->Set(sample.p99_us);
-  }
 }
 
 void Campaign::FinishRound() {
@@ -270,7 +302,6 @@ void Campaign::FinishRound() {
   }
   ++rounds_completed_;
   metric_rounds_->Inc();
-  UpdateLifecycleGauges();
   WriteMetricsRecord();
   Status s = rs_->MaybeCheckpoint();
   if (!s.ok()) {
@@ -474,7 +505,6 @@ void Campaign::FinishCampaign(const core::IterationPlan& terminal_plan) {
   }
   // Flush-on-completion: the metrics sink ends exactly at the final
   // round even if the process dies before the service shuts down.
-  UpdateLifecycleGauges();
   WriteMetricsRecord();
   metrics_writer_.Flush();
   state_ = State::kComplete;
@@ -552,8 +582,7 @@ Status Campaign::Drain() {
   }
   // A drained campaign still owes the sink its final state: emit one last
   // record so the JSONL's tail reflects post-drain values (counters,
-  // lifecycle quantiles), then close.
-  UpdateLifecycleGauges();
+  // lifecycle histograms), then close.
   WriteMetricsRecord();
   metrics_writer_.Flush();
   metrics_writer_.Close();

@@ -126,15 +126,22 @@ class Campaign {
   size_t ti_swaps() const { return ti_swaps_; }
   uint64_t ti_stall_ns() const { return ti_stall_ns_; }
   size_t abandoned_items() const { return abandoned_items_; }
+  /// Completions dropped because their (object, annotator) is not the
+  /// pair dispatched under their seq: another client's seq, or a forged
+  /// one. The genuine completion still commits.
+  size_t rejected_answers() const { return rejected_answers_; }
   /// obs::NowNs() of the most recent committed answer (0 before the
   /// first); the liveness signal of HealthSnapshot.
   uint64_t last_commit_ns() const { return last_commit_ns_; }
 
   /// Flight-recorder scope ordinal of this campaign (0 until Start).
   uint16_t flight_scope() const { return flight_scope_; }
-  /// Per-stage lifecycle latency store (registered under the campaign
-  /// name; populated only while lifecycle tracing is enabled).
-  const obs::LifecycleStats& lifecycle() const { return *lifecycle_; }
+  /// The registry histogram of one lifecycle stage edge, in nanoseconds
+  /// (LifecycleHistogramName; recorded only while lifecycle tracing is
+  /// enabled).
+  const obs::Histogram& lifecycle(obs::LifecycleStage stage) const {
+    return *metric_stages_[static_cast<size_t>(stage)];
+  }
 
  private:
   /// One finished-but-unobserved round (asynchronous mode): rewards wait
@@ -165,11 +172,15 @@ class Campaign {
   void WriteMetricsRecord();
   /// Resolves one abandoned seq (reorder + stats + flight event).
   void NoteAbandoned(uint64_t seq);
+  /// True when `answer`'s seq lies in the active round and its (object,
+  /// annotator) differs from the pair dispatched under that seq.
+  bool Mismatched(const CompletedAnswer& answer) const;
   /// Records commit→observe latencies for `stamps` (observed now) and
   /// clears it.
   void RecordObserveLatencies(std::vector<uint64_t>* stamps);
-  /// Refreshes the per-stage lifecycle quantile gauges from the store.
-  void UpdateLifecycleGauges();
+  void RecordStage(obs::LifecycleStage stage, uint64_t ns) {
+    metric_stages_[static_cast<size_t>(stage)]->Record(ns);
+  }
 
   CampaignOptions options_;
   const data::Dataset* dataset_;
@@ -214,11 +225,11 @@ class Campaign {
   std::atomic<size_t> ti_swaps_{0};
   std::atomic<uint64_t> ti_stall_ns_{0};
   std::atomic<size_t> abandoned_items_{0};
+  std::atomic<size_t> rejected_answers_{0};
   std::atomic<uint64_t> last_commit_ns_{0};
 
   // Answer-lifecycle trace state (pump-thread-only; populated only while
   // lifecycle tracing is enabled).
-  obs::LifecycleStats* lifecycle_ = nullptr;
   /// Commit stamps of the active round (moved into the PendingRound /
   /// observe-wait list when the round finishes).
   std::vector<uint64_t> round_commit_ns_;
@@ -232,21 +243,31 @@ class Campaign {
   obs::Counter* metric_answers_;
   obs::Counter* metric_rounds_;
   obs::Counter* metric_abandoned_;
+  obs::Counter* metric_rejected_;
   obs::Counter* metric_ti_swaps_;
   obs::Counter* metric_delivered_;
   obs::Gauge* metric_queue_depth_;
   obs::Gauge* metric_inbox_depth_;
   obs::Gauge* metric_connected_;
   obs::Gauge* metric_ti_stall_us_;
-  /// lifecycle.<stage>.{p50,p90,p99}_us quantile gauges, per stage.
-  struct StageGauges {
-    obs::Gauge* p50;
-    obs::Gauge* p90;
-    obs::Gauge* p99;
-  };
-  std::array<StageGauges, obs::kNumLifecycleStages> metric_stage_gauges_;
+  /// lifecycle.<stage> latency histograms (nanoseconds), per stage.
+  std::array<obs::Histogram*, obs::kNumLifecycleStages> metric_stages_;
   obs::MetricsJsonlWriter metrics_writer_;
 };
+
+/// Registry name of a campaign's lifecycle stage histogram:
+/// crowdrl.serve.<campaign>.lifecycle.<stage>, in nanoseconds.
+std::string LifecycleHistogramName(const std::string& campaign,
+                                   obs::LifecycleStage stage);
+
+/// One campaign's stage breakdown read from its registry histograms:
+/// {"dispatch_deliver":<summary>,...,"commit_observe":<summary>}, each
+/// summary an obs::HistogramSample::ToJson object in nanoseconds.
+std::string LifecycleStagesJson(const std::string& campaign);
+
+/// The answer-lifecycle report of the named campaigns:
+/// {"campaigns":[{"name":...,"stages":LifecycleStagesJson(name)},...]}.
+std::string LifecycleReportJson(const std::vector<std::string>& campaigns);
 
 }  // namespace crowdrl::serve
 

@@ -14,19 +14,15 @@ namespace {
 struct PoolMetrics {
   obs::Counter* dispatches;
   obs::Gauge* queue_depth;
-  obs::Histogram* wait_us;
-  obs::Histogram* run_us;
+  obs::Histogram* wait_ns;
+  obs::Histogram* run_ns;
 
   PoolMetrics() {
     auto& registry = obs::MetricsRegistry::Get();
-    const std::vector<double> us_bounds = {1.0,    10.0,    100.0,
-                                           1000.0, 10000.0, 100000.0};
     dispatches = registry.GetCounter("crowdrl.threadpool.dispatches");
     queue_depth = registry.GetGauge("crowdrl.threadpool.queue_depth");
-    wait_us =
-        registry.GetHistogram("crowdrl.threadpool.task_wait_us", us_bounds);
-    run_us =
-        registry.GetHistogram("crowdrl.threadpool.task_run_us", us_bounds);
+    wait_ns = registry.GetHistogram("crowdrl.threadpool.task_wait_ns");
+    run_ns = registry.GetHistogram("crowdrl.threadpool.task_run_ns");
   }
 };
 
@@ -113,11 +109,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
       size_t chunk_begin = begin + c * grain;
       if (observed) {
         uint64_t start_ns = obs::NowNs();
-        Metrics().wait_us->Record(
-            static_cast<double>(start_ns - dispatch_ns) / 1000.0);
+        Metrics().wait_ns->Record(start_ns - dispatch_ns);
         fn(chunk_begin, std::min(end, chunk_begin + grain));
-        Metrics().run_us->Record(
-            static_cast<double>(obs::NowNs() - start_ns) / 1000.0);
+        Metrics().run_ns->Record(obs::NowNs() - start_ns);
       } else {
         fn(chunk_begin, std::min(end, chunk_begin + grain));
       }

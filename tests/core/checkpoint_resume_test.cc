@@ -192,7 +192,7 @@ TEST(ObservabilityTest, InstrumentedRunIsBitIdenticalAndArtifactsParse) {
   EXPECT_TRUE(last["gauges"].Has("crowdrl.scorecache.hit_rate"));
   EXPECT_TRUE(last["gauges"].Has("crowdrl.threadpool.queue_depth"));
   EXPECT_TRUE(last["gauges"].Has("crowdrl.framework.log_likelihood"));
-  EXPECT_TRUE(last["histograms"].Has("crowdrl.threadpool.task_run_us"));
+  EXPECT_TRUE(last["histograms"].Has("crowdrl.threadpool.task_run_ns"));
 
   // The exported trace parses and carries the run-loop spans.
   std::ifstream trace_in(trace_path);

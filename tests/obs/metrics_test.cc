@@ -1,6 +1,6 @@
-// MetricsRegistry contract tests: histogram bucket boundaries, counter
-// wrap-around, concurrent-increment exactness, snapshot JSON shape, the
-// enabled/disabled gate, and the JSONL sink.
+// MetricsRegistry contract tests: histogram bucket boundaries and the
+// overflow bucket, counter wrap-around, concurrent-increment exactness,
+// snapshot JSON shape, the enabled/disabled gate, and the JSONL sink.
 
 #include "obs/metrics.h"
 
@@ -62,16 +62,15 @@ TEST_F(MetricsTest, CounterWrapsModulo2To64) {
 TEST_F(MetricsTest, DisabledHooksMutateNothing) {
   Counter* c = MetricsRegistry::Get().GetCounter("test.counter.gated");
   Gauge* g = MetricsRegistry::Get().GetGauge("test.gauge.gated");
-  Histogram* h =
-      MetricsRegistry::Get().GetHistogram("test.hist.gated", {1.0, 2.0});
+  Histogram* h = MetricsRegistry::Get().GetHistogram("test.hist.gated");
   SetEnabled(false);
   c->Inc(7);
   g->Set(3.5);
-  h->Record(1.5);
+  h->Record(15);
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(g->value(), 0.0);
-  EXPECT_EQ(h->total_count(), 0u);
-  EXPECT_EQ(h->sum(), 0.0);
+  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(h->sum(), 0u);
   SetEnabled(true);
   c->Inc(7);
   EXPECT_EQ(c->value(), 7u);
@@ -82,58 +81,53 @@ TEST_F(MetricsTest, RegistrationIsIdempotent) {
   Counter* c1 = registry.GetCounter("test.counter.same");
   Counter* c2 = registry.GetCounter("test.counter.same");
   EXPECT_EQ(c1, c2);
-  Histogram* h1 = registry.GetHistogram("test.hist.same", {1.0, 2.0});
-  // Later bounds are ignored: first registration wins.
-  Histogram* h2 = registry.GetHistogram("test.hist.same", {5.0});
+  Histogram* h1 = registry.GetHistogram("test.hist.same");
+  Histogram* h2 = registry.GetHistogram("test.hist.same");
   EXPECT_EQ(h1, h2);
-  EXPECT_EQ(h2->bounds(), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST_F(MetricsTest, HistogramBucketBoundariesAreInclusiveUpperBounds) {
-  Histogram* h = MetricsRegistry::Get().GetHistogram(
-      "test.hist.bounds", {1.0, 2.0, 4.0});
   // le-style semantics: a sample lands in the first bucket whose bound is
   // >= the value. Exact-boundary values belong to the lower bucket.
-  h->Record(0.5);  // <= 1
-  h->Record(1.0);  // <= 1 (boundary)
-  h->Record(1.5);  // <= 2
-  h->Record(2.0);  // <= 2 (boundary)
-  h->Record(4.0);  // <= 4 (boundary)
-  h->Record(4.5);  // overflow
-  h->Record(-3.0);  // below every bound -> first bucket
-  std::vector<uint64_t> counts = h->counts();
-  ASSERT_EQ(counts.size(), 4u);  // bounds + overflow.
-  EXPECT_EQ(counts[0], 3u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h->total_count(), 7u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 4.5 - 3.0);
+  EXPECT_EQ(Histogram::BucketIndex(0), 0u);
+  for (size_t i = 0; i < Histogram::kNumBounds; ++i) {
+    const uint64_t bound = Histogram::BucketBound(i);
+    EXPECT_EQ(Histogram::BucketIndex(bound), i);
+    EXPECT_EQ(Histogram::BucketIndex(bound + 1), i + 1);
+  }
+  // Everything above the last bound shares the overflow bucket, whose
+  // quantiles end at the recorded max.
+  const uint64_t last = Histogram::BucketBound(Histogram::kNumBounds - 1);
+  EXPECT_EQ(Histogram::BucketIndex(UINT64_MAX), Histogram::kNumBounds);
+  Histogram* h = MetricsRegistry::Get().GetHistogram("test.hist.overflow");
+  h->Record(last + 1);
+  h->Record(3 * last);
+  EXPECT_EQ(h->count(), 2u);
+  EXPECT_EQ(h->sum(), 4 * last + 1);
+  EXPECT_EQ(h->max(), 3 * last);
+  EXPECT_EQ(h->Quantile(0.0), static_cast<double>(last + 1));
+  EXPECT_EQ(h->Quantile(1.0), static_cast<double>(3 * last));
 }
 
 TEST_F(MetricsTest, ConcurrentIncrementsSumExactly) {
   constexpr int kThreads = 8;
   constexpr uint64_t kIncrementsPerThread = 40000;
   Counter* c = MetricsRegistry::Get().GetCounter("test.counter.mt");
-  Histogram* h =
-      MetricsRegistry::Get().GetHistogram("test.hist.mt", {0.5});
+  Histogram* h = MetricsRegistry::Get().GetHistogram("test.hist.mt");
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([c, h] {
       for (uint64_t i = 0; i < kIncrementsPerThread; ++i) {
         c->Inc();
-        h->Record(1.0);  // Overflow bucket; integral values, exact sum.
+        h->Record(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(c->value(), kThreads * kIncrementsPerThread);
-  EXPECT_EQ(h->total_count(), kThreads * kIncrementsPerThread);
-  EXPECT_DOUBLE_EQ(h->sum(),
-                   static_cast<double>(kThreads * kIncrementsPerThread));
-  std::vector<uint64_t> counts = h->counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[1], kThreads * kIncrementsPerThread);
+  EXPECT_EQ(h->count(), kThreads * kIncrementsPerThread);
+  EXPECT_EQ(h->sum(), kThreads * kIncrementsPerThread);
+  EXPECT_EQ(h->max(), 1u);
 }
 
 TEST_F(MetricsTest, SnapshotIsSortedAndJsonParses) {
@@ -141,7 +135,7 @@ TEST_F(MetricsTest, SnapshotIsSortedAndJsonParses) {
   registry.GetCounter("test.snap.b")->Inc(2);
   registry.GetCounter("test.snap.a")->Inc(1);
   registry.GetGauge("test.snap.gauge")->Set(-1.25);
-  registry.GetHistogram("test.snap.hist", {1.0, 10.0})->Record(3.0);
+  registry.GetHistogram("test.snap.hist")->Record(3);
 
   MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_GE(snapshot.counters.size(), 2u);
@@ -157,11 +151,13 @@ TEST_F(MetricsTest, SnapshotIsSortedAndJsonParses) {
   EXPECT_EQ(root["gauges"]["test.snap.gauge"].number, -1.25);
   const JsonValue& hist = root["histograms"]["test.snap.hist"];
   ASSERT_TRUE(hist.is_object());
-  ASSERT_EQ(hist["bounds"].array.size(), 2u);
-  ASSERT_EQ(hist["counts"].array.size(), 3u);
-  EXPECT_EQ(hist["counts"].array[1].number, 1.0);
-  EXPECT_EQ(hist["sum"].number, 3.0);
   EXPECT_EQ(hist["count"].number, 1.0);
+  EXPECT_EQ(hist["sum"].number, 3.0);
+  EXPECT_EQ(hist["max"].number, 3.0);
+  // A unit-width bucket holds the one sample exactly.
+  EXPECT_EQ(hist["p50"].number, 3.0);
+  EXPECT_EQ(hist["p90"].number, 3.0);
+  EXPECT_EQ(hist["p99"].number, 3.0);
 }
 
 TEST_F(MetricsTest, NonFiniteGaugeSerializesAsNull) {
@@ -177,16 +173,17 @@ TEST_F(MetricsTest, NonFiniteGaugeSerializesAsNull) {
 TEST_F(MetricsTest, ResetAllZeroesValuesButKeepsRegistrations) {
   MetricsRegistry& registry = MetricsRegistry::Get();
   Counter* c = registry.GetCounter("test.reset.counter");
-  Histogram* h = registry.GetHistogram("test.reset.hist", {1.0});
+  Histogram* h = registry.GetHistogram("test.reset.hist");
   c->Inc(5);
-  h->Record(0.5);
+  h->Record(7);
   registry.ResetAll();
   EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(h->total_count(), 0u);
-  EXPECT_EQ(h->sum(), 0.0);
-  // Still registered with the original layout.
-  EXPECT_EQ(registry.GetHistogram("test.reset.hist", {99.0}), h);
-  EXPECT_EQ(h->bounds(), (std::vector<double>{1.0}));
+  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(h->sum(), 0u);
+  EXPECT_EQ(h->max(), 0u);
+  EXPECT_EQ(h->Quantile(0.5), 0.0);
+  // Still registered.
+  EXPECT_EQ(registry.GetHistogram("test.reset.hist"), h);
 }
 
 TEST_F(MetricsTest, ApplyOptionsIsEnableOnly) {

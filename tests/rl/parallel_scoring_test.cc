@@ -1,13 +1,11 @@
 // The thread-pool determinism contract: every threaded hot path
-// (candidate featurization, batch Q inference, the joint-inference E-step)
-// must produce results bit-identical to the serial threads=1 path.
+// (candidate featurization, batch Q inference, the GEMM kernels) must
+// produce results bit-identical to the serial threads=1 path.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "classifier/mlp_classifier.h"
-#include "inference/joint_inference.h"
 #include "math/gemm.h"
 #include "nn/mlp.h"
 #include "obs/metrics.h"
@@ -232,40 +230,6 @@ TEST(ParallelScoringTest, GemmKernelsOnPoolMatchSerialBitwise) {
     for (size_t i = 0; i < nn_serial.size(); ++i) {
       ASSERT_EQ(nn.data()[i], nn_serial.data()[i]) << "NN " << i;
     }
-  }
-}
-
-TEST(ParallelScoringTest, JointInferenceIsBitIdenticalAcrossThreadCounts) {
-  crowdrl::testing::SimWorld world =
-      crowdrl::testing::MakeSimWorld(200, 4, 1, 3, 91);
-
-  auto run = [&](int threads) {
-    classifier::MlpClassifier phi(world.dataset.feature_dim(), 2);
-    inference::InferenceInput input;
-    input.answers = world.answers.get();
-    input.num_classes = 2;
-    input.objects = world.objects;
-    input.features = &world.dataset.features;
-    input.classifier = &phi;
-    inference::JointInferenceOptions options;
-    options.threads = threads;
-    inference::JointInference joint(options);
-    inference::InferenceResult result;
-    EXPECT_TRUE(joint.Infer(input, &result).ok());
-    return result;
-  };
-
-  inference::InferenceResult serial = run(1);
-  for (int threads : {2, 4}) {
-    inference::InferenceResult got = run(threads);
-    EXPECT_EQ(got.labels, serial.labels);
-    EXPECT_EQ(got.log_likelihood, serial.log_likelihood);  // Bitwise.
-    EXPECT_EQ(got.iterations, serial.iterations);
-    ASSERT_EQ(got.posteriors.size(), serial.posteriors.size());
-    for (size_t i = 0; i < serial.posteriors.size(); ++i) {
-      EXPECT_EQ(got.posteriors.data()[i], serial.posteriors.data()[i]);
-    }
-    EXPECT_EQ(got.qualities, serial.qualities);
   }
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the annotator connection registry: inbox dispatch and
 // delivery, the disconnect lifecycle (abandoned seqs + disconnect events
-// surfacing to the pump), and queued-work cancellation.
+// surfacing to the pump), queued-work cancellation, and rejection of
+// out-of-range client ids.
 
 #include "serve/annotator_session.h"
 
@@ -129,6 +130,32 @@ TEST(AnnotatorSessionTest, CancelAllQueuedAbandonsEveryInbox) {
   EXPECT_EQ(abandoned[1], 2u);
   // Annotators stay connected; only their queues were dropped.
   EXPECT_EQ(registry.num_connected(), 3u);
+}
+
+// Annotator ids come from clients: an out-of-range one is rejected
+// without aborting and without touching any inbox or connection.
+TEST(AnnotatorSessionTest, OutOfRangeIdsAreRejectedWithoutSideEffects) {
+  AnnotatorSessionRegistry registry(3);
+  ASSERT_TRUE(registry.Connect(0).ok());
+  ASSERT_TRUE(registry.Connect(2).ok());
+  registry.Dispatch(Item(0, /*annotator=*/0));
+  registry.Dispatch(Item(1, /*annotator=*/2));
+  for (int bad : {-1, 3}) {
+    EXPECT_EQ(registry.Connect(bad).code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(registry.Disconnect(bad).code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_FALSE(registry.connected(bad));
+    EXPECT_FALSE(registry.RequestWork(bad).has_value());
+  }
+  EXPECT_EQ(registry.ConnectedMask(), (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(registry.TotalQueued(), 2u);
+  EXPECT_EQ(registry.delivered_count(), 0u);
+  EXPECT_TRUE(registry.TakeAbandonedSeqs().empty());
+  EXPECT_TRUE(registry.TakeDisconnectEvents().empty());
+  // The valid sessions still work.
+  std::optional<WorkItem> item = registry.RequestWork(2);
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(item->seq, 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -230,6 +231,79 @@ TEST(LabellingServiceTest, ChurnAbandonsInFlightWorkAndRecovers) {
 
   ExpectCompleteAndLabelled(*campaign, w);
   EXPECT_GT(campaign->abandoned_items(), 0u);
+}
+
+// The planned pair is what commits, so a completion that names another
+// (object, annotator) under a dispatched seq — someone else's work, or a
+// forged echo — is dropped and counted. The seq stays open, its genuine
+// completion commits it, and the run ends bit-identical to batch.
+TEST(LabellingServiceTest, MismatchedCompletionIsRejectedAndTheGenuineCommits) {
+  Workload w;
+  core::LabellingResult batch;
+  std::vector<core::AssignmentRecord> batch_log;
+  {
+    core::CrowdRlFramework framework(TestConfig());
+    ASSERT_TRUE(framework.Run(w.dataset, w.pool, kBudget, 13, &batch).ok());
+    batch_log = framework.last_assignment_log();
+  }
+
+  LabellingService service;
+  CampaignOptions options;
+  options.name = "mismatch";
+  options.config = TestConfig();
+  Campaign* campaign =
+      service.AddCampaign(options, &w.dataset, &w.pool, kBudget, 13);
+  ASSERT_TRUE(service.StartAll().ok());
+  campaign->sessions().ConnectAll();
+  service.PumpOnce();  // Plans and dispatches the first round.
+
+  std::vector<WorkItem> work;
+  for (int j = 0; j < static_cast<int>(w.pool.size()); ++j) {
+    while (std::optional<WorkItem> item =
+               campaign->sessions().RequestWork(j)) {
+      work.push_back(*item);
+    }
+  }
+  ASSERT_FALSE(work.empty());
+  const WorkItem head = *std::min_element(
+      work.begin(), work.end(),
+      [](const WorkItem& a, const WorkItem& b) { return a.seq < b.seq; });
+  WorkItem other_annotator = head;
+  other_annotator.annotator =
+      (head.annotator + 1) % static_cast<int>(w.pool.size());
+  WorkItem other_object = head;
+  other_object.object =
+      (head.object + 1) % static_cast<int>(w.dataset.num_objects());
+  campaign->ingest().Push(other_annotator);
+  campaign->ingest().Push(other_object);
+  service.PumpOnce();
+  EXPECT_EQ(campaign->rejected_answers(), 2u);
+  EXPECT_EQ(campaign->answers_committed(), 0u);  // The head is still open.
+
+  campaign->ingest().Push(head);
+  service.PumpOnce();
+  EXPECT_EQ(campaign->answers_committed(), 1u);
+
+  for (const WorkItem& item : work) {
+    if (item.seq != head.seq) campaign->ingest().Push(item);
+  }
+  size_t idle_passes = 0;
+  while (!campaign->done()) {
+    bool progress = service.PumpOnce();
+    for (int j = 0; j < static_cast<int>(w.pool.size()); ++j) {
+      while (std::optional<WorkItem> item =
+                 campaign->sessions().RequestWork(j)) {
+        campaign->ingest().Push(*item);
+        progress = true;
+      }
+    }
+    idle_passes = progress ? 0 : idle_passes + 1;
+    ASSERT_LT(idle_passes, 10000u) << "service pump wedged";
+  }
+  ExpectCompleteAndLabelled(*campaign, w);
+  EXPECT_EQ(campaign->rejected_answers(), 2u);
+  EXPECT_EQ(campaign->result().labels, batch.labels);
+  EXPECT_EQ(campaign->assignment_log(), batch_log);
 }
 
 // Graceful drain: Shutdown() mid-run finishes the open round from what
