@@ -24,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "classifier/knn_classifier.h"
@@ -1227,21 +1229,50 @@ void WriteScoringReport(size_t objects, const std::string& path) {
 
 // ---- BENCH_obs.json: observability hook overhead ------------------------
 
-// ns per op, best over `reps` timed passes of `iters` calls each. The
-// loop body must not be removable: every measured op either mutates an
-// atomic or is pinned with DoNotOptimize.
+// The loop floor every hook figure is net of.
+void EmptyLoop(size_t n) {
+  for (size_t i = 0; i < n; ++i) benchmark::DoNotOptimize(i);
+}
+
+// ns per op of `fn`, net of the empty loop, by paired passes: each of
+// kPairs rounds times one empty-loop pass and one `fn` pass of `iters`
+// calls back to back, alternating which runs first, and the figure is
+// the median of the per-round differences. A clock ramp or a busy
+// neighbour hits both halves of a round alike, and a one-off stall lands
+// in a tail the median ignores; a floor timed once up front, or the best
+// of a few passes per op, lets either decide a 1 ns verdict. The loop
+// body must not be removable: every measured op either mutates an atomic
+// or is pinned with DoNotOptimize. Each floor pass is appended to
+// `floor_ns` when given.
 template <typename Fn>
-double NsPerOp(size_t iters, int reps, Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
+double NetNsPerOp(size_t iters, Fn&& fn,
+                  std::vector<double>* floor_ns = nullptr) {
+  constexpr size_t kPairs = 21;
+  auto pass_ns = [iters](auto&& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body(iters);
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    return elapsed.count() / static_cast<double>(iters);
+  };
   fn(iters / 16 + 1);  // Warm the branch predictors and caches.
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = Clock::now();
-    fn(iters);
-    double s = std::chrono::duration<double>(Clock::now() - t0).count();
-    best = std::min(best, s * 1e9 / static_cast<double>(iters));
+  EmptyLoop(iters / 16 + 1);
+  std::vector<double> net(kPairs);
+  for (size_t p = 0; p < kPairs; ++p) {
+    double floor = 0.0;
+    double raw = 0.0;
+    if (p % 2 == 0) {
+      floor = pass_ns(EmptyLoop);
+      raw = pass_ns(fn);
+    } else {
+      raw = pass_ns(fn);
+      floor = pass_ns(EmptyLoop);
+    }
+    net[p] = raw - floor;
+    if (floor_ns != nullptr) floor_ns->push_back(floor);
   }
-  return best;
+  std::nth_element(net.begin(), net.begin() + kPairs / 2, net.end());
+  return std::max(0.0, net[kPairs / 2]);
 }
 
 struct ObsOpRow {
@@ -1264,15 +1295,14 @@ void WriteObsReport(const std::string& path) {
   obs::Histogram* histogram = obs::MetricsRegistry::Get().GetHistogram(
       "crowdrl.bench.obs_overhead_histogram");
 
-  const int kReps = 5;
-  const size_t kFastIters = size_t{1} << 22;
-  // An enabled span takes two steady_clock reads plus a buffer append;
-  // keep reps under the recorder's per-thread cap and clear between them.
-  const size_t kSpanIters = size_t{1} << 18;
+  // Disabled hooks cost about a cycle, so their passes are long; enabled
+  // ones cost 5-100 ns, so shorter passes take as long. An enabled span
+  // takes two steady_clock reads plus a buffer append; keep its passes
+  // under the recorder's per-thread cap and clear between them.
+  const size_t kDisabledIters = size_t{1} << 22;
+  const size_t kEnabledIters = size_t{1} << 18;
+  const size_t kSpanIters = size_t{1} << 16;
 
-  auto baseline_loop = [](size_t n) {
-    for (size_t i = 0; i < n; ++i) benchmark::DoNotOptimize(i);
-  };
   auto counter_loop = [counter](size_t n) {
     for (size_t i = 0; i < n; ++i) counter->Inc();
     benchmark::DoNotOptimize(counter->value());
@@ -1295,27 +1325,31 @@ void WriteObsReport(const std::string& path) {
     benchmark::DoNotOptimize(obs::FlightRecorder::Get().total_appended());
   };
 
-  const double baseline_ns = NsPerOp(kFastIters, kReps, baseline_loop);
-  auto net = [baseline_ns](double raw) {
-    return std::max(0.0, raw - baseline_ns);
-  };
-
   obs::SetEnabled(false);
   obs::SetTracing(false);
   CROWDRL_CHECK(!obs::Enabled());
-  const double counter_off = NsPerOp(kFastIters, kReps, counter_loop);
-  const double histogram_off = NsPerOp(kFastIters, kReps, histogram_loop);
-  const double span_off = NsPerOp(kFastIters, kReps, span_loop);
-  const double event_off = NsPerOp(kFastIters, kReps, event_loop);
+  std::vector<double> floor_passes;
+  const double counter_off =
+      NetNsPerOp(kDisabledIters, counter_loop, &floor_passes);
+  const double histogram_off =
+      NetNsPerOp(kDisabledIters, histogram_loop, &floor_passes);
+  const double span_off =
+      NetNsPerOp(kDisabledIters, span_loop, &floor_passes);
+  const double event_off =
+      NetNsPerOp(kDisabledIters, event_loop, &floor_passes);
+  std::nth_element(floor_passes.begin(),
+                   floor_passes.begin() + floor_passes.size() / 2,
+                   floor_passes.end());
+  const double baseline_ns = floor_passes[floor_passes.size() / 2];
 
   obs::SetEnabled(true);
   obs::SetTracing(true);
   obs::FlightRecorder::Get().Configure(size_t{1} << 16);
-  const double counter_on = NsPerOp(kFastIters, kReps, counter_loop);
-  const double histogram_on = NsPerOp(kFastIters, kReps, histogram_loop);
-  const double event_on = NsPerOp(kFastIters, kReps, event_loop);
+  const double counter_on = NetNsPerOp(kEnabledIters, counter_loop);
+  const double histogram_on = NetNsPerOp(kEnabledIters, histogram_loop);
+  const double event_on = NetNsPerOp(kEnabledIters, event_loop);
   obs::TraceRecorder::Get().Clear();
-  const double span_on = NsPerOp(kSpanIters, kReps, [&](size_t n) {
+  const double span_on = NetNsPerOp(kSpanIters, [&](size_t n) {
     obs::TraceRecorder::Get().Clear();  // Stay under the buffer cap.
     span_loop(n);
   });
@@ -1326,10 +1360,10 @@ void WriteObsReport(const std::string& path) {
   obs::SetTracing(prior_tracing);
 
   const ObsOpRow rows[] = {
-      {"counter_inc", net(counter_on), net(counter_off)},
-      {"histogram_record", net(histogram_on), net(histogram_off)},
-      {"span_enter_exit", net(span_on), net(span_off)},
-      {"event_append", net(event_on), net(event_off)},
+      {"counter_inc", counter_on, counter_off},
+      {"histogram_record", histogram_on, histogram_off},
+      {"span_enter_exit", span_on, span_off},
+      {"event_append", event_on, event_off},
   };
   // DESIGN.md §10/§15 budget: enabled counter increments stay under
   // 25 ns, enabled flight-recorder appends under 75 ns (a clock read plus

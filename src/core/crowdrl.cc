@@ -28,14 +28,12 @@ Status CrowdRlFramework::SaveCheckpoint(const std::string& path) const {
         "no in-progress run to checkpoint (SaveCheckpoint is valid after "
         "Run returned Interrupted)");
   }
-  io::SnapshotBuilder builder;
-  run_state_->BuildSnapshot(&builder);
-  return builder.WriteFile(path);
+  return run_state_->WriteSnapshot(path);
 }
 
 Status CrowdRlFramework::LoadCheckpoint(const std::string& path) {
-  auto snapshot = std::make_unique<io::Snapshot>();
-  CROWDRL_RETURN_IF_ERROR(io::Snapshot::ReadFile(path, snapshot.get()));
+  auto snapshot = std::make_unique<io::SnapshotStreamReader>();
+  CROWDRL_RETURN_IF_ERROR(snapshot->Open(path));
   pending_restore_ = std::move(snapshot);
   return Status::Ok();
 }
@@ -84,7 +82,8 @@ Status CrowdRlFramework::Run(const data::Dataset& dataset,
       return resumed;
     }
   } else {
-    std::unique_ptr<io::Snapshot> snapshot = std::move(pending_restore_);
+    std::unique_ptr<io::SnapshotStreamReader> snapshot =
+        std::move(pending_restore_);
     Status restored = rs.ApplyRestore(*snapshot);
     if (!restored.ok()) {
       run_state_.reset();

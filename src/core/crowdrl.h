@@ -24,10 +24,13 @@ namespace crowdrl::core {
 /// retrains phi. The iteration reward r(t) = lambda * r_phi + eta * r_cost
 /// feeds experience replay one step delayed, when the enrichment caused by
 /// the action's retrained classifier is observable.
-/// Checkpointing: a run snapshots its complete mutable state — answer
+/// Checkpointing: a run streams its complete mutable state — answer
 /// log, budget ledger, label state, classifier, Q-networks, replay
-/// buffer, every RNG stream — into the versioned `io::Snapshot` container
-/// at configurable iteration boundaries (CrowdRlConfig::checkpoint_*).
+/// buffer, every RNG stream — section by section through
+/// `io::SnapshotStreamWriter` into the versioned snapshot container
+/// (io/snapshot.h) at configurable iteration boundaries
+/// (CrowdRlConfig::checkpoint_*), and restores section by section
+/// through the verified `io::SnapshotStreamReader`.
 /// A run resumed from such a checkpoint (same dataset, pool, budget, and
 /// seed; threads=1) finishes bit-identically to the uninterrupted run.
 class CrowdRlFramework : public LabellingFramework {
@@ -78,8 +81,9 @@ class CrowdRlFramework : public LabellingFramework {
   std::vector<AssignmentRecord> last_assignment_log_;
   /// Alive between an Interrupted Run and the next Run (or destruction).
   std::unique_ptr<RunState> run_state_;
-  /// Set by LoadCheckpoint (or config_.resume); consumed by the next Run.
-  std::unique_ptr<io::Snapshot> pending_restore_;
+  /// Set by LoadCheckpoint; consumed by the next Run. Holds the verified
+  /// file open, so the restore reads the bytes LoadCheckpoint checked.
+  std::unique_ptr<io::SnapshotStreamReader> pending_restore_;
 };
 
 /// One offline pre-training workload for the cross-training protocol.

@@ -595,32 +595,43 @@ rl::StateView RunState::MakeView() const {
   return view;
 }
 
-void RunState::BuildSnapshot(io::SnapshotBuilder* builder) const {
-  CROWDRL_CHECK(builder != nullptr);
-  io::Writer* meta = builder->AddSection("meta");
-  meta->WriteSize(n);
-  meta->WriteI32(num_classes);
-  meta->WriteSize(num_annotators);
-  meta->WriteDouble(budget);
-  meta->WriteU64(seed);
-  meta->WriteBool(bootstrapped);
-  meta->WriteSize(next_t);
-  meta->WriteSize(iterations);
-  meta->WriteBool(has_pending);
-  meta->WriteDoubleVector(pending_pair_rewards);
-  meta->WriteBool(have_probs);
-  meta->WriteDouble(last_log_likelihood);
-  meta->WriteDoubleVector(qualities);
-  env.SaveState(builder->AddSection("env"));
-  state.SaveState(builder->AddSection("labels"));
-  phi.SaveState(builder->AddSection("phi"));
-  agent.SaveState(builder->AddSection("agent"));
-  builder->AddSection("rng")->WriteString(local.SaveStateString());
+Status RunState::WriteSnapshot(const std::string& path) const {
+  io::SnapshotStreamWriter writer;
+  CROWDRL_RETURN_IF_ERROR(writer.Open(path, /*section_count=*/6));
+  io::Writer meta;
+  meta.WriteSize(n);
+  meta.WriteI32(num_classes);
+  meta.WriteSize(num_annotators);
+  meta.WriteDouble(budget);
+  meta.WriteU64(seed);
+  meta.WriteBool(bootstrapped);
+  meta.WriteSize(next_t);
+  meta.WriteSize(iterations);
+  meta.WriteBool(has_pending);
+  meta.WriteDoubleVector(pending_pair_rewards);
+  meta.WriteBool(have_probs);
+  meta.WriteDouble(last_log_likelihood);
+  meta.WriteDoubleVector(qualities);
+  CROWDRL_RETURN_IF_ERROR(writer.AppendSection("meta", meta));
+  auto append = [&writer](const char* name, const auto& component) {
+    io::Writer payload;
+    component.SaveState(&payload);
+    return writer.AppendSection(name, payload);
+  };
+  CROWDRL_RETURN_IF_ERROR(append("env", env));
+  CROWDRL_RETURN_IF_ERROR(append("labels", state));
+  CROWDRL_RETURN_IF_ERROR(append("phi", phi));
+  CROWDRL_RETURN_IF_ERROR(append("agent", agent));
+  io::Writer rng;
+  rng.WriteString(local.SaveStateString());
+  CROWDRL_RETURN_IF_ERROR(writer.AppendSection("rng", rng));
+  return writer.Close();
 }
 
-Status RunState::ApplyRestore(const io::Snapshot& snapshot) {
+Status RunState::ApplyRestore(const io::SnapshotStreamReader& snapshot) {
+  std::string buffer;
   io::Reader meta;
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("meta", &meta));
+  CROWDRL_RETURN_IF_ERROR(snapshot.ReadSection("meta", &buffer, &meta));
   size_t meta_n = 0;
   int32_t meta_classes = 0;
   size_t meta_annotators = 0;
@@ -655,20 +666,20 @@ Status RunState::ApplyRestore(const io::Snapshot& snapshot) {
   }
   CROWDRL_RETURN_IF_ERROR(meta.ExpectEnd());
 
+  // The agent already began this run's episode, so its LoadState rejects
+  // a checkpointed shape other than (n, num_annotators).
+  auto load = [&](const char* name, auto& component) -> Status {
+    io::Reader section;
+    CROWDRL_RETURN_IF_ERROR(snapshot.ReadSection(name, &buffer, &section));
+    CROWDRL_RETURN_IF_ERROR(component.LoadState(&section));
+    return section.ExpectEnd();
+  };
+  CROWDRL_RETURN_IF_ERROR(load("env", env));
+  CROWDRL_RETURN_IF_ERROR(load("labels", state));
+  CROWDRL_RETURN_IF_ERROR(load("phi", phi));
+  CROWDRL_RETURN_IF_ERROR(load("agent", agent));
   io::Reader section;
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("env", &section));
-  CROWDRL_RETURN_IF_ERROR(env.LoadState(&section));
-  CROWDRL_RETURN_IF_ERROR(section.ExpectEnd());
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("labels", &section));
-  CROWDRL_RETURN_IF_ERROR(state.LoadState(&section));
-  CROWDRL_RETURN_IF_ERROR(section.ExpectEnd());
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("phi", &section));
-  CROWDRL_RETURN_IF_ERROR(phi.LoadState(&section));
-  CROWDRL_RETURN_IF_ERROR(section.ExpectEnd());
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("agent", &section));
-  CROWDRL_RETURN_IF_ERROR(agent.LoadState(&section));
-  CROWDRL_RETURN_IF_ERROR(section.ExpectEnd());
-  CROWDRL_RETURN_IF_ERROR(snapshot.OpenSection("rng", &section));
+  CROWDRL_RETURN_IF_ERROR(snapshot.ReadSection("rng", &buffer, &section));
   std::string rng_state;
   CROWDRL_RETURN_IF_ERROR(section.ReadString(&rng_state));
   CROWDRL_RETURN_IF_ERROR(local.LoadStateString(rng_state));
@@ -698,13 +709,11 @@ Status RunState::MaybeCheckpoint() const {
 
 Status RunState::WriteCheckpointNow() const {
   if (config->checkpoint_dir.empty()) return Status::Ok();
-  io::SnapshotBuilder builder;
-  BuildSnapshot(&builder);
   obs::RecordFlightEvent(obs::FlightEventType::kCheckpoint, /*scope=*/0,
                          static_cast<uint64_t>(iterations));
-  return io::WriteCheckpointRotating(builder, config->checkpoint_dir,
-                                     iterations,
-                                     config->checkpoint_keep_last);
+  return io::WriteCheckpointRotating(
+      config->checkpoint_dir, iterations, config->checkpoint_keep_last,
+      [this](const std::string& path) { return WriteSnapshot(path); });
 }
 
 Status ValidateRunInputs(const CrowdRlConfig& config,
@@ -735,8 +744,8 @@ Status MaybeResumeFromCheckpointDir(RunState* rs) {
                                           &latest);
   if (found.IsNotFound()) return Status::Ok();
   CROWDRL_RETURN_IF_ERROR(found);
-  io::Snapshot snapshot;
-  CROWDRL_RETURN_IF_ERROR(io::Snapshot::ReadFile(latest, &snapshot));
+  io::SnapshotStreamReader snapshot;
+  CROWDRL_RETURN_IF_ERROR(snapshot.Open(latest));
   return rs->ApplyRestore(snapshot);
 }
 

@@ -251,8 +251,13 @@ struct RunState {
   /// valid until the next mutation.
   rl::StateView MakeView() const;
 
-  void BuildSnapshot(io::SnapshotBuilder* builder) const;
-  Status ApplyRestore(const io::Snapshot& snapshot);
+  /// Streams the complete mutable state to `path` through a
+  /// SnapshotStreamWriter, one section's payload at a time.
+  Status WriteSnapshot(const std::string& path) const;
+  /// Restores from a verified snapshot, one section at a time. A section
+  /// that is missing, malformed or of another run's shape is rejected
+  /// with a Status before anything is sized from it.
+  Status ApplyRestore(const io::SnapshotStreamReader& snapshot);
 
   /// Writes a rotating checkpoint when periodic checkpointing is
   /// configured and due at the current iteration count.

@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -16,75 +15,19 @@ namespace crowdrl::io {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Signal-safe writer: raw fd, stack batch buffer, incremental CRC. No
-// allocation, no locks, no stdio — everything here must be callable from
-// a SIGSEGV handler.
-
-struct DumpSink {
-  int fd = -1;
-  uint32_t crc = 0;
-  bool ok = true;
-
-  void Put(const void* data, size_t size) {
-    if (!ok) return;
-    crc = Crc32(data, size, crc);
-    const char* p = static_cast<const char*>(data);
-    while (size > 0) {
-      ssize_t n = ::write(fd, p, size);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ok = false;
-        return;
-      }
-      p += n;
-      size -= static_cast<size_t>(n);
-    }
-  }
-
-  void PutU16(uint16_t v) {
-    unsigned char b[2] = {static_cast<unsigned char>(v & 0xFFu),
-                          static_cast<unsigned char>((v >> 8) & 0xFFu)};
-    Put(b, sizeof(b));
-  }
-
-  void PutU32(uint32_t v) {
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i) {
-      b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
-    }
-    Put(b, sizeof(b));
-  }
-
-  void PutU64(uint64_t v) {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) {
-      b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
-    }
-    Put(b, sizeof(b));
-  }
-
-  /// Writer::WriteString framing: u64 length + raw bytes.
-  void PutName(const char* s) {
-    const size_t len = std::strlen(s);
-    PutU64(len);
-    Put(s, len);
-  }
-};
-
 constexpr uint32_t kEventSize = 32;
 
 /// Payload byte count, computed up front: the section frame carries the
 /// payload length *before* the payload, so the dump writer must know it
 /// without buffering the whole thing.
-size_t PayloadSize(const obs::FlightRecorder& rec, uint64_t event_count) {
+size_t PayloadSize(const obs::FlightRecorder& rec, size_t scopes,
+                   uint64_t event_count) {
   size_t size = 4 + 8 + 8 + 4;  // version + total + capacity + event_size.
   size += 4;                     // Type-name count.
   for (uint16_t t = 0; t < obs::kNumFlightEventTypes; ++t) {
     size += 8 + std::strlen(obs::FlightEventTypeName(t));
   }
   size += 8;  // Scope count.
-  const size_t scopes = rec.num_scopes();
   for (size_t s = 0; s < scopes; ++s) {
     size += 8 + std::strlen(rec.scope_name(s));
   }
@@ -108,70 +51,40 @@ bool DumpFlightRecorder(const char* path) {
   const uint64_t first_index = total - event_count;
   const size_t num_scopes = rec.num_scopes();
 
-  DumpSink sink;
-  sink.fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (sink.fd < 0) return false;
-
-  // Container header: magic + version + one section.
-  sink.Put(kSnapshotMagic, sizeof(kSnapshotMagic));
-  sink.PutU32(kSnapshotFormatVersion);
-  sink.PutU32(1);
-
-  // Section frame: u32 name length + name + u64 payload length.
-  const size_t name_len = std::strlen(kFlightDumpSection);
-  sink.PutU32(static_cast<uint32_t>(name_len));
-  sink.Put(kFlightDumpSection, name_len);
-  sink.PutU64(PayloadSize(rec, event_count));
+  const int fd =
+      ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  SnapshotEncoder out(fd, /*section_count=*/1);
+  out.BeginSection(kFlightDumpSection, PayloadSize(rec, num_scopes, event_count));
 
   // Payload header + self-describing name tables.
-  sink.PutU32(kFlightDumpPayloadVersion);
-  sink.PutU64(total);
-  sink.PutU64(capacity);
-  sink.PutU32(kEventSize);
-  sink.PutU32(obs::kNumFlightEventTypes);
+  out.PutU32(kFlightDumpPayloadVersion);
+  out.PutU64(total);
+  out.PutU64(capacity);
+  out.PutU32(kEventSize);
+  out.PutU32(obs::kNumFlightEventTypes);
   for (uint16_t t = 0; t < obs::kNumFlightEventTypes; ++t) {
-    sink.PutName(obs::FlightEventTypeName(t));
+    out.PutString(obs::FlightEventTypeName(t));
   }
-  sink.PutU64(num_scopes);
-  for (size_t s = 0; s < num_scopes; ++s) sink.PutName(rec.scope_name(s));
+  out.PutU64(num_scopes);
+  for (size_t s = 0; s < num_scopes; ++s) out.PutString(rec.scope_name(s));
 
   // Events oldest → newest, fields re-encoded little-endian (never raw
   // struct memory, so the format is host-order independent).
-  sink.PutU64(first_index);
-  sink.PutU64(event_count);
-  for (uint64_t i = first_index; i < total && sink.ok; ++i) {
+  out.PutU64(first_index);
+  out.PutU64(event_count);
+  for (uint64_t i = first_index; i < total; ++i) {
     const obs::FlightEventRecord& slot = slots[i % capacity];
-    sink.PutU64(slot.time_ns);
-    sink.PutU32(slot.seq_check);
-    sink.PutU16(slot.type);
-    sink.PutU16(slot.scope);
-    sink.PutU64(slot.a);
-    sink.PutU64(slot.b);
+    out.PutU64(slot.time_ns);
+    out.PutU32(slot.seq_check);
+    out.PutU16(slot.type);
+    out.PutU16(slot.scope);
+    out.PutU64(slot.a);
+    out.PutU64(slot.b);
   }
-
-  // CRC trailer over everything above — computed incrementally, so this
-  // is the only place the running value is emitted (and the emit must not
-  // feed back into it: write the bytes directly, not via Put).
-  unsigned char trailer[4];
-  for (int i = 0; i < 4; ++i) {
-    trailer[i] = static_cast<unsigned char>((sink.crc >> (8 * i)) & 0xFFu);
-  }
-  if (sink.ok) {
-    const unsigned char* p = trailer;
-    size_t left = sizeof(trailer);
-    while (left > 0) {
-      ssize_t n = ::write(sink.fd, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        sink.ok = false;
-        break;
-      }
-      p += n;
-      left -= static_cast<size_t>(n);
-    }
-  }
-  const bool closed = ::close(sink.fd) == 0;
-  return sink.ok && closed;
+  const bool written = out.Finish();
+  const bool closed = ::close(fd) == 0;
+  return written && closed;
 }
 
 std::string FlightDump::TypeName(uint16_t type) const {
@@ -187,43 +100,48 @@ std::string FlightDump::ScopeName(uint16_t scope) const {
 }
 
 Status ReadFlightDump(const std::string& path, FlightDump* out) {
-  Snapshot snapshot;
-  Status status = Snapshot::ReadFile(path, &snapshot);
-  if (!status.ok()) return status;
+  SnapshotStreamReader snapshot;
+  CROWDRL_RETURN_IF_ERROR(snapshot.Open(path));
+  std::string bytes;
   Reader reader;
-  status = snapshot.OpenSection(kFlightDumpSection, &reader);
-  if (!status.ok()) return status;
+  CROWDRL_RETURN_IF_ERROR(
+      snapshot.ReadSection(kFlightDumpSection, &bytes, &reader));
 
   FlightDump dump;
-  if (Status s = reader.ReadU32(&dump.payload_version); !s.ok()) return s;
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&dump.payload_version));
   if (dump.payload_version != kFlightDumpPayloadVersion) {
     return Status::InvalidArgument("unsupported flight dump version " +
                                    std::to_string(dump.payload_version));
   }
-  if (Status s = reader.ReadU64(&dump.total_appended); !s.ok()) return s;
-  if (Status s = reader.ReadU64(&dump.capacity); !s.ok()) return s;
-  if (Status s = reader.ReadU32(&dump.event_size); !s.ok()) return s;
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&dump.total_appended));
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&dump.capacity));
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&dump.event_size));
   if (dump.event_size != kEventSize) {
     return Status::DataLoss("flight dump event size mismatch");
   }
 
+  // Every count is checked against the bytes left before it sizes
+  // anything: a name costs at least its u64 length prefix.
   uint32_t num_types = 0;
-  if (Status s = reader.ReadU32(&num_types); !s.ok()) return s;
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&num_types));
+  CROWDRL_RETURN_IF_ERROR(reader.CheckCount(num_types, 8, "type name"));
   dump.type_names.resize(num_types);
-  for (uint32_t t = 0; t < num_types; ++t) {
-    if (Status s = reader.ReadString(&dump.type_names[t]); !s.ok()) return s;
+  for (std::string& name : dump.type_names) {
+    CROWDRL_RETURN_IF_ERROR(reader.ReadString(&name));
   }
   uint64_t num_scopes = 0;
-  if (Status s = reader.ReadU64(&num_scopes); !s.ok()) return s;
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&num_scopes));
+  CROWDRL_RETURN_IF_ERROR(reader.CheckCount(num_scopes, 8, "scope name"));
   dump.scope_names.resize(num_scopes);
-  for (uint64_t sc = 0; sc < num_scopes; ++sc) {
-    if (Status s = reader.ReadString(&dump.scope_names[sc]); !s.ok()) return s;
+  for (std::string& name : dump.scope_names) {
+    CROWDRL_RETURN_IF_ERROR(reader.ReadString(&name));
   }
 
   uint64_t event_count = 0;
-  if (Status s = reader.ReadU64(&dump.first_index); !s.ok()) return s;
-  if (Status s = reader.ReadU64(&event_count); !s.ok()) return s;
-  if (event_count * kEventSize != reader.remaining()) {
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&dump.first_index));
+  CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&event_count));
+  if (reader.remaining() % kEventSize != 0 ||
+      event_count != reader.remaining() / kEventSize) {
     return Status::DataLoss("flight dump event block truncated");
   }
   dump.events.resize(event_count);
@@ -232,19 +150,19 @@ Status ReadFlightDump(const std::string& path, FlightDump* out) {
     event.index = dump.first_index + i;
     uint32_t seq_check = 0;
     uint32_t type_scope = 0;
-    if (Status s = reader.ReadU64(&event.time_ns); !s.ok()) return s;
-    if (Status s = reader.ReadU32(&seq_check); !s.ok()) return s;
-    if (Status s = reader.ReadU32(&type_scope); !s.ok()) return s;
+    CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&event.time_ns));
+    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&seq_check));
+    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&type_scope));
     event.type = static_cast<uint16_t>(type_scope & 0xFFFFu);
     event.scope = static_cast<uint16_t>(type_scope >> 16);
-    if (Status s = reader.ReadU64(&event.a); !s.ok()) return s;
-    if (Status s = reader.ReadU64(&event.b); !s.ok()) return s;
+    CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&event.a));
+    CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&event.b));
     // A published slot carries (index + 1) mod 2^32; anything else was
     // mid-write (or never written) when the dump froze the ring.
     event.torn =
         seq_check != static_cast<uint32_t>((event.index + 1) & 0xFFFFFFFFu);
   }
-  if (Status s = reader.ExpectEnd(); !s.ok()) return s;
+  CROWDRL_RETURN_IF_ERROR(reader.ExpectEnd());
   *out = std::move(dump);
   return Status::Ok();
 }
@@ -269,9 +187,8 @@ void InstallFatalSignalHook(const char* path) {
   if (path == nullptr || path[0] == '\0') return;
   std::strncpy(g_fatal_dump_path, path, sizeof(g_fatal_dump_path) - 1);
   g_fatal_dump_path[sizeof(g_fatal_dump_path) - 1] = '\0';
-  // Warm every static the handler touches now, outside signal context:
-  // the CRC table (function-local static) and the recorder singleton.
-  (void)Crc32("", 0);
+  // Warm the recorder singleton now, outside signal context (the CRC
+  // table is built at compile time).
   (void)obs::FlightRecorder::Get();
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));

@@ -13,9 +13,10 @@
 ///
 /// The dump is a regular snapshot container (io/snapshot.h — magic,
 /// version, sections, CRC32 trailer) holding one "flight_recorder"
-/// section, so the exact tooling and integrity guarantees that protect
-/// checkpoints protect the black box: a truncated or bit-flipped dump
-/// fails the CRC instead of decoding to lies. The payload is
+/// section, written by the same SnapshotEncoder and read by the same
+/// SnapshotStreamReader as checkpoints, so the integrity guarantees that
+/// protect checkpoints protect the black box: a truncated or bit-flipped
+/// dump fails the CRC instead of decoding to lies. The payload is
 /// self-describing — it carries the event-type and scope name tables, so
 /// a decoder built before (or after) this binary's event vocabulary still
 /// prints every event it knows and a numeric id for the rest.
@@ -23,8 +24,7 @@
 /// DumpFlightRecorder is written for the worst moment of the process's
 /// life: it is async-signal-safe (open/write/close, stack buffers, no
 /// allocation, no locks, no stdio) so the fatal-signal hook can persist
-/// the ring from inside SIGSEGV. InstallFatalSignalHook pre-warms the
-/// CRC table so the handler never runs a static initializer.
+/// the ring from inside SIGSEGV.
 
 namespace crowdrl::io {
 
@@ -62,17 +62,18 @@ struct FlightDump {
 };
 
 /// Writes the current ring to `path` as a CRC-framed snapshot container.
-/// Async-signal-safe once the recorder is configured and the CRC table is
-/// warm (InstallFatalSignalHook warms it; any earlier snapshot I/O also
-/// does). Returns false when the recorder is unconfigured or any write
-/// fails; never allocates, locks, or throws. Unlike checkpoint writes
+/// Async-signal-safe once the recorder is configured. Returns false when
+/// the recorder is unconfigured or any write fails; never allocates,
+/// locks, or throws. Unlike checkpoint writes
 /// this is NOT atomic-rename (rename of a tmp would double the failure
 /// surface inside a signal handler); a dump is written once, at failure
 /// time, and its CRC already rejects partial files.
 bool DumpFlightRecorder(const char* path);
 
 /// Reads and decodes a dump; validates the container CRC and the payload
-/// framing, and marks torn slots. DataLoss on truncation or corruption.
+/// framing, checks every count against the bytes left before sizing
+/// anything from it, and marks torn slots. DataLoss on truncation or
+/// corruption.
 Status ReadFlightDump(const std::string& path, FlightDump* out);
 
 /// Installs a fatal-signal handler (SIGSEGV, SIGBUS, SIGFPE, SIGILL,

@@ -9,9 +9,11 @@ namespace crowdrl::io {
 
 namespace {
 
+// Built at compile time, so Crc32 runs no initializer on first use and is
+// safe to call from a signal handler.
 struct Crc32Table {
   uint32_t entries[256];
-  Crc32Table() {
+  constexpr Crc32Table() : entries() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
@@ -22,14 +24,15 @@ struct Crc32Table {
   }
 };
 
+constexpr Crc32Table kCrc32Table;
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t crc) {
-  static const Crc32Table table;
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
   for (size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+    c = kCrc32Table.entries[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -155,8 +158,7 @@ Status Reader::ReadString(std::string* s) {
 Status Reader::ReadDoubleVector(std::vector<double>* v) {
   uint64_t count;
   CROWDRL_RETURN_IF_ERROR(ReadU64(&count));
-  CROWDRL_RETURN_IF_ERROR(Need(static_cast<size_t>(count) * 8,
-                               "double vector"));
+  CROWDRL_RETURN_IF_ERROR(CheckCount(count, 8, "double vector"));
   v->resize(static_cast<size_t>(count));
   for (double& x : *v) CROWDRL_RETURN_IF_ERROR(ReadDouble(&x));
   return Status::Ok();
@@ -165,8 +167,7 @@ Status Reader::ReadDoubleVector(std::vector<double>* v) {
 Status Reader::ReadIntVector(std::vector<int>* v) {
   uint64_t count;
   CROWDRL_RETURN_IF_ERROR(ReadU64(&count));
-  CROWDRL_RETURN_IF_ERROR(Need(static_cast<size_t>(count) * 8,
-                               "int vector"));
+  CROWDRL_RETURN_IF_ERROR(CheckCount(count, 8, "int vector"));
   v->resize(static_cast<size_t>(count));
   for (int& x : *v) {
     int64_t wide;
@@ -179,12 +180,22 @@ Status Reader::ReadIntVector(std::vector<int>* v) {
 Status Reader::ReadBoolVector(std::vector<bool>* v) {
   uint64_t count;
   CROWDRL_RETURN_IF_ERROR(ReadU64(&count));
-  CROWDRL_RETURN_IF_ERROR(Need(static_cast<size_t>(count), "bool vector"));
+  CROWDRL_RETURN_IF_ERROR(CheckCount(count, 1, "bool vector"));
   v->resize(static_cast<size_t>(count));
   for (size_t i = 0; i < v->size(); ++i) {
     bool x;
     CROWDRL_RETURN_IF_ERROR(ReadBool(&x));
     (*v)[i] = x;
+  }
+  return Status::Ok();
+}
+
+Status Reader::CheckCount(uint64_t count, size_t min_element_bytes,
+                          const char* what) const {
+  if (count > remaining() / min_element_bytes) {
+    return Status::DataLoss(StringPrintf(
+        "corrupt snapshot: %llu %s elements cannot fit in %zu bytes",
+        static_cast<unsigned long long>(count), what, remaining()));
   }
   return Status::Ok();
 }

@@ -76,6 +76,12 @@ class Reader {
 
   size_t remaining() const { return data_.size() - pos_; }
 
+  /// DataLoss unless `count` elements of at least `min_element_bytes`
+  /// each fit in the remaining bytes. Call it before sizing anything from
+  /// a count read off the wire.
+  Status CheckCount(uint64_t count, size_t min_element_bytes,
+                    const char* what) const;
+
   /// DataLoss unless the cursor consumed the range exactly — catches
   /// trailing garbage and format drift between writer and reader.
   Status ExpectEnd() const;

@@ -1,9 +1,15 @@
 #include "io/snapshot.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <unordered_set>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -12,297 +18,334 @@ namespace crowdrl::io {
 
 namespace fs = std::filesystem;
 
-Writer* SnapshotBuilder::AddSection(const std::string& name) {
-  for (const auto& [existing, writer] : sections_) {
-    CROWDRL_CHECK(existing != name)
-        << "duplicate snapshot section " << name;
+namespace {
+
+template <typename T>
+void StoreLittleEndian(T v, unsigned char* out) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
   }
-  sections_.emplace_back(name, std::make_unique<Writer>());
-  return sections_.back().second.get();
 }
 
-std::string SnapshotBuilder::Serialize() const {
-  Writer header;
-  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-  header.WriteU32(kSnapshotFormatVersion);
-  header.WriteU32(static_cast<uint32_t>(sections_.size()));
-  out += header.bytes();
-  for (const auto& [name, writer] : sections_) {
-    Writer frame;
-    frame.WriteU32(static_cast<uint32_t>(name.size()));
-    out += frame.bytes();
-    out += name;
-    Writer length;
-    length.WriteU64(writer->size());
-    out += length.bytes();
-    out += writer->bytes();
-  }
-  uint32_t crc = Crc32(out.data(), out.size());
-  Writer trailer;
-  trailer.WriteU32(crc);
-  out += trailer.bytes();
-  return out;
+uint64_t LoadLittleEndian(const unsigned char* in, size_t bytes) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < bytes; ++i) v |= uint64_t{in[i]} << (8 * i);
+  return v;
 }
 
-Status SnapshotBuilder::WriteFile(const std::string& path) const {
-  // Streams section-by-section: the sections already live in their
-  // writers, so no concatenated copy of the whole snapshot is ever built
-  // (Serialize() would double peak memory exactly when the state is
-  // biggest).
-  SnapshotStreamWriter stream;
-  CROWDRL_RETURN_IF_ERROR(stream.Open(path, sections_.size()));
-  for (const auto& [name, writer] : sections_) {
-    CROWDRL_RETURN_IF_ERROR(stream.AppendSection(name, *writer));
-  }
-  return stream.Close();
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SnapshotEncoder. Everything here must stay callable from a signal
+// handler: no allocation, no locks, no stdio.
+
+SnapshotEncoder::SnapshotEncoder(int fd, uint32_t section_count)
+    : fd_(fd), sections_left_(section_count) {
+  unsigned char header[8];
+  StoreLittleEndian(kSnapshotFormatVersion, header);
+  StoreLittleEndian(section_count, header + 4);
+  Emit(kSnapshotMagic, sizeof(kSnapshotMagic));
+  Emit(header, sizeof(header));
 }
+
+void SnapshotEncoder::BeginSection(std::string_view name,
+                                   uint64_t payload_size) {
+  if (sections_left_ == 0 || payload_left_ != 0 || name.size() > UINT32_MAX) {
+    ok_ = false;
+  } else {
+    --sections_left_;
+  }
+  unsigned char length[8];
+  StoreLittleEndian(static_cast<uint32_t>(name.size()), length);
+  Emit(length, 4);
+  Emit(name.data(), name.size());
+  StoreLittleEndian(payload_size, length);
+  Emit(length, 8);
+  payload_left_ = payload_size;
+}
+
+void SnapshotEncoder::Put(const void* data, size_t size) {
+  if (size > payload_left_) ok_ = false;
+  payload_left_ -= std::min<uint64_t>(size, payload_left_);
+  Emit(data, size);
+}
+
+void SnapshotEncoder::PutU16(uint16_t v) {
+  unsigned char bytes[2];
+  StoreLittleEndian(v, bytes);
+  Put(bytes, sizeof(bytes));
+}
+
+void SnapshotEncoder::PutU32(uint32_t v) {
+  unsigned char bytes[4];
+  StoreLittleEndian(v, bytes);
+  Put(bytes, sizeof(bytes));
+}
+
+void SnapshotEncoder::PutU64(uint64_t v) {
+  unsigned char bytes[8];
+  StoreLittleEndian(v, bytes);
+  Put(bytes, sizeof(bytes));
+}
+
+void SnapshotEncoder::PutString(std::string_view s) {
+  PutU64(s.size());
+  Put(s.data(), s.size());
+}
+
+bool SnapshotEncoder::Finish() {
+  if (sections_left_ != 0 || payload_left_ != 0) ok_ = false;
+  unsigned char trailer[4];
+  StoreLittleEndian(crc_, trailer);
+  Append(trailer, sizeof(trailer));  // Not part of its own CRC.
+  Drain(buffer_, buffered_);
+  buffered_ = 0;
+  return ok_;
+}
+
+void SnapshotEncoder::Emit(const void* data, size_t size) {
+  crc_ = Crc32(data, size, crc_);
+  Append(data, size);
+}
+
+void SnapshotEncoder::Append(const void* data, size_t size) {
+  if (!ok_) return;
+  if (buffered_ + size > kBufferBytes) {
+    Drain(buffer_, buffered_);
+    buffered_ = 0;
+    if (size >= kBufferBytes) {
+      Drain(static_cast<const char*>(data), size);
+      return;
+    }
+  }
+  std::memcpy(buffer_ + buffered_, data, size);
+  buffered_ += size;
+}
+
+void SnapshotEncoder::Drain(const char* data, size_t size) {
+  while (ok_ && size > 0) {
+    const ssize_t n = ::write(fd_, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      write_errno_ = n < 0 ? errno : EIO;
+      ok_ = false;
+      return;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotStreamWriter.
 
 SnapshotStreamWriter::~SnapshotStreamWriter() { Abandon(); }
 
 void SnapshotStreamWriter::Abandon() {
-  if (!open_) return;
-  out_.close();
+  encoder_.reset();
+  if (fd_ < 0) return;
+  ::close(std::exchange(fd_, -1));
   std::error_code ec;
   fs::remove(tmp_path_, ec);  // Best-effort: never leave a stray tmp.
-  open_ = false;
-}
-
-Status SnapshotStreamWriter::WriteRaw(const char* data, size_t size) {
-  out_.write(data, static_cast<std::streamsize>(size));
-  if (!out_) {
-    Status status = Status::Internal(
-        StringPrintf("short write to %s", tmp_path_.c_str()));
-    Abandon();
-    return status;
-  }
-  crc_ = Crc32(data, size, crc_);
-  return Status::Ok();
 }
 
 Status SnapshotStreamWriter::Open(const std::string& path,
                                   size_t section_count) {
-  CROWDRL_CHECK(!open_) << "SnapshotStreamWriter already open";
-  fs::path target(path);
+  CROWDRL_CHECK(fd_ < 0) << "SnapshotStreamWriter already open";
+  CROWDRL_CHECK(section_count <= UINT32_MAX);
+  const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) {
     fs::create_directories(target.parent_path(), ec);  // Best-effort.
   }
-  fs::path tmp = target;
-  tmp += ".tmp";
-  path_ = target.string();
-  tmp_path_ = tmp.string();
-  out_.open(tmp_path_, std::ios::binary | std::ios::trunc);
-  if (!out_) {
+  path_ = path;
+  tmp_path_ = path + ".tmp";
+  fd_ = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0644);
+  if (fd_ < 0) {
     return Status::Internal(
         StringPrintf("cannot open %s for writing", tmp_path_.c_str()));
   }
-  open_ = true;
   declared_sections_ = section_count;
-  appended_sections_ = 0;
   section_names_.clear();
-  crc_ = 0;
-
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(kSnapshotMagic, sizeof(kSnapshotMagic)));
-  Writer header;
-  header.WriteU32(kSnapshotFormatVersion);
-  header.WriteU32(static_cast<uint32_t>(section_count));
-  return WriteRaw(header.bytes().data(), header.bytes().size());
+  encoder_.emplace(fd_, static_cast<uint32_t>(section_count));
+  return Status::Ok();
 }
 
 Status SnapshotStreamWriter::AppendSection(const std::string& name,
                                            const Writer& payload) {
-  CROWDRL_CHECK(open_) << "AppendSection on a closed SnapshotStreamWriter";
-  CROWDRL_CHECK(appended_sections_ < declared_sections_)
+  CROWDRL_CHECK(encoder_.has_value())
+      << "AppendSection on a closed SnapshotStreamWriter";
+  CROWDRL_CHECK(section_names_.size() < declared_sections_)
       << "more sections appended than declared to Open()";
   for (const std::string& existing : section_names_) {
     CROWDRL_CHECK(existing != name)
         << "duplicate snapshot section " << name;
   }
   section_names_.push_back(name);
-  Writer frame;
-  frame.WriteU32(static_cast<uint32_t>(name.size()));
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(frame.bytes().data(),
-                                   frame.bytes().size()));
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(name.data(), name.size()));
-  Writer length;
-  length.WriteU64(payload.size());
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(length.bytes().data(),
-                                   length.bytes().size()));
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(payload.bytes().data(), payload.size()));
-  ++appended_sections_;
+  encoder_->BeginSection(name, payload.size());
+  encoder_->Put(payload.bytes().data(), payload.size());
+  if (const int err = encoder_->write_errno(); err != 0) {
+    Status status = Status::Internal(StringPrintf(
+        "short write to %s: %s", tmp_path_.c_str(), std::strerror(err)));
+    Abandon();
+    return status;
+  }
   return Status::Ok();
 }
 
 Status SnapshotStreamWriter::Close() {
-  CROWDRL_CHECK(open_) << "Close on a closed SnapshotStreamWriter";
-  CROWDRL_CHECK(appended_sections_ == declared_sections_)
+  CROWDRL_CHECK(encoder_.has_value())
+      << "Close on a closed SnapshotStreamWriter";
+  CROWDRL_CHECK(section_names_.size() == declared_sections_)
       << "declared " << declared_sections_ << " sections but appended "
-      << appended_sections_;
-  Writer trailer;
-  trailer.WriteU32(crc_);
-  CROWDRL_RETURN_IF_ERROR(WriteRaw(trailer.bytes().data(),
-                                   trailer.bytes().size()));
-  out_.flush();
-  if (!out_) {
-    Status status = Status::Internal(
-        StringPrintf("flush of %s failed", tmp_path_.c_str()));
-    Abandon();
-    return status;
-  }
-  out_.close();
-  open_ = false;
+      << section_names_.size();
+  const bool written = encoder_->Finish();
+  encoder_.reset();
+  const bool closed = ::close(std::exchange(fd_, -1)) == 0;
   std::error_code ec;
-  fs::rename(tmp_path_, path_, ec);
-  if (ec) {
+  if (written && closed) fs::rename(tmp_path_, path_, ec);
+  if (!written || !closed || ec) {
     fs::remove(tmp_path_, ec);
-    return Status::Internal(StringPrintf("rename %s -> %s failed",
-                                         tmp_path_.c_str(), path_.c_str()));
+    return Status::Internal(
+        StringPrintf("cannot write snapshot %s", path_.c_str()));
   }
   return Status::Ok();
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// SnapshotStreamReader.
 
-/// Chunked CRC over `[0, limit)` of an open stream; never holds more than
-/// one chunk.
-Status StreamingCrc(std::ifstream* in, size_t limit, const std::string& path,
-                    uint32_t* crc_out) {
-  constexpr size_t kChunk = size_t{1} << 16;
-  std::vector<char> buffer(kChunk);
-  uint32_t crc = 0;
-  size_t done = 0;
-  in->seekg(0);
-  while (done < limit) {
-    const size_t take = std::min(kChunk, limit - done);
-    in->read(buffer.data(), static_cast<std::streamsize>(take));
-    if (static_cast<size_t>(in->gcount()) != take) {
-      return Status::DataLoss(
-          StringPrintf("snapshot %s shrank while reading", path.c_str()));
-    }
-    crc = Crc32(buffer.data(), take, crc);
-    done += take;
-  }
-  *crc_out = crc;
-  return Status::Ok();
+SnapshotStreamReader::~SnapshotStreamReader() { Close(); }
+
+void SnapshotStreamReader::Close() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+  path_.clear();
+  sections_.clear();
 }
-
-/// Reads exactly `size` bytes at the stream's position.
-Status ReadExact(std::ifstream* in, char* data, size_t size,
-                 const std::string& path, const char* what) {
-  in->read(data, static_cast<std::streamsize>(size));
-  if (static_cast<size_t>(in->gcount()) != size) {
-    return Status::DataLoss(
-        StringPrintf("truncated snapshot %s: %s", path.c_str(), what));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status SnapshotStreamReader::Open(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  Close();
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
     return Status::NotFound(
         StringPrintf("cannot open snapshot %s", path.c_str()));
   }
-  std::error_code ec;
-  const uintmax_t raw_size = fs::file_size(path, ec);
-  if (ec) {
-    return Status::Internal(
-        StringPrintf("cannot stat snapshot %s", path.c_str()));
+  path_ = path;
+  struct stat info{};
+  Status status =
+      ::fstat(fd_, &info) == 0
+          ? Index(static_cast<size_t>(info.st_size))
+          : Status::Internal(
+                StringPrintf("cannot stat snapshot %s", path.c_str()));
+  if (!status.ok()) Close();
+  return status;
+}
+
+Status SnapshotStreamReader::ReadAt(size_t offset, void* data,
+                                    size_t size) const {
+  char* out = static_cast<char*>(data);
+  while (size > 0) {
+    const ssize_t n =
+        ::pread(fd_, out, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal(StringPrintf("read error on snapshot %s: %s",
+                                           path_.c_str(),
+                                           std::strerror(errno)));
+    }
+    if (n == 0) {
+      return Status::DataLoss(
+          StringPrintf("snapshot %s shrank while reading", path_.c_str()));
+    }
+    out += n;
+    offset += static_cast<size_t>(n);
+    size -= static_cast<size_t>(n);
   }
-  const size_t size = static_cast<size_t>(raw_size);
+  return Status::Ok();
+}
+
+Status SnapshotStreamReader::Index(size_t size) {
+  // Identity before integrity: a foreign file or another format version
+  // is reported as such, not as corruption (a newer version may not even
+  // keep its CRC where this one does).
   constexpr size_t kHeaderSize = sizeof(kSnapshotMagic) + 4 + 4;
-  if (size < kHeaderSize + 4) {
-    return Status::DataLoss("snapshot too short to hold header + trailer");
-  }
-
-  // CRC first, one chunk at a time — same reporting contract as
-  // Snapshot::Parse, constant memory.
-  uint32_t actual_crc = 0;
-  CROWDRL_RETURN_IF_ERROR(StreamingCrc(&in, size - 4, path, &actual_crc));
-  char trailer[4];
-  CROWDRL_RETURN_IF_ERROR(ReadExact(&in, trailer, 4, path, "CRC trailer"));
-  uint32_t stored_crc = 0;
-  {
-    Reader reader(std::string_view(trailer, 4));
-    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&stored_crc));
-  }
-  if (stored_crc != actual_crc) {
-    return Status::DataLoss(StringPrintf(
-        "snapshot CRC mismatch (stored %08x, computed %08x)", stored_crc,
-        actual_crc));
-  }
-
-  // Framing pass: hop the section frames, seeking over payloads.
-  in.clear();
-  in.seekg(0);
-  char header[kHeaderSize];
-  CROWDRL_RETURN_IF_ERROR(ReadExact(&in, header, kHeaderSize, path,
-                                    "header"));
-  if (std::memcmp(header, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  unsigned char header[kHeaderSize];
+  const size_t head = std::min(size, kHeaderSize);
+  CROWDRL_RETURN_IF_ERROR(ReadAt(0, header, head));
+  if (std::memcmp(header, kSnapshotMagic,
+                  std::min(head, sizeof(kSnapshotMagic))) != 0) {
     return Status::InvalidArgument("not a CrowdRL snapshot (bad magic)");
   }
-  uint32_t version = 0;
-  uint32_t count = 0;
-  {
-    Reader reader(std::string_view(header + sizeof(kSnapshotMagic), 8));
-    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&version));
-    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&count));
+  if (head < sizeof(kSnapshotMagic) + 4) {
+    return Status::DataLoss("truncated snapshot: header");
   }
+  const auto version = static_cast<uint32_t>(LoadLittleEndian(header + 8, 4));
   if (version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(StringPrintf(
         "unsupported snapshot format version %u (expected %u)", version,
         kSnapshotFormatVersion));
   }
+  if (size < kHeaderSize + 4) {
+    return Status::DataLoss("snapshot too short to hold header + trailer");
+  }
 
+  // Integrity: the CRC over everything before the trailer, one chunk at
+  // a time.
+  const size_t end = size - 4;
+  constexpr size_t kChunk = size_t{1} << 16;
+  std::vector<char> chunk(std::min(kChunk, end));
+  uint32_t crc = 0;
+  for (size_t done = 0; done < end;) {
+    const size_t take = std::min(kChunk, end - done);
+    CROWDRL_RETURN_IF_ERROR(ReadAt(done, chunk.data(), take));
+    crc = Crc32(chunk.data(), take, crc);
+    done += take;
+  }
+  unsigned char trailer[4];
+  CROWDRL_RETURN_IF_ERROR(ReadAt(end, trailer, sizeof(trailer)));
+  const auto stored_crc = static_cast<uint32_t>(LoadLittleEndian(trailer, 4));
+  if (stored_crc != crc) {
+    return Status::DataLoss(StringPrintf(
+        "snapshot CRC mismatch (stored %08x, computed %08x)", stored_crc,
+        crc));
+  }
+
+  // Framing: hop the section frames, seeking over payloads.
+  const uint64_t count = LoadLittleEndian(header + 12, 4);
   std::vector<SectionSpan> sections;
+  std::unordered_set<std::string> names;
   size_t cursor = kHeaderSize;
-  const size_t end = size - 4;  // Where the trailer starts.
-  for (uint32_t s = 0; s < count; ++s) {
-    char name_len_bytes[4];
-    if (cursor + 4 > end) {
-      return Status::DataLoss("truncated snapshot: section name");
+  for (uint64_t s = 0; s < count; ++s) {
+    unsigned char length[8];
+    if (end - cursor < 4) {
+      return Status::DataLoss("truncated snapshot: section frame");
     }
-    CROWDRL_RETURN_IF_ERROR(ReadExact(&in, name_len_bytes, 4, path,
-                                      "section name length"));
-    uint32_t name_len = 0;
-    {
-      Reader reader(std::string_view(name_len_bytes, 4));
-      CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&name_len));
-    }
+    CROWDRL_RETURN_IF_ERROR(ReadAt(cursor, length, 4));
+    const uint64_t name_len = LoadLittleEndian(length, 4);
     cursor += 4;
-    if (cursor + name_len + 8 > end) {
-      return Status::DataLoss("truncated snapshot: section name");
+    if (end - cursor < name_len + 8) {
+      return Status::DataLoss("truncated snapshot: section frame");
     }
     std::string name(name_len, '\0');
-    CROWDRL_RETURN_IF_ERROR(ReadExact(&in, name.data(), name_len, path,
-                                      "section name"));
-    cursor += name_len;
-    char payload_len_bytes[8];
-    CROWDRL_RETURN_IF_ERROR(ReadExact(&in, payload_len_bytes, 8, path,
-                                      "section payload length"));
-    uint64_t payload_len = 0;
-    {
-      Reader reader(std::string_view(payload_len_bytes, 8));
-      CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&payload_len));
-    }
-    cursor += 8;
+    CROWDRL_RETURN_IF_ERROR(ReadAt(cursor, name.data(), name_len));
+    CROWDRL_RETURN_IF_ERROR(ReadAt(cursor + name_len, length, 8));
+    cursor += name_len + 8;
+    const uint64_t payload_len = LoadLittleEndian(length, 8);
     if (payload_len > end - cursor) {
-      return Status::DataLoss(
-          StringPrintf("truncated snapshot: section %s payload",
-                       name.c_str()));
+      return Status::DataLoss(StringPrintf(
+          "truncated snapshot: section %s payload", name.c_str()));
     }
-    sections.push_back(
-        {std::move(name), cursor, static_cast<size_t>(payload_len)});
-    cursor += static_cast<size_t>(payload_len);
-    in.seekg(static_cast<std::streamoff>(cursor));
+    if (!names.insert(name).second) {
+      return Status::DataLoss(
+          StringPrintf("duplicate snapshot section %s", name.c_str()));
+    }
+    sections.push_back({std::move(name), cursor, payload_len});
+    cursor += payload_len;
   }
   if (cursor != end) {
     return Status::DataLoss("snapshot has trailing bytes after sections");
   }
-
-  path_ = path;
   sections_ = std::move(sections);
   return Status::Ok();
 }
@@ -327,15 +370,9 @@ Status SnapshotStreamReader::ReadSection(const std::string& name,
   CROWDRL_CHECK(buffer != nullptr && reader != nullptr);
   for (const SectionSpan& section : sections_) {
     if (section.name != name) continue;
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) {
-      return Status::NotFound(
-          StringPrintf("cannot reopen snapshot %s", path_.c_str()));
-    }
-    in.seekg(static_cast<std::streamoff>(section.offset));
-    buffer->assign(section.length, '\0');
-    CROWDRL_RETURN_IF_ERROR(ReadExact(&in, buffer->data(), section.length,
-                                      path_, "section payload"));
+    buffer->resize(section.length);
+    CROWDRL_RETURN_IF_ERROR(
+        ReadAt(section.offset, buffer->data(), section.length));
     *reader = Reader(*buffer);
     return Status::Ok();
   }
@@ -343,118 +380,8 @@ Status SnapshotStreamReader::ReadSection(const std::string& name,
       StringPrintf("snapshot has no section named %s", name.c_str()));
 }
 
-Status Snapshot::Parse(std::string bytes, Snapshot* out) {
-  CROWDRL_CHECK(out != nullptr);
-  constexpr size_t kHeaderSize = sizeof(kSnapshotMagic) + 4 + 4;
-  if (bytes.size() < kHeaderSize + 4) {
-    return Status::DataLoss("snapshot too short to hold header + trailer");
-  }
-  if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-      0) {
-    return Status::InvalidArgument("not a CrowdRL snapshot (bad magic)");
-  }
-  // CRC first: a bit flip anywhere (including in section lengths) is
-  // reported as corruption rather than as a confusing framing error.
-  uint32_t stored_crc = 0;
-  {
-    Reader trailer(std::string_view(bytes).substr(bytes.size() - 4));
-    CROWDRL_RETURN_IF_ERROR(trailer.ReadU32(&stored_crc));
-  }
-  uint32_t actual_crc = Crc32(bytes.data(), bytes.size() - 4);
-  if (stored_crc != actual_crc) {
-    return Status::DataLoss(StringPrintf(
-        "snapshot CRC mismatch (stored %08x, computed %08x)", stored_crc,
-        actual_crc));
-  }
-
-  Reader reader(
-      std::string_view(bytes).substr(sizeof(kSnapshotMagic),
-                                     bytes.size() - sizeof(kSnapshotMagic) -
-                                         4));
-  uint32_t version = 0;
-  CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kSnapshotFormatVersion) {
-    return Status::InvalidArgument(StringPrintf(
-        "unsupported snapshot format version %u (expected %u)", version,
-        kSnapshotFormatVersion));
-  }
-  uint32_t count = 0;
-  CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&count));
-
-  std::vector<SectionSpan> sections;
-  size_t cursor = kHeaderSize;
-  for (uint32_t s = 0; s < count; ++s) {
-    uint32_t name_len = 0;
-    CROWDRL_RETURN_IF_ERROR(reader.ReadU32(&name_len));
-    cursor += 4;
-    if (reader.remaining() < name_len) {
-      return Status::DataLoss("truncated snapshot: section name");
-    }
-    std::string name(bytes.data() + cursor, name_len);
-    CROWDRL_RETURN_IF_ERROR(reader.Skip(name_len, "section name"));
-    cursor += name_len;
-    uint64_t payload_len = 0;
-    CROWDRL_RETURN_IF_ERROR(reader.ReadU64(&payload_len));
-    cursor += 8;
-    if (reader.remaining() < payload_len) {
-      return Status::DataLoss(
-          StringPrintf("truncated snapshot: section %s payload",
-                       name.c_str()));
-    }
-    sections.push_back(
-        {std::move(name), cursor, static_cast<size_t>(payload_len)});
-    CROWDRL_RETURN_IF_ERROR(
-        reader.Skip(static_cast<size_t>(payload_len), "section payload"));
-    cursor += static_cast<size_t>(payload_len);
-  }
-  CROWDRL_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  out->bytes_ = std::move(bytes);
-  out->sections_ = std::move(sections);
-  return Status::Ok();
-}
-
-Status Snapshot::ReadFile(const std::string& path, Snapshot* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(
-        StringPrintf("cannot open snapshot %s", path.c_str()));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal(
-        StringPrintf("read error on snapshot %s", path.c_str()));
-  }
-  return Parse(std::move(bytes), out);
-}
-
-bool Snapshot::HasSection(const std::string& name) const {
-  for (const SectionSpan& section : sections_) {
-    if (section.name == name) return true;
-  }
-  return false;
-}
-
-Status Snapshot::OpenSection(const std::string& name, Reader* reader) const {
-  CROWDRL_CHECK(reader != nullptr);
-  for (const SectionSpan& section : sections_) {
-    if (section.name == name) {
-      *reader = Reader(
-          std::string_view(bytes_).substr(section.offset, section.length));
-      return Status::Ok();
-    }
-  }
-  return Status::NotFound(
-      StringPrintf("snapshot has no section named %s", name.c_str()));
-}
-
-std::vector<std::string> Snapshot::SectionNames() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const SectionSpan& section : sections_) names.push_back(section.name);
-  return names;
-}
+// ---------------------------------------------------------------------------
+// Checkpoint directories.
 
 std::string CheckpointFileName(size_t iteration) {
   return StringPrintf("ckpt-%012zu.ckpt", iteration);
@@ -481,23 +408,19 @@ std::vector<fs::path> ListCheckpoints(const std::string& dir) {
 
 }  // namespace
 
-Status WriteCheckpointRotating(const SnapshotBuilder& builder,
-                               const std::string& dir, size_t iteration,
-                               size_t keep_last, std::string* path_out) {
+Status WriteCheckpointRotating(
+    const std::string& dir, size_t iteration, size_t keep_last,
+    const std::function<Status(const std::string& path)>& write) {
   if (dir.empty()) {
     return Status::InvalidArgument("empty checkpoint directory");
   }
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  fs::path target = fs::path(dir) / CheckpointFileName(iteration);
-  CROWDRL_RETURN_IF_ERROR(builder.WriteFile(target.string()));
-  if (path_out != nullptr) *path_out = target.string();
+  CROWDRL_RETURN_IF_ERROR(
+      write((fs::path(dir) / CheckpointFileName(iteration)).string()));
   if (keep_last > 0) {
     std::vector<fs::path> existing = ListCheckpoints(dir);
-    if (existing.size() > keep_last) {
-      for (size_t i = 0; i + keep_last < existing.size(); ++i) {
-        fs::remove(existing[i], ec);  // Best-effort cleanup.
-      }
+    std::error_code ec;
+    for (size_t i = 0; i + keep_last < existing.size(); ++i) {
+      fs::remove(existing[i], ec);  // Best-effort cleanup.
     }
   }
   return Status::Ok();

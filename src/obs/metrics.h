@@ -75,7 +75,8 @@ extern std::atomic<bool> g_tracing;
 }  // namespace internal
 
 /// True when metrics hooks are live. The single branch every hot-path
-/// mutation pays.
+/// mutation pays; hooks mark its disabled side [[likely]], so a disabled
+/// hook falls through without a taken branch.
 inline bool Enabled() {
 #if CROWDRL_OBS_BUILD
   return internal::g_enabled.load(std::memory_order_relaxed);
@@ -118,7 +119,7 @@ class Counter {
  public:
   void Inc(uint64_t n = 1) {
 #if CROWDRL_OBS_BUILD
-    if (!Enabled()) return;
+    if (!Enabled()) [[likely]] return;
     value_.fetch_add(n, std::memory_order_relaxed);
 #else
     (void)n;
@@ -137,7 +138,7 @@ class Gauge {
  public:
   void Set(double value) {
 #if CROWDRL_OBS_BUILD
-    if (!Enabled()) return;
+    if (!Enabled()) [[likely]] return;
     value_.store(value, std::memory_order_relaxed);
 #else
     (void)value;
@@ -174,7 +175,7 @@ class Histogram {
 
   void Record(uint64_t value) {
 #if CROWDRL_OBS_BUILD
-    if (!Enabled()) return;
+    if (!Enabled()) [[likely]] return;
     Add(value);
 #else
     (void)value;

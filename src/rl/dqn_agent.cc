@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/topk.h"
 
 namespace crowdrl::rl {
@@ -1122,13 +1123,33 @@ Status DqnAgent::LoadState(io::Reader* reader) {
   CROWDRL_RETURN_IF_ERROR(reader->ReadString(&rng_state));
   CROWDRL_RETURN_IF_ERROR(rng_.LoadStateString(rng_state));
   CROWDRL_RETURN_IF_ERROR(reader->ReadDouble(&epsilon_));
-  CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&episode_objects_));
-  CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&episode_annotators_));
+  size_t objects = 0;
+  size_t annotators = 0;
+  CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&objects));
+  CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&annotators));
+  // Nothing is sized from the episode shape until it is known to be
+  // sound: non-empty, and the current episode's when one has begun.
+  if (objects == 0 || annotators == 0) {
+    return Status::DataLoss(StringPrintf(
+        "checkpointed episode shape %zu x %zu is empty", objects,
+        annotators));
+  }
+  if (episode_objects_ != 0 && (objects != episode_objects_ ||
+                                annotators != episode_annotators_)) {
+    return Status::DataLoss(StringPrintf(
+        "checkpointed episode shape %zu x %zu does not match this "
+        "episode's %zu x %zu",
+        objects, annotators, episode_objects_, episode_annotators_));
+  }
+  episode_objects_ = objects;
+  episode_annotators_ = annotators;
   CROWDRL_RETURN_IF_ERROR(selection_counts_.LoadState(
       reader, episode_objects_, episode_annotators_));
   CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&total_selections_));
   size_t num_pending = 0;
   CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&num_pending));
+  CROWDRL_RETURN_IF_ERROR(
+      reader->CheckCount(num_pending, 8, "pending feature row"));
   std::vector<std::vector<double>> pending(num_pending);
   for (std::vector<double>& features : pending) {
     CROWDRL_RETURN_IF_ERROR(reader->ReadDoubleVector(&features));

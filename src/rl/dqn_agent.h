@@ -240,6 +240,8 @@ class DqnAgent {
   /// stream, exploration state (epsilon, UCB counts), episode shape, and
   /// pending transitions — everything needed to resume mid-episode
   /// bit-identically. Restore into an agent built with the same options.
+  /// LoadState rejects an empty episode shape, and one other than the
+  /// episode this agent has begun, with DataLoss before sizing anything.
   void SaveState(io::Writer* writer) const;
   Status LoadState(io::Reader* reader);
 

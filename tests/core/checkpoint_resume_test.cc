@@ -5,6 +5,7 @@
 // log-likelihood. Corrupt or mismatched checkpoints must be rejected with
 // a descriptive Status, never a crash.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include "io/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rl/pair_shards.h"
 #include "tests/testing/mini_json.h"
 
 namespace crowdrl::core {
@@ -304,10 +306,10 @@ TEST(CheckpointResumeTest, ClassProbsFlagDisagreeingWithPhiIsDataLoss) {
   ASSERT_TRUE(rs.phi.is_trained());
   ASSERT_TRUE(rs.have_probs);
   rs.have_probs = false;
-  io::SnapshotBuilder builder;
-  rs.BuildSnapshot(&builder);
-  io::Snapshot snapshot;
-  ASSERT_TRUE(io::Snapshot::Parse(builder.Serialize(), &snapshot).ok());
+  const std::string path = FreshDir("class_probs") + ".ckpt";
+  ASSERT_TRUE(rs.WriteSnapshot(path).ok());
+  io::SnapshotStreamReader snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
   RunState fresh(&config, &w.dataset, &w.pool, kBudget, kSeed);
   EXPECT_TRUE(fresh.ApplyRestore(snapshot).IsDataLoss());
 }
@@ -334,6 +336,50 @@ class CorruptionTest : public ::testing::Test {
     out.close();
     CrowdRlFramework framework((CrowdRlConfig()));
     return framework.LoadCheckpoint(path);
+  }
+
+  // A checkpoint as (name, payload) sections, for structured mutations
+  // that keep every frame and the CRC valid.
+  using Sections = std::vector<std::pair<std::string, std::string>>;
+
+  static Sections PristineSections() {
+    const std::string path = *scratch_ + "/sections.ckpt";
+    WriteRaw(*bytes_, path);
+    io::SnapshotStreamReader reader;
+    EXPECT_TRUE(reader.Open(path).ok());
+    Sections sections;
+    for (const std::string& name : reader.SectionNames()) {
+      std::string payload;
+      io::Reader ignored;
+      EXPECT_TRUE(reader.ReadSection(name, &payload, &ignored).ok());
+      sections.emplace_back(name, std::move(payload));
+    }
+    return sections;
+  }
+
+  // Encodes `sections` into a well-framed, CRC-valid checkpoint, loads it
+  // and runs from it: the status of whichever step rejects it first.
+  static Status Restore(const Sections& sections) {
+    const std::string path = *scratch_ + "/mutated.ckpt";
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    EXPECT_GE(fd, 0);
+    io::SnapshotEncoder encoder(fd, static_cast<uint32_t>(sections.size()));
+    for (const auto& [name, payload] : sections) {
+      encoder.BeginSection(name, payload.size());
+      encoder.Put(payload.data(), payload.size());
+    }
+    EXPECT_TRUE(encoder.Finish());
+    EXPECT_EQ(::close(fd), 0);
+    CrowdRlFramework framework((CrowdRlConfig()));
+    CROWDRL_RETURN_IF_ERROR(framework.LoadCheckpoint(path));
+    const Workload& w = SharedWorkload();
+    LabellingResult result;
+    return framework.Run(w.dataset, w.pool, kBudget, kSeed, &result);
+  }
+
+  static void WriteRaw(const std::string& bytes, const std::string& path) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   static std::string* bytes_;
@@ -363,6 +409,92 @@ TEST_F(CorruptionTest, ForeignFileIsInvalidArgument) {
   std::string corrupt = *bytes_;
   corrupt[0] = 'Z';  // Break the magic.
   EXPECT_TRUE(LoadBytes(corrupt, "foreign.ckpt").IsInvalidArgument());
+}
+
+// Structured mutations: each rewrites one section of a real checkpoint
+// and re-encodes it with valid frames and CRC, so only the restore's own
+// checks stand between the bytes and the run.
+TEST_F(CorruptionTest, UnchangedSectionsRestore) {
+  // The harness itself round-trips: the mutations below fail for what
+  // they change, not for how they are re-encoded.
+  const Sections sections = PristineSections();
+  ASSERT_EQ(sections.size(), 6u);
+  const Status status = Restore(sections);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(CorruptionTest, DroppedSectionIsRejected) {
+  const Sections pristine = PristineSections();
+  for (size_t drop = 0; drop < pristine.size(); ++drop) {
+    Sections sections = pristine;
+    sections.erase(sections.begin() + static_cast<std::ptrdiff_t>(drop));
+    const Status status = Restore(sections);
+    EXPECT_TRUE(status.IsNotFound())
+        << "without " << pristine[drop].first << ": " << status.ToString();
+  }
+}
+
+TEST_F(CorruptionTest, DuplicateSectionNameIsDataLoss) {
+  const Sections pristine = PristineSections();
+  for (const auto& section : pristine) {
+    Sections sections = pristine;
+    sections.push_back(section);
+    const Status status = Restore(sections);
+    EXPECT_TRUE(status.IsDataLoss())
+        << "twice " << section.first << ": " << status.ToString();
+  }
+}
+
+TEST_F(CorruptionTest, PayloadOneByteShortOrLongIsDataLoss) {
+  const Sections pristine = PristineSections();
+  for (size_t i = 0; i < pristine.size(); ++i) {
+    Sections cut = pristine;
+    cut[i].second.pop_back();
+    Status status = Restore(cut);
+    EXPECT_TRUE(status.IsDataLoss())
+        << pristine[i].first << " cut: " << status.ToString();
+    Sections grown = pristine;
+    grown[i].second.push_back('\0');
+    status = Restore(grown);
+    EXPECT_TRUE(status.IsDataLoss())
+        << pristine[i].first << " grown: " << status.ToString();
+  }
+}
+
+// The agent's episode shape sizes its pair tables and must match every
+// later view: an empty shape, or one other than the run's, is DataLoss
+// before anything is sized from it.
+TEST_F(CorruptionTest, AgentEpisodeShapeOtherThanTheRunsIsDataLoss) {
+  const Workload& w = SharedWorkload();
+  const size_t n = w.dataset.num_objects();
+  const size_t m = w.pool.size();
+  const Sections pristine = PristineSections();
+  size_t agent = pristine.size();
+  for (size_t i = 0; i < pristine.size(); ++i) {
+    if (pristine[i].first == "agent") agent = i;
+  }
+  ASSERT_LT(agent, pristine.size());
+  // The shape is two u64s followed by the UCB counts' shard stride.
+  io::Writer field;
+  field.WriteSize(n);
+  field.WriteSize(m);
+  field.WriteSize(rl::kPairShardObjects);
+  const std::string& payload = pristine[agent].second;
+  const size_t at = payload.find(field.bytes());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(field.bytes(), at + 1), std::string::npos);
+
+  const std::pair<size_t, size_t> shapes[] = {{0, m}, {n, 0}, {n - 1, m}};
+  for (const auto& [objects, annotators] : shapes) {
+    io::Writer shape;
+    shape.WriteSize(objects);
+    shape.WriteSize(annotators);
+    Sections sections = pristine;
+    sections[agent].second.replace(at, shape.size(), shape.bytes());
+    const Status status = Restore(sections);
+    EXPECT_TRUE(status.IsDataLoss())
+        << objects << " x " << annotators << ": " << status.ToString();
+  }
 }
 
 }  // namespace

@@ -161,6 +161,31 @@ TEST(SerializerTest, CorruptLengthPrefixRejectedBeforeAllocation) {
   }
 }
 
+TEST(SerializerTest, CountsThatWrapTheByteSizeAreRejected) {
+  // 2^61 eight-byte elements is 2^64 bytes, which wraps to 0: the count
+  // is checked against the remaining bytes by division, so it cannot
+  // slip past and size a vector.
+  for (uint64_t count : {uint64_t{1} << 61, (uint64_t{1} << 61) + 1}) {
+    Writer writer;
+    writer.WriteU64(count);
+    writer.WriteU64(0);  // One real element.
+    {
+      Reader reader(writer.bytes());
+      std::vector<double> v;
+      EXPECT_TRUE(reader.ReadDoubleVector(&v).IsDataLoss()) << count;
+    }
+    {
+      Reader reader(writer.bytes());
+      std::vector<int> v;
+      EXPECT_TRUE(reader.ReadIntVector(&v).IsDataLoss()) << count;
+    }
+    Reader reader(writer.bytes());
+    EXPECT_TRUE(reader.CheckCount(count, 8, "element").IsDataLoss());
+    EXPECT_TRUE(reader.CheckCount(2, 8, "element").ok());
+    EXPECT_TRUE(reader.CheckCount(3, 8, "element").IsDataLoss());
+  }
+}
+
 TEST(SerializerTest, SkipAndRemaining) {
   Writer writer;
   writer.WriteU32(1);

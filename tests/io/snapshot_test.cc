@@ -1,6 +1,8 @@
 #include "io/snapshot.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -47,8 +49,11 @@ static_assert(Checkpointable<core::Environment>);
 // it round-trips through SaveStateString/LoadStateString instead.
 static_assert(!Checkpointable<Rng>);
 
+// Suffixed with the pid: ctest runs each test as its own process, and
+// parallel siblings writing one shared path would race.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "crowdrl_snapshot_test_" + name;
+  return ::testing::TempDir() + "crowdrl_snapshot_test_" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 std::string FreshDir(const std::string& name) {
@@ -57,131 +62,8 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-SnapshotBuilder MakeTwoSectionBuilder() {
-  SnapshotBuilder builder;
-  Writer* alpha = builder.AddSection("alpha");
-  alpha->WriteU32(7);
-  alpha->WriteDouble(2.5);
-  Writer* beta = builder.AddSection("beta");
-  beta->WriteString("payload");
-  return builder;
-}
-
-void ExpectTwoSectionContent(const Snapshot& snapshot) {
-  EXPECT_EQ(snapshot.SectionNames(),
-            (std::vector<std::string>{"alpha", "beta"}));
-  EXPECT_TRUE(snapshot.HasSection("alpha"));
-  EXPECT_FALSE(snapshot.HasSection("gamma"));
-
-  Reader reader;
-  ASSERT_TRUE(snapshot.OpenSection("alpha", &reader).ok());
-  uint32_t u = 0;
-  double d = 0.0;
-  ASSERT_TRUE(reader.ReadU32(&u).ok());
-  ASSERT_TRUE(reader.ReadDouble(&d).ok());
-  EXPECT_TRUE(reader.ExpectEnd().ok());
-  EXPECT_EQ(u, 7u);
-  EXPECT_EQ(d, 2.5);
-
-  ASSERT_TRUE(snapshot.OpenSection("beta", &reader).ok());
-  std::string s;
-  ASSERT_TRUE(reader.ReadString(&s).ok());
-  EXPECT_TRUE(reader.ExpectEnd().ok());
-  EXPECT_EQ(s, "payload");
-
-  EXPECT_TRUE(snapshot.OpenSection("gamma", &reader).IsNotFound());
-}
-
-TEST(SnapshotTest, SerializeParseRoundTrip) {
-  std::string bytes = MakeTwoSectionBuilder().Serialize();
-  Snapshot snapshot;
-  ASSERT_TRUE(Snapshot::Parse(std::move(bytes), &snapshot).ok());
-  ExpectTwoSectionContent(snapshot);
-}
-
-TEST(SnapshotTest, EmptySnapshotRoundTrips) {
-  SnapshotBuilder builder;
-  Snapshot snapshot;
-  ASSERT_TRUE(Snapshot::Parse(builder.Serialize(), &snapshot).ok());
-  EXPECT_TRUE(snapshot.SectionNames().empty());
-}
-
-TEST(SnapshotTest, WriteFileReadFileRoundTrip) {
-  std::string path = TempPath("roundtrip.ckpt");
-  ASSERT_TRUE(MakeTwoSectionBuilder().WriteFile(path).ok());
-  Snapshot snapshot;
-  ASSERT_TRUE(Snapshot::ReadFile(path, &snapshot).ok());
-  ExpectTwoSectionContent(snapshot);
-}
-
-TEST(SnapshotTest, MissingFileIsNotFound) {
-  Snapshot snapshot;
-  EXPECT_TRUE(
-      Snapshot::ReadFile(TempPath("does_not_exist.ckpt"), &snapshot)
-          .IsNotFound());
-}
-
-TEST(SnapshotTest, BadMagicIsInvalidArgument) {
-  std::string bytes = MakeTwoSectionBuilder().Serialize();
-  bytes[0] = 'X';
-  Snapshot snapshot;
-  EXPECT_TRUE(
-      Snapshot::Parse(std::move(bytes), &snapshot).IsInvalidArgument());
-}
-
-TEST(SnapshotTest, EveryBitFlipIsDetected) {
-  // Flip one bit in a spread of positions past the magic: header fields,
-  // section framing, payload bytes, and the CRC trailer itself. All must
-  // be rejected (DataLoss for body corruption; the corrupted-CRC case is
-  // also a mismatch).
-  const std::string pristine = MakeTwoSectionBuilder().Serialize();
-  for (size_t pos = 8; pos < pristine.size(); pos += 3) {
-    std::string bytes = pristine;
-    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x10);
-    Snapshot snapshot;
-    Status status = Snapshot::Parse(std::move(bytes), &snapshot);
-    EXPECT_TRUE(status.IsDataLoss())
-        << "bit flip at byte " << pos << " got: " << status.ToString();
-  }
-}
-
-TEST(SnapshotTest, TruncationIsDataLoss) {
-  const std::string pristine = MakeTwoSectionBuilder().Serialize();
-  for (size_t keep : {pristine.size() - 1, pristine.size() / 2, size_t{0}}) {
-    Snapshot snapshot;
-    EXPECT_TRUE(Snapshot::Parse(pristine.substr(0, keep), &snapshot)
-                    .IsDataLoss())
-        << "truncated to " << keep << " bytes";
-  }
-}
-
-TEST(SnapshotTest, TrailingGarbageIsDataLoss) {
-  std::string bytes = MakeTwoSectionBuilder().Serialize();
-  bytes += "extra";
-  Snapshot snapshot;
-  EXPECT_TRUE(Snapshot::Parse(std::move(bytes), &snapshot).IsDataLoss());
-}
-
-TEST(SnapshotTest, NewerFormatVersionIsRejected) {
-  std::string bytes = MakeTwoSectionBuilder().Serialize();
-  // Patch the version field (bytes 8..11, little-endian) to a future
-  // version, then re-fix the CRC trailer so only the version is wrong.
-  uint32_t future = kSnapshotFormatVersion + 1;
-  for (int i = 0; i < 4; ++i) {
-    bytes[8 + i] = static_cast<char>((future >> (8 * i)) & 0xFF);
-  }
-  uint32_t crc = Crc32(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + i] =
-        static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  Snapshot snapshot;
-  Status status = Snapshot::Parse(std::move(bytes), &snapshot);
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-}
-
-TEST(SnapshotStreamTest, StreamedFileIsByteIdenticalToSerialize) {
-  std::string path = TempPath("streamed.ckpt");
+// Streams the two-section test snapshot to `path`.
+void WriteTwoSections(const std::string& path) {
   SnapshotStreamWriter stream;
   ASSERT_TRUE(stream.Open(path, 2).ok());
   {
@@ -196,51 +78,196 @@ TEST(SnapshotStreamTest, StreamedFileIsByteIdenticalToSerialize) {
     ASSERT_TRUE(stream.AppendSection("beta", beta).ok());
   }
   ASSERT_TRUE(stream.Close().ok());
-
-  std::ifstream in(path, std::ios::binary);
-  std::string streamed((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(streamed, MakeTwoSectionBuilder().Serialize());
 }
 
-TEST(SnapshotStreamTest, StreamReaderReadsBuilderFiles) {
-  std::string path = TempPath("stream_read.ckpt");
-  ASSERT_TRUE(MakeTwoSectionBuilder().WriteFile(path).ok());
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The pristine two-section snapshot's bytes.
+const std::string& TwoSectionBytes() {
+  static const std::string* bytes = [] {
+    const std::string path = TempPath("two_sections.ckpt");
+    WriteTwoSections(path);
+    return new std::string(ReadBytes(path));
+  }();
+  return *bytes;
+}
+
+// Opens `bytes` as a snapshot file through the one reader.
+Status OpenBytes(const std::string& bytes, const std::string& name) {
+  const std::string path = TempPath(name);
+  WriteBytes(path, bytes);
   SnapshotStreamReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  EXPECT_EQ(reader.SectionNames(),
+  return reader.Open(path);
+}
+
+// Rewrites the CRC trailer so only the deliberate edit is wrong.
+void FixCrc(std::string* bytes) {
+  const uint32_t crc = Crc32(bytes->data(), bytes->size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[bytes->size() - 4 + i] =
+        static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+}
+
+void ExpectTwoSectionContent(const SnapshotStreamReader& snapshot) {
+  EXPECT_EQ(snapshot.SectionNames(),
             (std::vector<std::string>{"alpha", "beta"}));
-  EXPECT_TRUE(reader.HasSection("alpha"));
-  EXPECT_FALSE(reader.HasSection("gamma"));
+  EXPECT_TRUE(snapshot.HasSection("alpha"));
+  EXPECT_FALSE(snapshot.HasSection("gamma"));
 
   std::string buffer;
-  Reader section;
-  ASSERT_TRUE(reader.ReadSection("alpha", &buffer, &section).ok());
+  Reader reader;
+  ASSERT_TRUE(snapshot.ReadSection("alpha", &buffer, &reader).ok());
   uint32_t u = 0;
   double d = 0.0;
-  ASSERT_TRUE(section.ReadU32(&u).ok());
-  ASSERT_TRUE(section.ReadDouble(&d).ok());
-  EXPECT_TRUE(section.ExpectEnd().ok());
+  ASSERT_TRUE(reader.ReadU32(&u).ok());
+  ASSERT_TRUE(reader.ReadDouble(&d).ok());
+  EXPECT_TRUE(reader.ExpectEnd().ok());
   EXPECT_EQ(u, 7u);
   EXPECT_EQ(d, 2.5);
 
-  ASSERT_TRUE(reader.ReadSection("beta", &buffer, &section).ok());
+  ASSERT_TRUE(snapshot.ReadSection("beta", &buffer, &reader).ok());
   std::string s;
-  ASSERT_TRUE(section.ReadString(&s).ok());
+  ASSERT_TRUE(reader.ReadString(&s).ok());
+  EXPECT_TRUE(reader.ExpectEnd().ok());
   EXPECT_EQ(s, "payload");
 
-  EXPECT_TRUE(reader.ReadSection("gamma", &buffer, &section).IsNotFound());
+  EXPECT_TRUE(snapshot.ReadSection("gamma", &buffer, &reader).IsNotFound());
+}
+
+TEST(SnapshotTest, WriteFileReadFileRoundTrip) {
+  const std::string path = TempPath("roundtrip.ckpt");
+  WriteTwoSections(path);
+  SnapshotStreamReader snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  ExpectTwoSectionContent(snapshot);
+}
+
+TEST(SnapshotTest, EmptySnapshotRoundTrips) {
+  const std::string path = TempPath("empty.ckpt");
+  SnapshotStreamWriter stream;
+  ASSERT_TRUE(stream.Open(path, 0).ok());
+  ASSERT_TRUE(stream.Close().ok());
+  SnapshotStreamReader snapshot;
+  ASSERT_TRUE(snapshot.Open(path).ok());
+  EXPECT_TRUE(snapshot.SectionNames().empty());
+}
+
+TEST(SnapshotTest, MissingFileIsNotFound) {
+  SnapshotStreamReader snapshot;
+  EXPECT_TRUE(snapshot.Open(TempPath("does_not_exist.ckpt")).IsNotFound());
+}
+
+TEST(SnapshotTest, BadMagicIsInvalidArgument) {
+  std::string bytes = TwoSectionBytes();
+  bytes[0] = 'X';
+  EXPECT_TRUE(OpenBytes(bytes, "bad_magic.ckpt").IsInvalidArgument());
+}
+
+// A file that is not a snapshot at all is reported as foreign, not as a
+// corrupt snapshot: the magic is checked before the CRC.
+TEST(SnapshotTest, ForeignFileIsInvalidArgument) {
+  std::string foreign(64, '\0');
+  for (size_t i = 0; i < foreign.size(); ++i) {
+    foreign[i] = static_cast<char>('a' + i % 26);
+  }
+  const Status status = OpenBytes(foreign, "foreign.bin");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(OpenBytes("PK", "short_foreign.bin").IsInvalidArgument());
+}
+
+TEST(SnapshotTest, EveryBitFlipIsDetected) {
+  // Every single-bit flip past the magic and version — the section count,
+  // every frame, every payload byte and the CRC trailer — is DataLoss.
+  // A flip inside the magic or version names another file or another
+  // format, which the reader reports as InvalidArgument before the CRC.
+  const std::string& pristine = TwoSectionBytes();
+  constexpr size_t kIdentityBytes = sizeof(kSnapshotMagic) + 4;
+  for (size_t pos = 0; pos < pristine.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = pristine;
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << bit));
+      const Status status = OpenBytes(bytes, "bitflip.ckpt");
+      if (pos < kIdentityBytes) {
+        EXPECT_TRUE(status.IsInvalidArgument())
+            << "bit " << bit << " of byte " << pos << ": "
+            << status.ToString();
+      } else {
+        EXPECT_TRUE(status.IsDataLoss())
+            << "bit " << bit << " of byte " << pos << ": "
+            << status.ToString();
+      }
+    }
+  }
+}
+
+TEST(SnapshotTest, TruncationIsDataLoss) {
+  const std::string& pristine = TwoSectionBytes();
+  for (size_t keep = 0; keep < pristine.size(); ++keep) {
+    const Status status = OpenBytes(pristine.substr(0, keep), "cut.ckpt");
+    EXPECT_TRUE(status.IsDataLoss())
+        << "truncated to " << keep << " bytes: " << status.ToString();
+  }
+}
+
+TEST(SnapshotTest, TrailingGarbageIsDataLoss) {
+  for (const char* extra : {"\x01", "extra"}) {
+    const Status status =
+        OpenBytes(TwoSectionBytes() + extra, "trailing.ckpt");
+    EXPECT_TRUE(status.IsDataLoss()) << extra << ": " << status.ToString();
+  }
+}
+
+TEST(SnapshotTest, NewerFormatVersionIsRejected) {
+  std::string bytes = TwoSectionBytes();
+  // Patch the version field (bytes 8..11, little-endian) to a future
+  // version, then re-fix the CRC trailer so only the version is wrong.
+  uint32_t future = kSnapshotFormatVersion + 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[8 + i] = static_cast<char>((future >> (8 * i)) & 0xFF);
+  }
+  FixCrc(&bytes);
+  const Status status = OpenBytes(bytes, "future.ckpt");
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+// The streamed bytes are exactly the documented layout, so the format is
+// pinned independently of the one encoder that writes it.
+TEST(SnapshotStreamTest, StreamedFileMatchesTheDocumentedLayout) {
+  Writer expected;
+  expected.WriteU32(kSnapshotFormatVersion);
+  expected.WriteU32(2);
+  expected.WriteU32(5);
+  std::string layout = std::string(kSnapshotMagic, 8) + expected.bytes() +
+                       "alpha";
+  Writer alpha;
+  alpha.WriteU64(12);
+  alpha.WriteU32(7);
+  alpha.WriteDouble(2.5);
+  alpha.WriteU32(4);
+  layout += alpha.bytes() + "beta";
+  Writer beta;
+  beta.WriteU64(8 + 7);
+  beta.WriteString("payload");
+  layout += beta.bytes();
+  Writer trailer;
+  trailer.WriteU32(Crc32(layout.data(), layout.size()));
+  layout += trailer.bytes();
+  EXPECT_EQ(TwoSectionBytes(), layout);
 }
 
 TEST(SnapshotStreamTest, StreamReaderRejectsCorruptionAndTruncation) {
-  std::string path = TempPath("stream_corrupt.ckpt");
-  const std::string pristine = MakeTwoSectionBuilder().Serialize();
-
-  auto write_bytes = [&](const std::string& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
+  const std::string path = TempPath("stream_corrupt.ckpt");
+  const std::string& pristine = TwoSectionBytes();
 
   SnapshotStreamReader reader;
   EXPECT_TRUE(reader.Open(TempPath("stream_missing.ckpt")).IsNotFound());
@@ -248,17 +275,103 @@ TEST(SnapshotStreamTest, StreamReaderRejectsCorruptionAndTruncation) {
   std::string flipped = pristine;
   flipped[pristine.size() / 2] =
       static_cast<char>(flipped[pristine.size() / 2] ^ 0x10);
-  write_bytes(flipped);
+  WriteBytes(path, flipped);
   EXPECT_TRUE(reader.Open(path).IsDataLoss());
+  EXPECT_TRUE(reader.SectionNames().empty());  // A failed Open empties it.
 
-  write_bytes(pristine.substr(0, pristine.size() / 2));
+  WriteBytes(path, pristine.substr(0, pristine.size() / 2));
   EXPECT_TRUE(reader.Open(path).IsDataLoss());
 
   std::string bad_magic = pristine;
   bad_magic[0] = 'X';
-  write_bytes(bad_magic);
-  // Magic corruption also breaks the CRC; either way it must not parse.
-  EXPECT_FALSE(reader.Open(path).ok());
+  WriteBytes(path, bad_magic);
+  EXPECT_TRUE(reader.Open(path).IsInvalidArgument());
+}
+
+// Section names are unique: a CRC-valid file that repeats one is corrupt,
+// rather than a file whose second copy silently shadows the first.
+TEST(SnapshotStreamTest, DuplicateSectionNameIsDataLoss) {
+  const std::string path = TempPath("duplicate.ckpt");
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  SnapshotEncoder encoder(fd, 2);
+  for (uint32_t copy = 0; copy < 2; ++copy) {
+    encoder.BeginSection("alpha", 4);
+    encoder.PutU32(copy);
+  }
+  ASSERT_TRUE(encoder.Finish());
+  ASSERT_EQ(::close(fd), 0);
+  SnapshotStreamReader reader;
+  const Status status = reader.Open(path);
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+}
+
+// The reader keeps the file it verified: a snapshot renamed over the
+// path afterwards (the writer's own tmp-and-rename) does not leak into
+// ReadSection.
+TEST(SnapshotStreamTest, ReadSectionReturnsTheVerifiedBytesAfterRename) {
+  const std::string path = TempPath("renamed_over.ckpt");
+  WriteTwoSections(path);
+  SnapshotStreamReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+
+  SnapshotStreamWriter replacement;
+  ASSERT_TRUE(replacement.Open(path, 2).ok());
+  Writer other;
+  other.WriteU32(99);
+  other.WriteDouble(-1.0);
+  ASSERT_TRUE(replacement.AppendSection("alpha", other).ok());
+  Writer empty;
+  ASSERT_TRUE(replacement.AppendSection("beta", empty).ok());
+  ASSERT_TRUE(replacement.Close().ok());
+
+  ExpectTwoSectionContent(reader);
+}
+
+TEST(SnapshotEncoderTest, BrokenFramingPromiseFailsFinish) {
+  const std::string path = TempPath("encoder.ckpt");
+  auto finish = [&](uint32_t sections, auto&& body) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    EXPECT_GE(fd, 0);
+    SnapshotEncoder encoder(fd, sections);
+    body(encoder);
+    const bool ok = encoder.Finish();
+    ::close(fd);
+    return ok;
+  };
+  EXPECT_TRUE(finish(1, [](SnapshotEncoder& e) {
+    e.BeginSection("s", 2);
+    e.PutU16(1);
+  }));
+  // Fewer sections than declared, a short payload, a long payload and an
+  // undeclared section all fail.
+  EXPECT_FALSE(finish(2, [](SnapshotEncoder& e) {
+    e.BeginSection("s", 2);
+    e.PutU16(1);
+  }));
+  EXPECT_FALSE(finish(1, [](SnapshotEncoder& e) {
+    e.BeginSection("s", 4);
+    e.PutU16(1);
+  }));
+  EXPECT_FALSE(finish(1, [](SnapshotEncoder& e) {
+    e.BeginSection("s", 1);
+    e.PutU16(1);
+  }));
+  EXPECT_FALSE(finish(1, [](SnapshotEncoder& e) {
+    e.BeginSection("s", 0);
+    e.BeginSection("t", 0);
+  }));
+}
+
+TEST(SnapshotEncoderTest, FailedWriteFailsFinish) {
+  const std::string path = TempPath("readonly.ckpt");
+  WriteBytes(path, "");
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  SnapshotEncoder encoder(fd, 0);
+  EXPECT_FALSE(encoder.Finish());
+  EXPECT_NE(encoder.write_errno(), 0);
+  ::close(fd);
 }
 
 TEST(SnapshotStreamTest, AbandonedWriterLeavesNoFiles) {
@@ -349,39 +462,47 @@ TEST(CheckpointDirTest, FileNamesSortByIteration) {
   EXPECT_LT(CheckpointFileName(99), CheckpointFileName(100));
 }
 
+// Streams a one-section snapshot recording `t` (the checkpoint writer
+// WriteCheckpointRotating hands each path to).
+Status WriteMeta(size_t t, const std::string& path) {
+  SnapshotStreamWriter stream;
+  CROWDRL_RETURN_IF_ERROR(stream.Open(path, 1));
+  Writer meta;
+  meta.WriteSize(t);
+  CROWDRL_RETURN_IF_ERROR(stream.AppendSection("meta", meta));
+  return stream.Close();
+}
+
+Status WriteRotating(const std::string& dir, size_t t, size_t keep_last) {
+  return WriteCheckpointRotating(
+      dir, t, keep_last,
+      [t](const std::string& path) { return WriteMeta(t, path); });
+}
+
 TEST(CheckpointDirTest, RotationKeepsNewestK) {
   std::string dir = FreshDir("rotation");
   for (size_t t = 1; t <= 5; ++t) {
-    SnapshotBuilder builder;
-    builder.AddSection("meta")->WriteSize(t);
-    ASSERT_TRUE(WriteCheckpointRotating(builder, dir, t, 2).ok());
+    ASSERT_TRUE(WriteRotating(dir, t, 2).ok());
   }
   std::string latest;
   ASSERT_TRUE(FindLatestCheckpoint(dir, &latest).ok());
   EXPECT_NE(latest.find(CheckpointFileName(5)), std::string::npos);
 
   // Only the newest two survive, and the oldest survivor is iteration 4.
-  Snapshot snapshot;
+  SnapshotStreamReader snapshot;
   EXPECT_TRUE(
-      Snapshot::ReadFile(dir + "/" + CheckpointFileName(3), &snapshot)
-          .IsNotFound());
-  EXPECT_TRUE(
-      Snapshot::ReadFile(dir + "/" + CheckpointFileName(4), &snapshot)
-          .ok());
+      snapshot.Open(dir + "/" + CheckpointFileName(3)).IsNotFound());
+  EXPECT_TRUE(snapshot.Open(dir + "/" + CheckpointFileName(4)).ok());
 }
 
 TEST(CheckpointDirTest, KeepLastZeroKeepsEverything) {
   std::string dir = FreshDir("keep_all");
   for (size_t t = 1; t <= 4; ++t) {
-    SnapshotBuilder builder;
-    builder.AddSection("meta")->WriteSize(t);
-    ASSERT_TRUE(WriteCheckpointRotating(builder, dir, t, 0).ok());
+    ASSERT_TRUE(WriteRotating(dir, t, 0).ok());
   }
-  Snapshot snapshot;
+  SnapshotStreamReader snapshot;
   for (size_t t = 1; t <= 4; ++t) {
-    EXPECT_TRUE(
-        Snapshot::ReadFile(dir + "/" + CheckpointFileName(t), &snapshot)
-            .ok())
+    EXPECT_TRUE(snapshot.Open(dir + "/" + CheckpointFileName(t)).ok())
         << "iteration " << t;
   }
 }
@@ -395,11 +516,10 @@ TEST(CheckpointDirTest, FindLatestOnMissingOrEmptyDirIsNotFound) {
 
 TEST(CheckpointDirTest, AtomicWriteLeavesNoTmpFile) {
   std::string path = TempPath("atomic.ckpt");
-  ASSERT_TRUE(MakeTwoSectionBuilder().WriteFile(path).ok());
-  Snapshot snapshot;
-  EXPECT_TRUE(Snapshot::ReadFile(path, &snapshot).ok());
-  EXPECT_TRUE(
-      Snapshot::ReadFile(path + ".tmp", &snapshot).IsNotFound());
+  WriteTwoSections(path);
+  SnapshotStreamReader snapshot;
+  EXPECT_TRUE(snapshot.Open(path).ok());
+  EXPECT_TRUE(snapshot.Open(path + ".tmp").IsNotFound());
 }
 
 }  // namespace

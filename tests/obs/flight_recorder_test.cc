@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "io/flight_dump.h"
+#include "io/snapshot.h"
 #include "obs/metrics.h"
 
 namespace crowdrl::obs {
@@ -183,6 +184,53 @@ TEST_F(FlightRecorderTest, ReadMissingFileIsAnError) {
   io::FlightDump dump;
   EXPECT_FALSE(
       io::ReadFlightDump("/nonexistent/flight.dump", &dump).ok());
+}
+
+// A CRC-valid dump whose payload declares the given counts over a body
+// that holds none of what they promise: only the decoder's own count
+// checks stand between the file and an allocation sized from them.
+Status ReadCraftedDump(const std::string& name, uint32_t num_types,
+                       uint64_t num_scopes, uint64_t event_count) {
+  io::Writer payload;
+  payload.WriteU32(io::kFlightDumpPayloadVersion);
+  payload.WriteU64(/*total_appended=*/1);
+  payload.WriteU64(/*capacity=*/8);
+  payload.WriteU32(sizeof(FlightEventRecord));
+  payload.WriteU32(num_types);
+  if (num_types == 0) {
+    payload.WriteU64(num_scopes);
+    if (num_scopes == 0) {
+      payload.WriteU64(/*first_index=*/0);
+      payload.WriteU64(event_count);
+    }
+  }
+  const std::string path = ::testing::TempDir() + "crowdrl_flight_" + name;
+  io::SnapshotStreamWriter writer;
+  CROWDRL_RETURN_IF_ERROR(writer.Open(path, 1));
+  CROWDRL_RETURN_IF_ERROR(
+      writer.AppendSection(io::kFlightDumpSection, payload));
+  CROWDRL_RETURN_IF_ERROR(writer.Close());
+  io::FlightDump dump;
+  const Status status = io::ReadFlightDump(path, &dump);
+  std::remove(path.c_str());
+  return status;
+}
+
+TEST(FlightDumpCountTest, CraftedTypeNameCountIsDataLoss) {
+  const Status status = ReadCraftedDump("types.dump", 0xFFFFFFFFu, 0, 0);
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+}
+
+TEST(FlightDumpCountTest, CraftedScopeNameCountIsDataLoss) {
+  const Status status = ReadCraftedDump("scopes.dump", 0, uint64_t{1} << 60, 0);
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+}
+
+TEST(FlightDumpCountTest, CraftedEventCountIsDataLoss) {
+  // 2^59 events of 32 bytes is 2^64 bytes, which wraps to the 0 bytes
+  // that are left.
+  const Status status = ReadCraftedDump("events.dump", 0, 0, uint64_t{1} << 59);
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
 }
 
 using FlightRecorderDeathTest = FlightRecorderTest;
