@@ -15,6 +15,7 @@
 #include "core/crowdrl.h"
 #include "data/workloads.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace crowdrl::bench {
@@ -219,9 +220,10 @@ std::vector<std::unique_ptr<core::LabellingFramework>> MakeAllFrameworks(
     crowdrl_config.checkpoint_every_n_iterations = config->checkpoint_every;
     crowdrl_config.resume = config->resume;
     crowdrl_config.obs.enabled = config->obs;
+    // Spans accumulate across cells and WriteTraceOut exports them once,
+    // after the last: an export per run would rewrite every earlier span.
     crowdrl_config.obs.tracing = !config->trace_out.empty();
     crowdrl_config.obs.metrics_jsonl_path = config->metrics_out;
-    crowdrl_config.obs.trace_json_path = config->trace_out;
   }
   frameworks.push_back(
       std::make_unique<core::CrowdRlFramework>(std::move(crowdrl_config)));
@@ -276,6 +278,19 @@ size_t PeakRssKb() {
     return static_cast<size_t>(usage.ru_maxrss);  // KiB on Linux.
   }
   return 0;
+}
+
+void WriteTraceOut(const BenchConfig& config) {
+  if (config.trace_out.empty()) return;
+  const obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  const uint64_t start_ns = obs::NowNs();
+  if (!recorder.WriteChromeTrace(config.trace_out)) {
+    CROWDRL_LOG(Warning) << "cannot write trace " << config.trace_out;
+    return;
+  }
+  std::fprintf(stderr, "trace: %zu spans to %s in %.1f ms\n",
+               recorder.event_count(), config.trace_out.c_str(),
+               static_cast<double>(obs::NowNs() - start_ns) / 1e6);
 }
 
 void PrintBanner(const std::string& figure, const BenchConfig& config) {

@@ -53,8 +53,9 @@ struct BenchConfig {
   /// Observability (DESIGN.md §10): --obs enables the metrics hooks
   /// process-wide (so non-framework bench stages are covered too);
   /// --metrics_out makes the CrowdRL entry append one metrics record per
-  /// labelling iteration; --trace_out additionally records trace spans
-  /// and exports Chrome trace-event JSON at the end of the CrowdRL run.
+  /// labelling iteration; --trace_out additionally records trace spans,
+  /// which WriteTraceOut exports as Chrome trace-event JSON once, after
+  /// the last cell.
   bool obs = false;
   std::string metrics_out;
   std::string trace_out;
@@ -104,6 +105,11 @@ Workload MakeWorkload(const std::string& name, const BenchConfig& config);
 /// returns the resulting parameters. Cached per (config) call site by the
 /// caller if reuse is wanted — the call itself takes a few seconds.
 std::vector<double> PretrainCrowdRl(const BenchConfig& config);
+
+/// Exports every span recorded so far to --trace_out (no-op without it)
+/// and reports the export's size and time on stderr. Call once, after the
+/// last cell.
+void WriteTraceOut(const BenchConfig& config);
 
 /// The six frameworks of Fig. 4-7, in the paper's order:
 /// DLTA, OBA, IDLE, DALC, Hybrid, CrowdRL. `pretrained_q` (may be empty)

@@ -64,5 +64,6 @@ int main(int argc, char** argv) {
     t.table.Print(std::cout);
     std::printf("\n");
   }
+  crowdrl::bench::WriteTraceOut(config);
   return 0;
 }

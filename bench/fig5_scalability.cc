@@ -180,9 +180,10 @@ int main(int argc, char** argv) {
     crowdrl::Table table(header);
 
     // Passing the config threads the observability flags (and checkpoint
-    // flags) into the CrowdRL entry: with --metrics_out/--trace_out each
-    // CrowdRL cell rewrites the artifacts, so the files left on disk
-    // describe the last cell run.
+    // flags) into the CrowdRL entry: with --metrics_out each CrowdRL cell
+    // rewrites the JSONL, so the file left on disk describes the last cell
+    // run; --trace_out is written once, after the last cell, with every
+    // cell's spans.
     auto frameworks = crowdrl::bench::MakeAllFrameworks(pretrained, &config);
     for (auto& framework : frameworks) {
       std::vector<double> precisions;
@@ -204,5 +205,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
     std::fflush(stdout);
   }
+  crowdrl::bench::WriteTraceOut(config);
   return 0;
 }

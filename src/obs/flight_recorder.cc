@@ -51,8 +51,11 @@ FlightRecorder& FlightRecorder::Get() {
 void FlightRecorder::Configure(size_t capacity) {
   std::lock_guard<std::mutex> lock(ConfigMutex());
   if (slots_.load(std::memory_order_acquire) == nullptr) {
-    if (capacity < 2) capacity = 2;
-    capacity_ = capacity;
+    // A power of two, so Append masks the index instead of dividing it.
+    size_t rounded = 2;
+    while (rounded < capacity) rounded *= 2;
+    capacity_ = rounded;
+    capacity = rounded;
     // Zero-initialized: seq_check 0 marks a never-written slot.
     slots_.store(new FlightEventRecord[capacity](),
                  std::memory_order_release);
@@ -78,7 +81,7 @@ void FlightRecorder::Append(FlightEventType type, uint16_t scope, uint64_t a,
   FlightEventRecord* slots = slots_.load(std::memory_order_acquire);
   if (slots == nullptr) return;
   const uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  FlightEventRecord& slot = slots[index % capacity_];
+  FlightEventRecord& slot = slots[index & (capacity_ - 1)];
   // Invalidate first so a dump racing this append sees a torn slot, not
   // a stale event wearing the old seq_check.
   reinterpret_cast<std::atomic<uint32_t>&>(slot.seq_check)
@@ -105,7 +108,7 @@ std::vector<FlightEventRecord> FlightRecorder::OrderedEvents() const {
   const uint64_t first = total > capacity_ ? total - capacity_ : 0;
   out.reserve(static_cast<size_t>(total - first));
   for (uint64_t i = first; i < total; ++i) {
-    FlightEventRecord slot = slots[i % capacity_];
+    FlightEventRecord slot = slots[i & (capacity_ - 1)];
     if (slot.seq_check != static_cast<uint32_t>(i + 1)) continue;  // Torn.
     out.push_back(slot);
   }

@@ -105,8 +105,9 @@ class FlightRecorder {
 
   static FlightRecorder& Get();
 
-  /// Preallocates `capacity` slots (rounded up to 2) and turns appends
-  /// on. First configuration wins: a later call with a different
+  /// Preallocates `capacity` slots, rounded up to a power of two (at
+  /// least 2; capacity() and the dump report the rounded size), and turns
+  /// appends on. First configuration wins: a later call with a different
   /// capacity keeps the existing ring (enable-only, like every obs
   /// option). Not signal-safe (allocates); call at startup.
   void Configure(size_t capacity);

@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/topk.h"
 
 namespace crowdrl::rl {
@@ -171,6 +172,79 @@ void RecordPruneMetrics(const ShortlistPruner& pruner,
   }
 }
 
+/// Fewest candidate pairs per chunk of the gated engine's per-pair loops:
+/// every chunk pays one dispatch on the Q pool.
+constexpr size_t kGateMinChunk = 16384;
+
+/// Fewest objects per chunk when enumeration counts valid pairs.
+constexpr size_t kGateMinObjects = 4096;
+
+/// Per-object top-k of `score` over the candidates' runs, chunk-parallel:
+/// slot r holds run r's k best (score, index) entries and (*sums)[r] their
+/// sum; with `max_unscored_ub`, also run r's largest bound among pairs not
+/// yet exact. SlotTopK keeps TopK's push rule and heap order, so each slot
+/// holds what a serial pass over the same run would.
+template <typename ScoreFn>
+void FillObjectTopK(ThreadPool* pool, const GateCandidates& cand, int k,
+                    ScoreFn score, SlotTopK<size_t>* per_object,
+                    std::vector<double>* sums,
+                    std::vector<double>* max_unscored_ub = nullptr) {
+  per_object->Reset(cand.num_runs(), static_cast<size_t>(k));
+  sums->assign(cand.num_runs(), 0.0);
+  if (max_unscored_ub != nullptr) {
+    max_unscored_ub->assign(cand.num_runs(),
+                            -std::numeric_limits<double>::infinity());
+  }
+  ForEachChunk(pool, cand.chunk_runs, [&](size_t, size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      for (size_t idx = cand.run_begin[r]; idx < cand.run_begin[r + 1];
+           ++idx) {
+        per_object->Push(r, score(idx), idx);
+        if (max_unscored_ub != nullptr && !cand.is_exact[idx]) {
+          (*max_unscored_ub)[r] = std::max((*max_unscored_ub)[r], cand.ub[idx]);
+        }
+      }
+      (*sums)[r] = per_object->ScoreSum(r);
+    }
+  });
+}
+
+/// The objects with the largest top-k sums ("MinHeap algorithm"), as
+/// (sum, slot), best first. Serial, in slot order.
+std::vector<std::pair<double, size_t>> BestSlots(
+    const std::vector<double>& sums, int num_objects_to_pick) {
+  TopK<size_t> best(static_cast<size_t>(num_objects_to_pick));
+  for (size_t slot = 0; slot < sums.size(); ++slot) {
+    best.Push(sums[slot], slot);
+  }
+  return best.TakeSortedDescending();
+}
+
+/// PickTopKSumAssignments' result from filled per-object slots: the best
+/// slots' objects, each with its top-k annotators best first, and the
+/// chosen candidate indices in that order.
+std::vector<Assignment> AssignBestSlots(const SlotTopK<size_t>& per_object,
+                                        const std::vector<double>& sums,
+                                        const std::vector<int>& slot_object,
+                                        int num_objects_to_pick,
+                                        const std::vector<Action>& actions,
+                                        std::vector<size_t>* chosen_indices) {
+  std::vector<Assignment> assignments;
+  std::vector<std::pair<double, size_t>> entries;
+  for (const auto& scored_slot : BestSlots(sums, num_objects_to_pick)) {
+    const size_t slot = scored_slot.second;
+    Assignment assignment;
+    assignment.object = slot_object[slot];
+    per_object.SortedDescendingInto(slot, &entries);
+    for (const auto& scored_idx : entries) {
+      assignment.annotators.push_back(actions[scored_idx.second].annotator);
+      chosen_indices->push_back(scored_idx.second);
+    }
+    assignments.push_back(std::move(assignment));
+  }
+  return assignments;
+}
+
 /// Outcome of one gate run.
 struct GatedSelection {
   bool sound = false;
@@ -204,66 +278,38 @@ struct GatedSelection {
 ///  * the chosen objects' top-k sums are separated from each other and
 ///    from every non-chosen object's (upper-bounded) sum by kSumGateBand.
 /// Any violation returns sound = false and the caller climbs its ladder.
-GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
-                                const std::vector<double>& scores,
-                                const std::vector<uint8_t>& is_exact,
-                                const std::vector<double>& ub, int k,
-                                int num_objects_to_pick,
-                                size_t num_objects_total) {
+GatedSelection GatedPickTopKSum(ThreadPool* pool, const GateCandidates& cand,
+                                int k, int num_objects_to_pick,
+                                SlotTopK<size_t>* per_object) {
   GatedSelection result;
-  if (candidates.empty()) {
+  if (cand.pairs.empty()) {
     result.sound = true;
     return result;
   }
-  const double neg_inf = -std::numeric_limits<double>::infinity();
 
   // Identical structure to PickTopKSumAssignments: per-object top-k over
   // the merged scores, tracking each object's loosest unscored bound.
-  std::vector<int> object_slot(num_objects_total, -1);
-  std::vector<TopK<size_t>> per_object;
-  std::vector<int> object_ids;
+  std::vector<double> sums;
   std::vector<double> max_ub_unscored;
-  for (size_t idx = 0; idx < candidates.size(); ++idx) {
-    int object = candidates[idx].object;
-    CROWDRL_CHECK(object >= 0 &&
-                  static_cast<size_t>(object) < num_objects_total);
-    int slot = object_slot[static_cast<size_t>(object)];
-    if (slot < 0) {
-      slot = static_cast<int>(per_object.size());
-      object_slot[static_cast<size_t>(object)] = slot;
-      per_object.emplace_back(static_cast<size_t>(k));
-      object_ids.push_back(object);
-      max_ub_unscored.push_back(neg_inf);
-    }
-    per_object[static_cast<size_t>(slot)].Push(scores[idx], idx);
-    if (!is_exact[idx]) {
-      max_ub_unscored[static_cast<size_t>(slot)] =
-          std::max(max_ub_unscored[static_cast<size_t>(slot)], ub[idx]);
-    }
-  }
+  FillObjectTopK(
+      pool, cand, k, [&](size_t idx) { return cand.Merged(idx); },
+      per_object, &sums, &max_ub_unscored);
+  const std::vector<std::pair<double, size_t>> best =
+      BestSlots(sums, num_objects_to_pick);
 
-  std::vector<double> sums(per_object.size());
-  TopK<size_t> best_objects(static_cast<size_t>(num_objects_to_pick));
-  for (size_t slot = 0; slot < per_object.size(); ++slot) {
-    sums[slot] = per_object[slot].ScoreSum();
-    best_objects.Push(sums[slot], slot);
-  }
-  std::vector<std::pair<double, size_t>> best =
-      best_objects.TakeSortedDescending();
-
-  std::vector<uint8_t> chosen_slot(per_object.size(), 0);
+  std::vector<uint8_t> chosen_slot(sums.size(), 0);
   for (const auto& entry : best) chosen_slot[entry.second] = 1;
   const double min_chosen_sum = best.back().first;
   result.min_chosen_sum = min_chosen_sum;
   // Contenders, for rescoring on gate failure: the chosen objects plus
   // anything whose (inflated) sum reaches the cutoff band.
   for (const auto& entry : best) {
-    result.suspect_objects.push_back(object_ids[entry.second]);
+    result.suspect_objects.push_back(cand.run_object[entry.second]);
   }
-  for (size_t slot = 0; slot < per_object.size(); ++slot) {
+  for (size_t slot = 0; slot < sums.size(); ++slot) {
     if (chosen_slot[slot]) continue;
     if (min_chosen_sum - sums[slot] <= kSumGateBand) {
-      result.suspect_objects.push_back(object_ids[slot]);
+      result.suspect_objects.push_back(cand.run_object[slot]);
     }
   }
 
@@ -272,25 +318,25 @@ GatedSelection GatedPickTopKSum(const std::vector<Action>& candidates,
   for (size_t i = 1; i < best.size(); ++i) {
     if (best[i - 1].first - best[i].first <= kSumGateBand) return result;
   }
-  for (size_t slot = 0; slot < per_object.size(); ++slot) {
+  for (size_t slot = 0; slot < sums.size(); ++slot) {
     if (chosen_slot[slot]) continue;
     if (min_chosen_sum - sums[slot] <= kSumGateBand) return result;
   }
 
-  for (auto& scored_slot : best) {
-    size_t slot = scored_slot.second;
-    std::vector<std::pair<double, size_t>> entries =
-        per_object[slot].TakeSortedDescending();
+  std::vector<std::pair<double, size_t>> entries;
+  for (const auto& scored_slot : best) {
+    const size_t slot = scored_slot.second;
+    per_object->SortedDescendingInto(slot, &entries);
     Assignment assignment;
-    assignment.object = object_ids[slot];
+    assignment.object = cand.run_object[slot];
     for (size_t e = 0; e < entries.size(); ++e) {
       size_t idx = entries[e].second;
-      if (!is_exact[idx]) return result;                       // UB chosen.
+      if (!cand.is_exact[idx]) return result;                  // UB chosen.
       if (e > 0 && entries[e - 1].first == entries[e].first) { // Exact tie.
         return result;
       }
-      assignment.annotators.push_back(candidates[idx].annotator);
-      result.chosen_actions.push_back(candidates[idx]);
+      assignment.annotators.push_back(cand.pairs[idx].annotator);
+      result.chosen_actions.push_back(cand.pairs[idx]);
     }
     // No unscored candidate of this object may reach its top-k.
     if (!(entries.back().first > max_ub_unscored[slot])) return result;
@@ -527,43 +573,31 @@ std::vector<Assignment> PickTopKSumAssignments(
   chosen_indices->clear();
   if (candidates.actions.empty()) return {};
 
-  // Per object: top-k annotators by score.
+  // Per object, in order of first appearance: top-k annotators by score.
   std::vector<int> object_slot(num_objects_total, -1);
-  std::vector<TopK<size_t>> per_object;
   std::vector<int> object_ids;
-  for (size_t idx = 0; idx < candidates.actions.size(); ++idx) {
-    int object = candidates.actions[idx].object;
-    CROWDRL_CHECK(object >= 0 &&
-                  static_cast<size_t>(object) < num_objects_total);
-    int slot = object_slot[static_cast<size_t>(object)];
+  for (const Action& action : candidates.actions) {
+    CROWDRL_CHECK(action.object >= 0 &&
+                  static_cast<size_t>(action.object) < num_objects_total);
+    int& slot = object_slot[static_cast<size_t>(action.object)];
     if (slot < 0) {
-      slot = static_cast<int>(per_object.size());
-      object_slot[static_cast<size_t>(object)] = slot;
-      per_object.emplace_back(static_cast<size_t>(k));
-      object_ids.push_back(object);
+      slot = static_cast<int>(object_ids.size());
+      object_ids.push_back(action.object);
     }
-    per_object[static_cast<size_t>(slot)].Push(candidates.scores[idx], idx);
   }
-
-  // Objects with the largest top-k sums ("MinHeap algorithm").
-  TopK<size_t> best_objects(static_cast<size_t>(num_objects_to_pick));
-  for (size_t slot = 0; slot < per_object.size(); ++slot) {
-    best_objects.Push(per_object[slot].ScoreSum(), slot);
+  SlotTopK<size_t> per_object;
+  per_object.Reset(object_ids.size(), static_cast<size_t>(k));
+  for (size_t idx = 0; idx < candidates.actions.size(); ++idx) {
+    const size_t object = static_cast<size_t>(candidates.actions[idx].object);
+    per_object.Push(static_cast<size_t>(object_slot[object]),
+                    candidates.scores[idx], idx);
   }
-
-  std::vector<Assignment> assignments;
-  for (auto& scored_slot : best_objects.TakeSortedDescending()) {
-    size_t slot = scored_slot.second;
-    Assignment assignment;
-    assignment.object = object_ids[slot];
-    for (auto& scored_idx : per_object[slot].TakeSortedDescending()) {
-      size_t idx = scored_idx.second;
-      assignment.annotators.push_back(candidates.actions[idx].annotator);
-      chosen_indices->push_back(idx);
-    }
-    assignments.push_back(std::move(assignment));
+  std::vector<double> sums(object_ids.size());
+  for (size_t slot = 0; slot < sums.size(); ++slot) {
+    sums[slot] = per_object.ScoreSum(slot);
   }
-  return assignments;
+  return AssignBestSlots(per_object, sums, object_ids, num_objects_to_pick,
+                         candidates.actions, chosen_indices);
 }
 
 std::vector<Assignment> DqnAgent::SelectBatch(
@@ -633,6 +667,9 @@ std::vector<Assignment> DqnAgent::SelectGated(
   pruner_.BeginIteration(score_cache_);
   const size_t train_steps = q_network_.train_steps();
   const double neg_inf = -std::numeric_limits<double>::infinity();
+  ThreadPool* const pool = q_network_.inference_pool();
+  size_t num_affordable = 0;
+  for (bool a : annotator_affordable) num_affordable += a ? 1 : 0;
 
   // Exploration bonus: per pair exact, in closed form from current counts
   // (the same expression as Score's, so exact scores reproduce full
@@ -703,8 +740,6 @@ std::vector<Assignment> DqnAgent::SelectGated(
                         static_cast<size_t>(k) *
                             static_cast<size_t>(num_objects_to_pick) * 8)) *
         pruner_.boost();
-    size_t num_affordable = 0;
-    for (bool a : annotator_affordable) num_affordable += a ? 1 : 0;
     const size_t objects_needed =
         std::min(static_cast<size_t>(num_objects_to_pick), live_unlabelled);
     size_t covered_objects = 0;
@@ -720,72 +755,159 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
   }
 
-  // The iteration's candidates: the expanded buckets' valid pairs in
-  // ascending (object, annotator) order — the order full scoring
-  // enumerates in. An object's candidates all live in one bucket, so each
-  // per-object top-k sees the identical push sequence as full scoring and
-  // heap tie-breaks cannot diverge. Exact raw Q values are kept alongside
-  // (no training runs inside an iteration, so they stay valid and no pair
-  // is ever forwarded twice).
-  std::vector<Action> pairs;
-  std::vector<double> bonus;
-  std::vector<double> raw;
-  std::vector<uint8_t> is_exact;
-  std::vector<double> ub;
+  // The iteration's candidates (GateCandidates). An object's candidates all
+  // live in one bucket, so each per-object top-k sees the identical push
+  // sequence as full scoring and heap tie-breaks cannot diverge. Exact raw
+  // Q values are kept alongside (no training runs inside an iteration, so
+  // they stay valid and no pair is ever forwarded twice).
+  //
+  // Every per-pair loop below runs in chunks on the Q forward's pool, and
+  // nothing it computes depends on the lane count: chunks write only their
+  // own indices, counts are summed as integers, the shortlist cut ranks by
+  // one total order, and whatever moves alpha/beta (tile violations, the
+  // pruner's move replay) or ranks objects runs serially in pair and
+  // object order.
+  GateCandidates& cand = gate_;
+  cand.run_object.clear();  // A fresh list: nothing to carry over.
+  cand.run_begin.assign(1, 0);
   size_t exact_count = 0;
   const auto enumerate = [&]() {
-    std::vector<Action> next;
+    CROWDRL_TRACE_SPAN("agent.enumerate");
+    // Unlabelled objects of the expanded buckets, ascending, and their
+    // valid-pair counts: the affordable annotators that have not answered.
+    std::vector<int> objects;
     for (size_t b = 0; b < num_buckets; ++b) {
       if (!expanded[b]) continue;
       const auto [begin, end] = hierarchy_.BucketRange(b);
-      AppendValidPairs(view, annotator_affordable, begin, end, &next);
-    }
-    // Carry the exact scores over: the previous set is an ordered subset.
-    std::vector<double> next_raw(next.size(), 0.0);
-    std::vector<uint8_t> next_exact(next.size(), 0);
-    for (size_t i = 0, old = 0; i < next.size() && old < pairs.size(); ++i) {
-      if (next[i] == pairs[old]) {
-        next_raw[i] = raw[old];
-        next_exact[i] = is_exact[old];
-        ++old;
+      for (size_t i = begin; i < end; ++i) {
+        if (!(*view.labelled)[i]) objects.push_back(static_cast<int>(i));
       }
     }
-    pairs = std::move(next);
-    raw = std::move(next_raw);
-    is_exact = std::move(next_exact);
-    bonus.assign(pairs.size(), 0.0);
-    if (ucb) {
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        const Action& a = pairs[idx];
-        int n = selection_counts_.Get(a.object, a.annotator);
-        bonus[idx] = options_.ucb_c *
-                     std::sqrt(log_term / (static_cast<double>(n) + 1.0));
+    std::vector<size_t> counts(objects.size(), num_affordable);
+    const auto count_valid = [&](size_t, size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) {
+        for (const auto& entry : view.answers->AnswersFor(objects[t])) {
+          if (annotator_affordable[static_cast<size_t>(entry.first)]) {
+            --counts[t];
+          }
+        }
       }
+    };
+    ForEachChunk(pool, EvenChunks(objects.size(), pool, kGateMinObjects),
+                 count_valid);
+    std::vector<int> run_object;
+    std::vector<size_t> run_begin{0};
+    for (size_t t = 0; t < objects.size(); ++t) {
+      if (counts[t] == 0) continue;
+      run_object.push_back(objects[t]);
+      run_begin.push_back(run_begin.back() + counts[t]);
     }
+    // Chunks: even pair ranges, each moved up to the next run boundary.
+    const size_t total = run_begin.back();
+    cand.chunk_runs.assign(1, 0);
+    for (size_t bound : EvenChunks(total, pool, kGateMinChunk)) {
+      const size_t run = static_cast<size_t>(
+          std::lower_bound(run_begin.begin(), run_begin.end(), bound) -
+          run_begin.begin());
+      if (run > cand.chunk_runs.back()) cand.chunk_runs.push_back(run);
+    }
+    cand.chunk_pairs.clear();
+    for (size_t run : cand.chunk_runs) {
+      cand.chunk_pairs.push_back(run_begin[run]);
+    }
+
+    // Pairs and bonuses are rewritten in place; exact scores go to the
+    // spare buffers, since the previous list's must be read meanwhile.
+    cand.pairs.resize(total);
+    cand.bonus.resize(total);
+    gate_raw_spare_.resize(total);
+    gate_exact_spare_.resize(total);
+    ForEachChunk(pool, cand.chunk_runs, [&](size_t, size_t r0, size_t r1) {
+      // The previous list is an ordered subset with identical runs: carry
+      // each object's exact scores over from its old run.
+      size_t old = static_cast<size_t>(
+          std::lower_bound(cand.run_object.begin(), cand.run_object.end(),
+                           run_object[r0]) -
+          cand.run_object.begin());
+      for (size_t r = r0; r < r1; ++r) {
+        const int object = run_object[r];
+        size_t at = run_begin[r];
+        for (size_t j = 0; j < episode_annotators_; ++j) {
+          if (!annotator_affordable[j] ||
+              view.answers->HasAnswer(object, static_cast<int>(j))) {
+            continue;
+          }
+          cand.pairs[at] = {object, static_cast<int>(j)};
+          cand.bonus[at] =
+              ucb ? options_.ucb_c *
+                        std::sqrt(log_term /
+                                  (static_cast<double>(selection_counts_.Get(
+                                       object, static_cast<int>(j))) +
+                                   1.0))
+                  : 0.0;
+          ++at;
+        }
+        CROWDRL_CHECK(at == run_begin[r + 1]);
+        while (old < cand.num_runs() && cand.run_object[old] < object) ++old;
+        const bool carried =
+            old < cand.num_runs() && cand.run_object[old] == object;
+        const size_t from = carried ? cand.run_begin[old] : 0;
+        for (size_t i = 0; i < at - run_begin[r]; ++i) {
+          gate_raw_spare_[run_begin[r] + i] =
+              carried ? cand.raw[from + i] : 0.0;
+          gate_exact_spare_[run_begin[r] + i] =
+              carried ? cand.is_exact[from + i] : 0;
+        }
+      }
+    });
+    cand.raw.swap(gate_raw_spare_);
+    cand.is_exact.swap(gate_exact_spare_);
+    cand.run_object = std::move(run_object);
+    cand.run_begin = std::move(run_begin);
   };
   enumerate();
+  const auto unscored_indices = [&]() {
+    return GatherIndices<uint32_t>(pool, cand.chunk_pairs, [&](size_t idx) {
+      return !cand.is_exact[idx];
+    });
+  };
 
-  // Exact-scores the listed candidates. With `precheck`, every new exact
-  // score is checked against the bound it was admitted under; a violation
-  // adapts alpha/beta (tile records first, then the per-pair entries) and
-  // the count is returned so the caller re-bounds.
+  // Exact-scores the listed candidates (ascending indices). With
+  // `precheck`, every new exact score is checked against the bound it was
+  // admitted under; a violation adapts alpha/beta (tile records first, then
+  // the per-pair entries) and the count is returned so the caller
+  // re-bounds.
   const auto score_exact = [&](const std::vector<uint32_t>& batch,
                                bool precheck) -> size_t {
-    std::vector<Action> actions;
-    std::vector<double> batch_ub;
-    std::vector<double> batch_bonus;
-    actions.reserve(batch.size());
-    for (uint32_t idx : batch) {
-      actions.push_back(pairs[idx]);
-      if (precheck) {
-        batch_ub.push_back(ub[idx]);
-        batch_bonus.push_back(bonus[idx]);
-      }
+    const std::vector<size_t> chunks =
+        EvenChunks(batch.size(), pool, kGateMinChunk);
+    std::vector<Action>& actions = gate_actions_;
+    std::vector<double>& batch_ub = gate_batch_ub_;
+    std::vector<double>& batch_bonus = gate_batch_bonus_;
+    actions.resize(batch.size());
+    batch_ub.resize(precheck ? batch.size() : 0);
+    batch_bonus.resize(precheck ? batch.size() : 0);
+    {
+      CROWDRL_TRACE_SPAN("agent.prune_record");
+      ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          actions[s] = cand.pairs[batch[s]];
+          if (precheck) {
+            batch_ub[s] = cand.ub[batch[s]];
+            batch_bonus[s] = cand.bonus[batch[s]];
+          }
+        }
+      });
     }
-    std::vector<double> q = ExactQ(actions);
+    const std::vector<double> q = ExactQ(actions);
     hier_stats_.scored_pairs += actions.size();
-    for (size_t s = 0; precheck && s < actions.size(); ++s) {
-      if (q[s] + batch_bonus[s] > batch_ub[s]) {
+    CROWDRL_TRACE_SPAN("agent.prune_record");
+    if (precheck) {
+      // Serial, in pair order: each violation may move alpha/beta.
+      for (uint32_t s : GatherIndices<uint32_t>(
+               pool, chunks, [&](size_t s) {
+                 return q[s] + batch_bonus[s] > batch_ub[s];
+               })) {
         hierarchy_.ObserveTileViolation(
             hierarchy_.BucketOf(actions[s].object),
             hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
@@ -794,11 +916,14 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
     const size_t violations = pruner_.RecordExact(
         score_cache_, train_steps, actions, q,
-        precheck ? &batch_ub : nullptr, precheck ? &batch_bonus : nullptr);
-    for (size_t s = 0; s < batch.size(); ++s) {
-      raw[batch[s]] = q[s];
-      is_exact[batch[s]] = 1;
-    }
+        precheck ? &batch_ub : nullptr, precheck ? &batch_bonus : nullptr,
+        pool);
+    ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) {
+        cand.raw[batch[s]] = q[s];
+        cand.is_exact[batch[s]] = 1;
+      }
+    });
     exact_count += batch.size();
     return violations;
   };
@@ -835,41 +960,36 @@ std::vector<Assignment> DqnAgent::SelectGated(
       size_t must_score = 0;
       {
         CROWDRL_TRACE_SPAN("agent.prune_bounds");
-        pruner_.UpperBounds(score_cache_, train_steps, pairs, bonus, &ub);
-        for (size_t idx = 0; idx < pairs.size(); ++idx) {
-          const Action& a = pairs[idx];
-          ub[idx] = std::min(
-              ub[idx], hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
-                                            hierarchy_.GroupOf(a.annotator),
-                                            score_cache_, pruner_,
-                                            train_steps, bonus[idx]));
-          if (!is_exact[idx] && std::isinf(ub[idx])) ++must_score;
-        }
+        cand.ub.resize(cand.size());
+        std::vector<size_t> must(cand.chunk_pairs.size(), 0);
+        const auto bound = [&](size_t c, size_t begin, size_t end) {
+          pruner_.UpperBounds(score_cache_, train_steps, cand.pairs,
+                              cand.bonus, begin, end, &cand.ub);
+          size_t chunk_must = 0;
+          for (size_t idx = begin; idx < end; ++idx) {
+            const Action& a = cand.pairs[idx];
+            cand.ub[idx] = std::min(
+                cand.ub[idx],
+                hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
+                                     hierarchy_.GroupOf(a.annotator),
+                                     score_cache_, pruner_, train_steps,
+                                     cand.bonus[idx]));
+            if (!cand.is_exact[idx] && std::isinf(cand.ub[idx])) ++chunk_must;
+          }
+          must[c] = chunk_must;
+        };
+        ForEachChunk(pool, cand.chunk_pairs, bound);
+        for (size_t m : must) must_score += m;
       }
       std::vector<uint32_t> shortlist;
       {
         CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-        const size_t unscored = pairs.size() - exact_count;
-        const size_t size = pruner_.ShortlistSize(pairs.size(), must_score);
-        if (size >= unscored) {
-          for (size_t idx = 0; idx < pairs.size(); ++idx) {
-            if (!is_exact[idx]) shortlist.push_back(static_cast<uint32_t>(idx));
-          }
-        } else {
-          // Reused scratch: Reset keeps the heap and sort buffers' capacity
-          // across rounds, so the cut allocates nothing once warm.
-          shortlist_topk_.Reset(size);
-          for (size_t idx = 0; idx < pairs.size(); ++idx) {
-            if (!is_exact[idx]) {
-              shortlist_topk_.Push(ub[idx], static_cast<uint32_t>(idx));
-            }
-          }
-          shortlist_topk_.TakeSortedDescendingInto(&shortlist_scratch_);
-          for (const auto& entry : shortlist_scratch_) {
-            shortlist.push_back(entry.second);
-          }
-          std::sort(shortlist.begin(), shortlist.end());
-        }
+        const size_t unscored = cand.size() - exact_count;
+        const size_t size = pruner_.ShortlistSize(cand.size(), must_score);
+        shortlist = size >= unscored
+                        ? unscored_indices()
+                        : CutShortlist(pool, cand.chunk_pairs, cand.ub,
+                                       cand.is_exact, size);
       }
       if (!shortlist.empty() && score_exact(shortlist, true) > 0) {
         if (note_violation()) break;
@@ -882,16 +1002,12 @@ std::vector<Assignment> DqnAgent::SelectGated(
       if (hierarchy_.BucketLive(b) && !expanded[b]) unexpanded_live = true;
     }
     // Nothing left to bound: full scoring's answer is already at hand.
-    if (exact_count == pairs.size() && !unexpanded_live) break;
+    if (exact_count == cand.size() && !unexpanded_live) break;
 
-    std::vector<double> merged(pairs.size());
-    for (size_t idx = 0; idx < pairs.size(); ++idx) {
-      merged[idx] = is_exact[idx] ? raw[idx] + bonus[idx] : ub[idx];
-    }
     {
       CROWDRL_TRACE_SPAN("agent.topk");
-      selection = GatedPickTopKSum(pairs, merged, is_exact, ub, k,
-                                   num_objects_to_pick, episode_objects_);
+      selection = GatedPickTopKSum(pool, cand, k, num_objects_to_pick,
+                                   &object_topk_);
     }
     // Unexpanded-bucket gate: every live unexpanded bucket's best top-k
     // sum — k times its bound when positive, the bound itself otherwise
@@ -926,15 +1042,18 @@ std::vector<Assignment> DqnAgent::SelectGated(
         suspect[static_cast<size_t>(object)] = 1;
       }
       std::vector<uint32_t> batch;
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (!is_exact[idx] && suspect[static_cast<size_t>(pairs[idx].object)]) {
-          batch.push_back(static_cast<uint32_t>(idx));
-        }
+      {
+        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
+        batch = GatherIndices<uint32_t>(
+            pool, cand.chunk_pairs, [&](size_t idx) {
+              return !cand.is_exact[idx] &&
+                     suspect[static_cast<size_t>(cand.pairs[idx].object)];
+            });
       }
       // Nothing to rescore (an exact tie or exact sum collision), or the
       // suspects cover so much of the set that the later rungs are the
       // honest answer.
-      if (!batch.empty() && batch.size() <= pairs.size() / 4) {
+      if (!batch.empty() && batch.size() <= cand.size() / 4) {
         ++suspect_rounds;
         if (score_exact(batch, true) > 0 && note_violation()) break;
         continue;
@@ -951,12 +1070,10 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
     // Rung 3: exact-score the rest of the expanded set, keeping the
     // unexpanded remainder bounded. Without a remainder this is rung 4.
-    if (unexpanded_live && exact_count < pairs.size()) {
-      std::vector<uint32_t> batch;
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
-        if (!is_exact[idx]) batch.push_back(static_cast<uint32_t>(idx));
+    if (unexpanded_live && exact_count < cand.size()) {
+      if (score_exact(unscored_indices(), true) > 0 && note_violation()) {
+        break;
       }
-      if (score_exact(batch, true) > 0 && note_violation()) break;
       continue;
     }
     break;
@@ -967,44 +1084,41 @@ std::vector<Assignment> DqnAgent::SelectGated(
   if (served) {
     assignments = std::move(selection.assignments);
     chosen = std::move(selection.chosen_actions);
-    pruner_.NotePrunedSuccess(exact_count, pairs.size() - exact_count,
+    pruner_.NotePrunedSuccess(exact_count, cand.size() - exact_count,
                               gate_failed);
     ++hier_stats_.gated_iterations;
   } else {
     // Rung 4: exact-score every live pair. The candidate list and scores
-    // are then exactly Score()'s, so PickTopKSumAssignments selects (and
-    // tie-breaks) exactly as full scoring does.
+    // are then exactly Score()'s, so PickTopKSumAssignments' selection
+    // (and tie-breaks) over them is full scoring's.
     if (gate_failed) note_fallback();
     for (size_t b = 0; b < num_buckets; ++b) {
       if (hierarchy_.BucketLive(b)) expanded[b] = 1;
     }
     enumerate();
-    std::vector<uint32_t> batch;
-    for (size_t idx = 0; idx < pairs.size(); ++idx) {
-      if (!is_exact[idx]) batch.push_back(static_cast<uint32_t>(idx));
-    }
+    const std::vector<uint32_t> batch = unscored_indices();
     if (!batch.empty()) score_exact(batch, false);
-    ScoredCandidates full;
-    full.actions = pairs;
-    full.scores.resize(pairs.size());
-    for (size_t idx = 0; idx < pairs.size(); ++idx) {
-      full.scores[idx] = raw[idx] + bonus[idx];
-    }
     std::vector<size_t> chosen_indices;
     {
       CROWDRL_TRACE_SPAN("agent.topk");
-      assignments = PickTopKSumAssignments(
-          full, k, num_objects_to_pick, episode_objects_, &chosen_indices);
+      std::vector<double> sums;
+      FillObjectTopK(
+          pool, cand, k,
+          [&](size_t idx) { return cand.raw[idx] + cand.bonus[idx]; },
+          &object_topk_, &sums);
+      assignments =
+          AssignBestSlots(object_topk_, sums, cand.run_object,
+                          num_objects_to_pick, cand.pairs, &chosen_indices);
     }
-    for (size_t idx : chosen_indices) chosen.push_back(pairs[idx]);
+    for (size_t idx : chosen_indices) chosen.push_back(cand.pairs[idx]);
     pruner_.NoteFullPass();
     ++hier_stats_.full_fallbacks;
   }
 
   CommitActions(chosen);
-  hier_stats_.enumerated_pairs += pairs.size();
+  hier_stats_.enumerated_pairs += cand.size();
   for (uint8_t e : expanded) hier_stats_.expanded_buckets += e;
-  RecordPruneMetrics(pruner_, &prune_metrics_seen_, pairs.size(),
+  RecordPruneMetrics(pruner_, &prune_metrics_seen_, cand.size(),
                      exact_count);
   return assignments;
 }

@@ -57,8 +57,9 @@ struct DqnAgentOptions {
   /// feature mask set) is built in parallel chunks. SelectBatch never
   /// featurizes the grid — untiled it scores through the factorized head
   /// and assembles only the committed rows, tiled it assembles shortlist
-  /// rows inside the Q forward on `q.threads` — so an agent driven by
-  /// SelectBatch on the factorized head never dispatches here. 1 (the
+  /// rows inside the Q forward and runs the gate's per-pair loops, both on
+  /// `q.threads` — so an agent driven by SelectBatch on the factorized
+  /// head never dispatches here. 1 (the
   /// default) runs the serial path; every feature row depends only on its
   /// own (object, annotator), so results are bit-identical at any thread
   /// count.
@@ -122,6 +123,32 @@ struct ScoredCandidates {
   Matrix features;
   /// Q(S, A) plus the exploration bonus when the mode adds one.
   std::vector<double> scores;
+};
+
+/// The gated engine's candidate list (DqnAgent::SelectBatch on tiled
+/// grids): the expanded buckets' valid pairs in ascending (object,
+/// annotator) order — the order full scoring enumerates in — with each
+/// pair's exploration bonus, exact raw Q (where `is_exact`) and upper bound
+/// at the same index. One object's pairs form one run, and chunks are
+/// whole runs, so every per-object loop can run chunk-parallel. The agent
+/// keeps it between selections so its arrays stay allocated.
+struct GateCandidates {
+  std::vector<Action> pairs;
+  std::vector<double> bonus;
+  std::vector<double> raw;
+  std::vector<uint8_t> is_exact;
+  std::vector<double> ub;
+  std::vector<int> run_object;      ///< Object of each run, ascending.
+  std::vector<size_t> run_begin;    ///< Run r: pairs [run_begin[r], [r + 1]).
+  std::vector<size_t> chunk_runs;   ///< Chunk c: runs [chunk_runs[c], [c + 1])
+  std::vector<size_t> chunk_pairs;  ///< = pairs [chunk_pairs[c], [c + 1]).
+
+  size_t size() const { return pairs.size(); }
+  size_t num_runs() const { return run_object.size(); }
+  /// The selection score: exact where scored, the upper bound elsewhere.
+  double Merged(size_t idx) const {
+    return is_exact[idx] ? raw[idx] + bonus[idx] : ub[idx];
+  }
 };
 
 /// \brief The Agent of CrowdRL (Section IV): scores every valid
@@ -343,11 +370,18 @@ class DqnAgent {
   /// million-object episode only pays for the ranges selection touches.
   PairCounts selection_counts_;
   size_t total_selections_ = 0;
-  /// Reusable scratch for the shortlist top-M cut (the gated engine runs
-  /// it every bounding round; per-call heap allocation showed up on the
-  /// selection hot path).
-  TopK<uint32_t> shortlist_topk_;
-  std::vector<std::pair<double, uint32_t>> shortlist_scratch_;
+  /// Working set of the gated engine, reused across selections so that
+  /// steady-state selections write into resident buffers: the candidate
+  /// list; the spare exact-score buffers enumeration fills while it reads
+  /// the previous list's; the batch being exact-scored; and the
+  /// per-object top-k slots (one flat buffer, not one heap per object).
+  GateCandidates gate_;
+  std::vector<double> gate_raw_spare_;
+  std::vector<uint8_t> gate_exact_spare_;
+  std::vector<Action> gate_actions_;
+  std::vector<double> gate_batch_ub_;
+  std::vector<double> gate_batch_bonus_;
+  SlotTopK<size_t> object_topk_;
   std::vector<std::vector<double>> pending_;  // Executed pairs' features.
   uint64_t rows_featurized_ = 0;  // Diagnostic; bumped serially post-dispatch.
 };

@@ -59,7 +59,8 @@ struct HierarchyOptions {
 /// layers' bounds loosen together when the network drifts fast.
 ///
 /// Storage is O(num_buckets x num_groups) — ~8k tiles for 1M x 1k —
-/// never O(pairs). Not thread-safe; owned and driven by one DqnAgent.
+/// never O(pairs). Owned and driven by one DqnAgent; the const bound
+/// queries may run concurrently (the gate's chunked bounds pass).
 class BucketHierarchy {
  public:
   void Reset(size_t num_objects, size_t num_annotators,

@@ -86,6 +86,13 @@ class PairShardMap {
     return shards_[shard].get();
   }
 
+  /// A shard that already exists, for writers that must not create one
+  /// (several threads may hold distinct pairs of it at once).
+  Shard* GetShardMutable(size_t shard) {
+    CROWDRL_CHECK(shard < shards_.size() && shards_[shard] != nullptr);
+    return shards_[shard].get();
+  }
+
   Shard* GetOrCreateShard(size_t shard) {
     CROWDRL_CHECK(shard < shards_.size());
     return GetOrCreate(shard * shard_objects_);

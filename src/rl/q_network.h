@@ -98,6 +98,10 @@ class QNetwork {
 
   size_t train_steps() const { return train_steps_; }
 
+  /// The inference pool (QNetworkOptions::threads lanes), or null when
+  /// serial. The agent's tiled selection runs its per-pair loops on it too.
+  ThreadPool* inference_pool() const { return pool_.get(); }
+
   /// Parameter transfer for offline pre-training ("cross training
   /// methodology", Section VI-A4); also resets the target network.
   std::vector<double> FlatParameters() const;

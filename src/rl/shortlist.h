@@ -8,6 +8,7 @@
 #include "rl/action.h"
 #include "rl/pair_shards.h"
 #include "rl/score_cache.h"
+#include "util/thread_pool.h"
 
 namespace crowdrl::rl {
 
@@ -61,7 +62,8 @@ struct ShortlistOptions {
 /// scoring, the resumed run reproduces the uninterrupted run's
 /// assignments bit for bit.
 ///
-/// Not thread-safe; owned and driven by one DqnAgent.
+/// Owned and driven by one DqnAgent. The const bound queries may run
+/// concurrently; RecordExact spreads its own work over a pool it is handed.
 class ShortlistPruner {
  public:
   struct Stats {
@@ -111,6 +113,14 @@ class ShortlistPruner {
                      const std::vector<double>& bonus,
                      std::vector<double>* ub) const;
 
+  /// Range form for chunked callers: fills (*ub)[i] for i in [begin, end)
+  /// only (`ub` already holds pairs.size() entries) and returns the
+  /// range's +infinity count. Disjoint ranges may run concurrently.
+  size_t UpperBounds(const ScoreCache& cache, size_t train_steps,
+                     const std::vector<Action>& pairs,
+                     const std::vector<double>& bonus, size_t begin,
+                     size_t end, std::vector<double>* ub) const;
+
   /// Records exact raw Q values (exploration bonus excluded) for `pairs`,
   /// snapshotting the drift accumulators and train step. When `prior_ub`
   /// is non-null (same indexing as `pairs`, with `bonus`), each rescored
@@ -118,12 +128,22 @@ class ShortlistPruner {
   /// sensitivities adapt to any observed under-estimate. Returns the
   /// number of pairs whose exact score exceeded their prior bound — a
   /// non-zero return means the bounds were unsound this iteration and the
-  /// caller must re-bound before trusting them.
+  /// caller must re-bound before trusting them. `pairs` must be distinct.
+  ///
+  /// With a `pool`, the table writes and the move measurements run in
+  /// chunks on its lanes. Every shard the pairs touch is created before
+  /// that pass. Each chunk keeps only the moves that the call's starting
+  /// sensitivities do not already absorb, and those replay serially in
+  /// pair order. Alpha and beta only grow and the measured flags only get
+  /// set within a call, so a move the starting state absorbs is a no-op
+  /// at every later state too (for finite scores): the result equals the
+  /// serial pass at every lane count.
   size_t RecordExact(const ScoreCache& cache, size_t train_steps,
                      const std::vector<Action>& pairs,
                      const std::vector<double>& raw_q,
                      const std::vector<double>* prior_ub,
-                     const std::vector<double>* bonus);
+                     const std::vector<double>* bonus,
+                     ThreadPool* pool = nullptr);
 
   /// Feeds one externally observed exact-rescore move into the
   /// sensitivity adaptation (the same max-update rule RecordExact
@@ -146,8 +166,8 @@ class ShortlistPruner {
   void NoteGateFallback();
   void NotePrecheckFallback();
 
-  double alpha() const { return alpha_; }
-  double beta() const { return beta_; }
+  double alpha() const { return sensitivity_.alpha; }
+  double beta() const { return sensitivity_.beta; }
   /// Additive slack on every upper bound.
   double margin() const { return kBoundMargin; }
   size_t boost() const { return boost_; }
@@ -156,6 +176,20 @@ class ShortlistPruner {
 
  private:
   static constexpr double kBoundMargin = 1e-6;
+
+  /// Drift sensitivities (running maxima with 2x headroom, decayed), and
+  /// whether each has measured a move yet.
+  struct Sensitivity {
+    double alpha = 1.0;
+    double beta = 0.0;
+    bool drift_measured = false;
+    bool ticks_measured = false;
+    bool operator==(const Sensitivity&) const = default;
+  };
+
+  /// The sensitivities after observing one move (ObserveMove's rule).
+  static Sensitivity ApplyMove(Sensitivity s, double dq, double drift,
+                               double ticks);
 
   /// One object range's stale entries; allocated on first rescore into
   /// the range (see PairShardMap).
@@ -179,12 +213,7 @@ class ShortlistPruner {
 
   PairShardMap<TableShard> table_;
 
-  // Drift sensitivities (running maxima with 2x headroom, decayed), and
-  // whether each has measured a move yet.
-  double alpha_ = 1.0;
-  double beta_ = 0.0;
-  bool drift_measured_ = false;
-  bool ticks_measured_ = false;
+  Sensitivity sensitivity_;
   // Shortlist-size multiplier: doubled on gate fallback, halved after a
   // streak of gated successes.
   size_t boost_ = 1;
@@ -195,6 +224,18 @@ class ShortlistPruner {
 
   Stats stats_;
 };
+
+/// The shortlist cut: the `size` candidates that are not yet exact and
+/// come first in one total order, upper bound descending and then index
+/// ascending (a NaN bound ranks with +infinity), returned in ascending
+/// index order. `size` must be below the count of such candidates. Runs
+/// in the given chunks of [0, ub.size()) on `pool`; the total order makes
+/// the result independent of the chunking.
+std::vector<uint32_t> CutShortlist(ThreadPool* pool,
+                                   const std::vector<size_t>& chunks,
+                                   const std::vector<double>& ub,
+                                   const std::vector<uint8_t>& is_exact,
+                                   size_t size);
 
 }  // namespace crowdrl::rl
 

@@ -138,6 +138,21 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   dispatching_.store(false, std::memory_order_release);
 }
 
+std::vector<size_t> EvenChunks(size_t n, const ThreadPool* pool,
+                               size_t min_chunk) {
+  constexpr size_t kChunksPerLane = 4;
+  size_t chunk = n;
+  if (pool != nullptr && pool->num_threads() > 1) {
+    const size_t parts = static_cast<size_t>(pool->num_threads()) *
+                         kChunksPerLane;
+    chunk = std::max(std::max<size_t>(min_chunk, 1), (n + parts - 1) / parts);
+  }
+  std::vector<size_t> bounds{0};
+  for (size_t at = chunk; at < n; at += chunk) bounds.push_back(at);
+  bounds.push_back(n);
+  return bounds;
+}
+
 void ThreadPool::WorkerLoop() {
   uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);

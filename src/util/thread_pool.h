@@ -84,6 +84,57 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs `fn(chunk, chunk_begin, chunk_end)` once for every chunk
+/// [bounds[c], bounds[c + 1]) of a caller-chosen partition: on `pool`'s
+/// lanes, or inline in chunk order when `pool` is null. A chunk that
+/// writes only outputs chosen by its own indices, plus per-chunk slots
+/// the caller reduces in chunk order, gives the same result at every lane
+/// count.
+template <typename Fn>
+void ForEachChunk(ThreadPool* pool, const std::vector<size_t>& bounds,
+                  Fn&& fn) {
+  if (bounds.size() < 2) return;
+  const auto run = [&](size_t c0, size_t c1) {
+    for (size_t c = c0; c < c1; ++c) fn(c, bounds[c], bounds[c + 1]);
+  };
+  if (pool == nullptr) {
+    run(0, bounds.size() - 1);
+  } else {
+    pool->ParallelFor(0, bounds.size() - 1, 1, run);
+  }
+}
+
+/// Bounds of [0, n) split into about four chunks per lane of `pool`, none
+/// smaller than `min_chunk` (the last may be); one chunk without a pool.
+/// Always starts with 0 and ends with n.
+std::vector<size_t> EvenChunks(size_t n, const ThreadPool* pool,
+                               size_t min_chunk);
+
+/// The indices i in [bounds.front(), bounds.back()) with keep(i),
+/// ascending: each chunk counts its own, then writes them at its prefix
+/// offset.
+template <typename Index, typename Keep>
+std::vector<Index> GatherIndices(ThreadPool* pool,
+                                 const std::vector<size_t>& bounds,
+                                 Keep&& keep) {
+  if (bounds.size() < 2) return {};
+  std::vector<size_t> offsets(bounds.size(), 0);
+  ForEachChunk(pool, bounds, [&](size_t c, size_t begin, size_t end) {
+    size_t count = 0;
+    for (size_t i = begin; i < end; ++i) count += keep(i) ? 1 : 0;
+    offsets[c + 1] = count;
+  });
+  for (size_t c = 1; c < offsets.size(); ++c) offsets[c] += offsets[c - 1];
+  std::vector<Index> out(offsets.back());
+  ForEachChunk(pool, bounds, [&](size_t c, size_t begin, size_t end) {
+    size_t at = offsets[c];
+    for (size_t i = begin; i < end; ++i) {
+      if (keep(i)) out[at++] = static_cast<Index>(i);
+    }
+  });
+  return out;
+}
+
 }  // namespace crowdrl
 
 #endif  // CROWDRL_UTIL_THREAD_POOL_H_

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -20,20 +19,6 @@ template <typename T>
 class TopK {
  public:
   explicit TopK(size_t k) : k_(k) { CROWDRL_CHECK(k > 0); }
-
-  /// Scratch form: default-construct once, Reset(k) per use. The heap
-  /// buffer is retained across Resets, so steady-state selections allocate
-  /// nothing (see Reset/TakeSortedDescendingInto).
-  TopK() : k_(1) {}
-
-  /// Rebinds the selector to a fresh size-k selection, keeping the
-  /// already-grown heap capacity. Pair with TakeSortedDescendingInto to
-  /// make repeated top-k passes allocation-free.
-  void Reset(size_t k) {
-    CROWDRL_CHECK(k > 0);
-    k_ = k;
-    heap_.clear();
-  }
 
   /// Offers one candidate; kept iff it beats the current k-th best.
   void Push(double score, T item) {
@@ -72,27 +57,73 @@ class TopK {
     return out;
   }
 
-  /// Caller-buffer form of TakeSortedDescending: moves the retained items
-  /// into `out` (overwritten; its capacity is reused) and keeps this
-  /// selector's heap buffer for the next Reset. Same ordering as
-  /// TakeSortedDescending.
-  void TakeSortedDescendingInto(std::vector<std::pair<double, T>>* out) {
-    CROWDRL_DCHECK(out != nullptr);
-    out->clear();
-    out->insert(out->end(), std::make_move_iterator(heap_.begin()),
-                std::make_move_iterator(heap_.end()));
-    heap_.clear();
-    std::sort(out->begin(), out->end(), GreaterScore);
-  }
-
- private:
   static bool GreaterScore(const std::pair<double, T>& a,
                            const std::pair<double, T>& b) {
     return a.first > b.first;
   }
 
+ private:
   size_t k_;
   std::vector<std::pair<double, T>> heap_;
+};
+
+/// \brief Many independent top-k selections in one flat buffer: slot s
+/// owns entries [s * k, s * k + size(s)).
+///
+/// Push applies TopK's rule and heap order to one slot, so a slot's
+/// ScoreSum and sorted extraction equal those of a TopK fed the same
+/// sequence, bit for bit. Slots share no state: different slots may be
+/// pushed from different threads. Reset keeps the buffer's capacity, so a
+/// reused selector allocates nothing once warm.
+template <typename T>
+class SlotTopK {
+ public:
+  /// Rebinds to `slots` empty selections of size k.
+  void Reset(size_t slots, size_t k) {
+    CROWDRL_CHECK(k > 0);
+    k_ = k;
+    entries_.resize(slots * k);
+    sizes_.assign(slots, 0);
+  }
+
+  void Push(size_t slot, double score, T item) {
+    std::pair<double, T>* heap = &entries_[slot * k_];
+    size_t& size = sizes_[slot];
+    if (size < k_) {
+      heap[size++] = {score, std::move(item)};
+      std::push_heap(heap, heap + size, TopK<T>::GreaterScore);
+      return;
+    }
+    if (score <= heap[0].first) return;
+    std::pop_heap(heap, heap + k_, TopK<T>::GreaterScore);
+    heap[k_ - 1] = {score, std::move(item)};
+    std::push_heap(heap, heap + k_, TopK<T>::GreaterScore);
+  }
+
+  size_t size(size_t slot) const { return sizes_[slot]; }
+
+  /// Sum of the slot's retained scores, in TopK::ScoreSum's order.
+  double ScoreSum(size_t slot) const {
+    const std::pair<double, T>* heap = &entries_[slot * k_];
+    double sum = 0.0;
+    for (size_t e = 0; e < sizes_[slot]; ++e) sum += heap[e].first;
+    return sum;
+  }
+
+  /// The slot's retained items, best score first (TopK's order); `out` is
+  /// overwritten and its capacity reused.
+  void SortedDescendingInto(size_t slot,
+                            std::vector<std::pair<double, T>>* out) const {
+    CROWDRL_DCHECK(out != nullptr);
+    const std::pair<double, T>* heap = &entries_[slot * k_];
+    out->assign(heap, heap + sizes_[slot]);
+    std::sort(out->begin(), out->end(), TopK<T>::GreaterScore);
+  }
+
+ private:
+  size_t k_ = 1;
+  std::vector<std::pair<double, T>> entries_;
+  std::vector<size_t> sizes_;
 };
 
 }  // namespace crowdrl

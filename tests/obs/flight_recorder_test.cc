@@ -60,6 +60,21 @@ TEST_F(FlightRecorderTest, WraparoundKeepsNewestCapacityEvents) {
   }
 }
 
+// A requested size that is not a power of two rounds up, so appends can
+// mask the index: the ring, and the capacity the dump records, is the next
+// power of two, and wraparound keeps exactly that many newest events.
+TEST_F(FlightRecorderTest, CapacityRoundsUpToAPowerOfTwo) {
+  FlightRecorder& rec = FlightRecorder::Get();
+  rec.Configure(5);
+  EXPECT_EQ(rec.capacity(), 8u);
+  for (uint64_t i = 0; i < 21; ++i) {
+    rec.Append(FlightEventType::kCheckpoint, 0, /*a=*/i);
+  }
+  std::vector<FlightEventRecord> events = rec.OrderedEvents();
+  ASSERT_EQ(events.size(), 8u);
+  for (size_t i = 0; i < events.size(); ++i) EXPECT_EQ(events[i].a, 13 + i);
+}
+
 TEST_F(FlightRecorderTest, ScopeRegistrationIsIdempotentAndBounded) {
   FlightRecorder& rec = FlightRecorder::Get();
   rec.Configure(8);

@@ -9,10 +9,16 @@
 //    fallback, through the end of an episode;
 //  - the bucket x group tiling's bookkeeping: ranges, liveness, tile
 //    records, bound monotonicity, invalidation on cache rebuild;
-//  - the default hier_min_pairs threshold keeps small grids untiled.
+//  - the default hier_min_pairs threshold keeps small grids untiled;
+//  - the gate's per-pair loops run in chunks on the Q pool, so a churned
+//    tiled run selects, counts, adapts and checkpoints identically at 1,
+//    2 and 4 lanes;
+//  - at the pruned-selection micro row's shape (2048 x 40 in 64 x 8
+//    tiles, 4 lanes) the gated agent equals full scoring every iteration.
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +26,7 @@
 #include "rl/dqn_agent.h"
 #include "rl/hierarchy.h"
 #include "rl/score_cache.h"
+#include "io/serializer.h"
 #include "rl/shortlist.h"
 #include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
@@ -131,6 +138,145 @@ TEST(HierarchicalSelectionTest, SmallGridStaysOnFlatPathByDefault) {
   agent.SelectBatch(s.View(), /*k=*/2, /*num_objects_to_pick=*/3,
                     s.affordable);
   EXPECT_EQ(agent.hier_stats().iterations, 0u);
+}
+
+// Everything one tiled run leaves behind that the lane count could touch.
+struct LaneRun {
+  std::vector<std::vector<Assignment>> selections;
+  std::vector<double> alpha;  // After every selection.
+  std::vector<double> beta;
+  DqnAgent::HierStats hier;
+  ShortlistPruner::Stats prune;
+  std::string state;  // SaveState bytes at the end.
+};
+
+// One churned tiled run on an 8 x 1024-object x 16-annotator grid: the
+// descent starts from one 1024-object bucket, and ladder expansions and
+// full fallbacks grow candidate lists to several buckets, which split into
+// several chunks at 2 and 4 lanes. Shortlist cuts, rung-1 suspect batches,
+// recovered gates and full fallbacks all occur.
+LaneRun RunTiledAtLanes(int lanes) {
+  testing::LockstepConfig config;
+  config.objects = 8 * 1024;
+  config.annotators = 16;
+  config.tiled = true;
+  config.bucket = 1024;
+  config.group = 4;
+  config.shortlist = 4096;
+  config.threads = lanes;
+  Scenario s(/*seed=*/4409, /*twins=*/false, config.objects,
+             config.annotators);
+  DqnAgent agent(testing::LockstepOptions(config));
+  agent.BeginEpisode(config.objects, config.annotators);
+  LaneRun run;
+  for (int iter = 0; iter < 12; ++iter) {
+    if (iter % 2 == 1) s.NudgeProbs();
+    if (iter % 5 == 4) s.NudgeQuality();
+    s.budget_fraction = std::max(0.0, s.budget_fraction - 0.02);
+    if (s.rng.Bernoulli(0.3)) {
+      const int j = s.rng.UniformInt(static_cast<int>(config.annotators));
+      s.affordable[static_cast<size_t>(j)] =
+          !s.affordable[static_cast<size_t>(j)];
+      if (!s.affordable[static_cast<size_t>(j)]) {
+        agent.NoteAnnotatorDisconnected(j);
+      }
+    }
+    for (int labels = s.rng.UniformInt(64); labels > 0; --labels) {
+      s.labelled[static_cast<size_t>(
+          s.rng.UniformInt(static_cast<int>(config.objects)))] = true;
+    }
+    const int k = 1 + s.rng.UniformInt(3);
+    const int picks = 1 + s.rng.UniformInt(8);
+    run.selections.push_back(
+        agent.SelectBatch(s.View(), k, picks, s.affordable));
+    run.alpha.push_back(agent.shortlist_pruner().alpha());
+    run.beta.push_back(agent.shortlist_pruner().beta());
+    for (const Assignment& assignment : run.selections.back()) {
+      for (int j : assignment.annotators) {
+        s.answers.Record(assignment.object, j,
+                         s.rng.UniformInt(Scenario::kClasses));
+      }
+    }
+    s.fraction_labelled = std::min(1.0, s.fraction_labelled + 0.01);
+    agent.Observe(s.rng.Uniform(), s.View(), s.affordable,
+                  /*terminal=*/false);
+  }
+  run.hier = agent.hier_stats();
+  run.prune = agent.shortlist_pruner().stats();
+  io::Writer writer;
+  agent.SaveState(&writer);
+  run.state = writer.bytes();
+  return run;
+}
+
+TEST(GateLaneInvarianceTest, TiledRunIsIdenticalAtOneTwoAndFourLanes) {
+  const LaneRun serial = RunTiledAtLanes(1);
+  // Not vacuous: the gate served selections with bounded rows skipped,
+  // failed and recovered, and fell back to full scoring at least once.
+  EXPECT_GT(serial.hier.gated_iterations, 0u);
+  EXPECT_GT(serial.hier.full_fallbacks, 0u);
+  EXPECT_GT(serial.prune.bounded_rows, 0u);
+  EXPECT_GT(serial.prune.gate_fallbacks, 0u);
+  EXPECT_GT(serial.prune.gate_recoveries, 0u);
+  // Candidate lists of several buckets, i.e. several chunks per list.
+  EXPECT_GT(serial.hier.enumerated_pairs,
+            serial.hier.iterations * 2 * 1024 * 16);
+  for (int lanes : {2, 4}) {
+    const LaneRun run = RunTiledAtLanes(lanes);
+    ASSERT_EQ(run.selections.size(), serial.selections.size());
+    for (size_t iter = 0; iter < run.selections.size(); ++iter) {
+      testing::ExpectSameAssignments(run.selections[iter],
+                                     serial.selections[iter],
+                                     static_cast<int>(iter));
+      ASSERT_FALSE(HasFatalFailure()) << "lanes " << lanes;
+    }
+    EXPECT_EQ(run.alpha, serial.alpha) << "lanes " << lanes;
+    EXPECT_EQ(run.beta, serial.beta) << "lanes " << lanes;
+    EXPECT_EQ(run.hier.iterations, serial.hier.iterations);
+    EXPECT_EQ(run.hier.gated_iterations, serial.hier.gated_iterations);
+    EXPECT_EQ(run.hier.full_fallbacks, serial.hier.full_fallbacks);
+    EXPECT_EQ(run.hier.rounds, serial.hier.rounds);
+    EXPECT_EQ(run.hier.scored_pairs, serial.hier.scored_pairs);
+    EXPECT_EQ(run.hier.enumerated_pairs, serial.hier.enumerated_pairs);
+    EXPECT_EQ(run.hier.rep_refreshes, serial.hier.rep_refreshes);
+    EXPECT_EQ(run.hier.expanded_buckets, serial.hier.expanded_buckets);
+    EXPECT_EQ(run.hier.live_buckets, serial.hier.live_buckets);
+    EXPECT_EQ(run.prune.pruned_iterations, serial.prune.pruned_iterations);
+    EXPECT_EQ(run.prune.full_iterations, serial.prune.full_iterations);
+    EXPECT_EQ(run.prune.gate_fallbacks, serial.prune.gate_fallbacks);
+    EXPECT_EQ(run.prune.precheck_fallbacks, serial.prune.precheck_fallbacks);
+    EXPECT_EQ(run.prune.gate_recoveries, serial.prune.gate_recoveries);
+    EXPECT_EQ(run.prune.exact_rows, serial.prune.exact_rows);
+    EXPECT_EQ(run.prune.bounded_rows, serial.prune.bounded_rows);
+    EXPECT_TRUE(run.state == serial.state) << "lanes " << lanes;
+  }
+}
+
+// The pruned-selection row of bench/micro_components' BENCH_scoring.json
+// as a test: its 2048 x 40 grid in 64 x 8 tiles with the auto shortlist,
+// the gated agent against a full-scoring twin every iteration (and against
+// its own full scoring every second one), on 4 lanes, across a
+// checkpoint/restore.
+TEST(HierarchicalSelectionTest, MicroRowShapeMatchesFullScoringOnFourLanes) {
+  testing::LockstepOutcome outcome;
+  testing::LockstepConfig config;
+  config.objects = 2048;
+  config.annotators = 40;
+  config.tiled = true;
+  config.bucket = 64;
+  config.group = 8;
+  config.shortlist = 0;
+  config.threads = 4;
+  config.iterations = 10;
+  config.restore_after = 4;
+  testing::RunAuditedLockstep(config, &outcome);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(outcome.before.hier.gated_iterations +
+                outcome.after.hier.gated_iterations,
+            0u);
+  EXPECT_GT(outcome.before.prune.bounded_rows +
+                outcome.after.prune.bounded_rows,
+            0u);
 }
 
 TEST(BucketHierarchyTest, RangesPartitionTheGrid) {

@@ -9,10 +9,14 @@
 //    scoring on any ambiguity);
 //  - the pruner's bookkeeping: must-score first pass, table invalidation
 //    on cache rebuild, bound soundness adaptation, boost dynamics;
-//  - the ScoreCache drift accumulators the bounds are built from.
+//  - the ScoreCache drift accumulators the bounds are built from;
+//  - the shortlist cut against a sort, and RecordExact on a pool against
+//    the serial pass, at several chunkings.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "rl/shortlist.h"
 #include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace crowdrl::rl {
 namespace {
@@ -383,6 +388,151 @@ TEST(ShortlistPrunerTest, ShortlistSizeHonoursFloorBoostAndMustScore) {
   EXPECT_EQ(small.ShortlistSize(10000, 0), 64u);
   small.NoteGateFallback();
   EXPECT_EQ(small.ShortlistSize(10000, 0), 128u);  // Boost doubles it.
+}
+
+// Bounds with the shapes the cut meets: exact ties within a tile, NaN and
+// infinities, tight clusters beside far outliers (so one value class holds
+// most of the grid and the cut refines), and plain spread values.
+std::vector<double> CutBounds(Rng* rng, size_t n, int shape) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ub(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double u = rng->Uniform();
+    switch (shape) {
+      case 0:  // Tiles: runs of one shared bound.
+        ub[i] = static_cast<double>((i / 97) % 7) * 0.25;
+        break;
+      case 1:  // Specials among a few distinct values.
+        ub[i] = u < 0.05   ? inf
+                : u < 0.08 ? -inf
+                : u < 0.10 ? std::numeric_limits<double>::quiet_NaN()
+                : u < 0.12 ? -0.0
+                : u < 0.14 ? 0.0
+                           : static_cast<double>(rng->UniformInt(5));
+        break;
+      case 2:  // A tight cluster beside far outliers.
+        ub[i] = u < 0.01 ? 1e6 * rng->Uniform() : 1.0 + 1e-9 * rng->Uniform();
+        break;
+      default:
+        ub[i] = rng->Uniform(-3.0, 3.0);
+    }
+  }
+  return ub;
+}
+
+// The cut takes the `size` unscored candidates first in (bound descending,
+// index ascending), NaN ranking with +inf, and returns them in index
+// order — at every chunking, on a pool or inline.
+TEST(ShortlistCutTest, TakesTheFirstInBoundThenIndexOrderAtEveryChunking) {
+  Rng rng(5171);
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 160; ++trial) {
+    const int shape = trial % 4;
+    // Every fifth trial is large enough for the cut to refine a class.
+    const size_t n = static_cast<size_t>(
+        trial % 5 == 0 ? 20000 + rng.UniformInt(20000)
+                       : 1 + rng.UniformInt(3000));
+    const std::vector<double> ub = CutBounds(&rng, n, shape);
+    std::vector<uint8_t> is_exact(n);
+    std::vector<uint32_t> unscored;
+    for (size_t i = 0; i < n; ++i) {
+      is_exact[i] = rng.Bernoulli(0.2) ? 1 : 0;
+      if (!is_exact[i]) unscored.push_back(static_cast<uint32_t>(i));
+    }
+    if (unscored.size() < 2) continue;
+    const size_t size =
+        1 + static_cast<size_t>(
+                rng.UniformInt(static_cast<int>(unscored.size() - 1)));
+    const auto rank = [&](uint32_t i) {
+      return std::isnan(ub[i]) ? std::numeric_limits<double>::infinity()
+                               : ub[i];
+    };
+    std::vector<uint32_t> want = unscored;
+    std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+      return rank(a) > rank(b);
+    });
+    want.resize(size);
+    std::sort(want.begin(), want.end());
+
+    std::vector<size_t> random_chunks{0};
+    while (random_chunks.back() < n) {
+      random_chunks.push_back(std::min(
+          n, random_chunks.back() + 1 + static_cast<size_t>(rng.UniformInt(
+                                            static_cast<int>(n / 3 + 1)))));
+    }
+    const std::vector<size_t> chunkings[] = {
+        {0, n}, EvenChunks(n, &pool, 1), random_chunks};
+    for (const std::vector<size_t>& chunks : chunkings) {
+      EXPECT_EQ(CutShortlist(&pool, chunks, ub, is_exact, size), want)
+          << "trial " << trial << " chunks " << chunks.size() - 1;
+      EXPECT_EQ(CutShortlist(nullptr, chunks, ub, is_exact, size), want)
+          << "trial " << trial << " inline";
+    }
+  }
+}
+
+// RecordExact on a pool writes the same table and replays the same
+// sensitivity moves as the serial pass: a rescore of a 3000 x 12 grid
+// after feature drift and training steps leaves identical alpha, beta,
+// violation counts and bounds at 1, 2 and 4 lanes.
+TEST(ShortlistPrunerTest, PooledRecordExactMatchesTheSerialPass) {
+  constexpr int kGridObjects = 3000;
+  constexpr int kGridAnnotators = 12;
+  std::vector<Action> pairs;
+  for (int i = 0; i < kGridObjects; ++i) {
+    for (int j = 0; j < kGridAnnotators; ++j) pairs.push_back({i, j});
+  }
+  Rng rng(77);
+  std::vector<double> first(pairs.size());
+  std::vector<double> second(pairs.size());
+  std::vector<double> prior(pairs.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    first[p] = rng.Uniform(-1.0, 1.0);
+    second[p] = first[p] + rng.Uniform(-0.3, 0.3);
+    prior[p] = first[p] + 0.05;
+  }
+  const std::vector<double> bonus(pairs.size(), 0.1);
+
+  struct Outcome {
+    double alpha = 0.0;
+    double beta = 0.0;
+    size_t violations = 0;
+    std::vector<double> ub;
+  };
+  const auto run = [&](int lanes) {
+    ThreadPool pool(lanes);
+    ThreadPool* const maybe_pool = lanes > 1 ? &pool : nullptr;
+    Scenario local(/*seed=*/3301, /*twins=*/false, kGridObjects,
+                   kGridAnnotators);
+    ScoreCache cache;
+    cache.Sync(local.View());
+    ShortlistPruner pruner;
+    pruner.Reset(kGridObjects, kGridAnnotators);
+    pruner.BeginIteration(cache);
+    pruner.RecordExact(cache, /*train_steps=*/0, pairs, first, nullptr,
+                       nullptr, maybe_pool);
+    local.NudgeProbs();
+    local.qualities[3] += 0.05;
+    cache.Sync(local.View());
+    Outcome out;
+    out.violations = pruner.RecordExact(cache, /*train_steps=*/3, pairs,
+                                        second, &prior, &bonus, maybe_pool);
+    out.alpha = pruner.alpha();
+    out.beta = pruner.beta();
+    pruner.UpperBounds(cache, /*train_steps=*/5, pairs, bonus, &out.ub);
+    return out;
+  };
+  const Outcome serial = run(1);
+  EXPECT_GT(serial.violations, 0u);
+  EXPECT_GT(serial.alpha, 0.0);
+  EXPECT_GT(serial.beta, 0.0);
+  for (int lanes : {2, 4}) {
+    const Outcome pooled = run(lanes);
+    EXPECT_EQ(pooled.alpha, serial.alpha) << "lanes " << lanes;
+    EXPECT_EQ(pooled.beta, serial.beta) << "lanes " << lanes;
+    EXPECT_EQ(pooled.violations, serial.violations) << "lanes " << lanes;
+    EXPECT_EQ(pooled.ub, serial.ub) << "lanes " << lanes;
+  }
 }
 
 TEST(ScoreCacheDriftTest, AccumulatorsTrackBlockRefreshes) {

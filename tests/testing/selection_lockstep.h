@@ -183,6 +183,8 @@ struct LockstepConfig {
   rl::ExplorationMode exploration = rl::ExplorationMode::kUcb;
   bool factorized_q_head = true;
   int train_steps_per_observe = 2;
+  /// Lanes of both agent pools: featurization and the Q forward, which
+  /// also runs the tiled gate's per-pair loops.
   int threads = 1;
   int iterations = 24;
   /// Both agents are checkpointed into fresh agents after this iteration.
@@ -198,6 +200,7 @@ inline rl::DqnAgentOptions LockstepOptions(const LockstepConfig& config) {
   options.seed = 61;
   options.q.seed = 67;
   options.threads = config.threads;
+  options.q.threads = config.threads;
   options.min_replay_before_training = 16;
   options.train_batch = 8;
   options.train_steps_per_observe = config.train_steps_per_observe;

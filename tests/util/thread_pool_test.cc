@@ -217,5 +217,45 @@ TEST(ThreadPoolTest, BackToBackDispatchesReuseWorkers) {
   }
 }
 
+// EvenChunks partitions [0, n): one chunk without a pool, about four per
+// lane with one, never below the minimum chunk (bar the last).
+TEST(ThreadPoolTest, EvenChunksPartitionTheRange) {
+  ThreadPool pool(4);
+  EXPECT_EQ(EvenChunks(1000, nullptr, 10), (std::vector<size_t>{0, 1000}));
+  EXPECT_EQ(EvenChunks(0, &pool, 10), (std::vector<size_t>{0, 0}));
+  const std::vector<size_t> bounds = EvenChunks(1000, &pool, 10);
+  EXPECT_EQ(bounds.size(), 17u);  // 16 chunks of 63, the last of 55.
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), 1000u);
+  EXPECT_EQ(EvenChunks(1000, &pool, 400), (std::vector<size_t>{0, 400, 800,
+                                                               1000}));
+}
+
+// ForEachChunk runs every chunk once with its own bounds, and
+// GatherIndices returns the kept indices ascending, on a pool or inline.
+TEST(ThreadPoolTest, ChunkHelpersCoverEveryChunkAndGatherInOrder) {
+  ThreadPool pool(4);
+  const std::vector<size_t> bounds = {0, 3, 3, 10, 64, 65, 200};
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<int> seen(bounds.size() - 1, 0);
+    std::vector<int> hits(200, 0);
+    ForEachChunk(p, bounds, [&](size_t c, size_t begin, size_t end) {
+      EXPECT_EQ(begin, bounds[c]);
+      EXPECT_EQ(end, bounds[c + 1]);
+      ++seen[c];
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    EXPECT_EQ(seen, std::vector<int>(bounds.size() - 1, 1));
+    EXPECT_EQ(hits, std::vector<int>(200, 1));
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < 200; ++i) {
+      if (i % 7 == 3) want.push_back(i);
+    }
+    EXPECT_EQ(GatherIndices<uint32_t>(p, bounds,
+                                      [](size_t i) { return i % 7 == 3; }),
+              want);
+  }
+}
+
 }  // namespace
 }  // namespace crowdrl

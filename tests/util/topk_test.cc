@@ -1,6 +1,7 @@
 #include "util/topk.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +109,40 @@ TEST_P(TopKPropertyTest, MatchesSortOnRandomInput) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, TopKPropertyTest,
                          ::testing::Values(1, 2, 3, 10, 50, 200, 500));
+
+// Each SlotTopK slot holds what a TopK fed the same sequence holds: the
+// same sum bits and the same sorted entries, ties and all, with slots fed
+// interleaved and the buffer reused across Resets.
+TEST(SlotTopKTest, EverySlotMatchesATopKBitForBit) {
+  Rng rng(4242);
+  SlotTopK<size_t> slots;
+  for (int round = 0; round < 20; ++round) {
+    const size_t k = 1 + static_cast<size_t>(rng.UniformInt(6));
+    const size_t num_slots = 1 + static_cast<size_t>(rng.UniformInt(30));
+    slots.Reset(num_slots, k);
+    std::vector<TopK<size_t>> want;
+    for (size_t s = 0; s < num_slots; ++s) want.emplace_back(k);
+    for (int push = 0; push < 400; ++push) {
+      const size_t slot = static_cast<size_t>(
+          rng.UniformInt(static_cast<int>(num_slots)));
+      // Few distinct values: exact ties at the heap's minimum are common.
+      const double score = 0.1 * static_cast<double>(rng.UniformInt(9)) +
+                           (rng.Bernoulli(0.5) ? rng.Uniform() : 0.0);
+      const size_t item = static_cast<size_t>(push);
+      slots.Push(slot, score, item);
+      want[slot].Push(score, item);
+    }
+    std::vector<std::pair<double, size_t>> got;
+    for (size_t s = 0; s < num_slots; ++s) {
+      ASSERT_EQ(slots.size(s), want[s].size());
+      const double want_sum = want[s].ScoreSum();
+      const double got_sum = slots.ScoreSum(s);
+      EXPECT_EQ(std::memcmp(&got_sum, &want_sum, sizeof(double)), 0);
+      slots.SortedDescendingInto(s, &got);
+      EXPECT_EQ(got, want[s].TakeSortedDescending()) << "slot " << s;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace crowdrl
