@@ -995,15 +995,13 @@ void WriteScoringReport(size_t objects, const std::string& path) {
                    std::memcmp(seed_scores.data(), cached_scores.data(),
                                seed_scores.size() * sizeof(double)) == 0;
 
-    // The gated factorized head: same network, block-decomposed first
-    // layer. Not bit-identical by design (accumulation order changes), so
-    // it is tracked in ULPs instead.
+    // The factorized head (the agent's selection forward): same network,
+    // block-decomposed first layer. Not bit-identical to the dense forward
+    // by design (accumulation order changes), so it is tracked in ULPs.
     rl::FeatureBlocks blocks;
     blocks.object_blocks = &cache.object_blocks();
     blocks.annotator_blocks = &cache.annotator_blocks();
     blocks.global_block = cache.global_block();
-    blocks.object_version = cache.object_blocks_version();
-    blocks.annotator_version = cache.annotator_blocks_version();
     t0 = Clock::now();
     std::vector<double> fact_scores =
         q.PredictBatchFactorized(blocks, actions, false);
@@ -1040,16 +1038,16 @@ void WriteScoringReport(size_t objects, const std::string& path) {
 
   // ---- Gated (tiled) end-to-end selection -----------------------------
   // Two agents drive the same steady-drift run: full scoring through the
-  // public API (incremental cache, exact dense forward over every pair:
+  // public API (incremental cache, the factorized head over every pair:
   // Score + PickTopKSumAssignments + Commit) and the gated SelectBatch
   // engine. The gate runs only on tiled grids, which by default start at
   // 2^22 pairs; untiled, SelectBatch is itself one full pass. So the gated
   // agent tiles this grid (hier_min_pairs = 0, kGateBucket-object buckets
-  // x kGateGroup-annotator groups) and the row keeps timing the gate. The
-  // tiled forward is dense like the baseline's, so exact scores agree bit
-  // for bit. Timed on selection end to end; the selected assignments must
-  // be identical every iteration — the gate falls back to full scoring
-  // whenever it cannot prove that.
+  // x kGateGroup-annotator groups) and the row keeps timing the gate. Both
+  // score on the head, whose rows do not depend on the batch they come
+  // in, so exact scores agree bit for bit. Timed on selection end to end;
+  // the selected assignments must be identical every iteration — the gate
+  // falls back to full scoring whenever it cannot prove that.
   const int kPrunedIters = 10;
   const int kPrunedWarmup = 3;  // Must-score first pass + bound calibration.
   const size_t kGateBucket = 64;
@@ -1059,7 +1057,6 @@ void WriteScoringReport(size_t objects, const std::string& path) {
   bool assignments_identical = true;
   ScoringScenario drift(objects, kAnnotators, kClasses);
   rl::DqnAgentOptions base_options;
-  base_options.factorized_q_head = false;
   rl::DqnAgentOptions pruned_options;
   pruned_options.hier_min_pairs = 0;
   pruned_options.hier_object_bucket = kGateBucket;

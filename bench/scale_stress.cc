@@ -2,10 +2,10 @@
 // candidate generator on a synthetic campaign far beyond the paper
 // datasets and emits BENCH_scale.json with the evidence the scale claims
 // rest on — scored-candidate sub-linearity (exact Q rows vs the
-// |O| x |W| grid), the expanded-bucket fraction, wall-clock per
-// iteration, peak RSS, and a checkpoint round-trip streamed section by
-// section (io::SnapshotStreamWriter/Reader) that never materializes the
-// full state in one buffer.
+// |O| x |W| grid), the expanded-bucket fraction, wall-clock and minor
+// page faults per selection, peak RSS, and a checkpoint round-trip
+// streamed section by section (io::SnapshotStreamWriter/Reader) that
+// never materializes the full state in one buffer.
 //
 // The synthetic workload is index-smooth by construction: class
 // probabilities follow a slow sinusoid over the object index and
@@ -28,6 +28,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_common.h"
 #include "crowd/answer_log.h"
@@ -208,6 +210,14 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Minor page faults of the whole process (every thread) so far: first
+/// touches of fresh pages, about 0.7 ms per MiB on the hosts DESIGN.md
+/// §13 measured.
+long MinorFaults() {
+  struct rusage usage;
+  return getrusage(RUSAGE_SELF, &usage) == 0 ? usage.ru_minflt : 0;
+}
+
 /// Streams the campaign checkpoint — one section per live answer-log
 /// shard plus one agent section — and restores it through the
 /// section-at-a-time reader, verifying the restored state byte-for-byte.
@@ -333,6 +343,7 @@ int main(int argc, char** argv) {
       << "grid below hier_min_pairs; raise --objects/--annotators";
 
   std::vector<double> select_ms_per_iter;
+  std::vector<long> select_minflt_per_iter;
   std::vector<size_t> scored_per_iter;
   std::vector<size_t> assignments_per_iter;
   auto run_start = std::chrono::steady_clock::now();
@@ -341,10 +352,12 @@ int main(int argc, char** argv) {
   DqnAgent::HierStats last = agent.hier_stats();
   for (int iter = 0; iter < config.iterations; ++iter) {
     StateView view = campaign.View();
+    const long faults_before = MinorFaults();
     auto select_start = std::chrono::steady_clock::now();
     std::vector<Assignment> batch =
         agent.SelectBatch(view, config.k, config.pick, campaign.affordable);
     select_ms_per_iter.push_back(MsSince(select_start));
+    select_minflt_per_iter.push_back(MinorFaults() - faults_before);
     const DqnAgent::HierStats& stats = agent.hier_stats();
     scored_per_iter.push_back(stats.scored_pairs - last.scored_pairs);
     last = stats;
@@ -428,6 +441,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"select_ms_per_iter\": [");
   for (size_t i = 0; i < select_ms_per_iter.size(); ++i) {
     std::fprintf(out, "%s%.2f", i == 0 ? "" : ", ", select_ms_per_iter[i]);
+  }
+  std::fprintf(out, "],\n");
+  std::fprintf(out, "  \"select_minflt_per_iter\": [");
+  for (size_t i = 0; i < select_minflt_per_iter.size(); ++i) {
+    std::fprintf(out, "%s%ld", i == 0 ? "" : ", ", select_minflt_per_iter[i]);
   }
   std::fprintf(out, "],\n");
   std::fprintf(out, "  \"scored_pairs_per_iter\": [");

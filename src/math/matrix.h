@@ -74,6 +74,16 @@ class Matrix {
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
+  /// Reshapes to rows x cols, keeping the allocation when it is large
+  /// enough, so scratch whose row count varies per call stops
+  /// reallocating. Element values are unspecified afterwards: callers
+  /// overwrite them.
+  void Reshape(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   void Fill(double value);
 
   /// Fills with i.i.d. Gaussian(mean, stddev) draws.

@@ -99,7 +99,7 @@ class Mlp {
   /// forward starts at layer `first_layer` and `fill` writes that layer's
   /// input, i.e. the previous layer's post-activation output; callers that
   /// compute the earlier layers themselves (QNetwork's factorized head
-  /// assembles layer 0 from cached partial products) resume after them.
+  /// assembles layer 0 from partial products) resume after them.
   /// The matrix overload above is this with first_layer 0 and a filler
   /// that copies rows; results are bit-identical to it.
   void InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,

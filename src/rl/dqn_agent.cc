@@ -401,20 +401,12 @@ bool DqnAgent::HierEngaged() const {
   // Only agents the gate can serve tile. Epsilon-greedy consumes RNG
   // inside Score, so a gated iteration would desynchronize the stream
   // against the full path; the other modes score deterministically and
-  // the gated/full choice is then unobservable. Masked agents keep the
-  // dense forward of the full pass.
+  // the gated/full choice is then unobservable. Masked agents are an
+  // ablation configuration and keep the full pass too.
   return options_.feature_mask.empty() &&
          options_.exploration != ExplorationMode::kEpsilonGreedy &&
          episode_objects_ > 0 &&
          episode_objects_ * episode_annotators_ >= options_.hier_min_pairs;
-}
-
-bool DqnAgent::UseFactorizedHead() const {
-  // The factorized head keeps O(|O| x hidden) per-object partials
-  // resident — exactly what the tiled scale path must avoid, and its
-  // shortlists are small enough that dense assembly wins anyway.
-  return options_.factorized_q_head && options_.feature_mask.empty() &&
-         !HierEngaged();
 }
 
 FeatureBlocks DqnAgent::CacheBlocks() const {
@@ -422,8 +414,7 @@ FeatureBlocks DqnAgent::CacheBlocks() const {
   blocks.object_blocks = &score_cache_.object_blocks();
   blocks.annotator_blocks = &score_cache_.annotator_blocks();
   blocks.global_block = score_cache_.global_block();
-  blocks.object_version = score_cache_.object_blocks_version();
-  blocks.annotator_version = score_cache_.annotator_blocks_version();
+  blocks.feature_mask = &options_.feature_mask;
   return blocks;
 }
 
@@ -469,8 +460,7 @@ std::vector<Action> DqnAgent::EnumerateCandidates(
   }
   if (features == nullptr) {
     // Caller never reads dense rows (the full selection pass, the
-    // factorized bootstrap): enumeration and the Sync above are all it
-    // needs.
+    // bootstrap): enumeration and the Sync above are all it needs.
     return valid;
   }
 
@@ -528,13 +518,7 @@ ScoredCandidates DqnAgent::ScoreValidPairs(
     out.scores.resize(out.actions.size());
     for (double& s : out.scores) s = rng_.Uniform();
   } else {
-    if (with_features && !UseFactorizedHead()) {
-      // The rows are already resident: forward them as they are.
-      CROWDRL_TRACE_SPAN("agent.q_forward");
-      out.scores = q_network_.PredictBatch(out.features);
-    } else {
-      out.scores = ExactQ(out.actions);
-    }
+    out.scores = ExactQ(out.actions);
     if (options_.exploration == ExplorationMode::kUcb) {
       double log_term =
           2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
@@ -632,23 +616,10 @@ void DqnAgent::CommitActions(const std::vector<Action>& chosen) {
   }
 }
 
-std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) {
+std::vector<double> DqnAgent::ExactQ(const std::vector<Action>& pairs) const {
   CROWDRL_TRACE_SPAN("agent.q_forward");
-  if (UseFactorizedHead()) {
-    return q_network_.PredictBatchFactorized(CacheBlocks(), pairs,
-                                             /*use_target=*/false);
-  }
-  // Dense rows are assembled block by block inside the forward, on the Q
-  // pool's lanes (AssembleRow only reads the synced cache), so no
-  // pairs x features matrix is ever resident.
-  std::vector<double> q = q_network_.PredictBatch(
-      pairs.size(), [&](size_t r0, size_t r1, Matrix* block) {
-        for (size_t i = r0; i < r1; ++i) {
-          AssembleRow(pairs[i], block->Row(i - r0));
-        }
-      });
-  rows_featurized_ += pairs.size();
-  return q;
+  return q_network_.PredictBatchFactorized(CacheBlocks(), pairs,
+                                           /*use_target=*/false);
 }
 
 std::vector<Assignment> DqnAgent::SelectGated(
@@ -1125,7 +1096,7 @@ std::vector<Assignment> DqnAgent::SelectGated(
 
 std::vector<Action> DqnAgent::EnumerateBootstrapSublinear(
     const StateView& view, const std::vector<bool>& annotator_affordable,
-    size_t max_pairs, Matrix* features) {
+    size_t max_pairs) {
   CROWDRL_CHECK(view.answers != nullptr && view.labelled != nullptr);
   const size_t num_objects = view.answers->num_objects();
   const size_t num_annotators = view.answers->num_annotators();
@@ -1199,16 +1170,6 @@ std::vector<Action> DqnAgent::EnumerateBootstrapSublinear(
       CROWDRL_CHECK(annotator >= 0);
       valid.push_back({object, annotator});
     }
-  }
-
-  if (features != nullptr) {
-    CROWDRL_TRACE_SPAN("agent.featurize");
-    *features = Matrix(valid.size(), StateFeaturizer::kFeatureDim);
-    for (size_t idx = 0; idx < valid.size(); ++idx) {
-      score_cache_.AssembleRowInto(valid[idx].object, valid[idx].annotator,
-                                   features->Row(idx));
-    }
-    rows_featurized_ += valid.size();
   }
   return valid;
 }
@@ -1307,35 +1268,27 @@ void DqnAgent::ObserveOldestPairs(
   CheckViewMatchesEpisode(next_view);
   double next_max_q = 0.0;
   if (!terminal) {
-    // The factorized bootstrap reads the cached blocks directly, so the
-    // dense per-row assembly would be pure waste: skip it (the Sync
-    // inside EnumerateCandidates still runs either way).
-    bool factorized = UseFactorizedHead();
-    Matrix features;
-    // At hierarchical scale the dense enumerate-then-subsample bootstrap
-    // would walk the full pair grid; the sublinear variant counts valid
-    // pairs per object and rank-samples without materializing them. Below
-    // the cap it produces the identical candidate list with no RNG drawn.
+    // At hierarchical scale the enumerate-then-subsample bootstrap would
+    // walk the full pair grid; the sublinear variant counts valid pairs
+    // per object and rank-samples without materializing them. Below the
+    // cap it produces the identical candidate list with no RNG drawn.
+    // Neither assembles feature rows: the head reads the synced blocks.
     std::vector<Action> candidates =
         HierEngaged()
             ? EnumerateBootstrapSublinear(next_view, annotator_affordable,
-                                          options_.max_bootstrap_candidates,
-                                          factorized ? nullptr : &features)
+                                          options_.max_bootstrap_candidates)
             : EnumerateCandidates(next_view, annotator_affordable,
                                   options_.max_bootstrap_candidates,
-                                  factorized ? nullptr : &features);
+                                  /*features=*/nullptr);
     if (!candidates.empty()) {
-      std::vector<double> target_q =
-          factorized ? q_network_.PredictBatchFactorized(
-                           CacheBlocks(), candidates, /*use_target=*/true)
-                     : q_network_.TargetPredictBatch(features);
+      const FeatureBlocks blocks = CacheBlocks();
+      std::vector<double> target_q = q_network_.PredictBatchFactorized(
+          blocks, candidates, /*use_target=*/true);
       if (options_.q.double_dqn) {
         // Double DQN: pick the action with the online network, evaluate
         // it with the target network.
-        std::vector<double> online_q =
-            factorized ? q_network_.PredictBatchFactorized(
-                             CacheBlocks(), candidates, /*use_target=*/false)
-                       : q_network_.PredictBatch(features);
+        std::vector<double> online_q = q_network_.PredictBatchFactorized(
+            blocks, candidates, /*use_target=*/false);
         size_t best = 0;
         for (size_t i = 1; i < online_q.size(); ++i) {
           if (online_q[i] > online_q[best]) best = i;

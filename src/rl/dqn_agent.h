@@ -52,16 +52,14 @@ struct DqnAgentOptions {
   /// must have StateFeaturizer::kFeatureDim entries and masked-off
   /// features are zeroed before reaching the Q-network. Empty = all on.
   std::vector<bool> feature_mask;
-  /// Worker threads for dense candidate featurization: the feature matrix
-  /// of Score() and of the untiled dense bootstrap (factorized head off or
-  /// feature mask set) is built in parallel chunks. SelectBatch never
-  /// featurizes the grid — untiled it scores through the factorized head
-  /// and assembles only the committed rows, tiled it assembles shortlist
-  /// rows inside the Q forward and runs the gate's per-pair loops, both on
-  /// `q.threads` — so an agent driven by SelectBatch on the factorized
-  /// head never dispatches here. 1 (the
-  /// default) runs the serial path; every feature row depends only on its
-  /// own (object, annotator), so results are bit-identical at any thread
+  /// Worker threads for dense candidate featurization: the public feature
+  /// matrix of Score() is built in parallel chunks, and nothing else is.
+  /// Selection and the bootstrap never featurize candidates — they score
+  /// through the factorized Q head and assemble only the committed rows,
+  /// and the tiled gate runs its per-pair loops, all on `q.threads` — so
+  /// an agent driven by SelectBatch never dispatches here. 1 (the default)
+  /// runs the serial path; every feature row depends only on its own
+  /// (object, annotator), so results are bit-identical at any thread
   /// count.
   int threads = 1;
   /// Externally owned featurization pool; takes precedence over `threads`
@@ -72,16 +70,6 @@ struct DqnAgentOptions {
   /// util/thread_pool.h), and bit-identical to a private pool because
   /// featurization is bit-identical at any thread count.
   std::shared_ptr<ThreadPool> shared_pool;
-  /// Factorized first-layer Q head: W*x decomposed over the ScoreCache
-  /// blocks with per-object / per-annotator partial products reused across
-  /// iterations (QNetwork::PredictBatchFactorized). Changes the
-  /// floating-point accumulation order, so Q values are only ULP-close to
-  /// the dense forward — on by default: it is the forward of every
-  /// untiled selection (one full pass over the valid grid) and of Score.
-  /// Ignored (dense forward) when feature_mask is non-empty or the grid is
-  /// tiled (see hier_min_pairs). Tests that compare scores bitwise against
-  /// from-scratch featurization turn it off explicitly.
-  bool factorized_q_head = true;
   /// Shortlist size of the gated selection engine, which runs only on
   /// tiled grids (see hier_min_pairs): SelectBatch exact-scores only the
   /// expanded candidates whose cheap upper bounds (stale exact Q + drift
@@ -100,12 +88,10 @@ struct DqnAgentOptions {
   /// Grid size (|O| x |W| pairs) from which SelectBatch tiles the grid
   /// into buckets x groups (BucketHierarchy) and runs the gated engine: a
   /// coarse-to-fine descent over tile-derived upper bounds picks the first
-  /// buckets, the gate bounds every unexpanded bucket, and the Q forward is
-  /// dense (the factorized head's per-object partial cache is
-  /// O(|O| x hidden) — exactly the resident state tiling exists to avoid).
-  /// Below it every selection is one exact full pass over the valid grid
-  /// on the factorized head, which measured faster than the gate there
-  /// (DESIGN.md §11). SIZE_MAX never tiles. The default keeps every
+  /// buckets, and the gate bounds every unexpanded bucket. Below it every
+  /// selection is one exact full pass over the valid grid, which measured
+  /// faster than the gate there (DESIGN.md §11). Both score on the
+  /// factorized Q head. SIZE_MAX never tiles. The default keeps every
   /// small-grid workload untiled.
   size_t hier_min_pairs = size_t{1} << 22;
   /// Objects per bucket / annotators per group of the tiling.
@@ -258,9 +244,9 @@ class DqnAgent {
   /// the current episode shape; never for epsilon-greedy or feature-masked
   /// agents, which always take the full pass.
   bool HierEngaged() const;
-  /// Total candidate feature rows assembled/featurized so far (diagnostic
-  /// counter; not checkpointed). The factorized bootstrap path must not
-  /// advance this — see ObservePerPair.
+  /// Total candidate feature rows assembled into Score()'s public matrix
+  /// so far (diagnostic counter; not checkpointed). SelectBatch and the
+  /// Observe bootstrap never advance it.
   uint64_t rows_featurized() const { return rows_featurized_; }
 
   /// Checkpointable surface: Q-networks, replay contents, the agent's RNG
@@ -273,10 +259,9 @@ class DqnAgent {
   Status LoadState(io::Reader* reader);
 
  private:
-  /// Enumerates valid pairs and fills features (one candidate per row).
-  /// `features` may be null for callers that never read dense rows (the
-  /// factorized bootstrap): enumeration and the cache Sync still run,
-  /// per-row assembly is skipped entirely.
+  /// Enumerates valid pairs and syncs the cache; fills `features` (one
+  /// candidate per row) only when it is non-null, which only Score() asks
+  /// for.
   std::vector<Action> EnumerateCandidates(
       const StateView& view, const std::vector<bool>& annotator_affordable,
       size_t max_pairs, Matrix* features);
@@ -316,20 +301,18 @@ class DqnAgent {
   /// differently, which only the hierarchical scale path ever does.
   std::vector<Action> EnumerateBootstrapSublinear(
       const StateView& view, const std::vector<bool>& annotator_affordable,
-      size_t max_pairs, Matrix* features);
+      size_t max_pairs);
 
-  /// Exact Q forward over candidate pairs (factorized head when enabled,
-  /// dense assembly + PredictBatch otherwise).
-  std::vector<double> ExactQ(const std::vector<Action>& pairs);
+  /// Exact Q of candidate pairs from the synced cache: the online
+  /// network's factorized head, with the agent's feature mask.
+  std::vector<double> ExactQ(const std::vector<Action>& pairs) const;
 
   /// Aborts unless the view's answer log matches the BeginEpisode shape:
   /// selection_counts_ is indexed by (object, annotator) pairs of that
   /// shape, so a wider view would silently read out of bounds.
   void CheckViewMatchesEpisode(const StateView& view) const;
 
-  /// True when this Score/Observe should route Q prediction through the
-  /// factorized head (option on, cache in use, no feature mask).
-  bool UseFactorizedHead() const;
+  /// The synced cache's blocks and the agent's feature mask, for the head.
   FeatureBlocks CacheBlocks() const;
 
   /// Drops the never-checkpointed selection state (score cache, pruner

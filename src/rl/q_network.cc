@@ -1,5 +1,6 @@
 #include "rl/q_network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "math/gemm.h"
@@ -61,12 +62,6 @@ std::vector<double> QNetwork::PredictBatch(const Matrix& features) const {
   return QColumn(predict_out_);
 }
 
-std::vector<double> QNetwork::PredictBatch(
-    size_t rows, const nn::Mlp::RowFiller& fill) const {
-  online_.InferInto(rows, fill, pool_.get(), &predict_out_);
-  return QColumn(predict_out_);
-}
-
 std::vector<double> QNetwork::TargetPredictBatch(
     const Matrix& features) const {
   target_.InferInto(features, pool_.get(), &predict_out_);
@@ -90,7 +85,6 @@ double QNetwork::TrainBatch(const std::vector<const Transition*>& batch) {
   double loss = nn::MseLoss(pred, y, &grad);
   online_.Backward(grad, /*input_grad=*/nullptr, pool_.get());
   optimizer_.Step(&online_);
-  ++params_version_;
   ++train_steps_;
   SyncTargetIfDue();
   return loss;
@@ -99,13 +93,9 @@ double QNetwork::TrainBatch(const std::vector<const Transition*>& batch) {
 void QNetwork::SyncTargetIfDue() {
   if (options_.soft_tau > 0.0) {
     target_.BlendFrom(online_, options_.soft_tau);
-    ++target_params_version_;
     return;
   }
-  if (train_steps_ % options_.target_sync_period == 0) {
-    target_ = online_;
-    ++target_params_version_;
-  }
+  if (train_steps_ % options_.target_sync_period == 0) target_ = online_;
 }
 
 void QNetwork::SaveState(io::Writer* writer) const {
@@ -122,8 +112,6 @@ Status QNetwork::LoadState(io::Reader* reader) {
   CROWDRL_RETURN_IF_ERROR(target_.LoadState(reader));
   CROWDRL_RETURN_IF_ERROR(optimizer_.LoadState(reader));
   CROWDRL_RETURN_IF_ERROR(reader->ReadSize(&train_steps_));
-  ++params_version_;
-  ++target_params_version_;
   return Status::Ok();
 }
 
@@ -134,80 +122,61 @@ std::vector<double> QNetwork::FlatParameters() const {
 void QNetwork::SetFlatParameters(const std::vector<double>& params) {
   online_.SetFlatParameters(params);
   target_ = online_;
-  ++params_version_;
-  ++target_params_version_;
-}
-
-void QNetwork::RefreshFactorizedCache(const nn::Mlp& net,
-                                      const FeatureBlocks& blocks,
-                                      size_t params_version,
-                                      FactorizedCache* cache) {
-  const Matrix& w = net.layer_weight(0);
-  size_t h1 = w.rows();
-  bool params_stale = !cache->valid || cache->params_version != params_version;
-  if (params_stale) {
-    // Re-slice the first-layer weight into its object / annotator columns.
-    cache->w_object = Matrix(h1, StateFeaturizer::kObjectBlockDim);
-    cache->w_annotator = Matrix(h1, StateFeaturizer::kAnnotatorBlockDim);
-    for (size_t h = 0; h < h1; ++h) {
-      const double* w_row = w.Row(h);
-      double* wo_row = cache->w_object.Row(h);
-      for (size_t t = 0; t < StateFeaturizer::kObjectBlockDim; ++t) {
-        wo_row[t] = w_row[StateFeaturizer::kObjectBlockOffset + t];
-      }
-      double* wa_row = cache->w_annotator.Row(h);
-      for (size_t t = 0; t < StateFeaturizer::kAnnotatorBlockDim; ++t) {
-        wa_row[t] = w_row[StateFeaturizer::kAnnotatorBlockOffset + t];
-      }
-    }
-  }
-  if (params_stale || cache->object_version != blocks.object_version) {
-    gemm::MatMulNTInto(*blocks.object_blocks, cache->w_object,
-                       &cache->object_partials, pool_.get());
-    cache->object_version = blocks.object_version;
-  }
-  if (params_stale || cache->annotator_version != blocks.annotator_version) {
-    gemm::MatMulNTInto(*blocks.annotator_blocks, cache->w_annotator,
-                       &cache->annotator_partials, pool_.get());
-    cache->annotator_version = blocks.annotator_version;
-  }
-  cache->params_version = params_version;
-  cache->valid = true;
 }
 
 std::vector<double> QNetwork::PredictBatchFactorized(
     const FeatureBlocks& blocks, const std::vector<Action>& pairs,
-    bool use_target) {
-  CROWDRL_CHECK(options_.feature_dim == StateFeaturizer::kFeatureDim)
+    bool use_target) const {
+  using F = StateFeaturizer;
+  CROWDRL_CHECK(options_.feature_dim == F::kFeatureDim)
       << "the factorized head assumes the StateFeaturizer feature layout";
   CROWDRL_CHECK(blocks.object_blocks != nullptr &&
                 blocks.annotator_blocks != nullptr &&
                 blocks.global_block != nullptr);
+  const std::vector<bool>* mask = blocks.feature_mask;
+  CROWDRL_CHECK(mask == nullptr || mask->empty() ||
+                mask->size() == F::kFeatureDim);
+  const auto on = [mask](size_t column) {
+    return mask == nullptr || mask->empty() || (*mask)[column];
+  };
   const nn::Mlp& net = use_target ? target_ : online_;
-  FactorizedCache& cache =
-      use_target ? factorized_target_ : factorized_online_;
-  size_t params_version =
-      use_target ? target_params_version_ : params_version_;
-  RefreshFactorizedCache(net, blocks, params_version, &cache);
-
   const Matrix& w = net.layer_weight(0);
   const std::vector<double>& bias = net.layer_bias(0);
-  size_t h1 = w.rows();
+  const size_t h1 = w.rows();
   const double* g = blocks.global_block;
 
-  // Global partial: W_g * g + b, shared by every pair this call. The
-  // global feature columns are {0, 10, 11} (see StateFeaturizer).
+  // Layer 0 sliced into its object and annotator columns, and the global
+  // partial W_g * g + b shared by every pair this call (global columns
+  // {0, 10, 11}, see StateFeaturizer). Masked-off columns are zeroed: a
+  // masked dense row holds zeros there, so these weights never see a
+  // nonzero input and must not multiply the blocks' real values.
+  Matrix w_object(h1, F::kObjectBlockDim);
+  Matrix w_annotator(h1, F::kAnnotatorBlockDim);
   std::vector<double> global_partial(h1);
   for (size_t h = 0; h < h1; ++h) {
     const double* w_row = w.Row(h);
-    global_partial[h] =
-        w_row[0] * g[0] + w_row[10] * g[1] + w_row[11] * g[2] + bias[h];
+    const auto weight = [&](size_t column) {
+      return on(column) ? w_row[column] : 0.0;
+    };
+    for (size_t t = 0; t < F::kObjectBlockDim; ++t) {
+      w_object.At(h, t) = weight(F::kObjectBlockOffset + t);
+    }
+    for (size_t t = 0; t < F::kAnnotatorBlockDim; ++t) {
+      w_annotator.At(h, t) = weight(F::kAnnotatorBlockOffset + t);
+    }
+    global_partial[h] = weight(0) * g[0] + weight(10) * g[1] +
+                        weight(11) * g[2] + bias[h];
   }
+  Matrix annotator_partials;  // m x h1.
+  gemm::MatMulNTInto(*blocks.annotator_blocks, w_annotator,
+                     &annotator_partials, pool_.get());
 
-  // Each row block's layer-0 activations are assembled from the cached
-  // partials inside the blocked forward, which runs the remaining layers
-  // before the next block starts, so no batch-sized activation matrix is
-  // ever materialized. Every per-element accumulation order matches the
+  // Each row block computes the object partials of its own object runs
+  // (one object-block row per run, through the same kernel, so every
+  // partial has the bits a whole-grid product would give it), assembles
+  // its layer-0 activations from them, and runs the remaining layers
+  // before the next block starts: nothing batch- or grid-sized is ever
+  // materialized. Every per-element accumulation order matches the
   // unblocked formulation, so results are bit-identical at any thread
   // count. The output is a fresh pairs x 1 matrix whose storage becomes
   // the result: these batches span the whole candidate grid, and a
@@ -217,24 +186,44 @@ std::vector<double> QNetwork::PredictBatchFactorized(
   net.InferInto(
       pairs.size(),
       [&](size_t p0, size_t p1, Matrix* acts) {
-        // g + O_i is computed once per run of pairs on one object
-        // (candidate lists arrive object-major; any order is correct) and
-        // each row is summed and activated in one pass. The sum keeps the
-        // association (g + O_i) + A_j, so rows are bit-identical to
-        // filling the block and then activating it.
-        std::vector<double> object_sum(h1);
-        int run_object = -1;
+        // Per-lane scratch, reshaped rather than reallocated per block.
+        thread_local Matrix run_blocks;    // runs x kObjectBlockDim.
+        thread_local Matrix run_partials;  // runs x h1.
+        thread_local Matrix w_packed;      // The kernel's packing of W_o.
+        thread_local std::vector<double> object_sum;
+        const auto starts_run = [&](size_t p) {
+          return p == p0 || pairs[p].object != pairs[p - 1].object;
+        };
+        size_t runs = 0;
+        for (size_t p = p0; p < p1; ++p) runs += starts_run(p) ? 1 : 0;
+        run_blocks.Reshape(runs, F::kObjectBlockDim);
+        size_t run = 0;
         for (size_t p = p0; p < p1; ++p) {
-          if (pairs[p].object != run_object) {
-            run_object = pairs[p].object;
-            const double* object_row =
-                cache.object_partials.Row(static_cast<size_t>(run_object));
+          if (!starts_run(p)) continue;
+          const double* block = blocks.object_blocks->Row(
+              static_cast<size_t>(pairs[p].object));
+          std::copy(block, block + F::kObjectBlockDim,
+                    run_blocks.Row(run++));
+        }
+        run_partials.Reshape(runs, h1);
+        gemm::MatMulNTInto(run_blocks, w_object, &run_partials, nullptr,
+                           nullptr, &w_packed);
+        // g + O_i is computed once per run (candidate lists arrive
+        // object-major; any order is correct) and each row is summed and
+        // activated in one pass. The sum keeps the association
+        // (g + O_i) + A_j, so rows are bit-identical to filling the block
+        // and then activating it.
+        object_sum.resize(h1);
+        run = 0;
+        for (size_t p = p0; p < p1; ++p) {
+          if (starts_run(p)) {
+            const double* object_row = run_partials.Row(run++);
             for (size_t h = 0; h < h1; ++h) {
               object_sum[h] = global_partial[h] + object_row[h];
             }
           }
           nn::AddActivate(act0, object_sum.data(),
-                          cache.annotator_partials.Row(
+                          annotator_partials.Row(
                               static_cast<size_t>(pairs[p].annotator)),
                           h1, acts->Row(p - p0));
         }

@@ -13,16 +13,16 @@
 
 namespace crowdrl::rl {
 
-/// Cached feature blocks handed to the factorized Q head (ScoreCache's
-/// accessors produce exactly this shape). The version counters key the
-/// network's per-object / per-annotator partial-product caches: equal
-/// versions mean the block matrices are unchanged since the last call.
+/// Feature blocks handed to the factorized Q head (ScoreCache's accessors
+/// produce exactly this shape), plus the agent's ablation mask.
 struct FeatureBlocks {
   const Matrix* object_blocks = nullptr;     // n x kObjectBlockDim.
   const Matrix* annotator_blocks = nullptr;  // m x kAnnotatorBlockDim.
   const double* global_block = nullptr;      // kGlobalBlockDim values.
-  size_t object_version = 0;
-  size_t annotator_version = 0;
+  /// kFeatureDim entries; null or empty = every feature on. The head
+  /// zeroes the layer-0 weight columns of masked-off features, which is
+  /// what a masked dense row (zeros in those columns) feeds them.
+  const std::vector<bool>* feature_mask = nullptr;
 };
 
 /// Hyper-parameters of the Deep Q-Network.
@@ -43,9 +43,10 @@ struct QNetworkOptions {
   /// counters Q-value overestimation.
   bool double_dqn = false;
   /// Worker threads for batch inference (PredictBatch /
-  /// TargetPredictBatch): rows are scored in parallel chunks. 1 (the
-  /// default) runs the original serial path; results are bit-identical at
-  /// every thread count because each row's forward pass is independent.
+  /// TargetPredictBatch / PredictBatchFactorized): rows are scored in
+  /// parallel blocks. 1 (the default) runs the serial path; results are
+  /// bit-identical at every thread count because each row's forward pass
+  /// is independent.
   int threads = 1;
   uint64_t seed = 17;
 };
@@ -64,34 +65,27 @@ class QNetwork {
   /// Online-network Q value for one action's features.
   double Predict(const std::vector<double>& features) const;
 
-  /// Online-network Q values for a batch (one action per row).
+  /// Online-network Q values for a batch (one action per row): the dense
+  /// forward, kept as the reference the factorized head is tested against.
   std::vector<double> PredictBatch(const Matrix& features) const;
-
-  /// PredictBatch over `rows` feature rows that `fill` writes block by
-  /// block inside the forward (see nn::Mlp::InferInto), on the inference
-  /// pool's lanes when there is one. Bit-identical to the matrix overload
-  /// on the same rows.
-  std::vector<double> PredictBatch(size_t rows,
-                                   const nn::Mlp::RowFiller& fill) const;
 
   /// Target-network Q values for a batch.
   std::vector<double> TargetPredictBatch(const Matrix& features) const;
 
-  /// Q values for `pairs` from cached feature blocks, decomposing the
-  /// first-layer GEMM as W*x = W_g*g + W_o*o_i + W_a*a_j with the
-  /// per-object and per-annotator partial products cached across calls
-  /// (invalidated by the blocks' version counters and by parameter
-  /// updates). Requires the StateFeaturizer feature layout
-  /// (feature_dim == StateFeaturizer::kFeatureDim).
+  /// Q values for `pairs` from feature blocks — the agent's one selection
+  /// forward. The first-layer product is decomposed as
+  /// W*x = W_g*g + W_o*o_i + W_a*a_j: each call forms the global partial
+  /// and the per-annotator partials, and every 256-row block of the
+  /// blocked forward computes the per-object partials of its own object
+  /// runs. Nothing outlives the call. Requires the StateFeaturizer feature
+  /// layout (feature_dim == StateFeaturizer::kFeatureDim).
   ///
   /// NOT bit-identical to PredictBatch: regrouping the first-layer sum
   /// changes the floating-point accumulation order, so results agree only
-  /// to within a few ULPs (see DESIGN.md "Numerics & kernels"). The agent
-  /// selects it through DqnAgentOptions::factorized_q_head (on by
-  /// default).
+  /// to within a few ULPs (see DESIGN.md "Numerics & kernels").
   std::vector<double> PredictBatchFactorized(const FeatureBlocks& blocks,
                                              const std::vector<Action>& pairs,
-                                             bool use_target);
+                                             bool use_target) const;
 
   /// One SGD step on a replay minibatch; returns the TD loss.
   double TrainBatch(const std::vector<const Transition*>& batch);
@@ -114,23 +108,7 @@ class QNetwork {
   Status LoadState(io::Reader* reader);
 
  private:
-  /// Cached first-layer partial products for one network (online or
-  /// target), keyed by the block versions and the network's parameter
-  /// version.
-  struct FactorizedCache {
-    Matrix object_partials;     // n x h1: object_blocks * W_o^T.
-    Matrix annotator_partials;  // m x h1: annotator_blocks * W_a^T.
-    Matrix w_object;            // h1 x kObjectBlockDim column slice of W.
-    Matrix w_annotator;         // h1 x kAnnotatorBlockDim column slice.
-    size_t object_version = 0;
-    size_t annotator_version = 0;
-    size_t params_version = 0;
-    bool valid = false;
-  };
-
   void SyncTargetIfDue();
-  void RefreshFactorizedCache(const nn::Mlp& net, const FeatureBlocks& blocks,
-                              size_t params_version, FactorizedCache* cache);
 
   QNetworkOptions options_;
   nn::Mlp online_;
@@ -140,16 +118,9 @@ class QNetwork {
   /// Inference pool, null when options_.threads <= 1 (serial). Shared so
   /// the network stays copyable; copies score on the same workers.
   std::shared_ptr<ThreadPool> pool_;
-
-  /// Parameter-change counters keying the factorized caches: bumped on
-  /// every mutation of the corresponding network's weights.
-  size_t params_version_ = 1;
-  size_t target_params_version_ = 1;
-  FactorizedCache factorized_online_;
-  FactorizedCache factorized_target_;
-  /// Output scratch for the batched predict paths (InferInto target),
-  /// persistent so steady-state calls stay allocation-free; mutable
-  /// because prediction is logically const.
+  /// Output scratch for the dense batched predict paths (InferInto
+  /// target), persistent so steady-state calls stay allocation-free;
+  /// mutable because prediction is logically const.
   mutable Matrix predict_out_;
 };
 

@@ -84,8 +84,6 @@ void ScoreCache::RebuildAll(const StateView& view) {
     StateFeaturizer::ComputeAnnotatorBlock(view, static_cast<int>(j),
                                            annotator_blocks_.Row(j));
   }
-  ++object_blocks_version_;
-  ++annotator_blocks_version_;
 
   synced_revision_ = view.answers->revision();
   class_probs_ = view.class_probs;
@@ -125,7 +123,6 @@ void ScoreCache::Sync(const StateView& view) {
   }
 
   last_sync_stats_ = SyncStats{};
-  bool object_blocks_changed = false;
 
   // Object history part: exactly the objects answered since our revision.
   crowd::IntSpan touched = view.answers->TouchedSince(synced_revision_);
@@ -146,7 +143,6 @@ void ScoreCache::Sync(const StateView& view) {
       MarkBucketDirty(i);
       ++last_sync_stats_.history_refreshes;
     }
-    object_blocks_changed = true;
     synced_revision_ = view.answers->revision();
   }
 
@@ -171,13 +167,11 @@ void ScoreCache::Sync(const StateView& view) {
     class_probs_ = view.class_probs;
     class_probs_version_ = view.class_probs_version;
     MarkAllBucketsDirty();
-    object_blocks_changed = true;
   }
 
   // Annotator block: value-compare against the snapshot. A max_cost change
   // renormalizes every annotator's cost columns.
   bool all_annotators_dirty = view.max_cost != snap_max_cost_;
-  bool annotator_blocks_changed = false;
   for (size_t j = 0; j < num_annotators_; ++j) {
     bool expert = view.annotator_is_expert != nullptr &&
                   (*view.annotator_is_expert)[j];
@@ -198,12 +192,8 @@ void ScoreCache::Sync(const StateView& view) {
     snap_costs_[j] = (*view.annotator_costs)[j];
     snap_is_expert_[j] = expert;
     ++last_sync_stats_.annotator_refreshes;
-    annotator_blocks_changed = true;
   }
   snap_max_cost_ = view.max_cost;
-
-  if (object_blocks_changed) ++object_blocks_version_;
-  if (annotator_blocks_changed) ++annotator_blocks_version_;
 
   // Global block: 3 values, patched in place every Sync.
   double global_before[StateFeaturizer::kGlobalBlockDim];

@@ -92,12 +92,6 @@ class ScoreCache {
   const Matrix& annotator_blocks() const { return annotator_blocks_; }
   const double* global_block() const { return global_block_; }
 
-  /// Change counters for the cached blocks: bump whenever any row of the
-  /// corresponding block matrix changes. Keys for downstream caches of
-  /// block-derived products (QNetwork's factorized partials).
-  size_t object_blocks_version() const { return object_blocks_version_; }
-  size_t annotator_blocks_version() const { return annotator_blocks_version_; }
-
   /// Monotone drift accumulators, the staleness signal for shortlist
   /// pruning (ShortlistPruner). Every time a block is refreshed with
   /// different values, the max-abs element change is added to that
@@ -170,8 +164,6 @@ class ScoreCache {
   Matrix object_blocks_;     // n x kObjectBlockDim.
   Matrix annotator_blocks_;  // m x kAnnotatorBlockDim.
   double global_block_[StateFeaturizer::kGlobalBlockDim] = {0.0, 0.0, 0.0};
-  size_t object_blocks_version_ = 0;
-  size_t annotator_blocks_version_ = 0;
 
   // Per-block cumulative max-abs value drift since the last full rebuild.
   std::vector<double> object_drift_;

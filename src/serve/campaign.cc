@@ -439,7 +439,7 @@ bool Campaign::MaybePlanRound() {
     ObserveReadyRounds();
   }
   if (plan.stop) {
-    FinishCampaign(plan);
+    FinishCampaign();
     return true;
   }
 
@@ -461,40 +461,44 @@ bool Campaign::MaybePlanRound() {
   return true;
 }
 
-void Campaign::FinishCampaign(const core::IterationPlan& terminal_plan) {
+bool Campaign::SettleInference() {
+  WaitAndApplyInference();
+  if (state_ != State::kServing) return false;
+  if (rs_->env.answers_revision() > applied_revision_) {
+    Status s = rs_->RunInferenceSync();
+    if (!s.ok()) {
+      Fail(std::move(s));
+      return false;
+    }
+    applied_revision_ = rs_->env.answers_revision();
+    ObserveReadyRounds();
+  }
+  return true;
+}
+
+void Campaign::ObserveOldestRound(bool terminal) {
+  PendingRound& round = unobserved_.front();
+  std::vector<double> rewards =
+      rs_->ComputePairRewards(round.plan.pairs, round.executed);
+  if (round.has_shared) {
+    for (double& r : rewards) r += round.shared;
+  }
+  rs_->agent.ObserveOldestPairs(round.plan.pairs.size(), rewards,
+                                rs_->MakeView(),
+                                rs_->env.AffordableAnnotators(), terminal);
+  RecordObserveLatencies(&round.commit_ns);
+  unobserved_.pop_front();
+}
+
+void Campaign::FinishCampaign() {
   if (!options_.synchronous_inference) {
-    // Settle asynchronous inference before the terminal observations:
-    // wait out an in-flight snapshot job, then bring the labels fully up
-    // to date with one synchronous round if answers arrived after that
-    // snapshot.
-    WaitAndApplyInference();
-    if (state_ != State::kServing) return;
-    if (rs_->env.answers_revision() > applied_revision_) {
-      Status s = rs_->RunInferenceSync();
-      if (!s.ok()) {
-        Fail(std::move(s));
-        return;
-      }
-      applied_revision_ = rs_->env.answers_revision();
-      ObserveReadyRounds();
-    }
-    // Remaining rounds (newest may have no shared term when the terminal
-    // plan stopped on the iteration cap): observed FIFO, the last one
-    // terminal — mirroring the batch loop's final observation.
-    while (!unobserved_.empty()) {
-      PendingRound& round = unobserved_.front();
-      std::vector<double> rewards =
-          rs_->ComputePairRewards(round.plan.pairs, round.executed);
-      if (round.has_shared) {
-        for (double& r : rewards) r += round.shared;
-      }
-      rs_->agent.ObserveOldestPairs(
-          round.plan.pairs.size(), rewards, rs_->MakeView(),
-          rs_->env.AffordableAnnotators(),
-          /*terminal=*/unobserved_.size() == 1);
-      RecordObserveLatencies(&round.commit_ns);
-      unobserved_.pop_front();
-    }
+    // Settle asynchronous inference before the terminal observations,
+    // then observe the remaining rounds FIFO (the newest may have no
+    // shared term when the terminal plan stopped on the iteration cap),
+    // the last one terminal — mirroring the batch loop's final
+    // observation.
+    if (!SettleInference()) return;
+    while (!unobserved_.empty()) ObserveOldestRound(unobserved_.size() == 1);
   }
   rs_->ObserveFinalPending();
   RecordObserveLatencies(&observe_wait_ns_);
@@ -540,31 +544,8 @@ Status Campaign::Drain() {
     // are known), the newest folded into RunState::pending_pair_rewards
     // so a resumed run observes it exactly like an interrupted batch run
     // would.
-    WaitAndApplyInference();
-    if (state_ != State::kServing) return status_;
-    if (rs_->env.answers_revision() > applied_revision_) {
-      Status s = rs_->RunInferenceSync();
-      if (!s.ok()) {
-        Fail(s);
-        return s;
-      }
-      applied_revision_ = rs_->env.answers_revision();
-      ObserveReadyRounds();
-    }
-    while (unobserved_.size() > 1) {
-      PendingRound& round = unobserved_.front();
-      std::vector<double> rewards =
-          rs_->ComputePairRewards(round.plan.pairs, round.executed);
-      if (round.has_shared) {
-        for (double& r : rewards) r += round.shared;
-      }
-      rs_->agent.ObserveOldestPairs(round.plan.pairs.size(), rewards,
-                                    rs_->MakeView(),
-                                    rs_->env.AffordableAnnotators(),
-                                    /*terminal=*/false);
-      RecordObserveLatencies(&round.commit_ns);
-      unobserved_.pop_front();
-    }
+    if (!SettleInference()) return status_;
+    while (unobserved_.size() > 1) ObserveOldestRound(/*terminal=*/false);
     if (!unobserved_.empty()) {
       PendingRound& round = unobserved_.front();
       rs_->pending_pair_rewards =

@@ -166,9 +166,17 @@ class Campaign {
   void ObserveReadyRounds();
   void MaybeStartInference();
   void WaitAndApplyInference();
+  /// Settles asynchronous inference before a campaign ends or drains:
+  /// waits out an in-flight snapshot job, runs one synchronous round if
+  /// answers arrived after that snapshot, and observes the rounds that
+  /// became ready. False once the campaign has left kServing.
+  bool SettleInference();
+  /// Observes the oldest unobserved round against the current view (its
+  /// shared term added when known) and drops it from the backlog.
+  void ObserveOldestRound(bool terminal);
   void FinishRound();
   bool MaybePlanRound();
-  void FinishCampaign(const core::IterationPlan& terminal_plan);
+  void FinishCampaign();
   void WriteMetricsRecord();
   /// Resolves one abandoned seq (reorder + stats + flight event).
   void NoteAbandoned(uint64_t seq);

@@ -17,12 +17,12 @@ namespace crowdrl::serve {
 struct ServiceOptions {
   /// Size of the featurization ThreadPool shared by every campaign's
   /// agent (DqnAgentOptions::shared_pool; <= 1: each agent keeps its own
-  /// per-config pool / serial path). It only builds dense candidate
-  /// feature matrices (see DqnAgentOptions::threads), so campaigns that
-  /// select on the factorized head leave it idle. The scheduler pumps
-  /// campaigns sequentially on one thread, so the shared pool only ever
-  /// has one caller (a concurrent one would run its range inline, see
-  /// util/thread_pool.h).
+  /// per-config pool / serial path). It only builds Score()'s dense
+  /// feature matrix (see DqnAgentOptions::threads), so campaigns, which
+  /// select and bootstrap on the factorized head, leave it idle. The
+  /// scheduler pumps campaigns sequentially on one thread, so the shared
+  /// pool only ever has one caller (a concurrent one would run its range
+  /// inline, see util/thread_pool.h).
   int shared_threads = 1;
   /// How long an idle scheduler pass sleeps on the event hub before
   /// re-polling (annotator pushes and finished TI jobs wake it earlier).

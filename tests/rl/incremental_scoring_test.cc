@@ -4,8 +4,8 @@
 //    and selected assignments — at every iteration of a randomized run,
 //    including across checkpoint/resume;
 //  - dirty tracking refreshes exactly the blocks whose inputs changed;
-//  - the factorized Q head (opt-in) agrees with the exact forward to
-//    within a small ULP bound.
+//  - the factorized Q head, the agent's one selection forward, agrees
+//    with the dense forward to within a small ULP bound, masked or not.
 
 #include <cmath>
 #include <cstdint>
@@ -95,10 +95,6 @@ DqnAgentOptions MakeOptions() {
   options.min_replay_before_training = 16;
   options.train_batch = 8;
   options.train_steps_per_observe = 2;
-  // Most tests here compare the cached path bitwise against from-scratch
-  // featurization; the factorized head (only ULP-close) is opted back in
-  // by the FactorizedQHeadTest suite.
-  options.factorized_q_head = false;
   return options;
 }
 
@@ -247,22 +243,18 @@ TEST(ScoreCacheTest, DirtyTrackingRefreshesOnlyChangedBlocks) {
   EXPECT_EQ(cache.last_sync_stats().annotator_refreshes, 0u);
 
   // Answers dirty exactly the touched objects (deduplicated).
-  size_t object_version = cache.object_blocks_version();
   s.answers.Record(3, 0, 1);
   s.answers.Record(3, 1, 2);
   s.answers.Record(7, 0, 0);
   cache.Sync(s.View());
   EXPECT_EQ(cache.last_sync_stats().history_refreshes, 2u);
   EXPECT_EQ(cache.last_sync_stats().annotator_refreshes, 0u);
-  EXPECT_GT(cache.object_blocks_version(), object_version);
 
   // A quality change dirties exactly that annotator.
-  size_t annotator_version = cache.annotator_blocks_version();
   s.qualities[2] = 0.7;
   cache.Sync(s.View());
   EXPECT_EQ(cache.last_sync_stats().annotator_refreshes, 1u);
   EXPECT_EQ(cache.last_sync_stats().history_refreshes, 0u);
-  EXPECT_GT(cache.annotator_blocks_version(), annotator_version);
 
   // A class_probs refresh dirties every object's classifier columns.
   s.RefreshProbs();
@@ -387,8 +379,6 @@ TEST(FactorizedQHeadTest, MatchesExactForwardWithinUlps) {
   blocks.object_blocks = &cache.object_blocks();
   blocks.annotator_blocks = &cache.annotator_blocks();
   blocks.global_block = cache.global_block();
-  blocks.object_version = cache.object_blocks_version();
-  blocks.annotator_version = cache.annotator_blocks_version();
 
   QNetworkOptions q_options;
   q_options.seed = 77;
@@ -397,11 +387,8 @@ TEST(FactorizedQHeadTest, MatchesExactForwardWithinUlps) {
                  net.PredictBatch(features), "online");
   ExpectUlpClose(net.PredictBatchFactorized(blocks, pairs, true),
                  net.TargetPredictBatch(features), "target");
-  // Second call serves from the cached partials — must be unchanged.
-  ExpectUlpClose(net.PredictBatchFactorized(blocks, pairs, false),
-                 net.PredictBatch(features), "cached partials");
 
-  // Parameter updates must invalidate the cached partials.
+  // After parameter updates.
   Rng rng(5);
   std::vector<Transition> transitions;
   for (int t = 0; t < 8; ++t) {
@@ -420,7 +407,7 @@ TEST(FactorizedQHeadTest, MatchesExactForwardWithinUlps) {
   ExpectUlpClose(net.PredictBatchFactorized(blocks, pairs, true),
                  net.TargetPredictBatch(features), "target after sync");
 
-  // Block updates (new answers, new qualities) must refresh the partials.
+  // After block updates (new answers, new qualities).
   s.answers.Record(9, 2, 3);
   s.qualities[1] = 0.9;
   cache.Sync(s.View());
@@ -428,45 +415,45 @@ TEST(FactorizedQHeadTest, MatchesExactForwardWithinUlps) {
     cache.AssembleRowInto(pairs[p].object, pairs[p].annotator,
                           features.Row(p));
   }
-  blocks.object_version = cache.object_blocks_version();
-  blocks.annotator_version = cache.annotator_blocks_version();
   ExpectUlpClose(net.PredictBatchFactorized(blocks, pairs, false),
                  net.PredictBatch(features), "after block refresh");
 }
 
-// The factorized agent must fall back to the exact path when a feature
-// mask is set (masked rows cannot be block-decomposed), reproducing the
-// exact agent's scores bitwise.
-TEST(FactorizedQHeadTest, FeatureMaskFallsBackToExactPath) {
+// A feature-masked agent scores on the head too: its scores must match
+// the masked dense forward (the agent's own masked Score() rows through
+// PredictBatch) within the ULP bound.
+TEST(FactorizedQHeadTest, FeatureMaskMatchesMaskedDenseForward) {
   Scenario s;
   s.RefreshProbs();
+  s.answers.Record(2, 1, 0);
   std::vector<bool> mask(StateFeaturizer::kFeatureDim, true);
   mask[4] = false;
   mask[5] = false;
+  mask[7] = false;
+  mask[10] = false;
 
-  DqnAgentOptions exact_options = MakeOptions();
-  exact_options.feature_mask = mask;
-  DqnAgentOptions fact_options = exact_options;
-  fact_options.factorized_q_head = true;
-
-  DqnAgent exact(exact_options);
-  DqnAgent factorized(fact_options);
-  exact.BeginEpisode(kObjects, kAnnotators);
-  factorized.BeginEpisode(kObjects, kAnnotators);
-  ScoredCandidates want = exact.Score(s.View(), s.affordable);
-  ScoredCandidates got = factorized.Score(s.View(), s.affordable);
-  ASSERT_EQ(got.scores.size(), want.scores.size());
-  for (size_t i = 0; i < got.scores.size(); ++i) {
-    ASSERT_EQ(got.scores[i], want.scores[i]);  // Bitwise.
+  DqnAgentOptions options = MakeOptions();
+  options.feature_mask = mask;
+  options.exploration = ExplorationMode::kGreedy;  // Scores are raw Q.
+  DqnAgent agent(options);
+  agent.BeginEpisode(kObjects, kAnnotators);
+  ScoredCandidates got = agent.Score(s.View(), s.affordable);
+  ASSERT_FALSE(got.actions.empty());
+  for (size_t i = 0; i < got.features.rows(); ++i) {
+    for (size_t f = 0; f < StateFeaturizer::kFeatureDim; ++f) {
+      if (!mask[f]) {
+        ASSERT_EQ(got.features.At(i, f), 0.0);
+      }
+    }
   }
+  ExpectUlpClose(got.scores, agent.q_network().PredictBatch(got.features),
+                 "masked");
 }
 
 TEST(FactorizedQHeadTest, AgentSelectsValidAssignments) {
   Scenario s;
   s.RefreshProbs();
-  DqnAgentOptions options = MakeOptions();
-  options.factorized_q_head = true;
-  DqnAgent agent(options);
+  DqnAgent agent(MakeOptions());
   agent.BeginEpisode(kObjects, kAnnotators);
   for (int iter = 0; iter < 4; ++iter) {
     std::vector<Assignment> assignments =
@@ -483,33 +470,44 @@ TEST(FactorizedQHeadTest, AgentSelectsValidAssignments) {
   }
 }
 
-// Satellite pin: the factorized bootstrap must not assemble dense feature
-// rows — PredictBatchFactorized never reads them, so ObservePerPair skips
-// the per-row assembly entirely (the cache Sync still runs).
-TEST(FactorizedQHeadTest, BootstrapSkipsDenseAssembly) {
-  for (bool factorized : {true, false}) {
+// Zero-assembly pin: selection and the bootstrap score on the head, which
+// reads the cached blocks, so SelectBatch and Observe assemble no
+// candidate feature rows — untiled, tiled and feature-masked alike (the
+// cache Sync still runs). Only Score() fills its public feature matrix.
+TEST(FactorizedQHeadTest, SelectionAndBootstrapAssembleNoRows) {
+  enum class Shape { kUntiled, kTiled, kMasked };
+  for (Shape shape : {Shape::kUntiled, Shape::kTiled, Shape::kMasked}) {
     Scenario s;
     s.RefreshProbs();
     DqnAgentOptions options = MakeOptions();
-    options.factorized_q_head = factorized;
+    if (shape == Shape::kTiled) {
+      options.hier_min_pairs = 0;
+      options.hier_object_bucket = 8;
+      options.hier_annotator_group = 4;
+    }
+    if (shape == Shape::kMasked) {
+      options.feature_mask.assign(StateFeaturizer::kFeatureDim, true);
+      options.feature_mask[3] = false;
+    }
     DqnAgent agent(options);
     agent.BeginEpisode(kObjects, kAnnotators);
-    std::vector<Assignment> assignments = agent.SelectBatch(
-        s.View(), /*k=*/2, /*num_objects_to_pick=*/3, s.affordable);
-    ASSERT_FALSE(assignments.empty());
-    for (const Assignment& assignment : assignments) {
-      for (int j : assignment.annotators) {
-        s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
+    ASSERT_EQ(agent.HierEngaged(), shape == Shape::kTiled);
+    for (int iter = 0; iter < 3; ++iter) {
+      std::vector<Assignment> assignments = agent.SelectBatch(
+          s.View(), /*k=*/2, /*num_objects_to_pick=*/3, s.affordable);
+      ASSERT_FALSE(assignments.empty());
+      for (const Assignment& assignment : assignments) {
+        for (int j : assignment.annotators) {
+          s.answers.Record(assignment.object, j, s.rng.UniformInt(kClasses));
+        }
       }
+      agent.Observe(0.5, s.View(), s.affordable, /*terminal=*/false);
     }
-    uint64_t before = agent.rows_featurized();
-    agent.Observe(0.5, s.View(), s.affordable, /*terminal=*/false);
-    uint64_t delta = agent.rows_featurized() - before;
-    if (factorized) {
-      EXPECT_EQ(delta, 0u) << "factorized bootstrap assembled dense rows";
-    } else {
-      EXPECT_GT(delta, 0u) << "exact bootstrap must featurize candidates";
-    }
+    EXPECT_EQ(agent.rows_featurized(), 0u)
+        << "shape " << static_cast<int>(shape);
+    const ScoredCandidates scored = agent.Score(s.View(), s.affordable);
+    EXPECT_EQ(agent.rows_featurized(), scored.actions.size())
+        << "shape " << static_cast<int>(shape);
   }
 }
 
@@ -585,11 +583,10 @@ void TrainNet(QNetwork* net, const Matrix& features, int steps, Rng* rng) {
   for (int step = 0; step < steps; ++step) net->TrainBatch(batch);
 }
 
-// Satellite coverage: the factorized partial-product caches must be
-// recomputed after every way the underlying parameters can change —
-// LoadState, SetFlatParameters, and both target-sync flavours (periodic
-// hard sync and per-step soft tau) — staying in ULP lockstep with the
-// exact forward throughout.
+// The head forms its partial products from the current weights on every
+// call, so it stays in ULP lockstep with the dense forward after every way
+// the parameters can change — LoadState, SetFlatParameters, and both
+// target-sync flavours (periodic hard sync and per-step soft tau).
 TEST(FactorizedQHeadTest, RecomputesPartialsAfterParameterEvents) {
   Scenario s;
   s.RefreshProbs();
@@ -613,12 +610,10 @@ TEST(FactorizedQHeadTest, RecomputesPartialsAfterParameterEvents) {
   blocks.object_blocks = &cache.object_blocks();
   blocks.annotator_blocks = &cache.annotator_blocks();
   blocks.global_block = cache.global_block();
-  blocks.object_version = cache.object_blocks_version();
-  blocks.annotator_version = cache.annotator_blocks_version();
   Rng rng(97);
 
-  // Periodic hard target sync: warm the caches, then train exactly up to
-  // the sync boundary — the target partials must follow the swap.
+  // Periodic hard target sync: train exactly up to the sync boundary —
+  // the target partials must follow the swap.
   {
     QNetworkOptions q_options;
     q_options.seed = 41;
@@ -649,7 +644,7 @@ TEST(FactorizedQHeadTest, RecomputesPartialsAfterParameterEvents) {
   }
 
   // SetFlatParameters (cross-training transfer) rewrites the online net
-  // and resets the target; both cached partials are stale afterwards.
+  // and resets the target.
   {
     QNetworkOptions q_options;
     q_options.seed = 47;

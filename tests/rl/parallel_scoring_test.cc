@@ -67,9 +67,6 @@ struct WideFixture {
     options.q.seed = 17;
     options.threads = threads;
     options.q.threads = threads;
-    // This suite compares scores bitwise against from-scratch
-    // featurization; the factorized head is only ULP-close.
-    options.factorized_q_head = false;
     DqnAgent agent(options);
     agent.BeginEpisode(kObjects, kAnnotators);
     return agent;

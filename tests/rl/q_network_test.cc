@@ -157,7 +157,9 @@ std::vector<std::vector<Action>> FillPairLists(size_t objects,
 // online and the target network (which differ after a few training
 // steps), serially and on 4 lanes, with lists longer than one 256-row
 // forward block. Object 2's block holds a NaN, so its pre-activations are
-// NaN and ReLU must turn them into +0.0.
+// NaN and ReLU must turn them into +0.0. A feature mask that switches off
+// global, object and annotator columns must equal the reference on the
+// network whose masked layer-0 columns are zeroed.
 TEST(FactorizedFillTest, PredictBatchFactorizedMatchesReferenceBitwise) {
   constexpr size_t kObjects = 37;
   constexpr size_t kAnnotators = 6;
@@ -172,8 +174,8 @@ TEST(FactorizedFillTest, PredictBatchFactorizedMatchesReferenceBitwise) {
   blocks.object_blocks = &object_blocks;
   blocks.annotator_blocks = &annotator_blocks;
   blocks.global_block = global_block.data();
-  blocks.object_version = 1;
-  blocks.annotator_version = 1;
+  std::vector<bool> mask(StateFeaturizer::kFeatureDim, true);
+  for (size_t column : {0, 2, 5, 7, 11}) mask[column] = false;
 
   std::vector<Transition> transitions(16);
   for (Transition& t : transitions) {
@@ -204,21 +206,26 @@ TEST(FactorizedFillTest, PredictBatchFactorizedMatchesReferenceBitwise) {
 
     for (const std::vector<Action>& pairs :
          FillPairLists(kObjects, kAnnotators, 700, &rng)) {
-      for (bool use_target : {false, true}) {
-        const std::vector<double> got =
-            q.PredictBatchFactorized(blocks, pairs, use_target);
-        const std::vector<double> want = testing::ReferenceFactorizedQ(
-            use_target ? target : online, blocks, pairs);
-        ASSERT_EQ(got.size(), want.size());
-        size_t mismatches = 0;
-        for (size_t p = 0; p < got.size(); ++p) {
-          if (std::memcmp(&got[p], &want[p], sizeof(double)) != 0) {
-            ++mismatches;
+      for (bool masked : {false, true}) {
+        blocks.feature_mask = masked ? &mask : nullptr;
+        for (bool use_target : {false, true}) {
+          const nn::Mlp& net = use_target ? target : online;
+          const std::vector<double> got =
+              q.PredictBatchFactorized(blocks, pairs, use_target);
+          const std::vector<double> want = testing::ReferenceFactorizedQ(
+              masked ? testing::WithMaskedInputs(net, mask) : net, blocks,
+              pairs);
+          ASSERT_EQ(got.size(), want.size());
+          size_t mismatches = 0;
+          for (size_t p = 0; p < got.size(); ++p) {
+            if (std::memcmp(&got[p], &want[p], sizeof(double)) != 0) {
+              ++mismatches;
+            }
           }
+          EXPECT_EQ(mismatches, 0u)
+              << "threads " << threads << " masked " << masked << " target "
+              << use_target << ", " << pairs.size() << " pairs";
         }
-        EXPECT_EQ(mismatches, 0u)
-            << "threads " << threads << " target " << use_target << ", "
-            << pairs.size() << " pairs";
       }
     }
   }

@@ -73,7 +73,7 @@ TEST(ShortlistPruningTest, AuditedPrunedRunMatchesFullScoringExactly) {
 
 // The same audited lockstep over randomized configurations — grid shape,
 // tiled or not (random tile geometry), shortlist size, exploration mode,
-// forward, training rate, tied annotators, checkpoint point — with churn:
+// training rate, tied annotators, checkpoint point — with churn:
 // objects get labelled, annotators flip affordability (evicted from the
 // gated agent on the way out), and k and the pick count change every
 // iteration. Every selection must equal full scoring.
@@ -93,7 +93,6 @@ TEST(ShortlistPruningTest, RandomizedConfigurationsMatchFullScoring) {
     config.shortlist = shortlists[rng.UniformInt(6)];
     config.exploration = rng.Bernoulli(0.3) ? ExplorationMode::kGreedy
                                             : ExplorationMode::kUcb;
-    config.factorized_q_head = rng.Bernoulli(0.7);
     config.train_steps_per_observe = 1 + rng.UniformInt(8);
     config.iterations = 10 + rng.UniformInt(30);
     config.restore_after = rng.UniformInt(config.iterations);
@@ -550,7 +549,9 @@ TEST(ScoreCacheDriftTest, AccumulatorsTrackBlockRefreshes) {
   cache.Sync(s.View());
   EXPECT_GT(cache.object_drift()[7], 0.0);
   for (size_t i = 0; i < kObjects; ++i) {
-    if (i != 7) EXPECT_EQ(cache.object_drift()[i], 0.0) << "object " << i;
+    if (i != 7) {
+      EXPECT_EQ(cache.object_drift()[i], 0.0) << "object " << i;
+    }
   }
 
   // A quality change refreshes exactly that annotator's block.
@@ -558,7 +559,9 @@ TEST(ScoreCacheDriftTest, AccumulatorsTrackBlockRefreshes) {
   cache.Sync(s.View());
   EXPECT_GT(cache.annotator_drift()[2], 0.0);
   for (size_t j = 0; j < kAnnotators; ++j) {
-    if (j != 2) EXPECT_EQ(cache.annotator_drift()[j], 0.0);
+    if (j != 2) {
+      EXPECT_EQ(cache.annotator_drift()[j], 0.0);
+    }
   }
 
   // Progress counters move the global block.

@@ -12,6 +12,7 @@
 #include "rl/q_network.h"
 #include "rl/state.h"
 #include "tests/testing/reference_gemm.h"
+#include "util/random.h"
 
 namespace crowdrl::testing {
 
@@ -141,6 +142,38 @@ inline std::vector<double> ReferenceFactorizedQ(
   std::vector<double> q(out.rows());
   for (size_t r = 0; r < out.rows(); ++r) q[r] = out.At(r, 0);
   return q;
+}
+
+/// The online network of a QNetwork built with the default hidden sizes,
+/// as a standalone nn::Mlp (QNetwork exposes only its flat parameters),
+/// so the references above can evaluate it.
+inline nn::Mlp OnlineMlp(const rl::QNetwork& network) {
+  std::vector<size_t> sizes = {rl::StateFeaturizer::kFeatureDim};
+  for (size_t h : rl::QNetworkOptions{}.hidden_sizes) sizes.push_back(h);
+  sizes.push_back(1);
+  std::vector<nn::Activation> acts(sizes.size() - 1, nn::Activation::kRelu);
+  acts.back() = nn::Activation::kIdentity;
+  Rng rng(1);
+  nn::Mlp net(sizes, acts, &rng);
+  net.SetFlatParameters(network.FlatParameters());
+  return net;
+}
+
+/// `net` with the layer-0 weight columns of masked-off features zeroed:
+/// what a feature-masked agent's dense rows (zeros in those columns)
+/// leave of the first layer.
+inline nn::Mlp WithMaskedInputs(const nn::Mlp& net,
+                                const std::vector<bool>& mask) {
+  std::vector<double> flat = net.FlatParameters();  // Layer-0 W first.
+  const size_t in = net.input_size();
+  for (size_t h = 0; h < net.layer_weight(0).rows(); ++h) {
+    for (size_t c = 0; c < in; ++c) {
+      if (!mask[c]) flat[h * in + c] = 0.0;
+    }
+  }
+  nn::Mlp masked = net;
+  masked.SetFlatParameters(flat);
+  return masked;
 }
 
 }  // namespace crowdrl::testing

@@ -9,6 +9,7 @@
 #include "rl/dqn_agent.h"
 #include "rl/q_network.h"
 #include "rl/state.h"
+#include "tests/testing/reference_fills.h"
 
 namespace crowdrl::testing {
 
@@ -16,9 +17,10 @@ namespace crowdrl::testing {
 /// kept as the bitwise reference for DqnAgent::Score: every valid pair
 /// (object unlabelled, annotator affordable, pair unanswered) enumerated in
 /// ascending (object, annotator) order, featurized from scratch by
-/// StateFeaturizer::Featurize, run through the network's dense forward,
-/// plus the UCB1 bonus from selection counts this class mirrors itself
-/// (Commit). Do not speed this up; its only job is to be obviously right.
+/// StateFeaturizer::Featurize, scored by ReferenceFactorizedQ over feature
+/// blocks cut from from-scratch rows, plus the UCB1 bonus from selection
+/// counts this class mirrors itself (Commit). Do not speed this up; its
+/// only job is to be obviously right.
 class ReferenceScorer {
  public:
   ReferenceScorer(size_t num_objects, size_t num_annotators, double ucb_c)
@@ -52,7 +54,32 @@ class ReferenceScorer {
                            out.features.Row(idx));
     }
     if (out.actions.empty()) return out;
-    out.scores = network.PredictBatch(out.features);
+    // Each object's block from its row with annotator 0, each annotator's
+    // from its row with object 0, the global block from any row.
+    using F = rl::StateFeaturizer;
+    Matrix object_blocks(num_objects, F::kObjectBlockDim);
+    Matrix annotator_blocks(num_annotators_, F::kAnnotatorBlockDim);
+    std::vector<double> row(F::kFeatureDim);
+    for (size_t i = 0; i < num_objects; ++i) {
+      featurizer.Featurize(view, static_cast<int>(i), 0, &scratch, row.data());
+      for (size_t t = 0; t < F::kObjectBlockDim; ++t) {
+        object_blocks.At(i, t) = row[F::kObjectBlockOffset + t];
+      }
+    }
+    for (size_t j = 0; j < num_annotators_; ++j) {
+      featurizer.Featurize(view, 0, static_cast<int>(j), &scratch, row.data());
+      for (size_t t = 0; t < F::kAnnotatorBlockDim; ++t) {
+        annotator_blocks.At(j, t) = row[F::kAnnotatorBlockOffset + t];
+      }
+    }
+    const double global_block[F::kGlobalBlockDim] = {row[0], row[10],
+                                                     row[11]};
+    rl::FeatureBlocks blocks;
+    blocks.object_blocks = &object_blocks;
+    blocks.annotator_blocks = &annotator_blocks;
+    blocks.global_block = global_block;
+    out.scores =
+        ReferenceFactorizedQ(OnlineMlp(network), blocks, out.actions);
     const double log_term =
         2.0 * std::log(static_cast<double>(total_selections_) + 1.0);
     for (size_t idx = 0; idx < out.actions.size(); ++idx) {

@@ -181,7 +181,6 @@ struct LockstepConfig {
   /// below the pair count (the auto floor of 256 would score everything).
   size_t shortlist = 48;
   rl::ExplorationMode exploration = rl::ExplorationMode::kUcb;
-  bool factorized_q_head = true;
   int train_steps_per_observe = 2;
   /// Lanes of both agent pools: featurization and the Q forward, which
   /// also runs the tiled gate's per-pair loops.
@@ -205,7 +204,6 @@ inline rl::DqnAgentOptions LockstepOptions(const LockstepConfig& config) {
   options.train_batch = 8;
   options.train_steps_per_observe = config.train_steps_per_observe;
   options.exploration = config.exploration;
-  options.factorized_q_head = config.factorized_q_head;
   options.prune_shortlist = config.shortlist;
   if (config.tiled) {
     options.hier_min_pairs = 0;
