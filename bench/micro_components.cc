@@ -1049,7 +1049,7 @@ void WriteScoringReport(size_t objects, const std::string& path) {
   // the selected assignments must be identical every iteration — the gate
   // falls back to full scoring whenever it cannot prove that.
   const int kPrunedIters = 10;
-  const int kPrunedWarmup = 3;  // Must-score first pass + bound calibration.
+  const int kPrunedWarmup = 3;  // First pass + bound calibration.
   const size_t kGateBucket = 64;
   const size_t kGateGroup = 8;
   double best_base = 1e300;

@@ -214,6 +214,30 @@ Status FoldInference(const inference::InferenceResult& inferred,
   return Status::Ok();
 }
 
+// The one truth-inference call behind RunInferenceSync and
+// ExecuteInferenceJob, which differ only in where the inputs live: PM
+// inference over the objects' answers, or the joint model, which retrains
+// `phi` in place. Both inference classes hold nothing but their options,
+// so each call builds its own.
+Status InferTruth(const crowd::AnswerLog& answers,
+                  const std::vector<int>& objects, const Matrix& features,
+                  const std::vector<crowd::AnnotatorType>& types,
+                  int num_classes, bool use_pm,
+                  const inference::JointInferenceOptions& joint_options,
+                  const inference::PmOptions& pm_options,
+                  classifier::MlpClassifier* phi,
+                  inference::InferenceResult* result) {
+  inference::InferenceInput input;
+  input.answers = &answers;
+  input.num_classes = num_classes;
+  input.objects = objects;
+  input.features = &features;
+  input.annotator_types = &types;
+  if (use_pm) return inference::PmInference(pm_options).Infer(input, result);
+  input.classifier = phi;
+  return inference::JointInference(joint_options).Infer(input, result);
+}
+
 }  // namespace
 
 RunState::RunState(const CrowdRlConfig* config_in,
@@ -234,8 +258,6 @@ RunState::RunState(const CrowdRlConfig* config_in,
       phi(dataset_in->feature_dim(), num_classes,
           MakeClassifierOptions(*config_in, Rng(seed_in).Fork(2).seed())),
       agent(MakeAgentOptions(*config_in, Rng(seed_in).Fork(3).seed())),
-      joint(config_in->joint),
-      pm(config_in->pm),
       local(Rng(seed_in).Fork(4)) {
   agent.BeginEpisode(n, num_annotators);
   if (!config->pretrained_q_params.empty()) {
@@ -509,19 +531,10 @@ Status RunState::RunInferenceSync() {
   CROWDRL_TRACE_SPAN("framework.inference");
   std::vector<int> objects = env.AnsweredObjects();
   if (objects.empty()) return Status::Ok();
-  inference::InferenceInput input;
-  input.answers = &env.answers();
-  input.num_classes = num_classes;
-  input.objects = objects;
-  input.features = &dataset->features;
-  input.annotator_types = &types;
   inference::InferenceResult inferred;
-  if (config->use_pm_inference) {
-    CROWDRL_RETURN_IF_ERROR(pm.Infer(input, &inferred));
-  } else {
-    input.classifier = &phi;
-    CROWDRL_RETURN_IF_ERROR(joint.Infer(input, &inferred));
-  }
+  CROWDRL_RETURN_IF_ERROR(InferTruth(
+      env.answers(), objects, dataset->features, types, num_classes,
+      config->use_pm_inference, config->joint, config->pm, &phi, &inferred));
   return FoldInference(inferred, objects, config->use_pm_inference, this);
 }
 
@@ -550,20 +563,10 @@ void RunState::ExecuteInferenceJob(TruthInferenceJob* job) {
     job->status = Status::Ok();
     return;
   }
-  inference::InferenceInput input;
-  input.answers = job->answers.get();
-  input.num_classes = job->num_classes;
-  input.objects = job->objects;
-  input.features = job->features;
-  input.annotator_types = &job->types;
-  if (job->use_pm) {
-    inference::PmInference pm(job->pm_options);
-    job->status = pm.Infer(input, &job->result);
-  } else {
-    input.classifier = job->phi.get();
-    inference::JointInference joint(job->joint_options);
-    job->status = joint.Infer(input, &job->result);
-  }
+  job->status = InferTruth(*job->answers, job->objects, *job->features,
+                           job->types, job->num_classes, job->use_pm,
+                           job->joint_options, job->pm_options,
+                           job->phi.get(), &job->result);
 }
 
 Status RunState::ApplyInference(TruthInferenceJob* job) {

@@ -137,8 +137,6 @@ struct RunState {
   LabelState state;
   classifier::MlpClassifier phi;
   rl::DqnAgent agent;
-  inference::JointInference joint;
-  inference::PmInference pm;
   Rng local;
 
   std::vector<crowd::AnnotatorType> types;

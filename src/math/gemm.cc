@@ -1,6 +1,7 @@
 #include "math/gemm.h"
 
 #include <algorithm>
+#include <functional>
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #include <immintrin.h>
@@ -412,14 +413,16 @@ void TnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
 // threaded grain adapts to the batch: at least kRowGrain rows, at most
 // rows / (lanes * kChunksPerLane), so huge batches get a few large chunks
 // per lane instead of thousands of tiny ones. Chunks write disjoint rows,
-// so neither threading nor grain choice ever changes results.
-void RunRowChunks(ThreadPool* pool, size_t rows,
-                  const std::function<void(size_t, size_t)>& body) {
+// so neither threading nor grain choice ever changes results. The body is
+// never copied into a heap-allocated closure: the serial path calls it
+// directly and the pool gets a reference to it.
+template <typename Body>
+void RunRowChunks(ThreadPool* pool, size_t rows, const Body& body) {
   if (pool != nullptr && rows > kRowGrain) {
     const size_t lanes = static_cast<size_t>(pool->num_threads());
     const size_t grain =
         std::max(kRowGrain, rows / (lanes * kChunksPerLane));
-    pool->ParallelFor(0, rows, grain, body);
+    pool->ParallelFor(0, rows, grain, std::cref(body));
     return;
   }
   for (size_t r0 = 0; r0 < rows; r0 += kRowGrain) {

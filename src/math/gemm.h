@@ -66,7 +66,9 @@ namespace crowdrl::gemm {
 /// Called after each block of output rows [row_begin, row_end) is fully
 /// computed, while the block is still cache-hot — the MLP fuses its
 /// bias + activation epilogue through this. Under a pool, blocks complete
-/// concurrently: the epilogue must touch only its own rows.
+/// concurrently: the epilogue must touch only its own rows. Hot callers
+/// pass `std::cref` of a callable that outlives the call, which the
+/// function object holds without allocating.
 using RowEpilogue = std::function<void(size_t row_begin, size_t row_end)>;
 
 /// C = A · B. `out` is overwritten.

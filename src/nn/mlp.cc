@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "math/gemm.h"
 #include "util/logging.h"
@@ -13,16 +14,20 @@ namespace {
 /// Fused per-row-block tail of a linear layer: bias add + activation,
 /// applied row by row while the block is still cache-hot inside the GEMM.
 /// Blocks are disjoint row ranges, so this is safe under kernel
-/// row-threading.
-gemm::RowEpilogue BiasActivationEpilogue(const std::vector<double>& bias,
-                                         Activation act, Matrix* out) {
-  return [&bias, act, out](size_t row_begin, size_t row_end) {
+/// row-threading. Callers hand the GEMM `std::cref` of one, so no layer
+/// call allocates a closure.
+struct BiasActivation {
+  const std::vector<double>& bias;
+  Activation act;
+  Matrix* out;
+
+  void operator()(size_t row_begin, size_t row_end) const {
     for (size_t r = row_begin; r < row_end; ++r) {
       double* row = out->Row(r);
       AddActivate(act, row, bias.data(), out->cols(), row);
     }
-  };
-}
+  }
+};
 
 // Rows per block in the loop-fused InferInto path. Large enough that the
 // per-layer GEMMs amortize their setup, small enough that a block's whole
@@ -62,10 +67,10 @@ const Matrix& Mlp::Forward(const Matrix& batch, ThreadPool* pool) {
   const Matrix* current = &batch;
   for (size_t l = 0; l < layers_.size(); ++l) {
     Layer& layer = layers_[l];
-    gemm::MatMulNTInto(
-        *current, layer.weight, &layer.output, pool,
-        BiasActivationEpilogue(layer.bias, layer.activation, &layer.output),
-        &wt_scratch_[l]);
+    const BiasActivation epilogue{layer.bias, layer.activation,
+                                  &layer.output};
+    gemm::MatMulNTInto(*current, layer.weight, &layer.output, pool,
+                       std::cref(epilogue), &wt_scratch_[l]);
     current = &layer.output;
   }
   return layers_.back().output;
@@ -81,10 +86,9 @@ const Matrix& Mlp::Infer(const Matrix& batch, ThreadPool* pool) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &infer_buf_[l % 2];
-    gemm::MatMulNTInto(
-        *current, layer.weight, out, pool,
-        BiasActivationEpilogue(layer.bias, layer.activation, out),
-        &wt_scratch_[l]);
+    const BiasActivation epilogue{layer.bias, layer.activation, out};
+    gemm::MatMulNTInto(*current, layer.weight, out, pool,
+                       std::cref(epilogue), &wt_scratch_[l]);
     current = out;
   }
   return *current;
@@ -116,24 +120,27 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
     *out = Matrix(rows, out_cols);
   }
   auto block_body = [&](size_t r0, size_t r1) {
-    // All scratch is per-thread: the block's input and ping-pong
-    // activations live in thread_local matrices, and the kernels' weight-
-    // transpose packing uses its own thread_local buffer (bt_scratch
-    // nullptr) instead of the shared wt_scratch_.
+    // All scratch is per lane, and per layer: each layer's activations
+    // and weight-transpose packing keep their own thread_local buffer, so
+    // a warm block reuses every allocation instead of reshaping one
+    // buffer layer after layer (the shared wt_scratch_ is not touched).
     thread_local Matrix block_in;
-    thread_local Matrix bufs[2];
-    const size_t n = r1 - r0;
-    if (block_in.rows() != n || block_in.cols() != in_cols) {
-      block_in = Matrix(n, in_cols);
+    thread_local std::vector<Matrix> acts;
+    thread_local std::vector<Matrix> packed;
+    if (acts.size() < layers_.size()) {
+      acts.resize(layers_.size());
+      packed.resize(layers_.size());
     }
+    const size_t n = r1 - r0;
+    block_in.Reshape(n, in_cols);
     fill(r0, r1, &block_in);
     const Matrix* current = &block_in;
     for (size_t l = first_layer; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
-      Matrix* o = &bufs[l % 2];
-      gemm::MatMulNTInto(
-          *current, layer.weight, o, nullptr,
-          BiasActivationEpilogue(layer.bias, layer.activation, o), nullptr);
+      Matrix* o = &acts[l];
+      const BiasActivation epilogue{layer.bias, layer.activation, o};
+      gemm::MatMulNTInto(*current, layer.weight, o, nullptr,
+                         std::cref(epilogue), &packed[l]);
       current = o;
     }
     for (size_t r = 0; r < n; ++r) {
@@ -142,7 +149,7 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
     }
   };
   if (pool != nullptr && rows > kInferBlockRows) {
-    pool->ParallelFor(0, rows, kInferBlockRows, block_body);
+    pool->ParallelFor(0, rows, kInferBlockRows, std::cref(block_body));
   } else {
     for (size_t r0 = 0; r0 < rows; r0 += kInferBlockRows) {
       block_body(r0, std::min(r0 + kInferBlockRows, rows));
@@ -161,9 +168,9 @@ std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &bufs[l % 2];
-    gemm::MatMulNTInto(
-        *current, layer.weight, out, nullptr,
-        BiasActivationEpilogue(layer.bias, layer.activation, out), nullptr);
+    const BiasActivation epilogue{layer.bias, layer.activation, out};
+    gemm::MatMulNTInto(*current, layer.weight, out, nullptr,
+                       std::cref(epilogue), nullptr);
     current = out;
   }
   return current->RowVector(0);

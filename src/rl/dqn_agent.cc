@@ -385,7 +385,6 @@ void DqnAgent::BeginEpisode(size_t num_objects, size_t num_annotators) {
 
 void DqnAgent::ResetSelectionState() {
   score_cache_.Invalidate();
-  pruner_.Reset(episode_objects_, episode_annotators_);
   sync_metrics_seen_ = ScoreCache::CumulativeStats{};
   score_cache_.ConfigureObjectBuckets(HierEngaged() ? options_.hier_object_bucket
                                                     : 0);
@@ -635,7 +634,7 @@ std::vector<Assignment> DqnAgent::SelectGated(
     score_cache_.Sync(view);
     RecordSyncMetrics(score_cache_, &sync_metrics_seen_);
   }
-  pruner_.BeginIteration(score_cache_);
+  pruner_.BeginIteration();
   const size_t train_steps = q_network_.train_steps();
   const double neg_inf = -std::numeric_limits<double>::infinity();
   ThreadPool* const pool = q_network_.inference_pool();
@@ -735,9 +734,8 @@ std::vector<Assignment> DqnAgent::SelectGated(
   // Every per-pair loop below runs in chunks on the Q forward's pool, and
   // nothing it computes depends on the lane count: chunks write only their
   // own indices, counts are summed as integers, the shortlist cut ranks by
-  // one total order, and whatever moves alpha/beta (tile violations, the
-  // pruner's move replay) or ranks objects runs serially in pair and
-  // object order.
+  // one total order, and whatever moves alpha/beta (tile violations) or
+  // ranks objects runs serially in pair and object order.
   GateCandidates& cand = gate_;
   cand.run_object.clear();  // A fresh list: nothing to carry over.
   cand.run_begin.assign(1, 0);
@@ -844,51 +842,34 @@ std::vector<Assignment> DqnAgent::SelectGated(
   };
 
   // Exact-scores the listed candidates (ascending indices). With
-  // `precheck`, every new exact score is checked against the bound it was
-  // admitted under; a violation adapts alpha/beta (tile records first, then
-  // the per-pair entries) and the count is returned so the caller
-  // re-bounds.
+  // `precheck`, every new exact score is checked against the tile bound it
+  // was admitted under; a violation adapts alpha/beta through its tile's
+  // record and the count is returned so the caller re-bounds.
   const auto score_exact = [&](const std::vector<uint32_t>& batch,
                                bool precheck) -> size_t {
     const std::vector<size_t> chunks =
         EvenChunks(batch.size(), pool, kGateMinChunk);
     std::vector<Action>& actions = gate_actions_;
-    std::vector<double>& batch_ub = gate_batch_ub_;
-    std::vector<double>& batch_bonus = gate_batch_bonus_;
     actions.resize(batch.size());
-    batch_ub.resize(precheck ? batch.size() : 0);
-    batch_bonus.resize(precheck ? batch.size() : 0);
-    {
-      CROWDRL_TRACE_SPAN("agent.prune_record");
-      ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-          actions[s] = cand.pairs[batch[s]];
-          if (precheck) {
-            batch_ub[s] = cand.ub[batch[s]];
-            batch_bonus[s] = cand.bonus[batch[s]];
-          }
-        }
-      });
-    }
+    ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) actions[s] = cand.pairs[batch[s]];
+    });
     const std::vector<double> q = ExactQ(actions);
     hier_stats_.scored_pairs += actions.size();
-    CROWDRL_TRACE_SPAN("agent.prune_record");
+    size_t violations = 0;
     if (precheck) {
       // Serial, in pair order: each violation may move alpha/beta.
       for (uint32_t s : GatherIndices<uint32_t>(
                pool, chunks, [&](size_t s) {
-                 return q[s] + batch_bonus[s] > batch_ub[s];
+                 return q[s] + cand.bonus[batch[s]] > cand.ub[batch[s]];
                })) {
         hierarchy_.ObserveTileViolation(
             hierarchy_.BucketOf(actions[s].object),
             hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
             train_steps, &pruner_);
+        ++violations;
       }
     }
-    const size_t violations = pruner_.RecordExact(
-        score_cache_, train_steps, actions, q,
-        precheck ? &batch_ub : nullptr, precheck ? &batch_bonus : nullptr,
-        pool);
     ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) {
         cand.raw[batch[s]] = q[s];
@@ -920,43 +901,32 @@ std::vector<Assignment> DqnAgent::SelectGated(
   };
   for (;;) {
     if (need_shortlist) {
-      // Bound every candidate — the pair's own stale entry, tightened by
-      // its tile's bound — and exact-score the highest-bounded unscored
-      // ones. Must-score pairs (+inf) are always admitted on top of the
-      // shortlist size.
+      // Bound every candidate by its tile and exact-score the
+      // highest-bounded unscored ones. Every candidate lies in a live tile
+      // whose representative was refreshed above, so every bound is finite.
       need_shortlist = false;
       ++hier_stats_.rounds;
       if (rebound) bound_buckets();
       rebound = false;
-      size_t must_score = 0;
       {
         CROWDRL_TRACE_SPAN("agent.prune_bounds");
         cand.ub.resize(cand.size());
-        std::vector<size_t> must(cand.chunk_pairs.size(), 0);
-        const auto bound = [&](size_t c, size_t begin, size_t end) {
-          pruner_.UpperBounds(score_cache_, train_steps, cand.pairs,
-                              cand.bonus, begin, end, &cand.ub);
-          size_t chunk_must = 0;
-          for (size_t idx = begin; idx < end; ++idx) {
-            const Action& a = cand.pairs[idx];
-            cand.ub[idx] = std::min(
-                cand.ub[idx],
-                hierarchy_.TileBound(hierarchy_.BucketOf(a.object),
-                                     hierarchy_.GroupOf(a.annotator),
-                                     score_cache_, pruner_, train_steps,
-                                     cand.bonus[idx]));
-            if (!cand.is_exact[idx] && std::isinf(cand.ub[idx])) ++chunk_must;
-          }
-          must[c] = chunk_must;
-        };
-        ForEachChunk(pool, cand.chunk_pairs, bound);
-        for (size_t m : must) must_score += m;
+        ForEachChunk(pool, cand.chunk_pairs,
+                     [&](size_t, size_t begin, size_t end) {
+                       for (size_t idx = begin; idx < end; ++idx) {
+                         const Action& a = cand.pairs[idx];
+                         cand.ub[idx] = hierarchy_.TileBound(
+                             hierarchy_.BucketOf(a.object),
+                             hierarchy_.GroupOf(a.annotator), score_cache_,
+                             pruner_, train_steps, cand.bonus[idx]);
+                       }
+                     });
       }
       std::vector<uint32_t> shortlist;
       {
         CROWDRL_TRACE_SPAN("agent.prune_shortlist");
         const size_t unscored = cand.size() - exact_count;
-        const size_t size = pruner_.ShortlistSize(cand.size(), must_score);
+        const size_t size = pruner_.ShortlistSize(cand.size());
         shortlist = size >= unscored
                         ? unscored_indices()
                         : CutShortlist(pool, cand.chunk_pairs, cand.ub,
@@ -1232,10 +1202,10 @@ Status DqnAgent::LoadState(io::Reader* reader) {
   pending_ = std::move(pending);
   // The score cache is not serialized: its blocks are pure functions of
   // the StateView, so dropping it here and letting the next Sync rebuild
-  // reproduces the same bits on the restored run. The pruner's stale
-  // table likewise restarts with every pair must-score (see shortlist.h
-  // for why that keeps restores bit-identical), and the metrics snapshot
-  // resets with the cache's cumulative stats.
+  // reproduces the same bits on the restored run. The tile records
+  // likewise restart empty (gated selections equal full scoring, so that
+  // keeps restores bit-identical), and the metrics snapshot resets with
+  // the cache's cumulative stats.
   ResetSelectionState();
   return Status::Ok();
 }
@@ -1310,13 +1280,6 @@ void DqnAgent::ObserveOldestPairs(
   for (int step = 0; step < options_.train_steps_per_observe; ++step) {
     q_network_.TrainBatch(replay_.Sample(options_.train_batch, &rng_));
   }
-}
-
-void DqnAgent::NoteAnnotatorDisconnected(int annotator) {
-  if (episode_annotators_ == 0) return;  // No episode yet.
-  CROWDRL_CHECK(annotator >= 0 &&
-                static_cast<size_t>(annotator) < episode_annotators_);
-  pruner_.EvictAnnotator(annotator);
 }
 
 }  // namespace crowdrl::rl

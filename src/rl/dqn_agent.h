@@ -72,14 +72,14 @@ struct DqnAgentOptions {
   std::shared_ptr<ThreadPool> shared_pool;
   /// Shortlist size of the gated selection engine, which runs only on
   /// tiled grids (see hier_min_pairs): SelectBatch exact-scores only the
-  /// expanded candidates whose cheap upper bounds (stale exact Q + drift
-  /// slack + the exact exploration bonus, see ShortlistPruner) rank
-  /// highest, and serves the selection only when a strict gate proves that
-  /// no bounded remainder could alter it; every gate failure climbs a
-  /// ladder of exact rescoring that ends in full scoring, so selections are
-  /// always identical to Score + PickTopKSumAssignments. Pairs without a
-  /// usable bound are always scored on top of this size. 0 = auto
-  /// (num_pairs / 16, floor 256, adaptively doubled after gate fallbacks).
+  /// expanded candidates whose cheap upper bounds (their tile's
+  /// representative Q + drift slack + the exact exploration bonus, see
+  /// BucketHierarchy::TileBound) rank highest, and serves the selection
+  /// only when a strict gate proves that no bounded remainder could alter
+  /// it; every gate failure climbs a ladder of exact rescoring that ends in
+  /// full scoring, so selections are always identical to Score +
+  /// PickTopKSumAssignments. 0 = auto (num_pairs / 16, floor 256,
+  /// adaptively doubled after gate fallbacks).
   /// A non-zero value also caps the tiled descent's initial expansion
   /// (tests use it to scale the engine down). Untiled grids, epsilon-greedy
   /// exploration and feature-masked agents never consult it: they score
@@ -204,13 +204,6 @@ class DqnAgent {
                           const std::vector<bool>& annotator_affordable,
                           bool terminal);
 
-  /// An annotator left the pool mid-episode: evict its shortlist-pruner
-  /// entries so the auto shortlist size tracks the live pair count
-  /// (stale +inf bounds would otherwise keep the grid artificially
-  /// large). Scoring stays exact either way — selection simply never
-  /// enumerates a disconnected annotator's pairs.
-  void NoteAnnotatorDisconnected(int annotator);
-
   QNetwork& q_network() { return q_network_; }
   const QNetwork& q_network() const { return q_network_; }
   const ReplayBuffer& replay() const { return replay_; }
@@ -315,9 +308,8 @@ class DqnAgent {
   /// The synced cache's blocks and the agent's feature mask, for the head.
   FeatureBlocks CacheBlocks() const;
 
-  /// Drops the never-checkpointed selection state (score cache, pruner
-  /// table, tiling) for the current episode shape; BeginEpisode and
-  /// LoadState share it.
+  /// Drops the never-checkpointed selection state (score cache, tiling)
+  /// for the current episode shape; BeginEpisode and LoadState share it.
   void ResetSelectionState();
 
   DqnAgentOptions options_;
@@ -327,14 +319,14 @@ class DqnAgent {
   /// checkpointed) after BeginEpisode/LoadState — blocks are pure
   /// functions of the StateView, so the rebuild is bit-identical.
   ScoreCache score_cache_;
-  /// Stale-Q table and upper bounds for gated (tiled) selection; reset
-  /// (never checkpointed) by BeginEpisode/LoadState — the first selection
-  /// after a reset finds every pair must-score and reseeds it, and gated
-  /// selections equal full scoring, so restores stay bit-identical. Its
-  /// table never allocates on untiled grids.
+  /// Shortlist sizing and drift sensitivities for gated (tiled)
+  /// selection; never checkpointed, and gated selections equal full
+  /// scoring, so restores stay bit-identical. Untiled grids never touch
+  /// it.
   ShortlistPruner pruner_;
-  /// Bucket x group tiling for tiled selection; reset (never
-  /// checkpointed) by BeginEpisode/LoadState for the same reason.
+  /// Bucket x group tiling for tiled selection, whose tile records are the
+  /// gate's only bounds; reset (never checkpointed) by
+  /// BeginEpisode/LoadState for the same reason.
   BucketHierarchy hierarchy_;
   HierStats hier_stats_;
   /// Snapshot of the cache's cumulative stats at the last metrics export,
@@ -362,8 +354,6 @@ class DqnAgent {
   std::vector<double> gate_raw_spare_;
   std::vector<uint8_t> gate_exact_spare_;
   std::vector<Action> gate_actions_;
-  std::vector<double> gate_batch_ub_;
-  std::vector<double> gate_batch_bonus_;
   SlotTopK<size_t> object_topk_;
   std::vector<std::vector<double>> pending_;  // Executed pairs' features.
   uint64_t rows_featurized_ = 0;  // Diagnostic; bumped serially post-dispatch.

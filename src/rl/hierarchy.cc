@@ -49,8 +49,8 @@ void BucketHierarchy::BeginIteration(const ScoreCache& cache,
 
   const size_t rebuilds = cache.rebuild_epoch();
   if (!epoch_seen_ || rebuilds != seen_full_rebuilds_) {
-    // Same invalidation rule as the pruner table: the drift accumulators
-    // restarted, so every record measures against the wrong origin.
+    // The drift accumulators restarted, so every record measures against
+    // the wrong origin.
     std::fill(records_.begin(), records_.end(), TileRecord{});
     seen_full_rebuilds_ = rebuilds;
     epoch_seen_ = true;

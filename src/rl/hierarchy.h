@@ -22,19 +22,14 @@ struct HierarchyOptions {
   size_t annotator_group = 128;
 };
 
-/// \brief Bucket x group tiling with per-tile score upper bounds, the
-/// coarse level of the hierarchical candidate generator.
+/// \brief Bucket x group tiling with per-tile score upper bounds: the
+/// only bounds the gated selection engine reads.
 ///
-/// Per-pair shortlist bounds (ShortlistPruner) still touch every valid
-/// pair per iteration to evaluate its bound — O(|O| x |W|) work that
-/// dominates a million-object campaign even when almost nothing is
-/// scored exactly. This class aggregates the same stale-Q + drift-slack
-/// machinery to tile granularity: objects are partitioned into fixed-
-/// range buckets, annotators into fixed-range groups, and each
-/// (bucket, group) tile keeps one exactly-scored *representative* pair
-/// (the tile's center) with the usual stale record — raw Q, drift
-/// accumulator snapshots, train step. A bound on ANY pair (o, a) in the
-/// tile follows from the triangle inequality under the pruner's
+/// Objects are partitioned into fixed-range buckets, annotators into
+/// fixed-range groups, and each (bucket, group) tile keeps one
+/// exactly-scored *representative* pair (the tile's center) with a stale
+/// record — raw Q, drift accumulator snapshots, train step. A bound on ANY
+/// pair (o, a) in the tile follows from the triangle inequality under the
 /// Lipschitz heuristic |dQ| <= alpha * (max-abs feature distance):
 ///
 ///   Q_now(o, a) <= rep_q
@@ -46,17 +41,17 @@ struct HierarchyOptions {
 /// blocks (ScoreCache::ObjectBucketWidth, maintained incrementally from
 /// the same dirty tracking the cache already does) and group width is
 /// the diameter of the group's annotator blocks (recomputed here each
-/// iteration, O(|W|)). Like the per-pair bounds these are heuristic:
-/// exactness comes from the caller's selection gate, never from the
-/// bounds (see DESIGN.md "Gated selection" and "Hierarchical candidate
-/// generation").
+/// iteration, O(|W|)). These bounds are heuristic: exactness comes from
+/// the caller's selection gate, never from the bounds (see DESIGN.md
+/// "Gated selection" and "Hierarchical candidate generation").
 ///
 /// Representatives are dropped whenever the cache full-rebuilds (their
-/// drift snapshots lose their origin, exactly like the pruner table) and
-/// refreshed in one small batch per iteration; a refresh that observes a
-/// larger move than the bound predicted feeds the SAME alpha / beta
-/// adaptation the pruner uses (ShortlistPruner::ObserveMove), so both
-/// layers' bounds loosen together when the network drifts fast.
+/// drift snapshots lose their origin) and every live tile's is refreshed
+/// in one small batch per iteration before any bound is read; a refresh
+/// that observes a larger move than the bound predicted, and an exact
+/// score above the tile bound it was admitted under, feed the alpha /
+/// beta adaptation (ShortlistPruner::ObserveMove), so the bounds loosen
+/// when the network drifts fast.
 ///
 /// Storage is O(num_buckets x num_groups) — ~8k tiles for 1M x 1k —
 /// never O(pairs). Owned and driven by one DqnAgent; the const bound
@@ -145,8 +140,7 @@ class BucketHierarchy {
                             ShortlistPruner* pruner) const;
 
  private:
-  /// Stale record of the tile's representative pair (same fields as one
-  /// ShortlistPruner table entry).
+  /// Stale record of the tile's representative pair.
   struct TileRecord {
     double q = 0.0;
     double snap_obj = 0.0;

@@ -13,10 +13,10 @@
 
 namespace crowdrl::rl {
 
-/// Objects per shard for pair-indexed agent state (pruner table, UCB
-/// selection counts). One shard of a 1k-annotator campaign covers ~1M
-/// pairs; at million-object scale only the ranges selection actually
-/// touches ever materialize.
+/// Objects per shard for pair-indexed agent state (the UCB selection
+/// counts). One shard of a 1k-annotator campaign covers ~1M pairs; at
+/// million-object scale only the ranges selection actually touches ever
+/// materialize.
 inline constexpr size_t kPairShardObjects = 1024;
 
 /// \brief Lazily allocated object-range shards over the |O| x |W| pair
@@ -27,8 +27,7 @@ inline constexpr size_t kPairShardObjects = 1024;
 /// axis into fixed ranges and allocates a `Shard` (any type constructible
 /// from its pair count) only when a pair in the range is first written, so
 /// memory tracks the touched ranges. Reads of untouched ranges see a null
-/// shard and fall back to the caller's default (invalid entry, zero
-/// count).
+/// shard and fall back to the caller's default (a zero count).
 template <typename Shard>
 class PairShardMap {
  public:
@@ -43,11 +42,6 @@ class PairShardMap {
     shards_.resize((num_objects + shard_objects - 1) / shard_objects);
   }
 
-  /// Drops every shard but keeps the geometry (wholesale invalidation).
-  void Clear() {
-    for (auto& shard : shards_) shard.reset();
-  }
-
   size_t num_objects() const { return num_objects_; }
   size_t num_annotators() const { return num_annotators_; }
   size_t shard_objects() const { return shard_objects_; }
@@ -58,8 +52,6 @@ class PairShardMap {
     const size_t begin = shard * shard_objects_;
     return {begin, std::min(begin + shard_objects_, num_objects_)};
   }
-
-  size_t ShardIndexOf(size_t object) const { return object / shard_objects_; }
 
   /// Pair offset inside the shard owning `object`.
   size_t OffsetOf(size_t object, size_t annotator) const {
@@ -81,18 +73,6 @@ class PairShardMap {
     return shard.get();
   }
 
-  const Shard* GetShard(size_t shard) const {
-    CROWDRL_CHECK(shard < shards_.size());
-    return shards_[shard].get();
-  }
-
-  /// A shard that already exists, for writers that must not create one
-  /// (several threads may hold distinct pairs of it at once).
-  Shard* GetShardMutable(size_t shard) {
-    CROWDRL_CHECK(shard < shards_.size() && shards_[shard] != nullptr);
-    return shards_[shard].get();
-  }
-
   Shard* GetOrCreateShard(size_t shard) {
     CROWDRL_CHECK(shard < shards_.size());
     return GetOrCreate(shard * shard_objects_);
@@ -107,13 +87,6 @@ class PairShardMap {
   /// Visits allocated shards in index order (deterministic).
   template <typename Fn>
   void ForEachAllocated(Fn&& fn) const {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s] != nullptr) fn(s, *shards_[s]);
-    }
-  }
-
-  template <typename Fn>
-  void ForEachAllocated(Fn&& fn) {
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (shards_[s] != nullptr) fn(s, *shards_[s]);
     }

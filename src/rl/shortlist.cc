@@ -30,9 +30,6 @@ constexpr double kDriftEps = 1e-12;
 constexpr size_t kMaxBoost = 64;
 constexpr size_t kBoostDecayStreak = 8;
 
-// Fewest pairs per RecordExact chunk: each chunk pays a dispatch.
-constexpr size_t kRecordMinChunk = 16384;
-
 // The shortlist cut: value classes per histogram level, the boundary
 // class size it ranks directly, and a cap on levels.
 constexpr size_t kCutBuckets = 1024;
@@ -44,108 +41,17 @@ constexpr size_t kCutMaxLevels = 6;
 ShortlistPruner::ShortlistPruner(const ShortlistOptions& options)
     : options_(options) {}
 
-void ShortlistPruner::Reset(size_t num_objects, size_t num_annotators) {
-  table_.Reset(num_objects, num_annotators);
-  epoch_seen_ = false;
-}
-
-void ShortlistPruner::BeginIteration(const ScoreCache& cache) {
-  const size_t rebuilds = cache.rebuild_epoch();
-  if (!epoch_seen_ || rebuilds != seen_full_rebuilds_) {
-    // The drift accumulators reset on a full rebuild, so every snapshot
-    // in the table now measures against the wrong origin: drop them all
-    // (the shards deallocate; ranges re-materialize on their next
-    // rescore).
-    table_.Clear();
-    seen_full_rebuilds_ = rebuilds;
-    epoch_seen_ = true;
-  }
+void ShortlistPruner::BeginIteration() {
   sensitivity_.alpha *= kSensitivityDecay;
   sensitivity_.beta *= kSensitivityDecay;
 }
 
-void ShortlistPruner::EvictAnnotator(int annotator) {
-  if (table_.num_annotators() == 0) return;  // Reset has not run yet.
-  CROWDRL_CHECK(annotator >= 0 &&
-                static_cast<size_t>(annotator) < table_.num_annotators());
-  const size_t j = static_cast<size_t>(annotator);
-  const size_t stride = table_.num_annotators();
-  table_.ForEachAllocated([&](size_t shard, TableShard& data) {
-    const auto [begin, end] = table_.ShardRange(shard);
-    for (size_t o = 0; o < end - begin; ++o) {
-      data.valid[o * stride + j] = 0;
-    }
-  });
-}
-
-size_t ShortlistPruner::ShortlistSize(size_t num_pairs,
-                                      size_t must_score) const {
+size_t ShortlistPruner::ShortlistSize(size_t num_pairs) const {
   size_t base = options_.shortlist;
   if (base == 0) {
     base = std::max(kAutoShortlistFloor, num_pairs / kAutoShortlistDivisor);
   }
-  base *= boost_;
-  return std::min(num_pairs, base + must_score);
-}
-
-size_t ShortlistPruner::UpperBounds(const ScoreCache& cache,
-                                    size_t train_steps,
-                                    const std::vector<Action>& pairs,
-                                    const std::vector<double>& bonus,
-                                    std::vector<double>* ub) const {
-  CROWDRL_CHECK(ub != nullptr);
-  ub->resize(pairs.size());
-  return UpperBounds(cache, train_steps, pairs, bonus, 0, pairs.size(), ub);
-}
-
-size_t ShortlistPruner::UpperBounds(const ScoreCache& cache,
-                                    size_t train_steps,
-                                    const std::vector<Action>& pairs,
-                                    const std::vector<double>& bonus,
-                                    size_t begin, size_t end,
-                                    std::vector<double>* ub) const {
-  CROWDRL_CHECK(ub != nullptr && ub->size() == pairs.size());
-  CROWDRL_CHECK(bonus.size() == pairs.size());
-  CROWDRL_CHECK(begin <= end && end <= pairs.size());
-  const std::vector<double>& obj_drift = cache.object_drift();
-  const std::vector<double>& ann_drift = cache.annotator_drift();
-  const double glob_drift = cache.global_drift();
-  size_t must_score = 0;
-  // Pairs arrive in ascending object order, so consecutive lookups almost
-  // always hit the same shard: cache the last resolution.
-  size_t cached_shard = std::numeric_limits<size_t>::max();
-  const TableShard* data = nullptr;
-  for (size_t i = begin; i < end; ++i) {
-    const size_t o = static_cast<size_t>(pairs[i].object);
-    const size_t a = static_cast<size_t>(pairs[i].annotator);
-    const size_t shard = table_.ShardIndexOf(o);
-    if (shard != cached_shard) {
-      cached_shard = shard;
-      data = table_.GetShard(shard);
-    }
-    const size_t p = table_.OffsetOf(o, a);
-    if (data == nullptr || !data->valid[p]) {
-      (*ub)[i] = std::numeric_limits<double>::infinity();
-      ++must_score;
-      continue;
-    }
-    const double drift = (obj_drift[o] - data->snap_obj[p]) +
-                         (ann_drift[a] - data->snap_ann[p]) +
-                         (glob_drift - data->snap_glob[p]);
-    const double ticks =
-        static_cast<double>(train_steps - data->stale_step[p]);
-    // A sensitivity that has never measured a move bounds nothing: a pair
-    // that aged through drift or training before then is must-score.
-    if ((drift > kDriftEps && !sensitivity_.drift_measured) ||
-        (ticks > 0.0 && !sensitivity_.ticks_measured)) {
-      (*ub)[i] = std::numeric_limits<double>::infinity();
-      ++must_score;
-      continue;
-    }
-    (*ub)[i] = data->stale_q[p] + sensitivity_.alpha * drift +
-               sensitivity_.beta * ticks + kBoundMargin + bonus[i];
-  }
-  return must_score;
+  return std::min(num_pairs, base * boost_);
 }
 
 ShortlistPruner::Sensitivity ShortlistPruner::ApplyMove(Sensitivity s,
@@ -183,112 +89,6 @@ ShortlistPruner::Sensitivity ShortlistPruner::ApplyMove(Sensitivity s,
 
 void ShortlistPruner::ObserveMove(double dq, double drift, double ticks) {
   sensitivity_ = ApplyMove(sensitivity_, dq, drift, ticks);
-}
-
-size_t ShortlistPruner::RecordExact(const ScoreCache& cache,
-                                    size_t train_steps,
-                                    const std::vector<Action>& pairs,
-                                    const std::vector<double>& raw_q,
-                                    const std::vector<double>* prior_ub,
-                                    const std::vector<double>* bonus,
-                                    ThreadPool* pool) {
-  CROWDRL_CHECK(raw_q.size() == pairs.size());
-  CROWDRL_CHECK((prior_ub == nullptr) == (bonus == nullptr));
-  const std::vector<size_t> chunks =
-      EvenChunks(pairs.size(), pool, kRecordMinChunk);
-  const size_t num_chunks = chunks.size() - 1;
-
-  // Shards first, so the chunks below only look the map up: each chunk
-  // flags the shards it touches, and the missing ones are created here.
-  std::vector<std::vector<uint8_t>> touched(num_chunks);
-  ForEachChunk(pool, chunks, [&](size_t c, size_t begin, size_t end) {
-    std::vector<uint8_t>& flags = touched[c];
-    flags.assign(table_.num_shards(), 0);
-    size_t last = std::numeric_limits<size_t>::max();
-    for (size_t i = begin; i < end; ++i) {
-      const size_t shard =
-          table_.ShardIndexOf(static_cast<size_t>(pairs[i].object));
-      if (shard != last) flags[shard] = 1;
-      last = shard;
-    }
-  });
-  std::vector<size_t> missing;
-  for (size_t shard = 0; shard < table_.num_shards(); ++shard) {
-    if (table_.GetShard(shard) != nullptr) continue;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (touched[c][shard]) {
-        missing.push_back(shard);
-        break;
-      }
-    }
-  }
-  // New shards are zero-filled on the pool's lanes, one task per shard.
-  ForEachChunk(pool, EvenChunks(missing.size(), pool, 1),
-               [&](size_t, size_t begin, size_t end) {
-                 for (size_t m = begin; m < end; ++m) {
-                   table_.GetOrCreateShard(missing[m]);
-                 }
-               });
-
-  // One rescore's measured move: |dq| and the drift and train steps the
-  // stale entry aged through.
-  struct Move {
-    double dq;
-    double drift;
-    double ticks;
-  };
-  const Sensitivity start = sensitivity_;
-  std::vector<std::vector<Move>> moves(num_chunks);
-  std::vector<size_t> violations(num_chunks, 0);
-  const std::vector<double>& obj_drift = cache.object_drift();
-  const std::vector<double>& ann_drift = cache.annotator_drift();
-  const double glob_drift = cache.global_drift();
-  ForEachChunk(pool, chunks, [&](size_t c, size_t begin, size_t end) {
-    size_t cached_shard = std::numeric_limits<size_t>::max();
-    TableShard* data = nullptr;
-    size_t chunk_violations = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const size_t o = static_cast<size_t>(pairs[i].object);
-      const size_t a = static_cast<size_t>(pairs[i].annotator);
-      const size_t shard = table_.ShardIndexOf(o);
-      if (shard != cached_shard) {
-        cached_shard = shard;
-        data = table_.GetShardMutable(shard);
-      }
-      const size_t p = table_.OffsetOf(o, a);
-      if (data->valid[p]) {
-        // Adapt the sensitivities from this rescore: the slack we budgeted
-        // must have covered the move we actually observed (with 2x
-        // headroom), whatever direction it took.
-        const Move move{std::abs(raw_q[i] - data->stale_q[p]),
-                        (obj_drift[o] - data->snap_obj[p]) +
-                            (ann_drift[a] - data->snap_ann[p]) +
-                            (glob_drift - data->snap_glob[p]),
-                        static_cast<double>(train_steps - data->stale_step[p])};
-        if (!(ApplyMove(start, move.dq, move.drift, move.ticks) == start)) {
-          moves[c].push_back(move);
-        }
-        if (prior_ub != nullptr && raw_q[i] + (*bonus)[i] > (*prior_ub)[i]) {
-          ++chunk_violations;
-        }
-      }
-      data->stale_q[p] = raw_q[i];
-      data->snap_obj[p] = obj_drift[o];
-      data->snap_ann[p] = ann_drift[a];
-      data->snap_glob[p] = glob_drift;
-      data->stale_step[p] = static_cast<uint32_t>(train_steps);
-      data->valid[p] = 1;
-    }
-    violations[c] = chunk_violations;
-  });
-  size_t total_violations = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    for (const Move& move : moves[c]) {
-      ObserveMove(move.dq, move.drift, move.ticks);
-    }
-    total_violations += violations[c];
-  }
-  return total_violations;
 }
 
 void ShortlistPruner::NotePrunedSuccess(size_t exact_rows,

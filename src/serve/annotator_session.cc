@@ -43,7 +43,6 @@ Status AnnotatorSessionRegistry::Disconnect(int annotator) {
     const size_t j = static_cast<size_t>(annotator);
     if (!connected_[j]) return Status::Ok();
     connected_[j] = 0;
-    disconnect_events_.push_back(annotator);
     for (const WorkItem& item : inbox_[j]) {
       abandoned_seqs_.push_back(item.seq);
     }
@@ -128,13 +127,6 @@ std::vector<uint64_t> AnnotatorSessionRegistry::TakeAbandonedSeqs() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> out;
   out.swap(abandoned_seqs_);
-  return out;
-}
-
-std::vector<int> AnnotatorSessionRegistry::TakeDisconnectEvents() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<int> out;
-  out.swap(disconnect_events_);
   return out;
 }
 

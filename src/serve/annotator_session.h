@@ -29,10 +29,9 @@ using WorkItem = CompletedAnswer;
 ///
 /// Disconnecting abandons the inbox: the dropped seqs surface through
 /// TakeAbandonedSeqs() so the pump can resolve them in its reorder
-/// buffer, and the annotator id surfaces through TakeDisconnectEvents()
-/// so the pump can evict the agent's shortlist entries
-/// (DqnAgent::NoteAnnotatorDisconnected) — the agent is not thread-safe,
-/// so the registry only records events and the pump applies them.
+/// buffer. The agent keeps nothing per annotator that a disconnect would
+/// invalidate; the next selection's ConnectedMask() simply leaves the
+/// annotator's pairs out.
 ///
 /// Annotator ids arrive from clients, so the client-facing calls reject
 /// an id outside [0, num_annotators) and change nothing.
@@ -68,10 +67,6 @@ class AnnotatorSessionRegistry {
   /// last call.
   std::vector<uint64_t> TakeAbandonedSeqs();
 
-  /// Pump side: annotator ids that disconnected since the last call (in
-  /// disconnect order, duplicates possible across reconnect cycles).
-  std::vector<int> TakeDisconnectEvents();
-
   /// Pump side: drops every queued (undelivered) item — used when the
   /// budget ran out mid-round and the remaining work is moot, and by
   /// graceful shutdown. Delivered items still in an annotator's hands are
@@ -101,7 +96,6 @@ class AnnotatorSessionRegistry {
   std::vector<uint8_t> connected_;
   std::vector<std::deque<WorkItem>> inbox_;
   std::vector<uint64_t> abandoned_seqs_;
-  std::vector<int> disconnect_events_;
   uint64_t delivered_ = 0;
   uint16_t flight_scope_ = 0;
   EventHub* hub_;

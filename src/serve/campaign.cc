@@ -163,14 +163,6 @@ void Campaign::NoteAbandoned(uint64_t seq) {
 
 bool Campaign::ProcessSessionEvents() {
   bool progress = false;
-  for (int annotator : sessions_.TakeDisconnectEvents()) {
-    // Shortlist staleness fix: a disconnected annotator's pruner column
-    // is evicted, not left +inf, so the auto shortlist size tracks the
-    // live pair count. The agent is pump-thread-only, which is why the
-    // registry records events instead of calling it directly.
-    rs_->agent.NoteAnnotatorDisconnected(annotator);
-    progress = true;
-  }
   for (uint64_t seq : sessions_.TakeAbandonedSeqs()) {
     NoteAbandoned(seq);
     progress = true;

@@ -221,6 +221,24 @@ TEST(MlpGoldenTest, InferBitIdenticalToForwardAndSeed) {
   EXPECT_TRUE(BitEqualVec(row0, want.RowVector(0)));
 }
 
+// The Q network's shape through the blocked forward (Mlp::InferInto, one
+// lane), against the seed forward: 4,100 rows are sixteen full 256-row
+// blocks and a ragged one. This is the `q_infer_into` row of
+// bench/micro_components' kernel report as a test.
+TEST(MlpGoldenTest, InferIntoBitIdenticalToSeedAtTheQNetworkShape) {
+  const std::vector<size_t> sizes = {12, 64, 32, 1};
+  const std::vector<Activation> acts = {Activation::kRelu, Activation::kRelu,
+                                        Activation::kIdentity};
+  Rng rng(12);
+  Mlp net(sizes, acts, &rng);
+  SeedMlp seed(net, sizes, acts);
+  Matrix x(4100, sizes.front());
+  x.FillUniform(&rng, -1.0, 1.0);
+  Matrix got;
+  net.InferInto(x, nullptr, &got);
+  EXPECT_TRUE(BitEqual(got, seed.Forward(x)));
+}
+
 TEST(MlpGoldenTest, ThreadedForwardBackwardBitIdenticalToSerial) {
   Rng rng(10);
   Arch arch = TestArchitectures()[1];

@@ -220,10 +220,10 @@ TEST(ScoreCacheTest, AssembledRowsMatchFeaturizerBitwise) {
       featurizer.Featurize(view, static_cast<int>(i), static_cast<int>(j),
                            &want);
       cache.AssembleRowInto(static_cast<int>(i), static_cast<int>(j), got);
-      for (size_t f = 0; f < StateFeaturizer::kFeatureDim; ++f) {
-        ASSERT_EQ(got[f], want[f]) << "pair (" << i << ", " << j
-                                   << ") feature " << f;
-      }
+      ASSERT_EQ(want.size(), StateFeaturizer::kFeatureDim);
+      // Bits, not values: a -0.0 for +0.0 is a different row.
+      ASSERT_EQ(std::memcmp(got, want.data(), sizeof(got)), 0)
+          << "pair (" << i << ", " << j << ")";
     }
   }
 }

@@ -7,11 +7,10 @@
 //  - over randomized tiled and untiled configurations, every selection
 //    must equal full scoring (the tiled gate climbs its ladder to full
 //    scoring on any ambiguity);
-//  - the pruner's bookkeeping: must-score first pass, table invalidation
-//    on cache rebuild, bound soundness adaptation, boost dynamics;
+//  - the pruner's bookkeeping: sensitivity adaptation and attribution,
+//    boost dynamics, shortlist sizing;
 //  - the ScoreCache drift accumulators the bounds are built from;
-//  - the shortlist cut against a sort, and RecordExact on a pool against
-//    the serial pass, at several chunkings.
+//  - the shortlist cut against a sort, at several chunkings.
 
 #include <algorithm>
 #include <cmath>
@@ -74,9 +73,11 @@ TEST(ShortlistPruningTest, AuditedPrunedRunMatchesFullScoringExactly) {
 // The same audited lockstep over randomized configurations — grid shape,
 // tiled or not (random tile geometry), shortlist size, exploration mode,
 // training rate, tied annotators, checkpoint point — with churn:
-// objects get labelled, annotators flip affordability (evicted from the
-// gated agent on the way out), and k and the pick count change every
-// iteration. Every selection must equal full scoring.
+// objects get labelled, annotators flip affordability, and k and the pick
+// count change every iteration. Every selection must equal full scoring.
+// Beliefs are random here, so the tile bounds are loose and tiled
+// selections nearly always fall back to full scoring (hierarchy_test.cc's
+// smooth lockstep covers served ones).
 TEST(ShortlistPruningTest, RandomizedConfigurationsMatchFullScoring) {
   Rng rng(2027);
   testing::LockstepOutcome outcome;
@@ -102,14 +103,10 @@ TEST(ShortlistPruningTest, RandomizedConfigurationsMatchFullScoring) {
   }
   for (const testing::LockstepStats* half :
        {&outcome.before, &outcome.after}) {
-    EXPECT_GT(half->prune.pruned_iterations, 0u);
-    EXPECT_GT(half->hier.gated_iterations, 0u);
+    EXPECT_GT(half->hier.iterations, 0u);
     EXPECT_EQ(half->hier.gated_iterations + half->hier.full_fallbacks,
               half->hier.iterations);
   }
-  EXPECT_GT(outcome.before.prune.gate_recoveries +
-                outcome.after.prune.gate_recoveries,
-            0u);
 }
 
 // Epsilon-greedy consumes RNG inside Score, so the gated engine must stand
@@ -133,230 +130,79 @@ TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
   EXPECT_EQ(stats.full_iterations, 0u);  // Never even consulted.
 }
 
-TEST(ShortlistPrunerTest, WarmupAndInvalidationLifecycle) {
-  Scenario s;
-  ScoreCache cache;
-  cache.Sync(s.View());
-
-  ShortlistPruner pruner{ShortlistOptions{}};
-  pruner.Reset(kObjects, kAnnotators);
-
-  std::vector<Action> pairs;
-  for (size_t i = 0; i < kObjects; ++i) {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
-    }
-  }
-  std::vector<double> raw_q(pairs.size(), 0.0);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    raw_q[p] = 0.001 * static_cast<double>(p);
-  }
-  std::vector<double> bonus(pairs.size(), 0.0);
-
-  // A fresh table bounds nothing: every pair is must-score, so the first
-  // gated selection of an episode scores the whole grid.
-  std::vector<double> ub;
-  pruner.BeginIteration(cache);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            pairs.size());
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr);
-
-  // With zero drift and zero elapsed train steps, every bound collapses
-  // to stale_q + margin and none is infinite.
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_GE(ub[p], raw_q[p]);
-    EXPECT_LE(ub[p], raw_q[p] + pruner.margin() + 1e-15);
-  }
-
-  // A cache full rebuild resets the drift accumulators, so the next
-  // BeginIteration must drop every stale entry: all bounds go infinite.
-  cache.Invalidate();
-  cache.Sync(s.View());
-  ASSERT_EQ(cache.cumulative_stats().full_rebuilds, 1u);
-  pruner.BeginIteration(cache);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            pairs.size());
-  for (double b : ub) {
-    EXPECT_TRUE(std::isinf(b));
-  }
-}
-
-// The session-churn lifecycle (labelling service): when an annotator
-// disconnects its column is evicted — those pairs come back as must-score
-// (+inf bound) instead of carrying bounds snapshotted against a pool that
-// no longer exists — and every other column is untouched.
-TEST(ShortlistPrunerTest, EvictAnnotatorDropsOnlyThatColumn) {
-  Scenario s;
-  ScoreCache cache;
-  cache.Sync(s.View());
-
-  ShortlistPruner pruner{ShortlistOptions{}};
-  pruner.Reset(kObjects, kAnnotators);
-
-  std::vector<Action> pairs;
-  for (size_t i = 0; i < kObjects; ++i) {
-    for (size_t j = 0; j < kAnnotators; ++j) {
-      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
-    }
-  }
-  std::vector<double> raw_q(pairs.size(), 0.0);
-  std::vector<double> bonus(pairs.size(), 0.0);
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr);
-
-  std::vector<double> ub;
-  ASSERT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
-
-  constexpr int kGone = 3;
-  pruner.EvictAnnotator(kGone);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            kObjects);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    if (pairs[p].annotator == kGone) {
-      EXPECT_TRUE(std::isinf(ub[p]));
-    } else {
-      EXPECT_FALSE(std::isinf(ub[p]));
-    }
-  }
-
-  // Re-recording after a reconnect restores the column.
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, raw_q, nullptr,
-                     nullptr);
-  EXPECT_EQ(pruner.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
-
-  // Evicting before the table is sized (fresh episode) is a safe no-op.
-  ShortlistPruner unsized;
-  unsized.EvictAnnotator(0);
-}
-
+// A move through one signal alone is that signal's to measure: one the
+// current slack missed raises its sensitivity to twice the observed rate
+// (2x headroom), so the adapted slack covers a same-sized move.
 TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
-  Scenario s;
-  ScoreCache cache;
-  cache.Sync(s.View());
   ShortlistPruner pruner{ShortlistOptions{}};
-  pruner.Reset(kObjects, kAnnotators);
-
-  std::vector<Action> pairs = {{0, 0}};
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr);
+  pruner.BeginIteration();
 
   // Q moved by 0.5 with no drift and 10 elapsed train steps: the bound
   // can only blame training, so beta must grow to at least 2*0.5/10.
-  double beta_before = pruner.beta();
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/10, pairs, {1.5}, nullptr,
-                     nullptr);
+  const double alpha_before = pruner.alpha();
+  const double beta_before = pruner.beta();
+  pruner.ObserveMove(/*dq=*/0.5, /*drift=*/0.0, /*ticks=*/10.0);
   EXPECT_GE(pruner.beta(), 2.0 * 0.5 / 10.0);
   EXPECT_GE(pruner.beta(), beta_before);
+  EXPECT_EQ(pruner.alpha(), alpha_before);  // Drift was not involved.
+  // The adapted slack now covers a same-sized move over 20 steps.
+  EXPECT_GE(pruner.beta() * 20.0, 0.5);
 
-  // The adapted bound now covers a same-sized move.
-  std::vector<double> ub;
-  pruner.UpperBounds(cache, /*train_steps=*/20, pairs, {0.0}, &ub);
-  EXPECT_GE(ub[0], 1.5 + 0.5);
+  // A drift-only move the slack missed: alpha takes it with headroom.
+  pruner.ObserveMove(/*dq=*/0.6, /*drift=*/0.1, /*ticks=*/0.0);
+  EXPECT_GE(pruner.alpha(), 2.0 * 0.6 / 0.1);
+  // A covered move changes nothing.
+  const double alpha = pruner.alpha();
+  const double beta = pruner.beta();
+  pruner.ObserveMove(/*dq=*/0.01, /*drift=*/0.1, /*ticks=*/0.0);
+  pruner.ObserveMove(/*dq=*/0.01, /*drift=*/0.0, /*ticks=*/1.0);
+  EXPECT_EQ(pruner.alpha(), alpha);
+  EXPECT_EQ(pruner.beta(), beta);
+  // The per-iteration decay shrinks both.
+  pruner.BeginIteration();
+  EXPECT_LT(pruner.alpha(), alpha);
+  EXPECT_LT(pruner.beta(), beta);
 }
 
-// A sensitivity that has never measured a move bounds nothing: a pair that
-// aged through training steps or feature drift before any rescore
-// measured a move of that kind is must-score, and becomes boundable once
-// one rescore has measured it. A rescore that aged through both signals
-// measures only what it can be attributed to.
+// A sensitivity that has never measured a move bounds nothing: a move
+// through both signals that the combined slack covers is charged whole to
+// each sensitivity still unmeasured, since it may be all that signal. A
+// measured sensitivity keeps its value, and a move the combined slack
+// missed raises each sensitivity to cover it alone.
 TEST(ShortlistPrunerTest, UnmeasuredSensitivityBoundsNothing) {
-  Scenario s;
-  ScoreCache cache;
-  cache.Sync(s.View());
-  const std::vector<Action> pairs = {{0, 0}, {1, 1}};
-  const std::vector<double> bonus = {0.0, 0.0};
-  std::vector<double> ub;
+  // Training never measured: a covered two-signal move is all training's.
+  ShortlistPruner fresh{ShortlistOptions{}};
+  fresh.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
+  EXPECT_EQ(fresh.beta(), 0.3 / 3.0);
+  EXPECT_EQ(fresh.alpha(), 1.0);  // Covers it: max(1, 0.3 / 1).
 
-  ShortlistPruner training{ShortlistOptions{}};
-  training.Reset(kObjects, kAnnotators);
-  training.BeginIteration(cache);
-  training.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
-                       nullptr);
-  EXPECT_EQ(training.UpperBounds(cache, /*train_steps=*/3, pairs, bonus, &ub),
-            2u);
-  // One rescore after training measures it, even a move already covered.
-  training.RecordExact(cache, /*train_steps=*/3, {pairs[0]}, {1.0}, nullptr,
-                       nullptr);
-  EXPECT_EQ(training.UpperBounds(cache, /*train_steps=*/6, pairs, bonus, &ub),
-            0u);
+  // An unmoved rescore measures nothing more: beta stays unmeasured.
+  ShortlistPruner unmoved{ShortlistOptions{}};
+  unmoved.ObserveMove(/*dq=*/0.0, /*drift=*/1.0, /*ticks=*/3.0);
+  EXPECT_EQ(unmoved.beta(), 0.0);
+  unmoved.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
+  EXPECT_EQ(unmoved.beta(), 0.3 / 3.0);
 
-  ShortlistPruner drift{ShortlistOptions{}};
-  drift.Reset(kObjects, kAnnotators);
-  drift.BeginIteration(cache);
-  drift.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
-                    nullptr);
-  s.answers.Record(0, 3, 1);  // Object 0's history block drifts.
-  cache.Sync(s.View());
-  EXPECT_EQ(drift.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            1u);
-  EXPECT_TRUE(std::isinf(ub[0]));
-  drift.RecordExact(cache, /*train_steps=*/0, {pairs[0]}, {1.1}, nullptr,
-                    nullptr);
-  s.answers.Record(1, 4, 0);  // Now object 1 drifts: measured, so bounded.
-  cache.Sync(s.View());
-  EXPECT_EQ(drift.UpperBounds(cache, /*train_steps=*/0, pairs, bonus, &ub),
-            0u);
-  EXPECT_GE(ub[1], 2.0);
+  // Training measured by a covered training-only move: the same covered
+  // two-signal move then leaves beta where it was.
+  ShortlistPruner measured{ShortlistOptions{}};
+  measured.ObserveMove(/*dq=*/0.0, /*drift=*/0.0, /*ticks=*/3.0);
+  EXPECT_EQ(measured.beta(), 0.0);
+  measured.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
+  EXPECT_EQ(measured.beta(), 0.0);
+  EXPECT_EQ(measured.alpha(), 1.0);
 
-  // Mixed ages: pair 0 drifts and trains, pair 1 only trains.
-  ShortlistPruner mixed{ShortlistOptions{}};
-  mixed.Reset(kObjects, kAnnotators);
-  mixed.BeginIteration(cache);
-  mixed.RecordExact(cache, /*train_steps=*/0, pairs, {1.0, 2.0}, nullptr,
-                    nullptr);
-  s.answers.Record(0, 5, 2);
-  cache.Sync(s.View());
-  // An unmoved rescore of pair 0 is covered by drift slack alone, so it
-  // says nothing about training: pair 1 stays must-score.
-  mixed.RecordExact(cache, /*train_steps=*/3, {pairs[0]}, {1.0}, nullptr,
-                    nullptr);
-  EXPECT_EQ(mixed.beta(), 0.0);
-  EXPECT_EQ(mixed.UpperBounds(cache, /*train_steps=*/3, pairs, bonus, &ub),
-            1u);
-  EXPECT_TRUE(std::isinf(ub[1]));
-  // A move may be all training: the unmeasured sensitivity takes it whole,
-  // and pair 1's bound then covers the same move over the same steps.
-  s.answers.Record(0, 6, 0);
-  cache.Sync(s.View());
-  mixed.RecordExact(cache, /*train_steps=*/6, {pairs[0]}, {1.3}, nullptr,
-                    nullptr);
-  EXPECT_GE(mixed.beta(), 0.3 / 3.0);
-  EXPECT_EQ(mixed.UpperBounds(cache, /*train_steps=*/9, pairs, bonus, &ub),
-            0u);
-  EXPECT_GE(ub[1], 2.0 + 0.3);
+  // Missed by the combined slack: each sensitivity covers it alone.
+  measured.ObserveMove(/*dq=*/5.0, /*drift=*/1.0, /*ticks=*/2.0);
+  EXPECT_EQ(measured.alpha(), 5.0);
+  EXPECT_EQ(measured.beta(), 2.5);
 }
 
+// Outcome notes: a precheck violation is counted and breaks the success
+// streak; the boost doubles on gate fallback (capped) and halves back only
+// after a streak of gated successes.
 TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
-  Scenario s;
-  ScoreCache cache;
-  cache.Sync(s.View());
   ShortlistPruner pruner{ShortlistOptions{}};
-  pruner.Reset(kObjects, kAnnotators);
-  std::vector<Action> pairs = {{0, 0}};
-  pruner.BeginIteration(cache);
-  pruner.RecordExact(cache, /*train_steps=*/0, pairs, {1.0}, nullptr,
-                     nullptr);
-
-  // Claim the pair was admitted under a bound of 1.0 but rescored to 2.0:
-  // that is a precheck violation the caller must fall back on.
-  std::vector<double> prior_ub = {1.0};
-  std::vector<double> bonus = {0.0};
-  pruner.BeginIteration(cache);
-  EXPECT_EQ(pruner.RecordExact(cache, /*train_steps=*/1, pairs, {2.0},
-                               &prior_ub, &bonus),
-            1u);
-
-  // Boost dynamics: doubles on gate fallback (capped), halves back only
-  // after a streak of successes.
   EXPECT_EQ(pruner.boost(), 1u);
   pruner.NoteGateFallback();
   EXPECT_EQ(pruner.boost(), 2u);
@@ -364,29 +210,32 @@ TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
   EXPECT_EQ(pruner.boost(), 4u);
   for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1, 1);
   EXPECT_EQ(pruner.boost(), 4u);  // Streak not reached yet.
+  pruner.NotePrecheckFallback();  // Restarts the streak.
+  EXPECT_EQ(pruner.stats().precheck_fallbacks, 1u);
   pruner.NotePrunedSuccess(1, 1);
+  EXPECT_EQ(pruner.boost(), 4u);
+  for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1, 1);
   EXPECT_EQ(pruner.boost(), 2u);
   EXPECT_EQ(pruner.stats().gate_fallbacks, 2u);
-  EXPECT_EQ(pruner.stats().pruned_iterations, 8u);
+  EXPECT_EQ(pruner.stats().pruned_iterations, 15u);
+  for (int i = 0; i < 10; ++i) pruner.NoteGateFallback();
+  EXPECT_EQ(pruner.boost(), 64u);  // Capped.
 }
 
-TEST(ShortlistPrunerTest, ShortlistSizeHonoursFloorBoostAndMustScore) {
+TEST(ShortlistPrunerTest, ShortlistSizeHonoursFloorAndBoost) {
   ShortlistOptions options;  // Auto sizing.
   ShortlistPruner pruner(options);
-  pruner.Reset(kObjects, kAnnotators);
   // Auto: max(256, pairs/16), clamped to the pair count.
-  EXPECT_EQ(pruner.ShortlistSize(10000, 0), std::max<size_t>(256, 625));
-  EXPECT_EQ(pruner.ShortlistSize(300, 0), 256u);  // Floor, below the grid.
-  EXPECT_EQ(pruner.ShortlistSize(200, 0), 200u);  // Clamped to the grid.
-  EXPECT_EQ(pruner.ShortlistSize(10000, 40), 665u);  // Must-score on top.
+  EXPECT_EQ(pruner.ShortlistSize(10000), std::max<size_t>(256, 625));
+  EXPECT_EQ(pruner.ShortlistSize(300), 256u);  // Floor, below the grid.
+  EXPECT_EQ(pruner.ShortlistSize(200), 200u);  // Clamped to the grid.
 
   ShortlistOptions fixed;
   fixed.shortlist = 64;
   ShortlistPruner small(fixed);
-  small.Reset(kObjects, kAnnotators);
-  EXPECT_EQ(small.ShortlistSize(10000, 0), 64u);
+  EXPECT_EQ(small.ShortlistSize(10000), 64u);
   small.NoteGateFallback();
-  EXPECT_EQ(small.ShortlistSize(10000, 0), 128u);  // Boost doubles it.
+  EXPECT_EQ(small.ShortlistSize(10000), 128u);  // Boost doubles it.
 }
 
 // Bounds with the shapes the cut meets: exact ties within a tile, NaN and
@@ -467,70 +316,6 @@ TEST(ShortlistCutTest, TakesTheFirstInBoundThenIndexOrderAtEveryChunking) {
       EXPECT_EQ(CutShortlist(nullptr, chunks, ub, is_exact, size), want)
           << "trial " << trial << " inline";
     }
-  }
-}
-
-// RecordExact on a pool writes the same table and replays the same
-// sensitivity moves as the serial pass: a rescore of a 3000 x 12 grid
-// after feature drift and training steps leaves identical alpha, beta,
-// violation counts and bounds at 1, 2 and 4 lanes.
-TEST(ShortlistPrunerTest, PooledRecordExactMatchesTheSerialPass) {
-  constexpr int kGridObjects = 3000;
-  constexpr int kGridAnnotators = 12;
-  std::vector<Action> pairs;
-  for (int i = 0; i < kGridObjects; ++i) {
-    for (int j = 0; j < kGridAnnotators; ++j) pairs.push_back({i, j});
-  }
-  Rng rng(77);
-  std::vector<double> first(pairs.size());
-  std::vector<double> second(pairs.size());
-  std::vector<double> prior(pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    first[p] = rng.Uniform(-1.0, 1.0);
-    second[p] = first[p] + rng.Uniform(-0.3, 0.3);
-    prior[p] = first[p] + 0.05;
-  }
-  const std::vector<double> bonus(pairs.size(), 0.1);
-
-  struct Outcome {
-    double alpha = 0.0;
-    double beta = 0.0;
-    size_t violations = 0;
-    std::vector<double> ub;
-  };
-  const auto run = [&](int lanes) {
-    ThreadPool pool(lanes);
-    ThreadPool* const maybe_pool = lanes > 1 ? &pool : nullptr;
-    Scenario local(/*seed=*/3301, /*twins=*/false, kGridObjects,
-                   kGridAnnotators);
-    ScoreCache cache;
-    cache.Sync(local.View());
-    ShortlistPruner pruner;
-    pruner.Reset(kGridObjects, kGridAnnotators);
-    pruner.BeginIteration(cache);
-    pruner.RecordExact(cache, /*train_steps=*/0, pairs, first, nullptr,
-                       nullptr, maybe_pool);
-    local.NudgeProbs();
-    local.qualities[3] += 0.05;
-    cache.Sync(local.View());
-    Outcome out;
-    out.violations = pruner.RecordExact(cache, /*train_steps=*/3, pairs,
-                                        second, &prior, &bonus, maybe_pool);
-    out.alpha = pruner.alpha();
-    out.beta = pruner.beta();
-    pruner.UpperBounds(cache, /*train_steps=*/5, pairs, bonus, &out.ub);
-    return out;
-  };
-  const Outcome serial = run(1);
-  EXPECT_GT(serial.violations, 0u);
-  EXPECT_GT(serial.alpha, 0.0);
-  EXPECT_GT(serial.beta, 0.0);
-  for (int lanes : {2, 4}) {
-    const Outcome pooled = run(lanes);
-    EXPECT_EQ(pooled.alpha, serial.alpha) << "lanes " << lanes;
-    EXPECT_EQ(pooled.beta, serial.beta) << "lanes " << lanes;
-    EXPECT_EQ(pooled.violations, serial.violations) << "lanes " << lanes;
-    EXPECT_EQ(pooled.ub, serial.ub) << "lanes " << lanes;
   }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the annotator connection registry: inbox dispatch and
-// delivery, the disconnect lifecycle (abandoned seqs + disconnect events
-// surfacing to the pump), queued-work cancellation, and rejection of
-// out-of-range client ids.
+// delivery, the disconnect lifecycle (abandoned seqs surfacing to the
+// pump), queued-work cancellation, and rejection of out-of-range client
+// ids.
 
 #include "serve/annotator_session.h"
 
@@ -40,10 +40,8 @@ TEST(AnnotatorSessionTest, ConnectDisconnectLifecycle) {
 
   registry.Disconnect(1);
   EXPECT_FALSE(registry.connected(1));
-  std::vector<int> events = registry.TakeDisconnectEvents();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0], 1);
-  EXPECT_TRUE(registry.TakeDisconnectEvents().empty());  // Consumed.
+  EXPECT_EQ(registry.num_connected(), 2u);
+  EXPECT_EQ(registry.ConnectedMask(), (std::vector<bool>{true, false, true}));
 }
 
 TEST(AnnotatorSessionTest, DispatchAndRequestWorkAreFifoPerAnnotator) {
@@ -107,12 +105,11 @@ TEST(AnnotatorSessionTest, ReconnectStartsWithAnEmptyInbox) {
   registry.Connect(0);
   EXPECT_TRUE(registry.connected(0));
   EXPECT_FALSE(registry.RequestWork(0).has_value());
-  // Two disconnect cycles produce two events.
+  // A second disconnect cycle works the same way.
+  registry.Dispatch(Item(1, 0));
   registry.Disconnect(0);
-  std::vector<int> events = registry.TakeDisconnectEvents();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0], 0);
-  EXPECT_EQ(events[1], 0);
+  EXPECT_FALSE(registry.connected(0));
+  EXPECT_EQ(registry.TakeAbandonedSeqs(), (std::vector<uint64_t>{1}));
 }
 
 TEST(AnnotatorSessionTest, CancelAllQueuedAbandonsEveryInbox) {
@@ -151,7 +148,6 @@ TEST(AnnotatorSessionTest, OutOfRangeIdsAreRejectedWithoutSideEffects) {
   EXPECT_EQ(registry.TotalQueued(), 2u);
   EXPECT_EQ(registry.delivered_count(), 0u);
   EXPECT_TRUE(registry.TakeAbandonedSeqs().empty());
-  EXPECT_TRUE(registry.TakeDisconnectEvents().empty());
   // The valid sessions still work.
   std::optional<WorkItem> item = registry.RequestWork(2);
   ASSERT_TRUE(item.has_value());

@@ -2,6 +2,7 @@
 #define CROWDRL_TESTS_TESTING_SELECTION_LOCKSTEP_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -22,6 +23,14 @@ namespace crowdrl::testing {
 /// gated engine's bounds are built for), qualities creep, progress
 /// counters advance. With `twins`, annotators come in identical pairs, so
 /// an object's Q values tie exactly across each pair.
+///
+/// With `smooth`, the landscape is perfbench select-hier's instead: class
+/// beliefs follow a slow wave over the object index and qualities a slow
+/// wave over the annotator index (with a small monotone tilt that keeps
+/// them pairwise distinct), every cost is 1, and beliefs are never
+/// nudged. Neighbouring objects and annotators then score alike, which is
+/// the regime the tile bounds are built for; on random beliefs they are
+/// loose and the gate falls back to full scoring.
 struct SelectionScenario {
   /// Default grid (the fixed-size suites use these).
   static constexpr size_t kObjects = 40;
@@ -40,18 +49,27 @@ struct SelectionScenario {
   size_t probs_version = 0;
   double budget_fraction = 1.0;
   double fraction_labelled = 0.0;
+  double max_cost = 6.0;
   bool twins;
+  bool smooth;
   Rng rng;
 
   explicit SelectionScenario(uint64_t seed = 907, bool twins = false,
                              size_t objects = kObjects,
-                             size_t annotators = kAnnotators)
+                             size_t annotators = kAnnotators,
+                             bool smooth = false)
       : objects(objects),
         annotators(annotators),
         answers(objects, annotators),
         class_probs(objects, static_cast<size_t>(kClasses)),
         twins(twins),
+        smooth(smooth),
         rng(seed) {
+    labelled.assign(objects, false);
+    if (smooth) {
+      InitSmooth();
+      return;
+    }
     for (size_t j = 0; j < annotators; ++j) {
       const size_t rank = twins ? j / 2 : j;
       const bool expert = rank + 1 == (twins ? annotators / 2 : annotators);
@@ -60,7 +78,6 @@ struct SelectionScenario {
       is_expert.push_back(expert);
       affordable.push_back(true);
     }
-    labelled.assign(objects, false);
     for (size_t i = 0; i < objects; ++i) {
       double sum = 0.0;
       double* row = class_probs.Row(i);
@@ -81,7 +98,43 @@ struct SelectionScenario {
     if (twins && (j ^ 1) < annotators) qualities[j ^ 1] += 0.01;
   }
 
+  /// select-hier's landscape (perfbench/select_hier.cc): wavelengths are
+  /// fixed in objects / annotators, so a bucket spans a sliver of the
+  /// class wave whatever the grid size.
+  void InitSmooth() {
+    const double two_pi = 2.0 * M_PI;
+    for (size_t i = 0; i < objects; ++i) {
+      const double phase = two_pi * static_cast<double>(i) / 1048576.0;
+      double* row = class_probs.Row(i);
+      double max_logit = -1e300;
+      for (int c = 0; c < kClasses; ++c) {
+        row[c] = 1.5 * std::sin(phase + 2.1 * c) +
+                 0.002 * rng.Uniform(-1.0, 1.0);
+        max_logit = std::max(max_logit, row[c]);
+      }
+      double denom = 0.0;
+      for (int c = 0; c < kClasses; ++c) {
+        row[c] = std::exp(row[c] - max_logit);
+        denom += row[c];
+      }
+      for (int c = 0; c < kClasses; ++c) row[c] /= denom;
+    }
+    for (size_t j = 0; j < annotators; ++j) {
+      const double phase = two_pi * static_cast<double>(j) / 4096.0;
+      costs.push_back(1.0);
+      qualities.push_back(0.75 + 0.02 * std::sin(phase) +
+                          1e-4 * static_cast<double>(j) /
+                              static_cast<double>(annotators));
+      is_expert.push_back(false);
+      affordable.push_back(true);
+    }
+    max_cost = 1.0;
+    probs_version = 1;
+  }
+
+  /// Belief drift; a no-op on the smooth landscape.
   void NudgeProbs() {
+    if (smooth) return;
     for (size_t i = 0; i < objects; ++i) {
       double sum = 0.0;
       double* row = class_probs.Row(i);
@@ -106,7 +159,7 @@ struct SelectionScenario {
     view.labelled = &labelled;
     view.budget_fraction_remaining = budget_fraction;
     view.fraction_labelled = fraction_labelled;
-    view.max_cost = 6.0;
+    view.max_cost = max_cost;
     return view;
   }
 };
@@ -170,6 +223,10 @@ struct LockstepConfig {
   size_t annotators = SelectionScenario::kAnnotators;
   /// Identical annotator pairs (SelectionScenario::twins): exact Q ties.
   bool twins = false;
+  /// select-hier's index-smooth landscape (SelectionScenario::smooth),
+  /// driven by bench/scale_stress's agent options — the defaults with two
+  /// train steps per observe — instead of the small-grid ones below.
+  bool smooth = false;
   /// Tiled: the gated engine tiles this tiny grid (hier_min_pairs = 0)
   /// into `bucket`-object buckets x `group`-annotator groups, so the
   /// descent has real structure and the unexpanded-bucket gate real
@@ -188,20 +245,24 @@ struct LockstepConfig {
   int iterations = 24;
   /// Both agents are checkpointed into fresh agents after this iteration.
   int restore_after = 11;
+  /// Selection shape when there is no churn.
+  int k = 2;
+  int picks = 4;
   /// Churn: every iteration may also label an object, flip an annotator's
-  /// affordability (evicting it from the gated agent on the way out), and
-  /// draw a fresh k and pick count.
+  /// affordability, and draw a fresh k and pick count.
   bool churn = false;
 };
 
 inline rl::DqnAgentOptions LockstepOptions(const LockstepConfig& config) {
   rl::DqnAgentOptions options;
-  options.seed = 61;
-  options.q.seed = 67;
+  if (!config.smooth) {
+    options.seed = 61;
+    options.q.seed = 67;
+    options.min_replay_before_training = 16;
+    options.train_batch = 8;
+  }
   options.threads = config.threads;
   options.q.threads = config.threads;
-  options.min_replay_before_training = 16;
-  options.train_batch = 8;
   options.train_steps_per_observe = config.train_steps_per_observe;
   options.exploration = config.exploration;
   options.prune_shortlist = config.shortlist;
@@ -259,7 +320,7 @@ inline void Accumulate(const rl::DqnAgent& agent, LockstepStats* out) {
 inline void RunAuditedLockstep(const LockstepConfig& config,
                                LockstepOutcome* outcome) {
   SelectionScenario s(config.scenario_seed, config.twins, config.objects,
-                      config.annotators);
+                      config.annotators, config.smooth);
   const rl::DqnAgentOptions options = LockstepOptions(config);
   rl::DqnAgent gated(options);
   rl::DqnAgent twin(options);
@@ -273,16 +334,16 @@ inline void RunAuditedLockstep(const LockstepConfig& config,
     if (iter % 2 == 1) s.NudgeProbs();
     if (iter % 5 == 4) s.NudgeQuality();
     s.budget_fraction = std::max(0.0, s.budget_fraction - 0.02);
-    int k = 2;
-    int picks = 4;
+    int k = config.k;
+    int picks = config.picks;
     if (config.churn) {
       if (s.rng.Bernoulli(0.15)) {
         const int j = s.rng.UniformInt(static_cast<int>(config.annotators));
         s.affordable[static_cast<size_t>(j)] =
             !s.affordable[static_cast<size_t>(j)];
-        if (!s.affordable[static_cast<size_t>(j)] && s.rng.Bernoulli(0.5)) {
-          gated.NoteAnnotatorDisconnected(j);
-        }
+        // A departure draws one coin that decides nothing, so that the
+        // seeded configurations replay the runs their seeds name.
+        if (!s.affordable[static_cast<size_t>(j)]) s.rng.Bernoulli(0.5);
       }
       if (s.rng.Bernoulli(0.3)) {
         s.labelled[static_cast<size_t>(
