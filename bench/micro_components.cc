@@ -6,7 +6,8 @@
 // a before/after comparison of the GEMM kernels against the seed
 // (pre-kernel) implementation at the paper's MLP scale and at the serving
 // shapes (the Q network's InferInto, a classifier training step), with
-// bit-identity verified. It also emits BENCH_scoring.json: a per-iteration
+// bit-identity verified, and the factorized Q head's ns per pair on one
+// serial selection-sized forward. It also emits BENCH_scoring.json: a per-iteration
 // breakdown of the candidate-scoring loop (featurize / Q forward / top-k)
 // comparing the seed featurizer against the incremental ScoreCache
 // engine, with the exact path's bit-identity verified every iteration.
@@ -53,7 +54,9 @@
 #include "rl/dqn_agent.h"
 #include "rl/q_network.h"
 #include "rl/score_cache.h"
+#include "tests/testing/reference_fills.h"
 #include "tests/testing/reference_gemm.h"
+#include "tests/testing/selection_lockstep.h"
 #include "tests/testing/sim_helpers.h"
 
 namespace crowdrl {
@@ -273,7 +276,7 @@ void BM_GemmNT(benchmark::State& state) {
   w.FillUniform(&rng, -0.1, 0.1);
   Matrix out, scratch;
   for (auto _ : state) {
-    gemm::MatMulNTInto(a, w, &out, nullptr, nullptr, &scratch);
+    gemm::MatMulNTInto(a, w, &out, nullptr, {}, &scratch);
     benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -560,6 +563,52 @@ NetRow CompareInferInto(const char* op, const std::vector<size_t>& sizes,
           BitEqual(seed_out, kernel_out)};
 }
 
+// The factorized Q head (the agent's selection forward) on one serial
+// call over a whole object-major grid.
+struct HeadRow {
+  size_t objects, annotators;
+  double ms;
+  bool bit_identical;
+};
+
+// QNetwork::PredictBatchFactorized, serial, over every pair of an
+// `objects` x `annotators` grid in object-major order, timed as the best
+// of 9 calls. The network's parameters are perturbed off their
+// initialization (nonzero biases), and the scores are checked bit for
+// bit against testing::ReferenceFactorizedQ, the head's scalar reference
+// (the portable tier's order of operations).
+HeadRow MeasureFactorizedHead(size_t objects, size_t annotators, Rng* rng) {
+  testing::SelectionScenario scenario(/*seed=*/5, /*twins=*/false, objects,
+                                      annotators);
+  rl::ScoreCache cache;
+  cache.Sync(scenario.View());
+  rl::FeatureBlocks blocks;
+  blocks.object_blocks = &cache.object_blocks();
+  blocks.annotator_blocks = &cache.annotator_blocks();
+  blocks.global_block = cache.global_block();
+  rl::QNetwork net(rl::QNetworkOptions{});
+  std::vector<double> params = net.FlatParameters();
+  for (double& p : params) p += rng->Uniform(-0.1, 0.1);
+  net.SetFlatParameters(params);
+  std::vector<rl::Action> pairs;
+  pairs.reserve(objects * annotators);
+  for (size_t i = 0; i < objects; ++i) {
+    for (size_t j = 0; j < annotators; ++j) {
+      pairs.push_back({static_cast<int>(i), static_cast<int>(j)});
+    }
+  }
+  std::vector<double> q;
+  const double secs = MinSeconds(9, [&] {
+    q = net.PredictBatchFactorized(blocks, pairs, /*use_target=*/false);
+  });
+  const std::vector<double> want =
+      testing::ReferenceFactorizedQ(testing::OnlineMlp(net), blocks, pairs);
+  const bool biteq =
+      q.size() == want.size() &&
+      std::memcmp(q.data(), want.data(), q.size() * sizeof(double)) == 0;
+  return {objects, annotators, secs * 1e3, biteq};
+}
+
 void WriteKernelReport(size_t max_batch, const std::string& path) {
   std::printf("== kernel report (batch up to %zu, %zux%zux%zu net, "
               "simd tier %s) ==\n",
@@ -588,7 +637,7 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
     double seed_s = MinSeconds(
         reps, [&] { seed_out = ReferenceMatMul(a, ReferenceTransposed(w)); });
     double kernel_s = MinSeconds(reps, [&] {
-      gemm::MatMulNTInto(a, w, &kernel_out, nullptr, nullptr, &scratch);
+      gemm::MatMulNTInto(a, w, &kernel_out, nullptr, {}, &scratch);
     });
     rows.push_back({"nt", b, kFeatureDim, kHiddenDim, seed_s * 1e3,
                     kernel_s * 1e3, BitEqual(seed_out, kernel_out)});
@@ -632,6 +681,12 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
                 r.op, SizesString(r.sizes).c_str(), r.batch, r.seed_ms,
                 r.kernel_ms, r.seed_ms / r.kernel_ms, r.bit_identical);
   }
+  const HeadRow head = MeasureFactorizedHead(2048, 200, &rng);
+  const size_t head_pairs = head.objects * head.annotators;
+  const double head_ns = head.ms * 1e6 / static_cast<double>(head_pairs);
+  std::printf("  %-28s %zux%zu grid: %9.4f ms  %.1f ns/pair  biteq=%d\n",
+              "factorized_head", head.objects, head.annotators, head.ms,
+              head_ns, head.bit_identical);
 
   std::FILE* json = std::fopen(path.c_str(), "w");
   CROWDRL_CHECK(json != nullptr) << "cannot write " << path;
@@ -660,12 +715,18 @@ void WriteKernelReport(size_t max_batch, const std::string& path) {
     std::fprintf(json,
                  "  \"%s\": {\"sizes\": %s, \"batch\": %zu, "
                  "\"seed_ms\": %.4f, \"kernel_ms\": %.4f, "
-                 "\"speedup\": %.3f, \"bit_identical\": %s}%s\n",
+                 "\"speedup\": %.3f, \"bit_identical\": %s},\n",
                  r.op, SizesString(r.sizes).c_str(), r.batch, r.seed_ms,
                  r.kernel_ms, r.seed_ms / r.kernel_ms,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < nets.size() ? "," : "");
+                 r.bit_identical ? "true" : "false");
   }
+  std::fprintf(json,
+               "  \"factorized_head\": {\"sizes\": [12, 64, 32, 1], "
+               "\"objects\": %zu, \"annotators\": %zu, \"pairs\": %zu, "
+               "\"threads\": 1, \"ms\": %.4f, \"ns_per_pair\": %.1f, "
+               "\"bit_identical\": %s}\n",
+               head.objects, head.annotators, head_pairs, head.ms, head_ns,
+               head.bit_identical ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("wrote %s\n", path.c_str());

@@ -399,6 +399,8 @@ int main(int argc, char** argv) {
   auto ckpt = RoundTripCheckpoint(config, campaign, agent, options);
 
   const DqnAgent::HierStats& stats = agent.hier_stats();
+  const crowdrl::rl::ShortlistPruner::Stats& prune =
+      agent.shortlist_pruner().stats();
   double scored_fraction =
       static_cast<double>(stats.scored_pairs) /
       (grid_pairs * static_cast<double>(stats.iterations ? stats.iterations : 1));
@@ -412,10 +414,11 @@ int main(int argc, char** argv) {
   std::printf("run: %.1f ms total (%.1f ms observe), %zu answers\n", run_ms,
               observe_ms_total, answers_recorded);
   std::printf("hier: %zu/%zu gated, %zu full fallbacks, scored %.3g pairs "
-              "(%.3g of grid x iters), expanded buckets %.4f of live\n",
+              "(%.3g of grid x iters), expanded buckets %.4f of live, "
+              "%zu exact / %zu bounded shortlist rows\n",
               stats.gated_iterations, stats.iterations, stats.full_fallbacks,
               static_cast<double>(stats.scored_pairs), scored_fraction,
-              expanded_fraction);
+              expanded_fraction, prune.exact_rows, prune.bounded_rows);
   std::printf("checkpoint: %zu sections, %zu bytes (max section %zu), "
               "write %.1f ms, read %.1f ms, verified=%s\n",
               ckpt.sections, ckpt.file_bytes, ckpt.max_section_bytes,
@@ -464,11 +467,13 @@ int main(int argc, char** argv) {
                "%zu, \"enumerated_pairs\": %zu, \"rep_refreshes\": %zu, "
                "\"expanded_buckets\": %zu, \"live_buckets\": %zu, "
                "\"scored_fraction_of_grid\": %.3e, "
-               "\"expanded_bucket_fraction\": %.6f},\n",
+               "\"expanded_bucket_fraction\": %.6f, "
+               "\"exact_rows\": %zu, \"bounded_rows\": %zu},\n",
                stats.iterations, stats.gated_iterations, stats.full_fallbacks,
                stats.rounds, stats.scored_pairs, stats.enumerated_pairs,
                stats.rep_refreshes, stats.expanded_buckets, stats.live_buckets,
-               scored_fraction, expanded_fraction);
+               scored_fraction, expanded_fraction, prune.exact_rows,
+               prune.bounded_rows);
   std::fprintf(out,
                "  \"checkpoint\": {\"file_bytes\": %zu, \"sections\": %zu, "
                "\"max_section_bytes\": %zu, \"write_ms\": %.2f, \"read_ms\": "

@@ -151,6 +151,7 @@ Status JointInference::Infer(const InferenceInput& input,
   // labelling iterations) keeps them; a fresh one is seeded from the
   // majority-vote posteriors.
   if (!input.classifier->is_trained()) {
+    CROWDRL_TRACE_SPAN("joint.phi_train");
     CROWDRL_RETURN_IF_ERROR(
         input.classifier->Train(target_features, posteriors, {}));
   }
@@ -183,8 +184,11 @@ Status JointInference::Infer(const InferenceInput& input,
       // identical targets.
       if (iteration > 0 &&
           iteration % options_.classifier_retrain_period == 0) {
-        CROWDRL_RETURN_IF_ERROR(
-            input.classifier->Train(target_features, posteriors, {}));
+        {
+          CROWDRL_TRACE_SPAN("joint.phi_train");
+          CROWDRL_RETURN_IF_ERROR(
+              input.classifier->Train(target_features, posteriors, {}));
+        }
         log_probs = PredictLogProbs(*input.classifier, target_features);
       }
     }
@@ -238,9 +242,11 @@ Status JointInference::Infer(const InferenceInput& input,
     for (size_t row = 0; row < n; ++row) {
       hard.At(row, Argmax(posteriors.Row(row), c)) = 1.0;
     }
+    CROWDRL_TRACE_SPAN("joint.phi_train");
     CROWDRL_RETURN_IF_ERROR(
         input.classifier->Train(target_features, hard, {}));
   } else {
+    CROWDRL_TRACE_SPAN("joint.phi_train");
     CROWDRL_RETURN_IF_ERROR(
         input.classifier->Train(target_features, posteriors, {}));
   }

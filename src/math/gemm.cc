@@ -100,18 +100,29 @@ constexpr size_t kTnTileJ = 256;
 // GCC target attributes and selected once at runtime; fp-contract is forced
 // off where the ISA includes FMA, because a fused multiply-add rounds once
 // instead of twice and would change results.
+//
+// The epilogue (bias add, then the ReLU select) runs on the accumulators
+// of the last k panel, before their store, in the SIMD tiers, and on the
+// stored rows in the portable tier. Either way an element takes one add
+// and the select after its whole sum, so every tier ends on the same bits.
+// ReLU is max(v, +0.0) with v first: x86 max returns its second operand
+// unless the first is greater, so NaN and -0.0 become +0.0 exactly as
+// nn::Relu's `v > 0.0 ? v : 0.0` does.
 // ---------------------------------------------------------------------------
 
 using ProductRowsFn = void (*)(const double* a, size_t a_row_stride,
                                size_t a_t_stride, const double* b,
-                               double* c, size_t rows, size_t k, size_t n);
+                               double* c, size_t rows, size_t k, size_t n,
+                               const Epilogue& epilogue);
 
 // The portable tier keeps the historical TN schedule for every product:
 // per kTnTileI x kTnTileJ output tile, the tile is zeroed and then takes
-// rank-1 updates for t ascending.
+// rank-1 updates for t ascending. The epilogue then runs over the stored
+// rows: the reference order the SIMD tiers' in-register epilogue matches.
 void ProductRowsPortable(const double* a, size_t a_row_stride,
                          size_t a_t_stride, const double* b, double* c,
-                         size_t rows, size_t k, size_t n) {
+                         size_t rows, size_t k, size_t n,
+                         const Epilogue& epilogue) {
   std::fill(c, c + rows * n, 0.0);
   for (size_t i0 = 0; i0 < rows; i0 += kTnTileI) {
     const size_t i1 = std::min(i0 + kTnTileI, rows);
@@ -125,6 +136,14 @@ void ProductRowsPortable(const double* a, size_t a_row_stride,
           for (size_t j = j0; j < j1; ++j) c_row[j] += v * b_row[j];
         }
       }
+    }
+  }
+  if (epilogue.bias == nullptr && !epilogue.relu) return;
+  for (double* c_row = c; c_row != c + rows * n; c_row += n) {
+    for (size_t j = 0; j < n; ++j) {
+      double v = c_row[j];
+      if (epilogue.bias != nullptr) v += epilogue.bias[j];
+      c_row[j] = epilogue.relu ? (v > 0.0 ? v : 0.0) : v;
     }
   }
 }
@@ -146,11 +165,15 @@ void ProductRowsPortable(const double* a, size_t a_row_stride,
 // AVX2 tile: MR rows x NV ymm vectors (4 doubles each). At MR=4, NV=2 the
 // 4 x 8 block holds 8 accumulators, 2 b vectors and a broadcast in the 16
 // ymm registers. The last vector loads and stores only the lanes in `tail`.
+// `bias` is the tile's first column of the epilogue's bias (or null), and
+// `last` says this is the product's last k panel.
 template <size_t MR, size_t NV>
 CROWDRL_TARGET_AVX2 inline void TileAvx2(const double* a, size_t a_rs,
                                          size_t a_ts, const double* b,
                                          double* c, size_t n, size_t k0,
-                                         size_t k1, __m256i tail) {
+                                         size_t k1, __m256i tail,
+                                         const double* bias, bool relu,
+                                         bool last) {
   __m256d acc[MR][NV];
 #pragma GCC unroll 4
   for (size_t r = 0; r < MR; ++r) {
@@ -180,6 +203,27 @@ CROWDRL_TARGET_AVX2 inline void TileAvx2(const double* a, size_t a_rs,
       }
     }
   }
+  if (last) {
+    const __m256d zero = _mm256_setzero_pd();
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      if (bias != nullptr) {
+        const __m256d bias_v = v + 1 < NV
+                                   ? _mm256_loadu_pd(bias + 4 * v)
+                                   : _mm256_maskload_pd(bias + 4 * v, tail);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < MR; ++r) {
+          acc[r][v] = _mm256_add_pd(acc[r][v], bias_v);
+        }
+      }
+      if (relu) {
+#pragma GCC unroll 4
+        for (size_t r = 0; r < MR; ++r) {
+          acc[r][v] = _mm256_max_pd(acc[r][v], zero);
+        }
+      }
+    }
+  }
 #pragma GCC unroll 4
   for (size_t r = 0; r < MR; ++r) {
 #pragma GCC unroll 4
@@ -198,20 +242,93 @@ template <size_t NV>
 CROWDRL_TARGET_AVX2 void PanelAvx2(const double* a, size_t a_rs,
                                    size_t a_ts, const double* b, double* c,
                                    size_t rows, size_t n, size_t k0,
-                                   size_t k1, __m256i tail) {
+                                   size_t k1, __m256i tail,
+                                   const double* bias, bool relu,
+                                   bool last) {
   size_t i = 0;
   for (; i + 4 <= rows; i += 4) {
-    TileAvx2<4, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail);
+    TileAvx2<4, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail,
+                    bias, relu, last);
   }
   for (; i < rows; ++i) {
-    TileAvx2<1, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail);
+    TileAvx2<1, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1, tail,
+                    bias, relu, last);
+  }
+}
+
+// One-column products (n == 1): G groups of 4 output rows, one ymm
+// accumulator per group and one row per lane. A lane starts at +0.0 and
+// takes a(i, t) * b[t] for t ascending, one multiply and then one add, as
+// the register tile does; a gather reads the group's column of A at term
+// t. The whole k sweep stays in registers (panels only bound a tile's B
+// slice, and b is one value per term). The last group takes only the
+// lanes in `tail`.
+template <size_t G>
+CROWDRL_TARGET_AVX2 inline void ColumnTileAvx2(const double* a, size_t a_rs,
+                                               size_t a_ts, const double* b,
+                                               double* c, size_t k,
+                                               __m256i tail,
+                                               const Epilogue& epilogue) {
+  const long long rs = static_cast<long long>(a_rs);
+  const __m256i lanes = _mm256_setr_epi64x(0, rs, 2 * rs, 3 * rs);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  __m256d acc[G];
+#pragma GCC unroll 4
+  for (size_t g = 0; g < G; ++g) acc[g] = zero;
+  for (size_t t = 0; t < k; ++t) {
+    const __m256d bt = _mm256_broadcast_sd(b + t);
+    const double* a_t = a + t * a_ts;
+#pragma GCC unroll 4
+    for (size_t g = 0; g < G; ++g) {
+      const __m256d mask = g + 1 < G ? all : _mm256_castsi256_pd(tail);
+      const __m256d col = _mm256_mask_i64gather_pd(zero, a_t + 4 * g * a_rs,
+                                                   lanes, mask, 8);
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(col, bt));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t g = 0; g < G; ++g) {
+    if (epilogue.bias != nullptr) {
+      acc[g] = _mm256_add_pd(acc[g], _mm256_broadcast_sd(epilogue.bias));
+    }
+    if (epilogue.relu) acc[g] = _mm256_max_pd(acc[g], zero);
+    if (g + 1 < G) {
+      _mm256_storeu_pd(c + 4 * g, acc[g]);
+    } else {
+      _mm256_maskstore_pd(c + 4 * g, tail, acc[g]);
+    }
+  }
+}
+
+CROWDRL_TARGET_AVX2 void ColumnAvx2(const double* a, size_t a_rs,
+                                    size_t a_ts, const double* b, double* c,
+                                    size_t rows, size_t k,
+                                    const Epilogue& epilogue) {
+  const __m256i full = _mm256_set1_epi64x(-1);
+  size_t i = 0;
+  for (; i + 16 <= rows; i += 16) {
+    ColumnTileAvx2<4>(a + i * a_rs, a_rs, a_ts, b, c + i, k, full, epilogue);
+  }
+  for (; i + 4 <= rows; i += 4) {
+    ColumnTileAvx2<1>(a + i * a_rs, a_rs, a_ts, b, c + i, k, full, epilogue);
+  }
+  if (i < rows) {
+    const __m256i tail = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(rows - i)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    ColumnTileAvx2<1>(a + i * a_rs, a_rs, a_ts, b, c + i, k, tail, epilogue);
   }
 }
 
 CROWDRL_TARGET_AVX2 void ProductRowsAvx2(const double* a, size_t a_rs,
                                          size_t a_ts, const double* b,
                                          double* c, size_t rows, size_t k,
-                                         size_t n) {
+                                         size_t n, const Epilogue& epilogue) {
+  if (n == 1) {
+    ColumnAvx2(a, a_rs, a_ts, b, c, rows, k, epilogue);
+    return;
+  }
   constexpr size_t kWidth = 8;
   for (size_t j0 = 0; j0 < n; j0 += kWidth) {
     const size_t width = std::min(kWidth, n - j0);
@@ -219,27 +336,44 @@ CROWDRL_TARGET_AVX2 void ProductRowsAvx2(const double* a, size_t a_rs,
     const __m256i tail = _mm256_cmpgt_epi64(
         _mm256_set1_epi64x(static_cast<long long>(width - 4 * (nv - 1))),
         _mm256_setr_epi64x(0, 1, 2, 3));
+    const double* bias =
+        epilogue.bias != nullptr ? epilogue.bias + j0 : nullptr;
     size_t k0 = 0;
     do {  // At least one panel, so k == 0 still stores the +0.0 starts.
       const size_t k1 = std::min(k0 + kTileKc, k);
+      const bool last = k1 == k;
       if (nv == 2) {
-        PanelAvx2<2>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail);
+        PanelAvx2<2>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail,
+                     bias, epilogue.relu, last);
       } else {
-        PanelAvx2<1>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail);
+        PanelAvx2<1>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1, tail,
+                     bias, epilogue.relu, last);
       }
       k0 = k1;
     } while (k0 < k);
   }
 }
 
+// max(v, +0.0) with v first: the ReLU of the AVX-512 epilogue. The
+// zero-masked form with every lane selected is the plain max; GCC 12's
+// unmasked intrinsic passes an "undefined" vector that
+// -Wmaybe-uninitialized flags under the optimize attribute.
+CROWDRL_TARGET_AVX512 inline __m512d ReluAvx512(__m512d v) {
+  return _mm512_maskz_max_pd(static_cast<__mmask8>(0xFF), v,
+                             _mm512_setzero_pd());
+}
+
 // AVX-512 tile: MR rows x NV zmm vectors (8 doubles each). At MR=4, NV=4
 // the 4 x 32 block holds 16 accumulators plus 4 b vectors and a broadcast
-// in the 32 zmm registers. The last vector is masked by `tail`.
+// in the 32 zmm registers. The last vector is masked by `tail`; `bias` and
+// `last` as in TileAvx2.
 template <size_t MR, size_t NV>
 CROWDRL_TARGET_AVX512 inline void TileAvx512(const double* a, size_t a_rs,
                                              size_t a_ts, const double* b,
                                              double* c, size_t n, size_t k0,
-                                             size_t k1, __mmask8 tail) {
+                                             size_t k1, __mmask8 tail,
+                                             const double* bias, bool relu,
+                                             bool last) {
   __m512d acc[MR][NV];
 #pragma GCC unroll 4
   for (size_t r = 0; r < MR; ++r) {
@@ -269,6 +403,26 @@ CROWDRL_TARGET_AVX512 inline void TileAvx512(const double* a, size_t a_rs,
       }
     }
   }
+  if (last) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      if (bias != nullptr) {
+        const __m512d bias_v = v + 1 < NV
+                                   ? _mm512_loadu_pd(bias + 8 * v)
+                                   : _mm512_maskz_loadu_pd(tail, bias + 8 * v);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < MR; ++r) {
+          acc[r][v] = _mm512_add_pd(acc[r][v], bias_v);
+        }
+      }
+      if (relu) {
+#pragma GCC unroll 4
+        for (size_t r = 0; r < MR; ++r) {
+          acc[r][v] = ReluAvx512(acc[r][v]);
+        }
+      }
+    }
+  }
 #pragma GCC unroll 4
   for (size_t r = 0; r < MR; ++r) {
 #pragma GCC unroll 4
@@ -287,47 +441,113 @@ template <size_t NV>
 CROWDRL_TARGET_AVX512 void PanelAvx512(const double* a, size_t a_rs,
                                        size_t a_ts, const double* b,
                                        double* c, size_t rows, size_t n,
-                                       size_t k0, size_t k1, __mmask8 tail) {
+                                       size_t k0, size_t k1, __mmask8 tail,
+                                       const double* bias, bool relu,
+                                       bool last) {
   size_t i = 0;
   for (; i + 4 <= rows; i += 4) {
     TileAvx512<4, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1,
-                      tail);
+                      tail, bias, relu, last);
   }
   for (; i < rows; ++i) {
     TileAvx512<1, NV>(a + i * a_rs, a_rs, a_ts, b, c + i * n, n, k0, k1,
-                      tail);
+                      tail, bias, relu, last);
+  }
+}
+
+// ColumnTileAvx2 at 8 rows per group.
+template <size_t G>
+CROWDRL_TARGET_AVX512 inline void ColumnTileAvx512(
+    const double* a, size_t a_rs, size_t a_ts, const double* b, double* c,
+    size_t k, __mmask8 tail, const Epilogue& epilogue) {
+  const long long rs = static_cast<long long>(a_rs);
+  const __m512i lanes = _mm512_setr_epi64(0, rs, 2 * rs, 3 * rs, 4 * rs,
+                                          5 * rs, 6 * rs, 7 * rs);
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[G];
+#pragma GCC unroll 4
+  for (size_t g = 0; g < G; ++g) acc[g] = zero;
+  for (size_t t = 0; t < k; ++t) {
+    const __m512d bt = _mm512_set1_pd(b[t]);
+    const double* a_t = a + t * a_ts;
+#pragma GCC unroll 4
+    for (size_t g = 0; g < G; ++g) {
+      const __mmask8 mask = g + 1 < G ? static_cast<__mmask8>(0xFF) : tail;
+      const __m512d col = _mm512_mask_i64gather_pd(
+          zero, mask, lanes, a_t + 8 * g * a_rs, 8);
+      acc[g] = _mm512_add_pd(acc[g], _mm512_mul_pd(col, bt));
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t g = 0; g < G; ++g) {
+    if (epilogue.bias != nullptr) {
+      acc[g] = _mm512_add_pd(acc[g], _mm512_set1_pd(*epilogue.bias));
+    }
+    if (epilogue.relu) acc[g] = ReluAvx512(acc[g]);
+    _mm512_mask_storeu_pd(c + 8 * g,
+                          g + 1 < G ? static_cast<__mmask8>(0xFF) : tail,
+                          acc[g]);
+  }
+}
+
+CROWDRL_TARGET_AVX512 void ColumnAvx512(const double* a, size_t a_rs,
+                                        size_t a_ts, const double* b,
+                                        double* c, size_t rows, size_t k,
+                                        const Epilogue& epilogue) {
+  const __mmask8 full = 0xFF;
+  size_t i = 0;
+  for (; i + 32 <= rows; i += 32) {
+    ColumnTileAvx512<4>(a + i * a_rs, a_rs, a_ts, b, c + i, k, full,
+                        epilogue);
+  }
+  for (; i + 8 <= rows; i += 8) {
+    ColumnTileAvx512<1>(a + i * a_rs, a_rs, a_ts, b, c + i, k, full,
+                        epilogue);
+  }
+  if (i < rows) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (rows - i)) - 1);
+    ColumnTileAvx512<1>(a + i * a_rs, a_rs, a_ts, b, c + i, k, tail,
+                        epilogue);
   }
 }
 
 CROWDRL_TARGET_AVX512 void ProductRowsAvx512(const double* a, size_t a_rs,
                                              size_t a_ts, const double* b,
                                              double* c, size_t rows,
-                                             size_t k, size_t n) {
+                                             size_t k, size_t n,
+                                             const Epilogue& epilogue) {
+  if (n == 1) {
+    ColumnAvx512(a, a_rs, a_ts, b, c, rows, k, epilogue);
+    return;
+  }
   constexpr size_t kWidth = 32;
   for (size_t j0 = 0; j0 < n; j0 += kWidth) {
     const size_t width = std::min(kWidth, n - j0);
     const size_t nv = (width + 7) / 8;
     const __mmask8 tail =
         static_cast<__mmask8>((1u << (width - 8 * (nv - 1))) - 1);
+    const double* bias =
+        epilogue.bias != nullptr ? epilogue.bias + j0 : nullptr;
     size_t k0 = 0;
     do {  // At least one panel, so k == 0 still stores the +0.0 starts.
       const size_t k1 = std::min(k0 + kTileKc, k);
+      const bool last = k1 == k;
       switch (nv) {
         case 4:
           PanelAvx512<4>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
-                         tail);
+                         tail, bias, epilogue.relu, last);
           break;
         case 3:
           PanelAvx512<3>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
-                         tail);
+                         tail, bias, epilogue.relu, last);
           break;
         case 2:
           PanelAvx512<2>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
-                         tail);
+                         tail, bias, epilogue.relu, last);
           break;
         default:
           PanelAvx512<1>(a, a_rs, a_ts, b + j0, c + j0, rows, n, k0, k1,
-                         tail);
+                         tail, bias, epilogue.relu, last);
           break;
       }
       k0 = k1;
@@ -393,11 +613,12 @@ void Resize(Matrix* out, size_t rows, size_t cols) {
   }
 }
 
-// C[r0..r1) = A[r0..r1) · B (A: m x k, B: k x n).
+// C[r0..r1) = A[r0..r1) · B (A: m x k, B: k x n), then the epilogue.
 void NnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
-            Matrix* out, size_t r0, size_t r1) {
+            Matrix* out, size_t r0, size_t r1, const Epilogue& epilogue) {
   kernel(a.data().data() + r0 * a.cols(), a.cols(), 1, b.data().data(),
-         out->data().data() + r0 * out->cols(), r1 - r0, a.cols(), b.cols());
+         out->data().data() + r0 * out->cols(), r1 - r0, a.cols(), b.cols(),
+         epilogue);
 }
 
 // C[r0..r1) = (Aᵀ · B)[r0..r1) (A: k x m, B: k x n), reading column r0
@@ -405,7 +626,8 @@ void NnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
 void TnRows(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
             Matrix* out, size_t r0, size_t r1) {
   kernel(a.data().data() + r0, 1, a.cols(), b.data().data(),
-         out->data().data() + r0 * out->cols(), r1 - r0, a.rows(), b.cols());
+         out->data().data() + r0 * out->cols(), r1 - r0, a.rows(), b.cols(),
+         Epilogue{});
 }
 
 // Runs `body(r0, r1)` over [0, rows) in row chunks — on the pool when one
@@ -439,27 +661,37 @@ void MatMul(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
   RecordGemmCall(Metrics().nn_flops, a.rows(), a.cols(), b.cols());
   Resize(out, a.rows(), b.cols());
   RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
-    NnRows(kernel, a, b, out, r0, r1);
+    NnRows(kernel, a, b, out, r0, r1, Epilogue{});
+  });
+}
+
+// C = A · Bᵀ from `bt` = Bᵀ (k x n). Each row chunk runs the epilogue
+// inside its kernel call, so pooled chunks apply it to their own rows.
+void MatMulNTPacked(ProductRowsFn kernel, const Matrix& a, const Matrix& bt,
+                    Matrix* out, ThreadPool* pool, const Epilogue& epilogue) {
+  CROWDRL_CHECK(out != nullptr);
+  CROWDRL_CHECK(a.cols() == bt.rows())
+      << "matmul shape mismatch (NT): " << a.cols() << " vs " << bt.rows();
+  CROWDRL_DCHECK(out != &a && out != &bt);
+  RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), bt.cols());
+  Resize(out, a.rows(), bt.cols());
+  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
+    NnRows(kernel, a, bt, out, r0, r1, epilogue);
   });
 }
 
 void MatMulNT(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
-              Matrix* out, ThreadPool* pool, const RowEpilogue& epilogue,
+              Matrix* out, ThreadPool* pool, const Epilogue& epilogue,
               Matrix* bt_scratch) {
   CROWDRL_CHECK(out != nullptr);
   CROWDRL_CHECK(a.cols() == b.cols())
       << "matmul shape mismatch (NT): " << a.cols() << " vs " << b.cols();
   CROWDRL_DCHECK(out != &a && out != &b && bt_scratch != &a &&
                  bt_scratch != &b && bt_scratch != out);
-  RecordGemmCall(Metrics().nt_flops, a.rows(), a.cols(), b.rows());
   thread_local Matrix local_bt;
   Matrix* bt = bt_scratch != nullptr ? bt_scratch : &local_bt;
   TransposeInto(b, bt);
-  Resize(out, a.rows(), b.rows());
-  RunRowChunks(pool, a.rows(), [&](size_t r0, size_t r1) {
-    NnRows(kernel, a, *bt, out, r0, r1);
-    if (epilogue) epilogue(r0, r1);
-  });
+  MatMulNTPacked(kernel, a, *bt, out, pool, epilogue);
 }
 
 void MatMulTN(ProductRowsFn kernel, const Matrix& a, const Matrix& b,
@@ -504,9 +736,14 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool, const RowEpilogue& epilogue,
+                  ThreadPool* pool, const Epilogue& epilogue,
                   Matrix* bt_scratch) {
   MatMulNT(ActiveKernel(), a, b, out, pool, epilogue, bt_scratch);
+}
+
+void MatMulNTPackedInto(const Matrix& a, const Matrix& bt, Matrix* out,
+                        ThreadPool* pool, const Epilogue& epilogue) {
+  MatMulNTPacked(ActiveKernel(), a, bt, out, pool, epilogue);
 }
 
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -532,8 +769,9 @@ void MatMulIntoAtTier(math::SimdTier tier, const Matrix& a, const Matrix& b,
 }
 
 void MatMulNTIntoAtTier(math::SimdTier tier, const Matrix& a,
-                        const Matrix& b, Matrix* out) {
-  MatMulNT(CheckedKernelFor(tier), a, b, out, nullptr, nullptr, nullptr);
+                        const Matrix& b, Matrix* out,
+                        const Epilogue& epilogue) {
+  MatMulNT(CheckedKernelFor(tier), a, b, out, nullptr, epilogue, nullptr);
 }
 
 void MatMulTNIntoAtTier(math::SimdTier tier, const Matrix& a,

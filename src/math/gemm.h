@@ -2,7 +2,6 @@
 #define CROWDRL_MATH_GEMM_H_
 
 #include <cstddef>
-#include <functional>
 
 #include "math/matrix.h"
 #include "util/thread_pool.h"
@@ -27,12 +26,16 @@ namespace crowdrl::gemm {
 /// **Register tile.** Each SIMD tier computes every product with one
 /// kernel: an MR x NR tile of output accumulators (4 x 32 doubles on
 /// AVX-512, 4 x 8 on AVX2) that stays in registers for the whole k sweep
-/// and is stored once (once per 256-term k panel on deep products). The
-/// kernel is chosen by operand layout and tier only, never by FLOP count
-/// or chunk size, so the small Q-network and classifier layers and the
-/// wide paper-scale net run the same code. The portable tier runs the
+/// and is stored once (once per 256-term k panel on deep products). On the
+/// last panel the tile applies the product's `Epilogue` to its
+/// accumulators before that store. A one-column product (n == 1, the Q
+/// network's output layer) puts output rows in the vector lanes instead (8
+/// on AVX-512, 4 on AVX2), each lane reading its row of A through a gather.
+/// The kernel is chosen by operand layout, tier and n == 1 only, never by
+/// FLOP count or chunk size, so the small Q-network and classifier layers
+/// and the wide paper-scale net run the same code. The portable tier runs the
 /// historical TN schedule (a 16 x 256 output tile taking rank-1 updates)
-/// for all three layouts.
+/// for all three layouts, then the epilogue over the stored rows.
 ///
 /// **Accumulation-order guarantee (load-bearing).** Every output element is
 /// produced by one accumulator that starts at +0.0 and consumes its k
@@ -63,13 +66,17 @@ namespace crowdrl::gemm {
 /// the shape differs and the existing allocation is reused otherwise, so
 /// steady-state calls are allocation-free.
 
-/// Called after each block of output rows [row_begin, row_end) is fully
-/// computed, while the block is still cache-hot — the MLP fuses its
-/// bias + activation epilogue through this. Under a pool, blocks complete
-/// concurrently: the epilogue must touch only its own rows. Hot callers
-/// pass `std::cref` of a callable that outlives the call, which the
-/// function object holds without allocating.
-using RowEpilogue = std::function<void(size_t row_begin, size_t row_end)>;
+/// What a product does to each output element after its last k term and
+/// before its store: add `bias[j]` (one value per output column; null adds
+/// nothing), then, with `relu`, take max(v, +0.0) with v first, which is
+/// nn::Relu's select bit for bit (NaN and -0.0 become +0.0). Each element
+/// sees one IEEE add and the select after its whole sum, so the result is
+/// bit-identical to storing the product and then applying nn::AddActivate
+/// to each row. Other activations are the caller's, on the stored sums.
+struct Epilogue {
+  const double* bias = nullptr;
+  bool relu = false;
+};
 
 /// C = A · B. `out` is overwritten.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -79,12 +86,18 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
 /// (activations x weights), computed without materializing Bᵀ anew:
 /// B is packed into `bt_scratch` (any shape; resized and reused across
 /// calls — pass a persistent per-call-site matrix to stay allocation-free;
-/// nullptr falls back to a thread-local buffer). `epilogue`, when set, runs
-/// per completed row block.
+/// nullptr falls back to a thread-local buffer). It is `TransposeInto`
+/// followed by `MatMulNTPackedInto`.
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out,
-                  ThreadPool* pool = nullptr,
-                  const RowEpilogue& epilogue = nullptr,
+                  ThreadPool* pool = nullptr, const Epilogue& epilogue = {},
                   Matrix* bt_scratch = nullptr);
+
+/// C = A · Bᵀ from Bᵀ packed beforehand (`bt`: k x n, as `TransposeInto`
+/// writes it), so a caller that runs many row blocks against one weight
+/// matrix packs it once.
+void MatMulNTPackedInto(const Matrix& a, const Matrix& bt, Matrix* out,
+                        ThreadPool* pool = nullptr,
+                        const Epilogue& epilogue = {});
 
 /// C = Aᵀ · B with A stored row-major (k x m) — the MLP weight-gradient
 /// layout (gradᵀ x activations), computed directly from the untransposed
@@ -101,13 +114,14 @@ Matrix MatMulTN(const Matrix& a, const Matrix& b);
 void TransposeInto(const Matrix& m, Matrix* out);
 
 /// The same products run with one SIMD tier's kernels instead of the active
-/// tier's (serial, no epilogue), so a test can check every tier the host
-/// supports — every `tier` up to `math::ActiveSimdTier()`; a higher tier
-/// CHECK-fails. Every tier produces the same bits.
+/// tier's (serial), so a test can check every tier the host supports —
+/// every `tier` up to `math::ActiveSimdTier()`; a higher tier CHECK-fails.
+/// Every tier produces the same bits, with or without an epilogue.
 void MatMulIntoAtTier(math::SimdTier tier, const Matrix& a, const Matrix& b,
                       Matrix* out);
 void MatMulNTIntoAtTier(math::SimdTier tier, const Matrix& a,
-                        const Matrix& b, Matrix* out);
+                        const Matrix& b, Matrix* out,
+                        const Epilogue& epilogue = {});
 void MatMulTNIntoAtTier(math::SimdTier tier, const Matrix& a,
                         const Matrix& b, Matrix* out);
 

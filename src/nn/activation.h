@@ -5,6 +5,10 @@
 
 #include "math/matrix.h"
 
+namespace crowdrl::math {
+enum class SimdTier;  // Defined in math/backend.h.
+}  // namespace crowdrl::math
+
 namespace crowdrl::nn {
 
 /// Element-wise nonlinearity applied after a linear layer.
@@ -35,21 +39,20 @@ inline double Relu(double v) { return v > 0.0 ? v : 0.0; }
 
 /// out[i] = act(a[i] + b[i]) for i < n: one IEEE add per element, then
 /// the activation exactly as ApplyActivationSpan applies it, so the result
-/// is bit-identical to writing the sums and activating them afterwards —
-/// in one pass for ReLU. The layer tails that produce a row of sums (the
-/// MLP's bias epilogue, the factorized Q head's layer 0) call it per row
-/// while the row is hot; it is inline because those calls sit in the
-/// forward's innermost loops. `out` may be `a` (in place); it must not
-/// otherwise overlap `a` or `b`.
-inline void AddActivate(Activation act, const double* a, const double* b,
-                        size_t n, double* out) {
-  if (act == Activation::kRelu) {
-    for (size_t i = 0; i < n; ++i) out[i] = Relu(a[i] + b[i]);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-  if (act != Activation::kIdentity) ApplyActivationSpan(act, out, n);
-}
+/// is bit-identical to writing the sums and activating them afterwards.
+/// ReLU and identity run in one pass on the active SIMD tier's kernel
+/// (ReLU as max(v, +0.0) with v first, which is Relu's select bit for
+/// bit); sigmoid and tanh activate the written sums. The factorized Q
+/// head's layer-0 fill calls it once per pair. `out` may be `a` (in
+/// place); it must not otherwise overlap `a` or `b`.
+void AddActivate(Activation act, const double* a, const double* b, size_t n,
+                 double* out);
+
+/// AddActivate with one SIMD tier's kernel instead of the active tier's,
+/// so a test can check every tier the host supports — every `tier` up to
+/// `math::ActiveSimdTier()`; a higher tier CHECK-fails.
+void AddActivateAtTier(math::SimdTier tier, Activation act, const double* a,
+                       const double* b, size_t n, double* out);
 
 /// Multiplies `grad` in place by the activation derivative, evaluated from
 /// the *post-activation* values (all supported activations admit this).

@@ -11,23 +11,18 @@ namespace crowdrl::nn {
 
 namespace {
 
-/// Fused per-row-block tail of a linear layer: bias add + activation,
-/// applied row by row while the block is still cache-hot inside the GEMM.
-/// Blocks are disjoint row ranges, so this is safe under kernel
-/// row-threading. Callers hand the GEMM `std::cref` of one, so no layer
-/// call allocates a closure.
-struct BiasActivation {
-  const std::vector<double>& bias;
-  Activation act;
-  Matrix* out;
+/// A linear layer's bias and activation as its product's epilogue: the
+/// kernels add the bias and apply ReLU to the accumulators before their
+/// store. Sigmoid and tanh are left to FinishActivation.
+gemm::Epilogue EpilogueOf(const std::vector<double>& bias, Activation act) {
+  return {bias.data(), act == Activation::kRelu};
+}
 
-  void operator()(size_t row_begin, size_t row_end) const {
-    for (size_t r = row_begin; r < row_end; ++r) {
-      double* row = out->Row(r);
-      AddActivate(act, row, bias.data(), out->cols(), row);
-    }
-  }
-};
+/// The activations the epilogue does not apply, over the stored sums.
+void FinishActivation(Activation act, Matrix* out) {
+  if (act == Activation::kRelu || act == Activation::kIdentity) return;
+  ApplyActivationSpan(act, out->data().data(), out->size());
+}
 
 // Rows per block in the loop-fused InferInto path. Large enough that the
 // per-layer GEMMs amortize their setup, small enough that a block's whole
@@ -67,10 +62,10 @@ const Matrix& Mlp::Forward(const Matrix& batch, ThreadPool* pool) {
   const Matrix* current = &batch;
   for (size_t l = 0; l < layers_.size(); ++l) {
     Layer& layer = layers_[l];
-    const BiasActivation epilogue{layer.bias, layer.activation,
-                                  &layer.output};
     gemm::MatMulNTInto(*current, layer.weight, &layer.output, pool,
-                       std::cref(epilogue), &wt_scratch_[l]);
+                       EpilogueOf(layer.bias, layer.activation),
+                       &wt_scratch_[l]);
+    FinishActivation(layer.activation, &layer.output);
     current = &layer.output;
   }
   return layers_.back().output;
@@ -86,9 +81,10 @@ const Matrix& Mlp::Infer(const Matrix& batch, ThreadPool* pool) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &infer_buf_[l % 2];
-    const BiasActivation epilogue{layer.bias, layer.activation, out};
     gemm::MatMulNTInto(*current, layer.weight, out, pool,
-                       std::cref(epilogue), &wt_scratch_[l]);
+                       EpilogueOf(layer.bias, layer.activation),
+                       &wt_scratch_[l]);
+    FinishActivation(layer.activation, out);
     current = out;
   }
   return *current;
@@ -119,18 +115,23 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
   if (out->rows() != rows || out->cols() != out_cols) {
     *out = Matrix(rows, out_cols);
   }
+  // Every layer's Wᵀ, packed once per call into the calling thread's
+  // buffers (reused across calls, never shared between calling threads);
+  // every block on every lane reads the same packing.
+  thread_local std::vector<Matrix> packed;
+  if (packed.size() < layers_.size()) packed.resize(layers_.size());
+  for (size_t l = first_layer; l < layers_.size(); ++l) {
+    gemm::TransposeInto(layers_[l].weight, &packed[l]);
+  }
+  const std::vector<Matrix>* const weights_t = &packed;
   auto block_body = [&](size_t r0, size_t r1) {
-    // All scratch is per lane, and per layer: each layer's activations
-    // and weight-transpose packing keep their own thread_local buffer, so
-    // a warm block reuses every allocation instead of reshaping one
-    // buffer layer after layer (the shared wt_scratch_ is not touched).
+    // The activations are per lane, and per layer: each layer keeps its
+    // own thread_local buffer, so a warm block reuses every allocation
+    // instead of reshaping one buffer layer after layer (the shared
+    // wt_scratch_ is not touched).
     thread_local Matrix block_in;
     thread_local std::vector<Matrix> acts;
-    thread_local std::vector<Matrix> packed;
-    if (acts.size() < layers_.size()) {
-      acts.resize(layers_.size());
-      packed.resize(layers_.size());
-    }
+    if (acts.size() < layers_.size()) acts.resize(layers_.size());
     const size_t n = r1 - r0;
     block_in.Reshape(n, in_cols);
     fill(r0, r1, &block_in);
@@ -138,9 +139,9 @@ void Mlp::InferInto(size_t rows, const RowFiller& fill, ThreadPool* pool,
     for (size_t l = first_layer; l < layers_.size(); ++l) {
       const Layer& layer = layers_[l];
       Matrix* o = &acts[l];
-      const BiasActivation epilogue{layer.bias, layer.activation, o};
-      gemm::MatMulNTInto(*current, layer.weight, o, nullptr,
-                         std::cref(epilogue), &packed[l]);
+      gemm::MatMulNTPackedInto(*current, (*weights_t)[l], o, nullptr,
+                               EpilogueOf(layer.bias, layer.activation));
+      FinishActivation(layer.activation, o);
       current = o;
     }
     for (size_t r = 0; r < n; ++r) {
@@ -168,9 +169,9 @@ std::vector<double> Mlp::Infer(const std::vector<double>& input) const {
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     Matrix* out = &bufs[l % 2];
-    const BiasActivation epilogue{layer.bias, layer.activation, out};
     gemm::MatMulNTInto(*current, layer.weight, out, nullptr,
-                       std::cref(epilogue), nullptr);
+                       EpilogueOf(layer.bias, layer.activation));
+    FinishActivation(layer.activation, out);
     current = out;
   }
   return current->RowVector(0);

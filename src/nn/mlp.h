@@ -32,7 +32,8 @@ struct ParamView {
 /// weights. Results are bit-identical to the historical naive-loop
 /// implementation (see the accumulation-order guarantee in gemm.h), at any
 /// thread count. Training and the stateless inference paths run the same
-/// `gemm::MatMulNTInto` per linear layer, so a forward never depends on
+/// NT kernel per linear layer, with the layer's bias and ReLU applied in
+/// the kernel's epilogue (`gemm::Epilogue`), so a forward never depends on
 /// which entry point produced it.
 class Mlp {
  public:
@@ -80,8 +81,10 @@ class Mlp {
   /// what lets the threaded forward actually scale. Per-element arithmetic
   /// order is unchanged (each output element still consumes its k terms
   /// ascending, see gemm.h), so results are bit-identical to Infer at any
-  /// thread count and any block size. All scratch is per-thread, so blocks
-  /// run concurrently on a pool; `pool == nullptr` runs blocks serially.
+  /// thread count and any block size. Each layer's weights are packed once
+  /// per call, on the calling thread, and every block reads that packing;
+  /// the activations are per-lane scratch, so blocks run concurrently on a
+  /// pool; `pool == nullptr` runs blocks serially.
   void InferInto(const Matrix& batch, ThreadPool* pool, Matrix* out) const;
 
   /// Writes rows [row_begin, row_end) of a forward's input batch into

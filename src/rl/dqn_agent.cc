@@ -1251,6 +1251,7 @@ void DqnAgent::ObserveOldestPairs(
                                   options_.max_bootstrap_candidates,
                                   /*features=*/nullptr);
     if (!candidates.empty()) {
+      CROWDRL_TRACE_SPAN("agent.bootstrap_q");
       const FeatureBlocks blocks = CacheBlocks();
       std::vector<double> target_q = q_network_.PredictBatchFactorized(
           blocks, candidates, /*use_target=*/true);

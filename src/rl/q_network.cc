@@ -149,8 +149,9 @@ std::vector<double> QNetwork::PredictBatchFactorized(
   // partial W_g * g + b shared by every pair this call (global columns
   // {0, 10, 11}, see StateFeaturizer). Masked-off columns are zeroed: a
   // masked dense row holds zeros there, so these weights never see a
-  // nonzero input and must not multiply the blocks' real values.
-  Matrix w_object(h1, F::kObjectBlockDim);
+  // nonzero input and must not multiply the blocks' real values. W_o is
+  // written transposed, as the row blocks' products take it packed.
+  Matrix w_object_t(F::kObjectBlockDim, h1);
   Matrix w_annotator(h1, F::kAnnotatorBlockDim);
   std::vector<double> global_partial(h1);
   for (size_t h = 0; h < h1; ++h) {
@@ -159,7 +160,7 @@ std::vector<double> QNetwork::PredictBatchFactorized(
       return on(column) ? w_row[column] : 0.0;
     };
     for (size_t t = 0; t < F::kObjectBlockDim; ++t) {
-      w_object.At(h, t) = weight(F::kObjectBlockOffset + t);
+      w_object_t.At(t, h) = weight(F::kObjectBlockOffset + t);
     }
     for (size_t t = 0; t < F::kAnnotatorBlockDim; ++t) {
       w_annotator.At(h, t) = weight(F::kAnnotatorBlockOffset + t);
@@ -187,10 +188,8 @@ std::vector<double> QNetwork::PredictBatchFactorized(
       pairs.size(),
       [&](size_t p0, size_t p1, Matrix* acts) {
         // Per-lane scratch, reshaped rather than reallocated per block.
-        thread_local Matrix run_blocks;    // runs x kObjectBlockDim.
-        thread_local Matrix run_partials;  // runs x h1.
-        thread_local Matrix w_packed;      // The kernel's packing of W_o.
-        thread_local std::vector<double> object_sum;
+        thread_local Matrix run_blocks;  // runs x kObjectBlockDim.
+        thread_local Matrix run_sums;    // runs x h1: g + O_i per run.
         const auto starts_run = [&](size_t p) {
           return p == p0 || pairs[p].object != pairs[p - 1].object;
         };
@@ -205,24 +204,20 @@ std::vector<double> QNetwork::PredictBatchFactorized(
           std::copy(block, block + F::kObjectBlockDim,
                     run_blocks.Row(run++));
         }
-        run_partials.Reshape(runs, h1);
-        gemm::MatMulNTInto(run_blocks, w_object, &run_partials, nullptr,
-                           nullptr, &w_packed);
-        // g + O_i is computed once per run (candidate lists arrive
-        // object-major; any order is correct) and each row is summed and
-        // activated in one pass. The sum keeps the association
-        // (g + O_i) + A_j, so rows are bit-identical to filling the block
-        // and then activating it.
-        object_sum.resize(h1);
+        // g + O_i once per run (candidate lists arrive object-major; any
+        // order is correct): the object partials' product takes the global
+        // partial as its epilogue's bias, one add per element after the
+        // sum, which is the add g + O_i. Each pair's row is then
+        // (g + O_i) + A_j, activated, in one pass of the tiered row
+        // kernel: the association of the unfused g + O_i + A_j.
+        run_sums.Reshape(runs, h1);
+        gemm::MatMulNTPackedInto(run_blocks, w_object_t, &run_sums, nullptr,
+                                 {global_partial.data(), false});
+        const double* object_sum = nullptr;
         run = 0;
         for (size_t p = p0; p < p1; ++p) {
-          if (starts_run(p)) {
-            const double* object_row = run_partials.Row(run++);
-            for (size_t h = 0; h < h1; ++h) {
-              object_sum[h] = global_partial[h] + object_row[h];
-            }
-          }
-          nn::AddActivate(act0, object_sum.data(),
+          if (starts_run(p)) object_sum = run_sums.Row(run++);
+          nn::AddActivate(act0, object_sum,
                           annotator_partials.Row(
                               static_cast<size_t>(pairs[p].annotator)),
                           h1, acts->Row(p - p0));

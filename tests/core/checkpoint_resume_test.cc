@@ -213,6 +213,8 @@ TEST(ObservabilityTest, InstrumentedRunIsBitIdenticalAndArtifactsParse) {
   EXPECT_TRUE(span_names.count("framework.iteration"));
   EXPECT_TRUE(span_names.count("framework.inference"));
   EXPECT_TRUE(span_names.count("joint.e_step"));
+  EXPECT_TRUE(span_names.count("joint.phi_train"));
+  EXPECT_TRUE(span_names.count("agent.bootstrap_q"));
   EXPECT_TRUE(span_names.count("scorecache.sync"));
   obs::TraceRecorder::Get().Clear();
 }

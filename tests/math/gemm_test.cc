@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "math/backend.h"
 #include "math/matrix.h"
+#include "nn/activation.h"
 #include "tests/testing/reference_gemm.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -31,7 +33,9 @@ Matrix RandomMatrix(size_t rows, size_t cols, Rng* rng) {
 /// of any vector or tile width (8/32 on AVX-512, 4/8 on AVX2), depths
 /// across the 256-term k panel, and the portable 16x256 tile. The last
 /// rows are the serving shapes: 64-row chunks and 256-row blocks of every
-/// Q-network (12->64->32->1) and classifier (208->16->2) layer.
+/// Q-network (12->64->32->1) and classifier (208->16->2) layer. The
+/// one-column products (n == 1) run the rows-in-lanes tile: row counts
+/// that leave a lane tail at 4 and 8 lanes, and a deep one.
 struct Shape {
   size_t m, k, n;
 };
@@ -44,7 +48,13 @@ const Shape kOddShapes[] = {
     {64, 12, 64}, {64, 64, 32},  {64, 32, 1},   {64, 208, 16},
     {64, 16, 2},  {256, 12, 64}, {256, 64, 32}, {256, 32, 1},
     {256, 208, 16}, {256, 16, 2},
+    {7, 32, 1},   {9, 32, 1},    {257, 32, 1},  {17, 300, 1},
 };
+
+/// The activations an NT product's epilogue is checked with: identity and
+/// ReLU run in the kernel, tanh on the stored sums.
+const nn::Activation kEpilogueActs[] = {
+    nn::Activation::kIdentity, nn::Activation::kRelu, nn::Activation::kTanh};
 
 /// Every SIMD tier this host can run: each tier up to the active one.
 std::vector<math::SimdTier> SupportedTiers() {
@@ -110,6 +120,31 @@ void FillSpecial(Matrix* m, Rng* rng, bool with_non_finite) {
   }
 }
 
+/// The reference order of a fused layer tail: `product` as stored, then
+/// nn::AddActivate of each row against `bias`.
+Matrix ReferenceEpilogue(Matrix product, const std::vector<double>& bias,
+                         nn::Activation act) {
+  for (size_t r = 0; r < product.rows(); ++r) {
+    nn::AddActivate(act, product.Row(r), bias.data(), product.cols(),
+                    product.Row(r));
+  }
+  return product;
+}
+
+/// A · Bᵀ at `tier` with `bias` and `act` fused the way the MLP fuses a
+/// layer: the bias add and ReLU in the kernel's epilogue, any other
+/// activation on the stored sums.
+Matrix FusedNT(math::SimdTier tier, const Matrix& a, const Matrix& bt,
+               const std::vector<double>& bias, nn::Activation act) {
+  Matrix out;
+  MatMulNTIntoAtTier(tier, a, bt, &out,
+                     {bias.data(), act == nn::Activation::kRelu});
+  if (act == nn::Activation::kTanh) {
+    nn::ApplyActivationSpan(act, out.data().data(), out.size());
+  }
+  return out;
+}
+
 TEST(GemmTest, MatMulIntoMatchesReferenceBitwise) {
   Rng rng(11);
   for (const Shape& s : kOddShapes) {
@@ -145,6 +180,10 @@ TEST(GemmTest, MatMulTNMatchesReferenceBitwise) {
 }
 
 TEST(GemmTest, EveryTierMatchesReferenceBitwise) {
+  // Every tier's plain products against the reference, and its fused
+  // epilogue against the stored product followed by nn::AddActivate: the
+  // k = 600 and k = 300 shapes span several 256-term panels, so a bias or
+  // ReLU applied on any panel but the last shows.
   for (math::SimdTier tier : SupportedTiers()) {
     Rng rng(21);
     for (const Shape& s : kOddShapes) {
@@ -152,6 +191,8 @@ TEST(GemmTest, EveryTierMatchesReferenceBitwise) {
       const Matrix b = RandomMatrix(s.k, s.n, &rng);
       const Matrix bt = RandomMatrix(s.n, s.k, &rng);
       const Matrix at = RandomMatrix(s.k, s.m, &rng);
+      std::vector<double> bias(s.n);
+      for (double& v : bias) v = rng.Uniform(-1.0, 1.0);
       Matrix nn, nt, tn;
       MatMulIntoAtTier(tier, a, b, &nn);
       MatMulNTIntoAtTier(tier, a, bt, &nt);
@@ -159,12 +200,19 @@ TEST(GemmTest, EveryTierMatchesReferenceBitwise) {
       EXPECT_TRUE(BitEqual(nn, ReferenceMatMul(a, b)))
           << math::SimdTierName(tier) << " NN " << s.m << "x" << s.k << "x"
           << s.n;
-      EXPECT_TRUE(BitEqual(nt, ReferenceMatMul(a, ReferenceTransposed(bt))))
+      const Matrix nt_want = ReferenceMatMul(a, ReferenceTransposed(bt));
+      EXPECT_TRUE(BitEqual(nt, nt_want))
           << math::SimdTierName(tier) << " NT " << s.m << "x" << s.k << "x"
           << s.n;
       EXPECT_TRUE(BitEqual(tn, ReferenceMatMul(ReferenceTransposed(at), b)))
           << math::SimdTierName(tier) << " TN " << s.m << "x" << s.k << "x"
           << s.n;
+      for (nn::Activation act : kEpilogueActs) {
+        EXPECT_TRUE(BitEqual(FusedNT(tier, a, bt, bias, act),
+                             ReferenceEpilogue(nt_want, bias, act)))
+            << math::SimdTierName(tier) << " NT+" << nn::ActivationName(act)
+            << " " << s.m << "x" << s.k << "x" << s.n;
+      }
     }
   }
 }
@@ -173,29 +221,51 @@ TEST(GemmTest, EveryTierKeepsSpecialValuesBitwise) {
   // Signed zeros, subnormals, NaN and infinities in both operands: every
   // tier must produce the dense reference's bits (NaN payloads aside). The
   // signed zeros pin the +0.0 accumulator start: an element whose terms
-  // are all -0.0 (and every element of the k = 0 shape) is +0.0 only from
-  // a +0.0 start.
+  // are all -0.0 (every element of the third data set, A all -0.0 against
+  // B all 1.0, and of the k = 0 shape) is +0.0 only from a +0.0 start, in
+  // the register tile and in the rows-in-lanes tile alike. The fused
+  // epilogue takes a bias drawn from the same
+  // values, so its ReLU sees sums that are NaN, +0.0 (+0.0 plus a -0.0
+  // bias), ±Inf and subnormal: x86 max returns its second operand unless
+  // the first is greater, and only max(v, +0.0) maps NaN to +0.0.
   for (math::SimdTier tier : SupportedTiers()) {
     Rng rng(22);
     for (const Shape& s : kOddShapes) {
-      for (bool non_finite : {false, true}) {
-        Matrix a(s.m, s.k), b(s.k, s.n);
-        FillSpecial(&a, &rng, non_finite);
-        FillSpecial(&b, &rng, non_finite);
+      for (int data : {0, 1, 2}) {
+        const bool non_finite = data == 1;
+        Matrix a(s.m, s.k), b(s.k, s.n), bias_row(1, s.n);
+        if (data == 2) {
+          a.Fill(-0.0);
+          b.Fill(1.0);
+        } else {
+          FillSpecial(&a, &rng, non_finite);
+          FillSpecial(&b, &rng, non_finite);
+        }
+        FillSpecial(&bias_row, &rng, non_finite);
+        const std::vector<double> bias = bias_row.RowVector(0);
         const Matrix expect = DenseReferenceMatMul(a, b);
+        const Matrix bt = ReferenceTransposed(b);
+        for (nn::Activation act : kEpilogueActs) {
+          EXPECT_TRUE(BitEqualUpToNanPayload(
+              FusedNT(tier, a, bt, bias, act),
+              ReferenceEpilogue(expect, bias, act)))
+              << math::SimdTierName(tier) << " NT+"
+              << nn::ActivationName(act) << " " << s.m << "x" << s.k << "x"
+              << s.n << " data=" << data;
+        }
         Matrix nn, nt, tn;
         MatMulIntoAtTier(tier, a, b, &nn);
-        MatMulNTIntoAtTier(tier, a, ReferenceTransposed(b), &nt);
+        MatMulNTIntoAtTier(tier, a, bt, &nt);
         MatMulTNIntoAtTier(tier, ReferenceTransposed(a), b, &tn);
         EXPECT_TRUE(BitEqualUpToNanPayload(nn, expect))
             << math::SimdTierName(tier) << " NN " << s.m << "x" << s.k
-            << "x" << s.n << " non_finite=" << non_finite;
+            << "x" << s.n << " data=" << data;
         EXPECT_TRUE(BitEqualUpToNanPayload(nt, expect))
             << math::SimdTierName(tier) << " NT " << s.m << "x" << s.k
-            << "x" << s.n << " non_finite=" << non_finite;
+            << "x" << s.n << " data=" << data;
         EXPECT_TRUE(BitEqualUpToNanPayload(tn, expect))
             << math::SimdTierName(tier) << " TN " << s.m << "x" << s.k
-            << "x" << s.n << " non_finite=" << non_finite;
+            << "x" << s.n << " data=" << data;
       }
     }
   }
@@ -270,10 +340,14 @@ TEST(GemmTest, TransposeIntoRoundTrips) {
 TEST(GemmTest, ThreadedMatchesSerialBitwise) {
   // The parallel-scoring invariant (threads never change results), pushed
   // down to the kernel layer: row chunks are disjoint, so any thread count
-  // must be byte-identical to serial.
+  // must be byte-identical to serial. Pooled chunks run the epilogue
+  // inside their kernel call, so the fused NT product is checked against
+  // the stored product plus one nn::AddActivate pass per row: a row whose
+  // bias were added twice, or not at all, would differ.
   Rng rng(17);
-  const Shape shapes[] = {{1, 5, 3}, {63, 40, 17}, {64, 80, 33},
-                          {65, 80, 33}, {200, 129, 70}, {513, 64, 8}};
+  const Shape shapes[] = {{1, 5, 3},      {63, 40, 17}, {64, 80, 33},
+                          {65, 80, 33},   {200, 129, 70}, {513, 64, 8},
+                          {300, 32, 1}};
   for (size_t threads : {2, 4}) {
     ThreadPool pool(threads);
     for (const Shape& s : shapes) {
@@ -292,6 +366,18 @@ TEST(GemmTest, ThreadedMatchesSerialBitwise) {
       EXPECT_TRUE(BitEqual(nt_serial, nt_threaded))
           << "NT threads=" << threads << " m=" << s.m;
 
+      std::vector<double> bias(s.n);
+      for (double& v : bias) v = rng.Uniform(-1.0, 1.0);
+      Matrix fused_serial, fused_threaded;
+      MatMulNTInto(a, bt, &fused_serial, nullptr, {bias.data(), true});
+      MatMulNTInto(a, bt, &fused_threaded, &pool, {bias.data(), true});
+      const Matrix fused_want =
+          ReferenceEpilogue(nt_serial, bias, nn::Activation::kRelu);
+      EXPECT_TRUE(BitEqual(fused_serial, fused_want))
+          << "NT+relu serial m=" << s.m;
+      EXPECT_TRUE(BitEqual(fused_threaded, fused_want))
+          << "NT+relu threads=" << threads << " m=" << s.m;
+
       Matrix at = RandomMatrix(s.k, s.m, &rng);
       Matrix tn_serial, tn_threaded;
       MatMulTNInto(at, b, &tn_serial);
@@ -303,23 +389,30 @@ TEST(GemmTest, ThreadedMatchesSerialBitwise) {
 }
 
 TEST(GemmTest, EpilogueSeesEveryRowExactlyOnce) {
+  // The epilogue adds the bias to every output element once, after its
+  // whole sum, serially and on a pool, whose row chunks each run it inside
+  // their own kernel call: out == A·Bᵀ + bias bit for bit on every row. A
+  // row whose bias were added twice, or never, would differ. 150 rows span
+  // several chunks and leave a lane tail; n == 1 runs the rows-in-lanes
+  // tile.
   Rng rng(18);
-  Matrix a = RandomMatrix(150, 20, &rng);
-  Matrix b = RandomMatrix(7, 20, &rng);
-  std::vector<int> visits(a.rows(), 0);
-  Matrix out;
-  MatMulNTInto(a, b, &out, nullptr, [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      ++visits[r];
-      double* row = out.Row(r);
-      for (size_t c = 0; c < out.cols(); ++c) row[c] += 1.0;
+  for (size_t n : {7, 1}) {
+    Matrix a = RandomMatrix(150, 20, &rng);
+    Matrix b = RandomMatrix(n, 20, &rng);
+    std::vector<double> bias(n);
+    for (double& v : bias) v = rng.Uniform(1.0, 2.0);
+    Matrix expect = ReferenceMatMul(a, ReferenceTransposed(b));
+    for (size_t r = 0; r < expect.rows(); ++r) {
+      for (size_t c = 0; c < n; ++c) expect.Row(r)[c] += bias[c];
     }
-  });
-  for (int v : visits) EXPECT_EQ(v, 1);
-  // The epilogue ran after the product: out == A*B^T + 1 everywhere.
-  Matrix expect = ReferenceMatMul(a, ReferenceTransposed(b));
-  for (size_t i = 0; i < expect.data().size(); ++i) {
-    EXPECT_DOUBLE_EQ(out.data()[i], expect.data()[i] + 1.0);
+    for (size_t threads : {0, 2, 4}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      Matrix out;
+      MatMulNTInto(a, b, &out, pool.get(), {bias.data(), false});
+      EXPECT_TRUE(BitEqual(out, expect))
+          << "n=" << n << " threads=" << threads;
+    }
   }
 }
 
@@ -344,7 +437,7 @@ TEST(GemmTest, PersistentScratchMatchesThreadLocalFallback) {
   Matrix a = RandomMatrix(21, 30, &rng);
   Matrix b = RandomMatrix(11, 30, &rng);
   Matrix with_scratch, without_scratch, scratch;
-  MatMulNTInto(a, b, &with_scratch, nullptr, nullptr, &scratch);
+  MatMulNTInto(a, b, &with_scratch, nullptr, {}, &scratch);
   MatMulNTInto(a, b, &without_scratch);
   EXPECT_TRUE(BitEqual(with_scratch, without_scratch));
   // The scratch holds B^T afterwards and is reused by shape.

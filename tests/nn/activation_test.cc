@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "math/backend.h"
 #include "tests/testing/reference_fills.h"
 #include "tests/testing/reference_gemm.h"
 
@@ -70,36 +71,59 @@ TEST(ActivationTest, RowRangeMatchesTheSeedLoopOnZerosAndNaN) {
   EXPECT_EQ(relu.At(0, 4), 3.0);
 }
 
-// AddActivate (the fused row tail of the MLP's bias epilogue and the
-// factorized Q head's layer 0) against the two-pass seed form — write
-// a[i] + b[i], then testing::ReferenceActivationRows — bit for bit, for
-// every activation, out of place and in place (out == a, as the bias
-// epilogue calls it). The sums cover -0.0 (-0.0 + -0.0: ReLU must give
-// +0.0), +0.0 (-0.0 + +0.0), NaN, negative and positive values.
+// AddActivate (the factorized Q head's layer-0 fill) against the
+// two-pass seed form — write a[i] + b[i], then
+// testing::ReferenceActivationRows — bit for bit, for every activation,
+// out of place and in place (out == a), with every SIMD tier's row kernel
+// the host supports, at lengths that leave every vector tail (1 to 9
+// elements, and the head's 32- and 64-wide rows). The sums cover -0.0
+// (-0.0 + -0.0: ReLU must give +0.0, and x86 max returns its second
+// operand, so max(v, +0.0) is right only with v first), +0.0
+// (-0.0 + +0.0), NaN, ±Inf, subnormals, negative and positive values.
 TEST(ActivationTest, AddActivateMatchesTheTwoPassSeedFormBitwise) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> as = {-0.0, -0.0, nan, 1.0, -3.0, 0.25, 2.0};
-  const std::vector<double> bs = {-0.0, 0.0, 0.5, -1.5, 1.0, 0.5, nan};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> as = {-0.0, -0.0, nan,  1.0,   -3.0, 0.25,
+                                  2.0,  inf,  -inf, -tiny, 3 * tiny};
+  const std::vector<double> bs = {-0.0, 0.0,  0.5, -1.5, 1.0, 0.5, nan,
+                                  -0.0, -1.0, 0.0, inf, -tiny, -2.0};
+  for (int t = 0; t <= static_cast<int>(math::ActiveSimdTier()); ++t) {
+    const auto tier = static_cast<math::SimdTier>(t);
+    for (size_t length : {1, 2, 3, 4, 5, 7, 8, 9, 32, 37, 64}) {
+      Matrix a(1, length);
+      Matrix b(1, length);
+      for (size_t i = 0; i < length; ++i) {
+        a.At(0, i) = as[i % as.size()];
+        b.At(0, i) = bs[(i + i / as.size()) % bs.size()];
+      }
+      for (Activation act : {Activation::kRelu, Activation::kIdentity,
+                             Activation::kSigmoid, Activation::kTanh}) {
+        Matrix want(1, length);
+        for (size_t i = 0; i < length; ++i) {
+          want.At(0, i) = a.At(0, i) + b.At(0, i);
+        }
+        testing::ReferenceActivationRows(act, &want, 0, 1);
+        Matrix got(1, length);
+        AddActivateAtTier(tier, act, a.Row(0), b.Row(0), length, got.Row(0));
+        EXPECT_TRUE(testing::BitEqual(got, want))
+            << math::SimdTierName(tier) << " " << ActivationName(act)
+            << " length " << length;
+        Matrix in_place = a;
+        AddActivateAtTier(tier, act, in_place.Row(0), b.Row(0), length,
+                          in_place.Row(0));
+        EXPECT_TRUE(testing::BitEqual(in_place, want))
+            << math::SimdTierName(tier) << " " << ActivationName(act)
+            << " length " << length << " in place";
+      }
+    }
+  }
   constexpr size_t kLength = 37;
   Matrix a(1, kLength);
   Matrix b(1, kLength);
   for (size_t i = 0; i < kLength; ++i) {
     a.At(0, i) = as[i % as.size()];
     b.At(0, i) = bs[(i + i / as.size()) % bs.size()];
-  }
-  for (Activation act : {Activation::kRelu, Activation::kIdentity,
-                         Activation::kSigmoid, Activation::kTanh}) {
-    Matrix want(1, kLength);
-    for (size_t i = 0; i < kLength; ++i) {
-      want.At(0, i) = a.At(0, i) + b.At(0, i);
-    }
-    testing::ReferenceActivationRows(act, &want, 0, 1);
-    Matrix got(1, kLength);
-    AddActivate(act, a.Row(0), b.Row(0), kLength, got.Row(0));
-    EXPECT_TRUE(testing::BitEqual(got, want)) << ActivationName(act);
-    Matrix in_place = a;
-    AddActivate(act, in_place.Row(0), b.Row(0), kLength, in_place.Row(0));
-    EXPECT_TRUE(testing::BitEqual(in_place, want)) << ActivationName(act);
   }
   Matrix relu(1, kLength);
   AddActivate(Activation::kRelu, a.Row(0), b.Row(0), kLength, relu.Row(0));
