@@ -904,8 +904,11 @@ struct ScoringScenario {
     for (int picks = 0; picks < 8; ++picks) {
       size_t object = touch_cursor;
       touch_cursor = (touch_cursor + 1) % n;
-      int next = answers_per_object[object];
-      if (next >= static_cast<int>(m)) continue;
+      if (answers_per_object[object] >= static_cast<int>(m)) continue;
+      // The lowest annotator without an answer: the gated-selection row
+      // also records the agent's picks, which can be any annotator.
+      int next = 0;
+      while (answers.HasAnswer(static_cast<int>(object), next)) ++next;
       answers.Record(static_cast<int>(object), next,
                      rng.UniformInt(num_classes));
       ++answers_per_object[object];

@@ -1,14 +1,16 @@
 // Serve-mode load bench: N concurrent campaigns multiplexed over one
 // LabellingService, with simulated annotator clients (Poisson think
 // times), session churn (periodic disconnect / reconnect with work in
-// flight), and asynchronous truth inference on the shared background
-// worker. Runs fully instrumented — lifecycle tracing, flight recorder,
-// and health watchdog all on — and emits BENCH_serve.json with
-// per-campaign answers/sec, the answer-lifecycle stage breakdown
-// (dispatch→deliver→arrive→commit→observe: count, sum, max and
-// p50/p90/p99 in nanoseconds per stage, read from the metrics registry),
-// TI swap counts, and the time the pump spent stalled waiting on a
-// truth-inference swap.
+// flight), and asynchronous truth inference on the service's
+// InferenceWorker, whose on-demand lanes run the campaigns' TI jobs side
+// by side (one lane per campaign with a job in flight, capped at one less
+// than the hardware threads). Runs fully instrumented — lifecycle
+// tracing, flight recorder, and health watchdog all on — and emits
+// BENCH_serve.json with per-campaign answers/sec, the answer-lifecycle
+// stage breakdown (dispatch→deliver→arrive→commit→observe: count, sum,
+// max and p50/p90/p99 in nanoseconds per stage, read from the metrics
+// registry), TI swap counts, and the time the pump spent stalled waiting
+// on a truth-inference swap.
 //
 // Flags (self-parsed; this bench's knobs are serve-specific):
 //   --campaigns=N        concurrent campaigns            (default 2)

@@ -35,6 +35,19 @@ class Classifier {
   /// Batched prediction; default implementation loops over rows.
   virtual Matrix PredictProbsBatch(const Matrix& features) const;
 
+  /// Train() on the rows `rows` of `features`: row r of `soft_labels` and
+  /// `weights` belongs to feature row rows[r]. Inference trains phi on the
+  /// answered objects this way, without a gathered copy of their
+  /// features. The default gathers the rows and calls Train().
+  virtual Status TrainRows(const Matrix& features, const std::vector<int>& rows,
+                           const Matrix& soft_labels,
+                           const std::vector<double>& weights);
+
+  /// PredictProbsBatch() over the rows `rows` of `features`, in that
+  /// order. The default gathers the rows.
+  virtual Matrix PredictProbsRows(const Matrix& features,
+                                  const std::vector<int>& rows) const;
+
   virtual int num_classes() const = 0;
   virtual size_t feature_dim() const = 0;
   virtual bool is_trained() const = 0;

@@ -33,17 +33,37 @@ nn::Mlp MlpClassifier::BuildNetwork(Rng* rng) const {
 
 Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
                             const std::vector<double>& weights) {
-  if (features.rows() == 0) {
+  return TrainOn(features, nullptr, soft_labels, weights);
+}
+
+Status MlpClassifier::TrainRows(const Matrix& features,
+                                const std::vector<int>& rows,
+                                const Matrix& soft_labels,
+                                const std::vector<double>& weights) {
+  for (int row : rows) {
+    if (row < 0 || static_cast<size_t>(row) >= features.rows()) {
+      return Status::InvalidArgument("training row out of range");
+    }
+  }
+  return TrainOn(features, &rows, soft_labels, weights);
+}
+
+Status MlpClassifier::TrainOn(const Matrix& features,
+                              const std::vector<int>* rows,
+                              const Matrix& soft_labels,
+                              const std::vector<double>& weights) {
+  const size_t num_rows = rows != nullptr ? rows->size() : features.rows();
+  if (num_rows == 0) {
     return Status::InvalidArgument("cannot train on an empty set");
   }
   if (features.cols() != feature_dim_) {
     return Status::InvalidArgument("feature dimension mismatch");
   }
-  if (soft_labels.rows() != features.rows() ||
+  if (soft_labels.rows() != num_rows ||
       soft_labels.cols() != static_cast<size_t>(num_classes_)) {
     return Status::InvalidArgument("soft label shape mismatch");
   }
-  if (!weights.empty() && weights.size() != features.rows()) {
+  if (!weights.empty() && weights.size() != num_rows) {
     return Status::InvalidArgument("weight count mismatch");
   }
 
@@ -62,7 +82,6 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
     Matrix t;
     std::vector<double> w;
   };
-  const size_t num_rows = features.rows();
   const size_t classes = static_cast<size_t>(num_classes_);
   auto make_batch = [&](size_t rows) {
     return Batch{Matrix(rows, feature_dim_), Matrix(rows, classes),
@@ -82,7 +101,8 @@ Status MlpClassifier::Train(const Matrix& features, const Matrix& soft_labels,
       Batch& buf = batch == full.w.size() ? full : tail;
       for (size_t b = 0; b < batch; ++b) {
         size_t row = static_cast<size_t>(order[start + b]);
-        const double* x_src = features.Row(row);
+        const double* x_src = features.Row(
+            rows != nullptr ? static_cast<size_t>((*rows)[row]) : row);
         std::copy(x_src, x_src + feature_dim_, buf.x.Row(b));
         const double* t_src = soft_labels.Row(row);
         std::copy(t_src, t_src + classes, buf.t.Row(b));
@@ -110,16 +130,44 @@ std::vector<double> MlpClassifier::PredictProbs(
 
 Matrix MlpClassifier::PredictProbsBatch(const Matrix& features) const {
   CROWDRL_CHECK(features.cols() == feature_dim_);
+  return Predict(features.rows(),
+                 [&features](size_t r0, size_t r1, Matrix* block) {
+                   for (size_t r = r0; r < r1; ++r) {
+                     const double* src = features.Row(r);
+                     std::copy(src, src + features.cols(), block->Row(r - r0));
+                   }
+                 });
+}
+
+Matrix MlpClassifier::PredictProbsRows(const Matrix& features,
+                                       const std::vector<int>& rows) const {
+  CROWDRL_CHECK(features.cols() == feature_dim_);
+  for (int row : rows) {
+    CROWDRL_CHECK(row >= 0 && static_cast<size_t>(row) < features.rows());
+  }
+  return Predict(rows.size(),
+                 [&features, &rows](size_t r0, size_t r1, Matrix* block) {
+                   for (size_t r = r0; r < r1; ++r) {
+                     const double* src =
+                         features.Row(static_cast<size_t>(rows[r]));
+                     std::copy(src, src + features.cols(), block->Row(r - r0));
+                   }
+                 });
+}
+
+Matrix MlpClassifier::Predict(size_t rows,
+                              const nn::Mlp::RowFiller& fill) const {
+  const size_t classes = static_cast<size_t>(num_classes_);
   if (!net_.has_value()) {
-    return Matrix(features.rows(), static_cast<size_t>(num_classes_),
-                  1.0 / static_cast<double>(num_classes_));
+    return Matrix(rows, classes, 1.0 / static_cast<double>(num_classes_));
   }
-  const Matrix& logits = net_->Infer(features);
-  Matrix out(logits.rows(), logits.cols());
-  for (size_t r = 0; r < logits.rows(); ++r) {
-    Softmax(logits.Row(r), logits.cols(), out.Row(r));
+  Matrix probs;
+  net_->InferInto(rows, fill, /*pool=*/nullptr, &probs);
+  // Softmax reads a row's logits before it writes any of them.
+  for (size_t r = 0; r < rows; ++r) {
+    Softmax(probs.Row(r), classes, probs.Row(r));
   }
-  return out;
+  return probs;
 }
 
 void MlpClassifier::SaveState(io::Writer* writer) const {

@@ -38,11 +38,21 @@ class MlpClassifier : public Classifier {
 
   Status Train(const Matrix& features, const Matrix& soft_labels,
                const std::vector<double>& weights) override;
+  /// Copies each mini-batch's rows straight from `features`.
+  Status TrainRows(const Matrix& features, const std::vector<int>& rows,
+                   const Matrix& soft_labels,
+                   const std::vector<double>& weights) override;
 
   std::vector<double> PredictProbs(
       const std::vector<double>& features) const override;
 
+  /// The batched forward runs in row blocks (nn::Mlp::InferInto), so no
+  /// batch-sized hidden activation is kept, and a row subset is read
+  /// block by block without a gathered copy. Bit-identical to the
+  /// layer-by-layer forward.
   Matrix PredictProbsBatch(const Matrix& features) const override;
+  Matrix PredictProbsRows(const Matrix& features,
+                          const std::vector<int>& rows) const override;
 
   int num_classes() const override { return num_classes_; }
   size_t feature_dim() const override { return feature_dim_; }
@@ -60,6 +70,12 @@ class MlpClassifier : public Classifier {
 
  private:
   nn::Mlp BuildNetwork(Rng* rng) const;
+  /// Train over feature rows (*rows)[r], or row r when `rows` is null.
+  Status TrainOn(const Matrix& features, const std::vector<int>* rows,
+                 const Matrix& soft_labels,
+                 const std::vector<double>& weights);
+  /// Class probabilities of `rows` rows that `fill` writes block by block.
+  Matrix Predict(size_t rows, const nn::Mlp::RowFiller& fill) const;
 
   size_t feature_dim_;
   int num_classes_;

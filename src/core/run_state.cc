@@ -181,13 +181,14 @@ rl::DqnAgentOptions MakeAgentOptions(const CrowdRlConfig& config,
   return options;
 }
 
-// Applies an inference outcome to the live state: labels for the inferred
-// objects, annotator qualities, log-likelihood (+ gauges), the PM
-// ablation's hard-label classifier fit, and the class_probs refresh that
-// acts as the revision barrier for the agent's ScoreCache.
-Status FoldInference(const inference::InferenceResult& inferred,
-                     const std::vector<int>& objects, bool use_pm,
-                     RunState* rs) {
+// Folds an inference outcome into the live state: labels for the inferred
+// objects, annotator qualities, log-likelihood (+ gauges) and phi's class
+// posteriors, moved in. The caller has already put the phi that
+// `class_probs` came from in place; bumping class_probs_version is the
+// revision barrier for the agent's ScoreCache.
+void FoldInference(const inference::InferenceResult& inferred,
+                   const std::vector<int>& objects, Matrix class_probs,
+                   RunState* rs) {
   FrameworkMetrics& fw = FwMetrics();
   for (size_t row = 0; row < objects.size(); ++row) {
     rs->state.SetLabel(objects[row], inferred.labels[row],
@@ -197,45 +198,51 @@ Status FoldInference(const inference::InferenceResult& inferred,
   rs->last_log_likelihood = inferred.log_likelihood;
   fw.em_iterations->Inc(static_cast<uint64_t>(inferred.iterations));
   fw.log_likelihood->Set(inferred.log_likelihood);
-  if (use_pm) {
-    const Matrix& features = rs->dataset->features;
-    Matrix train_x(objects.size(), rs->dataset->feature_dim());
-    Matrix train_y(objects.size(), static_cast<size_t>(rs->num_classes));
-    for (size_t row = 0; row < objects.size(); ++row) {
-      train_x.SetRow(row, features.RowVector(
-                              static_cast<size_t>(objects[row])));
-      train_y.At(row, static_cast<size_t>(inferred.labels[row])) = 1.0;
-    }
-    CROWDRL_RETURN_IF_ERROR(rs->phi.Train(train_x, train_y, {}));
-  }
-  rs->class_probs = rs->phi.PredictProbsBatch(rs->dataset->features);
+  rs->class_probs = std::move(class_probs);
   rs->have_probs = rs->phi.is_trained();
   ++rs->class_probs_version;
-  return Status::Ok();
 }
 
-// The one truth-inference call behind RunInferenceSync and
-// ExecuteInferenceJob, which differ only in where the inputs live: PM
-// inference over the objects' answers, or the joint model, which retrains
-// `phi` in place. Both inference classes hold nothing but their options,
-// so each call builds its own.
-Status InferTruth(const crowd::AnswerLog& answers,
-                  const std::vector<int>& objects, const Matrix& features,
-                  const std::vector<crowd::AnnotatorType>& types,
-                  int num_classes, bool use_pm,
-                  const inference::JointInferenceOptions& joint_options,
-                  const inference::PmOptions& pm_options,
-                  classifier::MlpClassifier* phi,
-                  inference::InferenceResult* result) {
+// The one truth-inference step behind RunInferenceSync and
+// ExecuteInferenceJob, which differ only in where the inputs live: infer
+// the truths (PM inference over the objects' answers, or the joint model,
+// which retrains `phi` in place), fit the PM ablation's `phi` on the hard
+// labels (Algorithm 1 line 5), and predict `phi`'s posteriors over every
+// object into `class_probs`. All of it is a pure function of the inputs
+// and `phi`, so a TI job runs it off the pump thread and leaves the pump
+// a swap. Both inference classes hold nothing but their options, so each
+// call builds its own.
+Status InferFitPredict(const crowd::AnswerLog& answers,
+                       const std::vector<int>& objects,
+                       const Matrix& features,
+                       const std::vector<crowd::AnnotatorType>& types,
+                       int num_classes, bool use_pm,
+                       const inference::JointInferenceOptions& joint_options,
+                       const inference::PmOptions& pm_options,
+                       classifier::MlpClassifier* phi,
+                       inference::InferenceResult* result,
+                       Matrix* class_probs) {
   inference::InferenceInput input;
   input.answers = &answers;
   input.num_classes = num_classes;
   input.objects = objects;
   input.features = &features;
   input.annotator_types = &types;
-  if (use_pm) return inference::PmInference(pm_options).Infer(input, result);
-  input.classifier = phi;
-  return inference::JointInference(joint_options).Infer(input, result);
+  if (use_pm) {
+    CROWDRL_RETURN_IF_ERROR(
+        inference::PmInference(pm_options).Infer(input, result));
+    Matrix train_y(objects.size(), static_cast<size_t>(num_classes));
+    for (size_t row = 0; row < objects.size(); ++row) {
+      train_y.At(row, static_cast<size_t>(result->labels[row])) = 1.0;
+    }
+    CROWDRL_RETURN_IF_ERROR(phi->TrainRows(features, objects, train_y, {}));
+  } else {
+    input.classifier = phi;
+    CROWDRL_RETURN_IF_ERROR(
+        inference::JointInference(joint_options).Infer(input, result));
+  }
+  *class_probs = phi->PredictProbsBatch(features);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -532,10 +539,13 @@ Status RunState::RunInferenceSync() {
   std::vector<int> objects = env.AnsweredObjects();
   if (objects.empty()) return Status::Ok();
   inference::InferenceResult inferred;
-  CROWDRL_RETURN_IF_ERROR(InferTruth(
+  Matrix probs;
+  CROWDRL_RETURN_IF_ERROR(InferFitPredict(
       env.answers(), objects, dataset->features, types, num_classes,
-      config->use_pm_inference, config->joint, config->pm, &phi, &inferred));
-  return FoldInference(inferred, objects, config->use_pm_inference, this);
+      config->use_pm_inference, config->joint, config->pm, &phi, &inferred,
+      &probs));
+  FoldInference(inferred, objects, std::move(probs), this);
+  return Status::Ok();
 }
 
 void RunState::SnapshotInference(TruthInferenceJob* job) const {
@@ -553,6 +563,7 @@ void RunState::SnapshotInference(TruthInferenceJob* job) const {
   job->pm_options = config->pm;
   job->base_revision = env.answers_revision();
   job->result = inference::InferenceResult();
+  job->class_probs = Matrix();
   job->status = Status::Ok();
 }
 
@@ -563,22 +574,25 @@ void RunState::ExecuteInferenceJob(TruthInferenceJob* job) {
     job->status = Status::Ok();
     return;
   }
-  job->status = InferTruth(*job->answers, job->objects, *job->features,
-                           job->types, job->num_classes, job->use_pm,
-                           job->joint_options, job->pm_options,
-                           job->phi.get(), &job->result);
+  job->status = InferFitPredict(*job->answers, job->objects, *job->features,
+                                job->types, job->num_classes, job->use_pm,
+                                job->joint_options, job->pm_options,
+                                job->phi.get(), &job->result,
+                                &job->class_probs);
 }
 
 Status RunState::ApplyInference(TruthInferenceJob* job) {
   CROWDRL_CHECK(job != nullptr);
   CROWDRL_RETURN_IF_ERROR(job->status);
   if (job->objects.empty()) return Status::Ok();
-  // Swap in the retrained phi first so FoldInference's PM fit /
-  // class_probs refresh read the snapshot-trained network; everything
-  // below happens on the pump thread between selections, which is what
-  // makes the version bump inside FoldInference a clean revision barrier.
+  // The job already retrained phi and predicted its posteriors, so this is
+  // a swap: moves plus the version bump inside FoldInference, on the pump
+  // thread between selections, which makes that bump a clean revision
+  // barrier.
   phi = std::move(*job->phi);
-  return FoldInference(job->result, job->objects, job->use_pm, this);
+  FoldInference(job->result, job->objects, std::move(job->class_probs),
+                this);
+  return Status::Ok();
 }
 
 rl::StateView RunState::MakeView() const {

@@ -71,10 +71,12 @@ struct IterationPlan {
 ///
 /// Everything the EM round reads is copied at snapshot time (the CSR
 /// AnswerLog and phi are plain-vector value types, so the copy IS the
-/// snapshot); `features` is borrowed from the immutable dataset. The
-/// worker only ever touches this struct, so the live RunState needs no
-/// locks. Results are folded back on the pump thread by
-/// RunState::ApplyInference — the revision barrier.
+/// snapshot); `features` is borrowed from the immutable dataset. The job
+/// computes everything that is a function of its phi — the EM round (or
+/// the PM ablation's inference and hard-label fit) and phi's class
+/// posteriors over every object — so folding it back on the pump thread
+/// (RunState::ApplyInference, the revision barrier) is a swap. The worker
+/// only ever touches this struct, so the live RunState needs no locks.
 struct TruthInferenceJob {
   // --- Snapshot (filled by SnapshotInference, read-only afterwards). ---
   /// Owned copies — AnswerLog and MlpClassifier have no empty state, so
@@ -94,6 +96,8 @@ struct TruthInferenceJob {
 
   // --- Outcome (filled by ExecuteInferenceJob). ---
   inference::InferenceResult result;
+  /// The retrained phi's PredictProbsBatch(*features).
+  Matrix class_probs;
   Status status;
 };
 
@@ -144,8 +148,9 @@ struct RunState {
   std::vector<double> qualities;
   /// phi's class posteriors over all objects. Invariant: whenever phi
   /// changes, class_probs is refreshed to phi.PredictProbsBatch(features)
-  /// before anything reads it (FoldInference after every fit or swap,
-  /// ApplyRestore after a restore), and have_probs == phi.is_trained().
+  /// before anything reads it (every inference step predicts it right
+  /// after its fit and folds both in together; ApplyRestore recomputes it
+  /// after a restore), and have_probs == phi.is_trained().
   /// Enrichment and Finalize therefore read phi's predictions from here
   /// instead of running phi again. Not serialized: it is a deterministic
   /// function of the restored phi and is recomputed on restore.
@@ -230,15 +235,17 @@ struct RunState {
   /// Copies everything a background EM round needs into `job`.
   void SnapshotInference(TruthInferenceJob* job) const;
 
-  /// Runs the EM round of `job` against its snapshots. Static and
+  /// Runs `job` against its snapshots: the same infer → fit → predict
+  /// step as RunInferenceSync, so the two produce bit-identical labels,
+  /// qualities, log-likelihood, phi and class_probs. Static and
   /// self-contained: safe to call on a worker thread while the owning
   /// RunState keeps serving. Always runs single-threaded — the shared
   /// ThreadPool belongs to the pump (see util/thread_pool.h on external
   /// dispatch).
   static void ExecuteInferenceJob(TruthInferenceJob* job);
 
-  /// Folds a finished job back into the live state: labels, qualities,
-  /// log-likelihood, phi (moved), refreshed class_probs. Bumping
+  /// Folds a finished job back into the live state by moves alone:
+  /// labels, qualities, log-likelihood, phi and class_probs. Bumping
   /// class_probs_version here is the revision barrier — the next
   /// selection's ScoreCache sync sees one consistent new world.
   Status ApplyInference(TruthInferenceJob* job);

@@ -14,24 +14,12 @@ namespace {
 
 constexpr double kLogFloor = 1e-12;
 
-// Gathers the feature rows of the inference targets.
-Matrix GatherFeatures(const InferenceInput& input) {
-  const size_t cols = input.features->cols();
-  Matrix out(input.objects.size(), cols);
-  for (size_t row = 0; row < input.objects.size(); ++row) {
-    const double* src =
-        input.features->Row(static_cast<size_t>(input.objects[row]));
-    std::copy(src, src + cols, out.Row(row));
-  }
-  return out;
-}
-
 /// log(max(p(c | phi), floor)) for every target row: the E-step's
 /// classifier prior. phi changes only when the EM loop retrains it, so
 /// this runs once per parameter version instead of once per round.
-Matrix PredictLogProbs(const classifier::Classifier& phi,
-                       const Matrix& target_features) {
-  Matrix log_probs = phi.PredictProbsBatch(target_features);
+Matrix PredictLogProbs(const InferenceInput& input) {
+  Matrix log_probs =
+      input.classifier->PredictProbsRows(*input.features, input.objects);
   for (double& p : log_probs.data()) p = std::log(std::max(p, kLogFloor));
   return log_probs;
 }
@@ -144,20 +132,23 @@ Status JointInference::Infer(const InferenceInput& input,
 
   size_t n = input.objects.size();
   size_t c = static_cast<size_t>(input.num_classes);
-  Matrix target_features = GatherFeatures(input);
+  // phi trains and predicts on the targets' rows of the feature matrix.
+  auto train_phi = [&input](const Matrix& targets) {
+    CROWDRL_TRACE_SPAN("joint.phi_train");
+    return input.classifier->TrainRows(*input.features, input.objects,
+                                       targets, {});
+  };
 
   Matrix posteriors = MajorityPosteriors(input);
   // A classifier that already carries beliefs (warm-started across
   // labelling iterations) keeps them; a fresh one is seeded from the
   // majority-vote posteriors.
   if (!input.classifier->is_trained()) {
-    CROWDRL_TRACE_SPAN("joint.phi_train");
-    CROWDRL_RETURN_IF_ERROR(
-        input.classifier->Train(target_features, posteriors, {}));
+    CROWDRL_RETURN_IF_ERROR(train_phi(posteriors));
   }
 
   // phi's E-step prior, refreshed only after a retrain below.
-  Matrix log_probs = PredictLogProbs(*input.classifier, target_features);
+  Matrix log_probs = PredictLogProbs(input);
 
   std::vector<crowd::ConfusionMatrix> confusions;
   std::vector<double> log_confusions;
@@ -184,12 +175,8 @@ Status JointInference::Infer(const InferenceInput& input,
       // identical targets.
       if (iteration > 0 &&
           iteration % options_.classifier_retrain_period == 0) {
-        {
-          CROWDRL_TRACE_SPAN("joint.phi_train");
-          CROWDRL_RETURN_IF_ERROR(
-              input.classifier->Train(target_features, posteriors, {}));
-        }
-        log_probs = PredictLogProbs(*input.classifier, target_features);
+        CROWDRL_RETURN_IF_ERROR(train_phi(posteriors));
+        log_probs = PredictLogProbs(input);
       }
     }
 
@@ -242,13 +229,9 @@ Status JointInference::Infer(const InferenceInput& input,
     for (size_t row = 0; row < n; ++row) {
       hard.At(row, Argmax(posteriors.Row(row), c)) = 1.0;
     }
-    CROWDRL_TRACE_SPAN("joint.phi_train");
-    CROWDRL_RETURN_IF_ERROR(
-        input.classifier->Train(target_features, hard, {}));
+    CROWDRL_RETURN_IF_ERROR(train_phi(hard));
   } else {
-    CROWDRL_TRACE_SPAN("joint.phi_train");
-    CROWDRL_RETURN_IF_ERROR(
-        input.classifier->Train(target_features, posteriors, {}));
+    CROWDRL_RETURN_IF_ERROR(train_phi(posteriors));
   }
 
   result->posteriors = std::move(posteriors);
@@ -276,18 +259,19 @@ Status ClassifierAsAnnotator::Infer(const InferenceInput& input,
   CROWDRL_RETURN_IF_ERROR(ValidateInput(input));
   CROWDRL_RETURN_IF_ERROR(RequireClassifierInputs(input));
 
-  Matrix target_features = GatherFeatures(input);
   // Train phi once, on majority-vote soft labels: this bakes the raw
   // answer noise into the classifier, which is precisely the composite
   // bias the paper's joint model avoids.
   Matrix mv = MajorityPosteriors(input);
-  CROWDRL_RETURN_IF_ERROR(input.classifier->Train(target_features, mv, {}));
+  CROWDRL_RETURN_IF_ERROR(input.classifier->TrainRows(
+      *input.features, input.objects, mv, {}));
 
   // Extend the answer log with the classifier as annotator |W|.
   size_t num_annotators = input.answers->num_annotators();
   crowd::AnswerLog extended(input.answers->num_objects(),
                             num_annotators + 1);
-  Matrix probs = input.classifier->PredictProbsBatch(target_features);
+  Matrix probs =
+      input.classifier->PredictProbsRows(*input.features, input.objects);
   for (size_t row = 0; row < input.objects.size(); ++row) {
     int object = input.objects[row];
     for (const auto& [annotator, label] :

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/reward.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace crowdrl::serve {
@@ -314,7 +315,10 @@ void Campaign::MaybeStartInference() {
     return;  // Nothing new to infer over.
   }
   ti_job_ = std::make_unique<core::TruthInferenceJob>();
-  rs_->SnapshotInference(ti_job_.get());
+  {
+    CROWDRL_TRACE_SPAN("serve.ti_snapshot");
+    rs_->SnapshotInference(ti_job_.get());
+  }
   snapshot_revision_ = ti_job_->base_revision;
   ti_done_ = std::make_shared<std::atomic<bool>>(false);
   obs::RecordFlightEvent(obs::FlightEventType::kTiSnapshot, flight_scope_,
@@ -336,7 +340,11 @@ bool Campaign::MaybeApplyInference() {
   }
   ti_future_.get();
   ti_inflight_ = false;
-  Status s = rs_->ApplyInference(ti_job_.get());
+  Status s;
+  {
+    CROWDRL_TRACE_SPAN("serve.ti_apply");
+    s = rs_->ApplyInference(ti_job_.get());
+  }
   if (!s.ok()) {
     Fail(std::move(s));
     return true;
@@ -362,6 +370,8 @@ void Campaign::ObserveReadyRounds() {
     PendingRound& round = unobserved_.front();
     if (!round.has_shared) break;
     if (applied_revision_ < round.completed_revision) break;
+    // Rewards plus the agent's observation, DQN training included.
+    CROWDRL_TRACE_SPAN("serve.observe");
     std::vector<double> rewards =
         rs_->ComputePairRewards(round.plan.pairs, round.executed);
     for (double& r : rewards) r += round.shared;
@@ -469,6 +479,7 @@ bool Campaign::SettleInference() {
 }
 
 void Campaign::ObserveOldestRound(bool terminal) {
+  CROWDRL_TRACE_SPAN("serve.observe");
   PendingRound& round = unobserved_.front();
   std::vector<double> rewards =
       rs_->ComputePairRewards(round.plan.pairs, round.executed);

@@ -30,10 +30,11 @@ struct CampaignOptions {
   /// True: truth inference runs on the pump thread at the end of every
   /// round, exactly like the batch loop — a single-campaign run with a
   /// never-disconnecting pool is then bit-identical to
-  /// CrowdRlFramework::Run (the determinism bridge). False: TI runs
-  /// asynchronously on the service's InferenceWorker over a copy-on-write
-  /// snapshot while selection keeps serving, and its result is swapped in
-  /// at a revision barrier.
+  /// CrowdRlFramework::Run (the determinism bridge). False: TI — EM, phi's
+  /// retraining and its class posteriors — runs asynchronously on a lane
+  /// of the service's InferenceWorker over a copy-on-write snapshot while
+  /// selection keeps serving, and its result is swapped in at a revision
+  /// barrier.
   bool synchronous_inference = true;
   /// Asynchronous mode: how many rounds selection may run ahead of the
   /// last applied truth inference before the pump stalls the campaign
@@ -59,7 +60,9 @@ struct CampaignOptions {
 ///       answer at commit time — commit order, not arrival order, is
 ///       the determinism contract
 ///     → round complete: truth inference + rewards (synchronous mode),
-///       or snapshot TI on the background worker (asynchronous mode).
+///       or snapshot TI on an InferenceWorker lane (asynchronous mode),
+///       swapped in by a later pass; at most one job per campaign is in
+///       flight.
 ///
 /// Everything except AnswerIngestQueue/AnnotatorSessionRegistry access
 /// happens on the single pump thread; a Campaign must not be pumped from

@@ -62,12 +62,15 @@ struct ServiceHealth {
 /// \brief Multi-campaign labelling scheduler (the serve-mode entry point).
 ///
 /// Owns the shared infrastructure — one EventHub for wake-ups, one
-/// InferenceWorker for background truth inference, optionally one
-/// selection ThreadPool — and multiplexes any number of campaigns over
-/// them with a round-robin pump. Each pass gives every live campaign one
-/// PumpStep(); when a full pass makes no progress the pump parks on the
-/// hub until an annotator pushes an answer, a session connects or
-/// disconnects, or a background inference finishes.
+/// InferenceWorker whose on-demand lanes run asynchronous campaigns'
+/// truth-inference jobs side by side (at most one lane per asynchronous
+/// campaign, capped at one less than the hardware threads; none while
+/// every campaign is synchronous), optionally one selection ThreadPool —
+/// and multiplexes any number of campaigns over them with a round-robin
+/// pump. Each pass gives every live campaign one PumpStep(); when a full
+/// pass makes no progress the pump parks on the hub until an annotator
+/// pushes an answer, a session connects or disconnects, or a background
+/// inference finishes.
 ///
 /// Threading contract: AddCampaign / StartAll / PumpOnce /
 /// RunUntilComplete / Shutdown are pump-thread-only. Annotator drivers
@@ -105,8 +108,8 @@ class LabellingService {
   Status RunUntilComplete();
 
   /// Drains every still-serving campaign (final checkpoint + metrics
-  /// flush) and stops the inference worker. Idempotent; also run by the
-  /// destructor.
+  /// flush) and stops the inference worker's lanes. Idempotent; also run
+  /// by the destructor.
   Status Shutdown();
 
   EventHub& hub() { return hub_; }
@@ -117,7 +120,7 @@ class LabellingService {
   ServiceOptions options_;
   EventHub hub_;
   // Declared before campaigns_: campaigns are destroyed first (they wait
-  // on in-flight TI futures), then the worker thread joins.
+  // on in-flight TI futures), then the worker's lanes join.
   InferenceWorker ti_worker_;
   std::shared_ptr<ThreadPool> shared_pool_;
   std::vector<std::unique_ptr<Campaign>> campaigns_;

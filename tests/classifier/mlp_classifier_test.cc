@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "classifier/knn_classifier.h"
 #include "data/dataset.h"
+#include "io/serializer.h"
 #include "math/vector_ops.h"
 #include "tests/testing/reference_gemm.h"
 #include "tests/testing/seed_training.h"
@@ -142,6 +144,62 @@ TEST(MlpClassifierTest, TrainMatchesTheSeedLoopBitForBit) {
   }
 }
 
+// Joint inference trains and predicts phi on the answered objects' rows
+// of the feature matrix. TrainRows and PredictProbsRows read those rows
+// in place; they must match Train and PredictProbsBatch on a gathered
+// copy bit for bit, over a shuffled subset that spans two forward blocks,
+// with sample weights and warm starts on and off.
+TEST(MlpClassifierTest, RowSubsetsMatchGatheredCopiesBitwise) {
+  Rng rng(43);
+  Matrix x(400, 7);
+  x.FillUniform(&rng, -2.0, 2.0);
+  std::vector<int> rows;
+  for (int r = 0; r < 400; ++r) {
+    if (r % 4 != 1) rows.push_back(r);
+  }
+  rng.Shuffle(&rows);
+  Matrix gathered(rows.size(), 7);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    gathered.SetRow(r, x.RowVector(static_cast<size_t>(rows[r])));
+  }
+  std::vector<double> weights(rows.size());
+  for (double& w : weights) w = rng.Uniform(0.2, 3.0);
+  for (bool warm_start : {false, true}) {
+    MlpClassifierOptions options;
+    options.hidden_sizes = {16};
+    options.epochs = 3;
+    options.warm_start = warm_start;
+    MlpClassifier copied(7, 3, options);
+    MlpClassifier in_place(7, 3, options);
+    for (int round = 0; round < 2; ++round) {
+      Matrix labels(rows.size(), 3);
+      labels.FillUniform(&rng, 0.05, 1.0);
+      const std::vector<double> w =
+          round == 0 ? weights : std::vector<double>();
+      ASSERT_TRUE(copied.Train(gathered, labels, w).ok());
+      ASSERT_TRUE(in_place.TrainRows(x, rows, labels, w).ok());
+      io::Writer copied_state;
+      io::Writer in_place_state;
+      copied.SaveState(&copied_state);
+      in_place.SaveState(&in_place_state);
+      EXPECT_EQ(copied_state.bytes(), in_place_state.bytes())
+          << "warm_start " << warm_start << " round " << round;
+      EXPECT_TRUE(testing::BitEqual(in_place.PredictProbsRows(x, rows),
+                                    copied.PredictProbsBatch(gathered)))
+          << "warm_start " << warm_start << " round " << round;
+    }
+  }
+  // Classifiers without their own row paths gather through the defaults.
+  KnnClassifier knn(7, 3);
+  KnnClassifier knn_rows(7, 3);
+  Matrix labels(rows.size(), 3);
+  labels.FillUniform(&rng, 0.05, 1.0);
+  ASSERT_TRUE(knn.Train(gathered, labels, {}).ok());
+  ASSERT_TRUE(knn_rows.TrainRows(x, rows, labels, {}).ok());
+  EXPECT_TRUE(testing::BitEqual(knn_rows.PredictProbsRows(x, rows),
+                                knn.PredictProbsBatch(gathered)));
+}
+
 TEST(MlpClassifierTest, SoftLabelTrainingWorks) {
   TrainingSet set = MakeSeparable(150, 6);
   // Soften the labels: 0.9 / 0.1 instead of one-hot.
@@ -184,6 +242,10 @@ TEST(MlpClassifierTest, ErrorStatuses) {
   EXPECT_TRUE(c.Train(x, y, {1.0}).IsInvalidArgument());
   Matrix bad_x(3, 5);
   EXPECT_TRUE(c.Train(bad_x, y, {}).IsInvalidArgument());
+  EXPECT_TRUE(c.TrainRows(x, {}, empty, {}).IsInvalidArgument());
+  EXPECT_TRUE(c.TrainRows(x, {0, 3, 1}, y, {}).IsInvalidArgument());
+  EXPECT_TRUE(c.TrainRows(x, {0, -1, 1}, y, {}).IsInvalidArgument());
+  EXPECT_TRUE(c.TrainRows(x, {0, 1}, y, {}).IsInvalidArgument());
 }
 
 TEST(MlpClassifierTest, CloneIsIndependent) {

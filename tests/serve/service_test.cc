@@ -14,12 +14,14 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/crowdrl.h"
+#include "obs/trace.h"
 #include "tests/testing/mini_json.h"
 
 namespace crowdrl::serve {
@@ -181,6 +183,55 @@ TEST(LabellingServiceTest, AsyncInferenceCampaignCompletes) {
   ExpectCompleteAndLabelled(*campaign, w);
   EXPECT_GT(campaign->rounds_completed(), 0u);
   EXPECT_GE(campaign->ti_swaps(), 1u);
+}
+
+// The pump's truth-inference and observe phases run under their own
+// spans (snapshot, apply, observe with DQN training inside) and the TI
+// lane under serve.inference_job, so a trace of an asynchronous campaign
+// splits the pump's time.
+TEST(LabellingServiceTest, AsyncCampaignTraceSplitsThePump) {
+  Workload w;
+  obs::TraceRecorder::Get().Clear();
+  LabellingService service;
+  CampaignOptions options;
+  options.name = "traced";
+  options.config = TestConfig();
+  options.config.obs.enabled = true;
+  options.config.obs.tracing = true;
+  options.synchronous_inference = false;
+  Campaign* campaign =
+      service.AddCampaign(options, &w.dataset, &w.pool, kBudget, 7);
+  ASSERT_TRUE(service.StartAll().ok());
+  campaign->sessions().ConnectAll();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> drivers =
+      StartDrivers(campaign, w.pool.size(), &stop);
+  ASSERT_TRUE(service.RunUntilComplete().ok());
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : drivers) t.join();
+  ASSERT_TRUE(service.Shutdown().ok());
+  obs::SetTracing(false);
+  obs::SetEnabled(false);
+  ExpectCompleteAndLabelled(*campaign, w);
+  EXPECT_GE(campaign->ti_swaps(), 1u);
+
+  const std::string path = FreshDir("trace") + "/trace.json";
+  ASSERT_TRUE(obs::TraceRecorder::Get().WriteChromeTrace(path));
+  obs::TraceRecorder::Get().Clear();
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  crowdrl::testing::JsonValue trace;
+  ASSERT_TRUE(crowdrl::testing::MiniJsonParser::Parse(text.str(), &trace));
+  std::set<std::string> names;
+  for (const auto& event : trace["traceEvents"].array) {
+    names.insert(event["name"].str);
+  }
+  for (const char* name : {"serve.ti_snapshot", "serve.inference_job",
+                           "serve.ti_apply", "serve.observe"}) {
+    EXPECT_TRUE(names.count(name)) << name;
+  }
 }
 
 // Annotator churn with work in flight: the first rounds are dispatched
