@@ -883,9 +883,9 @@ struct ScoringScenario {
 
   // Steady-state inference step: only the objects that received fresh
   // answers get their beliefs updated, and only a little — the regime of
-  // a converging run, and the one the shortlist pruner's drift bounds are
-  // built for (a wholesale re-roll is legitimate drift too, it just
-  // forces full rescoring every iteration).
+  // a converging run, and the one the gate's drift bounds are built for
+  // (a wholesale re-roll is legitimate drift too, it just forces full
+  // rescoring every iteration).
   void NudgeProbsFor(const std::vector<size_t>& touched) {
     for (size_t i : touched) {
       double sum = 0.0;
@@ -1178,11 +1178,11 @@ void WriteScoringReport(size_t objects, const std::string& path) {
   double pruned_speedup = best_base / best_pruned;
   std::printf("  gated selection (tiled %zux%zu): base %.3f ms  gated "
               "%.3f ms  %.2fx  identical=%d  (pruned_iters=%zu "
-              "gate_fallbacks=%zu exact_rows=%zu bounded_rows=%zu)\n",
+              "gate_fallbacks=%zu exact_rows=%zu)\n",
               kGateBucket, kGateGroup, best_base * 1e3, best_pruned * 1e3,
               pruned_speedup, assignments_identical,
               prune_stats.pruned_iterations, prune_stats.gate_fallbacks,
-              prune_stats.exact_rows, prune_stats.bounded_rows);
+              prune_stats.exact_rows);
 
   struct StageRow {
     const char* stage;
@@ -1276,14 +1276,14 @@ void WriteScoringReport(size_t objects, const std::string& path) {
                "\"assignments_identical\": %s, "
                "\"pruned_iterations\": %zu, \"full_iterations\": %zu, "
                "\"gate_fallbacks\": %zu, \"precheck_fallbacks\": %zu, "
-               "\"exact_rows\": %zu, \"bounded_rows\": %zu}\n"
+               "\"exact_rows\": %zu}\n"
                "}\n",
                kGateBucket, kGateGroup, best_base * 1e3, best_pruned * 1e3,
                pruned_speedup,
                assignments_identical ? "true" : "false",
                prune_stats.pruned_iterations, prune_stats.full_iterations,
                prune_stats.gate_fallbacks, prune_stats.precheck_fallbacks,
-               prune_stats.exact_rows, prune_stats.bounded_rows);
+               prune_stats.exact_rows);
   std::fclose(json);
   std::printf("wrote %s\n", path.c_str());
 }

@@ -415,10 +415,10 @@ int main(int argc, char** argv) {
               observe_ms_total, answers_recorded);
   std::printf("hier: %zu/%zu gated, %zu full fallbacks, scored %.3g pairs "
               "(%.3g of grid x iters), expanded buckets %.4f of live, "
-              "%zu exact / %zu bounded shortlist rows\n",
+              "%zu exact rows served\n",
               stats.gated_iterations, stats.iterations, stats.full_fallbacks,
               static_cast<double>(stats.scored_pairs), scored_fraction,
-              expanded_fraction, prune.exact_rows, prune.bounded_rows);
+              expanded_fraction, prune.exact_rows);
   std::printf("checkpoint: %zu sections, %zu bytes (max section %zu), "
               "write %.1f ms, read %.1f ms, verified=%s\n",
               ckpt.sections, ckpt.file_bytes, ckpt.max_section_bytes,
@@ -468,12 +468,11 @@ int main(int argc, char** argv) {
                "\"expanded_buckets\": %zu, \"live_buckets\": %zu, "
                "\"scored_fraction_of_grid\": %.3e, "
                "\"expanded_bucket_fraction\": %.6f, "
-               "\"exact_rows\": %zu, \"bounded_rows\": %zu},\n",
+               "\"exact_rows\": %zu},\n",
                stats.iterations, stats.gated_iterations, stats.full_fallbacks,
                stats.rounds, stats.scored_pairs, stats.enumerated_pairs,
                stats.rep_refreshes, stats.expanded_buckets, stats.live_buckets,
-               scored_fraction, expanded_fraction, prune.exact_rows,
-               prune.bounded_rows);
+               scored_fraction, expanded_fraction, prune.exact_rows);
   std::fprintf(out,
                "  \"checkpoint\": {\"file_bytes\": %zu, \"sections\": %zu, "
                "\"max_section_bytes\": %zu, \"write_ms\": %.2f, \"read_ms\": "

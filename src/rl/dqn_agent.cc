@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -36,17 +37,10 @@ constexpr size_t kFeaturizeChunksPerLane = 4;
 /// meaningful score differences.
 constexpr double kSumGateBand = 1e-9;
 
-/// Suspect-rescoring rounds (ladder rung 1) per selection. One round
-/// usually suffices: the first gate run names the contender objects, whose
-/// unscored candidates are a tiny exact batch; the second exists for the
-/// rare case where rescoring shuffles the provisional winners and a new
-/// contender appears.
-constexpr int kSuspectRounds = 2;
-
 /// Re-bounding rounds (after a precheck violation) plus bucket-expansion
-/// rounds (ladder rung 2) per selection before the engine resorts to
-/// full scoring. A handful covers any realistic contention; the cap only
-/// bounds pathological drift.
+/// rounds per selection before the engine resorts to full scoring. A
+/// handful covers any realistic contention; the cap only bounds
+/// pathological drift.
 constexpr int kMaxRounds = 4;
 
 /// Floor on the tiled descent's exact-scoring target (scaled by the
@@ -120,8 +114,7 @@ void RecordSyncMetrics(const ScoreCache& cache,
 }
 
 void RecordPruneMetrics(const ShortlistPruner& pruner,
-                        ShortlistPruner::Stats* seen_stats, size_t num_pairs,
-                        size_t exact_rows) {
+                        ShortlistPruner::Stats* seen_stats) {
   const ShortlistPruner::Stats& cur = pruner.stats();
   const ShortlistPruner::Stats seen = *seen_stats;
   *seen_stats = cur;
@@ -137,10 +130,6 @@ void RecordPruneMetrics(const ShortlistPruner& pruner,
       registry.GetCounter("crowdrl.prune.precheck_fallbacks");
   static obs::Counter* const exact =
       registry.GetCounter("crowdrl.prune.exact_rows");
-  static obs::Counter* const bounded =
-      registry.GetCounter("crowdrl.prune.bounded_rows");
-  static obs::Gauge* const fraction =
-      registry.GetGauge("crowdrl.prune.exact_fraction");
   // Counters replay the pruner's own running stats as deltas.
   pruned->Inc(cur.pruned_iterations >= seen.pruned_iterations
                   ? cur.pruned_iterations - seen.pruned_iterations
@@ -163,51 +152,12 @@ void RecordPruneMetrics(const ShortlistPruner& pruner,
   exact->Inc(cur.exact_rows >= seen.exact_rows
                  ? cur.exact_rows - seen.exact_rows
                  : 0);
-  bounded->Inc(cur.bounded_rows >= seen.bounded_rows
-                   ? cur.bounded_rows - seen.bounded_rows
-                   : 0);
-  if (num_pairs > 0) {
-    fraction->Set(static_cast<double>(exact_rows) /
-                  static_cast<double>(num_pairs));
-  }
 }
 
-/// Fewest candidate pairs per chunk of the gated engine's per-pair loops:
-/// every chunk pays one dispatch on the Q pool.
-constexpr size_t kGateMinChunk = 16384;
-
-/// Fewest objects per chunk when enumeration counts valid pairs.
-constexpr size_t kGateMinObjects = 4096;
-
-/// Per-object top-k of `score` over the candidates' runs, chunk-parallel:
-/// slot r holds run r's k best (score, index) entries and (*sums)[r] their
-/// sum; with `max_unscored_ub`, also run r's largest bound among pairs not
-/// yet exact. SlotTopK keeps TopK's push rule and heap order, so each slot
-/// holds what a serial pass over the same run would.
-template <typename ScoreFn>
-void FillObjectTopK(ThreadPool* pool, const GateCandidates& cand, int k,
-                    ScoreFn score, SlotTopK<size_t>* per_object,
-                    std::vector<double>* sums,
-                    std::vector<double>* max_unscored_ub = nullptr) {
-  per_object->Reset(cand.num_runs(), static_cast<size_t>(k));
-  sums->assign(cand.num_runs(), 0.0);
-  if (max_unscored_ub != nullptr) {
-    max_unscored_ub->assign(cand.num_runs(),
-                            -std::numeric_limits<double>::infinity());
-  }
-  ForEachChunk(pool, cand.chunk_runs, [&](size_t, size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      for (size_t idx = cand.run_begin[r]; idx < cand.run_begin[r + 1];
-           ++idx) {
-        per_object->Push(r, score(idx), idx);
-        if (max_unscored_ub != nullptr && !cand.is_exact[idx]) {
-          (*max_unscored_ub)[r] = std::max((*max_unscored_ub)[r], cand.ub[idx]);
-        }
-      }
-      (*sums)[r] = per_object->ScoreSum(r);
-    }
-  });
-}
+/// Valid pairs per chunk of the gated engine's scoring pass, about: a
+/// chunk is a run of whole objects, and each runs one factorized forward
+/// on one lane of the Q pool.
+constexpr size_t kGateChunkPairs = 8192;
 
 /// The objects with the largest top-k sums ("MinHeap algorithm"), as
 /// (sum, slot), best first. Serial, in slot order.
@@ -220,126 +170,66 @@ std::vector<std::pair<double, size_t>> BestSlots(
   return best.TakeSortedDescending();
 }
 
-/// PickTopKSumAssignments' result from filled per-object slots: the best
-/// slots' objects, each with its top-k annotators best first, and the
-/// chosen candidate indices in that order.
-std::vector<Assignment> AssignBestSlots(const SlotTopK<size_t>& per_object,
-                                        const std::vector<double>& sums,
-                                        const std::vector<int>& slot_object,
-                                        int num_objects_to_pick,
-                                        const std::vector<Action>& actions,
-                                        std::vector<size_t>* chosen_indices) {
-  std::vector<Assignment> assignments;
-  std::vector<std::pair<double, size_t>> entries;
-  for (const auto& scored_slot : BestSlots(sums, num_objects_to_pick)) {
-    const size_t slot = scored_slot.second;
-    Assignment assignment;
-    assignment.object = slot_object[slot];
-    per_object.SortedDescendingInto(slot, &entries);
-    for (const auto& scored_idx : entries) {
-      assignment.annotators.push_back(actions[scored_idx.second].annotator);
-      chosen_indices->push_back(scored_idx.second);
-    }
-    assignments.push_back(std::move(assignment));
-  }
-  return assignments;
-}
-
-/// Outcome of one gate run.
+/// Outcome of one pick over the gated engine's per-object slots.
 struct GatedSelection {
   bool sound = false;
   std::vector<Assignment> assignments;
-  /// Chosen candidates in Commit order (the full path's chosen_indices
-  /// order), as actions — the gated engine has no dense candidate matrix
-  /// to index into.
+  /// Chosen pairs in Commit order (the full path's chosen_indices order).
   std::vector<Action> chosen_actions;
-  /// The contenders: provisionally chosen objects plus every object whose
-  /// (upper-bounded) sum crowds the selection cutoff. When the gates
-  /// fail, exactly these objects' unscored candidates need exact scores
-  /// for the selection to become provable — ladder rung 1 scores them and
-  /// retries.
-  std::vector<int> suspect_objects;
   /// Weakest chosen object's top-k sum (the selection cutoff) — the
   /// unexpanded-bucket gate separates it from the buckets' sum bounds.
-  /// Meaningful whenever at least one object was rankable, even when a
-  /// later gate returned sound = false.
+  /// Meaningful when sound.
   double min_chosen_sum = -std::numeric_limits<double>::infinity();
 };
 
-/// Replays PickTopKSumAssignments over merged exact/upper-bound scores and
-/// verifies, after the fact, that the selection is provably what full
-/// exact scoring would have produced:
-///  * every chosen entry is exact (a shortlisted pair);
-///  * per chosen object, the smallest chosen score strictly exceeds every
-///    upper bound among the object's non-shortlisted candidates (so no
-///    unscored pair could enter its top-k), and the chosen scores are
-///    pairwise distinct (an exact tie could be ordered differently by the
-///    full pass's heap);
-///  * the chosen objects' top-k sums are separated from each other and
-///    from every non-chosen object's (upper-bounded) sum by kSumGateBand.
-/// Any violation returns sound = false and the caller climbs its ladder.
-GatedSelection GatedPickTopKSum(ThreadPool* pool, const GateCandidates& cand,
-                                int k, int num_objects_to_pick,
-                                SlotTopK<size_t>* per_object) {
+/// PickTopKSumAssignments over per-object top-k slots (slot = object,
+/// payload = annotator): the best `num_objects_to_pick` of `objects`
+/// (ascending, with their top-k `sums`), each with its top-k annotators
+/// best first. Every slot holds its object's full push sequence and the
+/// objects are ranked in full scoring's order, so once every live bucket
+/// is scored this is full scoring's selection, tie-breaks included. With
+/// `prove`, the pick must also be full scoring's whatever the unlisted
+/// objects rank:
+///  * the chosen objects' sums are separated from each other and from
+///    every other listed object's sum by kSumGateBand;
+///  * no exact tie sits inside a chosen object's top-k (the full pass's
+///    heap could order it differently).
+/// A violation returns sound = false. The caller bounds the unlisted
+/// objects against `min_chosen_sum`.
+GatedSelection PickObjects(const SlotTopK<int>& per_object,
+                           const std::vector<int>& objects,
+                           const std::vector<double>& sums,
+                           int num_objects_to_pick, bool prove) {
   GatedSelection result;
-  if (cand.pairs.empty()) {
-    result.sound = true;
-    return result;
-  }
-
-  // Identical structure to PickTopKSumAssignments: per-object top-k over
-  // the merged scores, tracking each object's loosest unscored bound.
-  std::vector<double> sums;
-  std::vector<double> max_ub_unscored;
-  FillObjectTopK(
-      pool, cand, k, [&](size_t idx) { return cand.Merged(idx); },
-      per_object, &sums, &max_ub_unscored);
   const std::vector<std::pair<double, size_t>> best =
       BestSlots(sums, num_objects_to_pick);
-
-  std::vector<uint8_t> chosen_slot(sums.size(), 0);
-  for (const auto& entry : best) chosen_slot[entry.second] = 1;
-  const double min_chosen_sum = best.back().first;
-  result.min_chosen_sum = min_chosen_sum;
-  // Contenders, for rescoring on gate failure: the chosen objects plus
-  // anything whose (inflated) sum reaches the cutoff band.
-  for (const auto& entry : best) {
-    result.suspect_objects.push_back(cand.run_object[entry.second]);
-  }
-  for (size_t slot = 0; slot < sums.size(); ++slot) {
-    if (chosen_slot[slot]) continue;
-    if (min_chosen_sum - sums[slot] <= kSumGateBand) {
-      result.suspect_objects.push_back(cand.run_object[slot]);
+  if (prove && !best.empty()) {
+    result.min_chosen_sum = best.back().first;
+    for (size_t i = 1; i < best.size(); ++i) {
+      if (best[i - 1].first - best[i].first <= kSumGateBand) return result;
     }
-  }
-
-  // Sum-separation gate: chosen sums pairwise, and the weakest chosen sum
-  // against every non-chosen object's (possibly inflated) sum.
-  for (size_t i = 1; i < best.size(); ++i) {
-    if (best[i - 1].first - best[i].first <= kSumGateBand) return result;
-  }
-  for (size_t slot = 0; slot < sums.size(); ++slot) {
-    if (chosen_slot[slot]) continue;
-    if (min_chosen_sum - sums[slot] <= kSumGateBand) return result;
-  }
-
-  std::vector<std::pair<double, size_t>> entries;
-  for (const auto& scored_slot : best) {
-    const size_t slot = scored_slot.second;
-    per_object->SortedDescendingInto(slot, &entries);
-    Assignment assignment;
-    assignment.object = cand.run_object[slot];
-    for (size_t e = 0; e < entries.size(); ++e) {
-      size_t idx = entries[e].second;
-      if (!cand.is_exact[idx]) return result;                  // UB chosen.
-      if (e > 0 && entries[e - 1].first == entries[e].first) { // Exact tie.
+    std::vector<uint8_t> chosen(sums.size(), 0);
+    for (const auto& entry : best) chosen[entry.second] = 1;
+    for (size_t slot = 0; slot < sums.size(); ++slot) {
+      if (!chosen[slot] &&
+          result.min_chosen_sum - sums[slot] <= kSumGateBand) {
         return result;
       }
-      assignment.annotators.push_back(cand.pairs[idx].annotator);
-      result.chosen_actions.push_back(cand.pairs[idx]);
     }
-    // No unscored candidate of this object may reach its top-k.
-    if (!(entries.back().first > max_ub_unscored[slot])) return result;
+  }
+  std::vector<std::pair<double, int>> entries;
+  for (const auto& scored_slot : best) {
+    const int object = objects[scored_slot.second];
+    per_object.SortedDescendingInto(static_cast<size_t>(object), &entries);
+    Assignment assignment;
+    assignment.object = object;
+    for (size_t e = 0; e < entries.size(); ++e) {
+      if (prove && e > 0 && entries[e - 1].first == entries[e].first) {
+        return result;
+      }
+      assignment.annotators.push_back(entries[e].second);
+      result.chosen_actions.push_back({object, entries[e].second});
+    }
     result.assignments.push_back(std::move(assignment));
   }
   result.sound = true;
@@ -361,9 +251,6 @@ DqnAgent::DqnAgent(DqnAgentOptions options)
   CROWDRL_CHECK(options.epsilon_decay > 0.0 && options.epsilon_decay <= 1.0);
   CROWDRL_CHECK(options.max_bootstrap_candidates > 0);
   CROWDRL_CHECK(options.threads >= 1);
-  ShortlistOptions prune_options;
-  prune_options.shortlist = options.prune_shortlist;
-  pruner_ = ShortlistPruner(prune_options);
   if (options.shared_pool != nullptr) {
     pool_ = options.shared_pool;
   } else if (options.threads > 1) {
@@ -579,8 +466,23 @@ std::vector<Assignment> PickTopKSumAssignments(
   for (size_t slot = 0; slot < sums.size(); ++slot) {
     sums[slot] = per_object.ScoreSum(slot);
   }
-  return AssignBestSlots(per_object, sums, object_ids, num_objects_to_pick,
-                         candidates.actions, chosen_indices);
+  // The best objects, each with its top-k annotators best first; the
+  // chosen candidate indices in that order.
+  std::vector<Assignment> assignments;
+  std::vector<std::pair<double, size_t>> entries;
+  for (const auto& scored_slot : BestSlots(sums, num_objects_to_pick)) {
+    const size_t slot = scored_slot.second;
+    Assignment assignment;
+    assignment.object = object_ids[slot];
+    per_object.SortedDescendingInto(slot, &entries);
+    for (const auto& scored_idx : entries) {
+      assignment.annotators.push_back(
+          candidates.actions[scored_idx.second].annotator);
+      chosen_indices->push_back(scored_idx.second);
+    }
+    assignments.push_back(std::move(assignment));
+  }
+  return assignments;
 }
 
 std::vector<Assignment> DqnAgent::SelectBatch(
@@ -713,7 +615,7 @@ std::vector<Assignment> DqnAgent::SelectGated(
     const size_t objects_needed =
         std::min(static_cast<size_t>(num_objects_to_pick), live_unlabelled);
     size_t covered_objects = 0;
-    size_t covered_pairs = 0;  // Upper estimate; exact count comes below.
+    size_t covered_pairs = 0;  // Upper estimate: answers are not counted.
     for (size_t b : order) {
       expanded[b] = 1;
       covered_objects += hierarchy_.bucket_unlabelled(b);
@@ -725,217 +627,143 @@ std::vector<Assignment> DqnAgent::SelectGated(
     }
   }
 
-  // The iteration's candidates (GateCandidates). An object's candidates all
-  // live in one bucket, so each per-object top-k sees the identical push
-  // sequence as full scoring and heap tie-breaks cannot diverge. Exact raw
-  // Q values are kept alongside (no training runs inside an iteration, so
-  // they stay valid and no pair is ever forwarded twice).
-  //
-  // Every per-pair loop below runs in chunks on the Q forward's pool, and
-  // nothing it computes depends on the lane count: chunks write only their
-  // own indices, counts are summed as integers, the shortlist cut ranks by
-  // one total order, and whatever moves alpha/beta (tile violations) or
-  // ranks objects runs serially in pair and object order.
-  GateCandidates& cand = gate_;
-  cand.run_object.clear();  // A fresh list: nothing to carry over.
-  cand.run_begin.assign(1, 0);
-  size_t exact_count = 0;
-  const auto enumerate = [&]() {
-    CROWDRL_TRACE_SPAN("agent.enumerate");
-    // Unlabelled objects of the expanded buckets, ascending, and their
-    // valid-pair counts: the affordable annotators that have not answered.
-    std::vector<int> objects;
+  // Every pair of an expanded bucket is scored exactly once, streamed: no
+  // candidate list is kept, only one top-k slot per object. An object's
+  // pairs all live in one bucket and are pushed in ascending annotator
+  // order, so each slot sees full scoring's push sequence for its object
+  // and its heap, sum and tie-breaks equal full scoring's bit for bit.
+  object_topk_.Reset(episode_objects_, static_cast<size_t>(k));
+  size_t selection_scored = 0;
+  // A pair whose exact score beat the tile bound it was admitted under.
+  struct Violation {
+    Action pair;
+    double q;
+  };
+  // Scores every valid pair of `buckets` (ascending) into the per-object
+  // slots and returns the count of violations, replayed through
+  // ObserveTileViolation when `precheck` is set. Chunks of whole objects
+  // run one per lane of the Q pool; each fills its pairs and bonuses into
+  // lane-local buffers and runs the factorized forward, whose own pool
+  // dispatch then runs inline on that lane. Chunk bounds depend on the
+  // grid alone, chunks write only their own objects' slots, and the
+  // violations replay serially in pair order, so nothing depends on the
+  // lane count.
+  const size_t chunk_objects = std::max<size_t>(
+      1, kGateChunkPairs / std::max<size_t>(1, num_affordable));
+  const auto score_buckets = [&](const std::vector<size_t>& buckets,
+                                 bool precheck) -> size_t {
+    CROWDRL_TRACE_SPAN("agent.score_buckets");
+    std::vector<std::pair<size_t, size_t>> chunks;  // Object ranges.
+    for (size_t b : buckets) {
+      const auto [begin, end] = hierarchy_.BucketRange(b);
+      for (size_t at = begin; at < end; at += chunk_objects) {
+        chunks.emplace_back(at, std::min(end, at + chunk_objects));
+      }
+    }
+    std::vector<size_t> scored(chunks.size(), 0);
+    std::vector<std::vector<Violation>> violations(chunks.size());
+    // One ForEachChunk chunk per object range: bounds 0, 1, ..., size.
+    std::vector<size_t> chunk_ids(chunks.size() + 1);
+    std::iota(chunk_ids.begin(), chunk_ids.end(), size_t{0});
+    ForEachChunk(pool, chunk_ids, [&](size_t c, size_t, size_t) {
+      thread_local std::vector<Action> pairs;
+      thread_local std::vector<double> bonus;
+      thread_local std::vector<double> group_bound;
+      pairs.clear();
+      bonus.clear();
+      const auto [begin, end] = chunks[c];
+      for (size_t i = begin; i < end; ++i) {
+        if ((*view.labelled)[i]) continue;
+        const int object = static_cast<int>(i);
+        for (size_t j = 0; j < episode_annotators_; ++j) {
+          const int annotator = static_cast<int>(j);
+          if (!annotator_affordable[j] ||
+              view.answers->HasAnswer(object, annotator)) {
+            continue;
+          }
+          pairs.push_back({object, annotator});
+          bonus.push_back(
+              ucb ? options_.ucb_c *
+                        std::sqrt(log_term /
+                                  (static_cast<double>(selection_counts_.Get(
+                                       object, annotator)) +
+                                   1.0))
+                  : 0.0);
+        }
+      }
+      if (pairs.empty()) return;
+      const std::vector<double> q = ExactQ(pairs);
+      scored[c] = pairs.size();
+      // TileBound adds the bonus last, so the tile's bound at bonus 0 plus
+      // a pair's bonus is that pair's bound, bit for bit.
+      const size_t bucket = hierarchy_.BucketOf(pairs.front().object);
+      if (precheck) {
+        group_bound.resize(hierarchy_.num_groups());
+        for (size_t g = 0; g < group_bound.size(); ++g) {
+          group_bound[g] = hierarchy_.TileBound(bucket, g, score_cache_,
+                                                pruner_, train_steps, 0.0);
+        }
+      }
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        const Action& a = pairs[p];
+        const double score = q[p] + bonus[p];
+        object_topk_.Push(static_cast<size_t>(a.object), score, a.annotator);
+        if (precheck &&
+            score > group_bound[hierarchy_.GroupOf(a.annotator)] + bonus[p]) {
+          violations[c].push_back({a, q[p]});
+        }
+      }
+    });
+    // Serial, in pair order: each violation may move alpha/beta.
+    size_t count = 0;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      selection_scored += scored[c];
+      hier_stats_.scored_pairs += scored[c];
+      for (const Violation& v : violations[c]) {
+        hierarchy_.ObserveTileViolation(
+            hierarchy_.BucketOf(v.pair.object),
+            hierarchy_.GroupOf(v.pair.annotator), v.q, score_cache_,
+            train_steps, &pruner_);
+        ++count;
+      }
+    }
+    return count;
+  };
+  // The scored objects, ascending (full scoring's slot order), and their
+  // top-k sums, in SlotTopK::ScoreSum's order as full scoring sums them.
+  std::vector<int> objects;
+  std::vector<double> sums;
+  const auto rank_objects = [&]() {
+    objects.clear();
+    sums.clear();
     for (size_t b = 0; b < num_buckets; ++b) {
       if (!expanded[b]) continue;
       const auto [begin, end] = hierarchy_.BucketRange(b);
       for (size_t i = begin; i < end; ++i) {
-        if (!(*view.labelled)[i]) objects.push_back(static_cast<int>(i));
+        if (object_topk_.size(i) == 0) continue;
+        objects.push_back(static_cast<int>(i));
+        sums.push_back(object_topk_.ScoreSum(i));
       }
     }
-    std::vector<size_t> counts(objects.size(), num_affordable);
-    const auto count_valid = [&](size_t, size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) {
-        for (const auto& entry : view.answers->AnswersFor(objects[t])) {
-          if (annotator_affordable[static_cast<size_t>(entry.first)]) {
-            --counts[t];
-          }
-        }
-      }
-    };
-    ForEachChunk(pool, EvenChunks(objects.size(), pool, kGateMinObjects),
-                 count_valid);
-    std::vector<int> run_object;
-    std::vector<size_t> run_begin{0};
-    for (size_t t = 0; t < objects.size(); ++t) {
-      if (counts[t] == 0) continue;
-      run_object.push_back(objects[t]);
-      run_begin.push_back(run_begin.back() + counts[t]);
-    }
-    // Chunks: even pair ranges, each moved up to the next run boundary.
-    const size_t total = run_begin.back();
-    cand.chunk_runs.assign(1, 0);
-    for (size_t bound : EvenChunks(total, pool, kGateMinChunk)) {
-      const size_t run = static_cast<size_t>(
-          std::lower_bound(run_begin.begin(), run_begin.end(), bound) -
-          run_begin.begin());
-      if (run > cand.chunk_runs.back()) cand.chunk_runs.push_back(run);
-    }
-    cand.chunk_pairs.clear();
-    for (size_t run : cand.chunk_runs) {
-      cand.chunk_pairs.push_back(run_begin[run]);
-    }
-
-    // Pairs and bonuses are rewritten in place; exact scores go to the
-    // spare buffers, since the previous list's must be read meanwhile.
-    cand.pairs.resize(total);
-    cand.bonus.resize(total);
-    gate_raw_spare_.resize(total);
-    gate_exact_spare_.resize(total);
-    ForEachChunk(pool, cand.chunk_runs, [&](size_t, size_t r0, size_t r1) {
-      // The previous list is an ordered subset with identical runs: carry
-      // each object's exact scores over from its old run.
-      size_t old = static_cast<size_t>(
-          std::lower_bound(cand.run_object.begin(), cand.run_object.end(),
-                           run_object[r0]) -
-          cand.run_object.begin());
-      for (size_t r = r0; r < r1; ++r) {
-        const int object = run_object[r];
-        size_t at = run_begin[r];
-        for (size_t j = 0; j < episode_annotators_; ++j) {
-          if (!annotator_affordable[j] ||
-              view.answers->HasAnswer(object, static_cast<int>(j))) {
-            continue;
-          }
-          cand.pairs[at] = {object, static_cast<int>(j)};
-          cand.bonus[at] =
-              ucb ? options_.ucb_c *
-                        std::sqrt(log_term /
-                                  (static_cast<double>(selection_counts_.Get(
-                                       object, static_cast<int>(j))) +
-                                   1.0))
-                  : 0.0;
-          ++at;
-        }
-        CROWDRL_CHECK(at == run_begin[r + 1]);
-        while (old < cand.num_runs() && cand.run_object[old] < object) ++old;
-        const bool carried =
-            old < cand.num_runs() && cand.run_object[old] == object;
-        const size_t from = carried ? cand.run_begin[old] : 0;
-        for (size_t i = 0; i < at - run_begin[r]; ++i) {
-          gate_raw_spare_[run_begin[r] + i] =
-              carried ? cand.raw[from + i] : 0.0;
-          gate_exact_spare_[run_begin[r] + i] =
-              carried ? cand.is_exact[from + i] : 0;
-        }
-      }
-    });
-    cand.raw.swap(gate_raw_spare_);
-    cand.is_exact.swap(gate_exact_spare_);
-    cand.run_object = std::move(run_object);
-    cand.run_begin = std::move(run_begin);
-  };
-  enumerate();
-  const auto unscored_indices = [&]() {
-    return GatherIndices<uint32_t>(pool, cand.chunk_pairs, [&](size_t idx) {
-      return !cand.is_exact[idx];
-    });
   };
 
-  // Exact-scores the listed candidates (ascending indices). With
-  // `precheck`, every new exact score is checked against the tile bound it
-  // was admitted under; a violation adapts alpha/beta through its tile's
-  // record and the count is returned so the caller re-bounds.
-  const auto score_exact = [&](const std::vector<uint32_t>& batch,
-                               bool precheck) -> size_t {
-    const std::vector<size_t> chunks =
-        EvenChunks(batch.size(), pool, kGateMinChunk);
-    std::vector<Action>& actions = gate_actions_;
-    actions.resize(batch.size());
-    ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) actions[s] = cand.pairs[batch[s]];
-    });
-    const std::vector<double> q = ExactQ(actions);
-    hier_stats_.scored_pairs += actions.size();
-    size_t violations = 0;
-    if (precheck) {
-      // Serial, in pair order: each violation may move alpha/beta.
-      for (uint32_t s : GatherIndices<uint32_t>(
-               pool, chunks, [&](size_t s) {
-                 return q[s] + cand.bonus[batch[s]] > cand.ub[batch[s]];
-               })) {
-        hierarchy_.ObserveTileViolation(
-            hierarchy_.BucketOf(actions[s].object),
-            hierarchy_.GroupOf(actions[s].annotator), q[s], score_cache_,
-            train_steps, &pruner_);
-        ++violations;
-      }
-    }
-    ForEachChunk(pool, chunks, [&](size_t, size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) {
-        cand.raw[batch[s]] = q[s];
-        cand.is_exact[batch[s]] = 1;
-      }
-    });
-    exact_count += batch.size();
-    return violations;
-  };
-
+  std::vector<size_t> to_score;
+  for (size_t b = 0; b < num_buckets; ++b) {
+    if (expanded[b]) to_score.push_back(b);
+  }
   GatedSelection selection;
   bool served = false;
   bool gate_failed = false;
-  // One gate fallback per selection, noted when the ladder first climbs
-  // past rung 1: it grows the pruner's shortlist boost.
-  bool fell_back = false;
-  const auto note_fallback = [&]() {
-    if (!fell_back) pruner_.NoteGateFallback();
-    fell_back = true;
-  };
-  bool need_shortlist = true;
-  bool rebound = false;  // Alpha/beta adapted: the bucket bounds are stale.
   int rounds = 0;
-  int suspect_rounds = 0;
-  const auto note_violation = [&]() {
-    pruner_.NotePrecheckFallback();
-    need_shortlist = rebound = true;
-    return rounds++ >= kMaxRounds;
-  };
   for (;;) {
-    if (need_shortlist) {
-      // Bound every candidate by its tile and exact-score the
-      // highest-bounded unscored ones. Every candidate lies in a live tile
-      // whose representative was refreshed above, so every bound is finite.
-      need_shortlist = false;
+    // Score the newly expanded buckets. A score above its tile bound
+    // adapts alpha/beta, and the buckets are bounded again.
+    ++hier_stats_.rounds;
+    if (score_buckets(to_score, /*precheck=*/true) > 0) {
+      pruner_.NotePrecheckFallback();
       ++hier_stats_.rounds;
-      if (rebound) bound_buckets();
-      rebound = false;
-      {
-        CROWDRL_TRACE_SPAN("agent.prune_bounds");
-        cand.ub.resize(cand.size());
-        ForEachChunk(pool, cand.chunk_pairs,
-                     [&](size_t, size_t begin, size_t end) {
-                       for (size_t idx = begin; idx < end; ++idx) {
-                         const Action& a = cand.pairs[idx];
-                         cand.ub[idx] = hierarchy_.TileBound(
-                             hierarchy_.BucketOf(a.object),
-                             hierarchy_.GroupOf(a.annotator), score_cache_,
-                             pruner_, train_steps, cand.bonus[idx]);
-                       }
-                     });
-      }
-      std::vector<uint32_t> shortlist;
-      {
-        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-        const size_t unscored = cand.size() - exact_count;
-        const size_t size = pruner_.ShortlistSize(cand.size());
-        shortlist = size >= unscored
-                        ? unscored_indices()
-                        : CutShortlist(pool, cand.chunk_pairs, cand.ub,
-                                       cand.is_exact, size);
-      }
-      if (!shortlist.empty() && score_exact(shortlist, true) > 0) {
-        if (note_violation()) break;
-        continue;
-      }
+      bound_buckets();
+      if (rounds++ >= kMaxRounds) break;
     }
 
     bool unexpanded_live = false;
@@ -943,12 +771,13 @@ std::vector<Assignment> DqnAgent::SelectGated(
       if (hierarchy_.BucketLive(b) && !expanded[b]) unexpanded_live = true;
     }
     // Nothing left to bound: full scoring's answer is already at hand.
-    if (exact_count == cand.size() && !unexpanded_live) break;
+    if (!unexpanded_live) break;
 
     {
       CROWDRL_TRACE_SPAN("agent.topk");
-      selection = GatedPickTopKSum(pool, cand, k, num_objects_to_pick,
-                                   &object_topk_);
+      rank_objects();
+      selection = PickObjects(object_topk_, objects, sums,
+                              num_objects_to_pick, /*prove=*/true);
     }
     // Unexpanded-bucket gate: every live unexpanded bucket's best top-k
     // sum — k times its bound when positive, the bound itself otherwise
@@ -973,95 +802,48 @@ std::vector<Assignment> DqnAgent::SelectGated(
         break;
       }
     }
+    // A failed gate grows the descent's boost once per selection and
+    // expands the offending buckets. A near-tie among the scored objects
+    // names no offender, and only full scoring settles it.
+    if (!gate_failed) pruner_.NoteGateFallback();
     gate_failed = true;
-
-    // Rung 1: exact-score the suspect objects' unscored candidates — a
-    // handful of objects, so a tiny batch — and re-run the gate.
-    if (!selection.sound && suspect_rounds < kSuspectRounds) {
-      std::vector<uint8_t> suspect(episode_objects_, 0);
-      for (int object : selection.suspect_objects) {
-        suspect[static_cast<size_t>(object)] = 1;
-      }
-      std::vector<uint32_t> batch;
-      {
-        CROWDRL_TRACE_SPAN("agent.prune_shortlist");
-        batch = GatherIndices<uint32_t>(
-            pool, cand.chunk_pairs, [&](size_t idx) {
-              return !cand.is_exact[idx] &&
-                     suspect[static_cast<size_t>(cand.pairs[idx].object)];
-            });
-      }
-      // Nothing to rescore (an exact tie or exact sum collision), or the
-      // suspects cover so much of the set that the later rungs are the
-      // honest answer.
-      if (!batch.empty() && batch.size() <= cand.size() / 4) {
-        ++suspect_rounds;
-        if (score_exact(batch, true) > 0 && note_violation()) break;
-        continue;
-      }
-    }
-    // Rung 2: expand the buckets whose bounds threaten the cutoff.
-    note_fallback();
-    if (!offenders.empty() && rounds < kMaxRounds) {
-      ++rounds;
-      for (size_t b : offenders) expanded[b] = 1;
-      enumerate();
-      need_shortlist = true;
-      continue;
-    }
-    // Rung 3: exact-score the rest of the expanded set, keeping the
-    // unexpanded remainder bounded. Without a remainder this is rung 4.
-    if (unexpanded_live && exact_count < cand.size()) {
-      if (score_exact(unscored_indices(), true) > 0 && note_violation()) {
-        break;
-      }
-      continue;
-    }
-    break;
+    if (offenders.empty() || rounds >= kMaxRounds) break;
+    ++rounds;
+    for (size_t b : offenders) expanded[b] = 1;
+    to_score = std::move(offenders);
   }
 
-  std::vector<Assignment> assignments;
-  std::vector<Action> chosen;
   if (served) {
-    assignments = std::move(selection.assignments);
-    chosen = std::move(selection.chosen_actions);
-    pruner_.NotePrunedSuccess(exact_count, cand.size() - exact_count,
-                              gate_failed);
+    pruner_.NotePrunedSuccess(selection_scored, gate_failed);
     ++hier_stats_.gated_iterations;
   } else {
-    // Rung 4: exact-score every live pair. The candidate list and scores
-    // are then exactly Score()'s, so PickTopKSumAssignments' selection
-    // (and tie-breaks) over them is full scoring's.
-    if (gate_failed) note_fallback();
+    // Full scoring: expand every live bucket and score those not yet
+    // scored. Every valid pair is then in its object's slot, so the pick
+    // is PickTopKSumAssignments' over Score()'s candidates, tie-breaks
+    // included.
+    to_score.clear();
     for (size_t b = 0; b < num_buckets; ++b) {
-      if (hierarchy_.BucketLive(b)) expanded[b] = 1;
+      if (hierarchy_.BucketLive(b) && !expanded[b]) {
+        expanded[b] = 1;
+        to_score.push_back(b);
+      }
     }
-    enumerate();
-    const std::vector<uint32_t> batch = unscored_indices();
-    if (!batch.empty()) score_exact(batch, false);
-    std::vector<size_t> chosen_indices;
+    score_buckets(to_score, /*precheck=*/false);
     {
       CROWDRL_TRACE_SPAN("agent.topk");
-      std::vector<double> sums;
-      FillObjectTopK(
-          pool, cand, k,
-          [&](size_t idx) { return cand.raw[idx] + cand.bonus[idx]; },
-          &object_topk_, &sums);
-      assignments =
-          AssignBestSlots(object_topk_, sums, cand.run_object,
-                          num_objects_to_pick, cand.pairs, &chosen_indices);
+      rank_objects();
+      selection = PickObjects(object_topk_, objects, sums,
+                              num_objects_to_pick, /*prove=*/false);
     }
-    for (size_t idx : chosen_indices) chosen.push_back(cand.pairs[idx]);
     pruner_.NoteFullPass();
     ++hier_stats_.full_fallbacks;
   }
 
-  CommitActions(chosen);
-  hier_stats_.enumerated_pairs += cand.size();
+  CommitActions(selection.chosen_actions);
+  hier_stats_.enumerated_pairs += selection_scored;
   for (uint8_t e : expanded) hier_stats_.expanded_buckets += e;
-  RecordPruneMetrics(pruner_, &prune_metrics_seen_, cand.size(),
-                     exact_count);
-  return assignments;
+  RecordPruneMetrics(pruner_, &prune_metrics_seen_);
+  return std::move(selection.assignments);
 }
 
 std::vector<Action> DqnAgent::EnumerateBootstrapSublinear(

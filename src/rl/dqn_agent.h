@@ -56,7 +56,7 @@ struct DqnAgentOptions {
   /// matrix of Score() is built in parallel chunks, and nothing else is.
   /// Selection and the bootstrap never featurize candidates — they score
   /// through the factorized Q head and assemble only the committed rows,
-  /// and the tiled gate runs its per-pair loops, all on `q.threads` — so
+  /// and the tiled gate runs its scoring pass, all on `q.threads` — so
   /// an agent driven by SelectBatch never dispatches here. 1 (the default)
   /// runs the serial path; every feature row depends only on its own
   /// (object, annotator), so results are bit-identical at any thread
@@ -70,20 +70,19 @@ struct DqnAgentOptions {
   /// util/thread_pool.h), and bit-identical to a private pool because
   /// featurization is bit-identical at any thread count.
   std::shared_ptr<ThreadPool> shared_pool;
-  /// Shortlist size of the gated selection engine, which runs only on
-  /// tiled grids (see hier_min_pairs): SelectBatch exact-scores only the
-  /// expanded candidates whose cheap upper bounds (their tile's
-  /// representative Q + drift slack + the exact exploration bonus, see
-  /// BucketHierarchy::TileBound) rank highest, and serves the selection
-  /// only when a strict gate proves that no bounded remainder could alter
-  /// it; every gate failure climbs a ladder of exact rescoring that ends in
-  /// full scoring, so selections are always identical to Score +
-  /// PickTopKSumAssignments. 0 = auto (num_pairs / 16, floor 256,
-  /// adaptively doubled after gate fallbacks).
-  /// A non-zero value also caps the tiled descent's initial expansion
-  /// (tests use it to scale the engine down). Untiled grids, epsilon-greedy
-  /// exploration and feature-masked agents never consult it: they score
-  /// every valid pair. Public Score() always scores every pair regardless.
+  /// Exact-scoring target of the gated selection engine, which runs only
+  /// on tiled grids (see hier_min_pairs): its coarse-to-fine descent
+  /// expands the highest-bound buckets until they cover the requested
+  /// objects and this many valid pairs, times an adaptive boost that
+  /// doubles after gate fallbacks. SelectBatch scores every pair of the
+  /// expanded buckets and serves the selection only when a strict gate
+  /// proves that no unexpanded bucket could alter it; a failed gate
+  /// expands the buckets that could, and ends in full scoring, so
+  /// selections are always identical to Score + PickTopKSumAssignments.
+  /// 0 = auto (max(4096, 8 x k x picks)); tests set it to scale the
+  /// engine down. Untiled grids, epsilon-greedy exploration and
+  /// feature-masked agents never consult it: they score every valid pair.
+  /// Public Score() always scores every pair regardless.
   size_t prune_shortlist = 0;
   /// Grid size (|O| x |W| pairs) from which SelectBatch tiles the grid
   /// into buckets x groups (BucketHierarchy) and runs the gated engine: a
@@ -109,32 +108,6 @@ struct ScoredCandidates {
   Matrix features;
   /// Q(S, A) plus the exploration bonus when the mode adds one.
   std::vector<double> scores;
-};
-
-/// The gated engine's candidate list (DqnAgent::SelectBatch on tiled
-/// grids): the expanded buckets' valid pairs in ascending (object,
-/// annotator) order — the order full scoring enumerates in — with each
-/// pair's exploration bonus, exact raw Q (where `is_exact`) and upper bound
-/// at the same index. One object's pairs form one run, and chunks are
-/// whole runs, so every per-object loop can run chunk-parallel. The agent
-/// keeps it between selections so its arrays stay allocated.
-struct GateCandidates {
-  std::vector<Action> pairs;
-  std::vector<double> bonus;
-  std::vector<double> raw;
-  std::vector<uint8_t> is_exact;
-  std::vector<double> ub;
-  std::vector<int> run_object;      ///< Object of each run, ascending.
-  std::vector<size_t> run_begin;    ///< Run r: pairs [run_begin[r], [r + 1]).
-  std::vector<size_t> chunk_runs;   ///< Chunk c: runs [chunk_runs[c], [c + 1])
-  std::vector<size_t> chunk_pairs;  ///< = pairs [chunk_pairs[c], [c + 1]).
-
-  size_t size() const { return pairs.size(); }
-  size_t num_runs() const { return run_object.size(); }
-  /// The selection score: exact where scored, the upper bound elsewhere.
-  double Merged(size_t idx) const {
-    return is_exact[idx] ? raw[idx] + bonus[idx] : ub[idx];
-  }
 };
 
 /// \brief The Agent of CrowdRL (Section IV): scores every valid
@@ -224,10 +197,10 @@ class DqnAgent {
   struct HierStats {
     size_t iterations = 0;        ///< Tiled selections attempted.
     size_t gated_iterations = 0;  ///< Served by the gate.
-    size_t full_fallbacks = 0;    ///< Served by full scoring (last rung).
-    size_t rounds = 0;            ///< Bounding rounds across iterations.
+    size_t full_fallbacks = 0;    ///< Served by full scoring.
+    size_t rounds = 0;            ///< Scoring passes and re-bounds.
     size_t scored_pairs = 0;      ///< Exact Q rows spent on selection.
-    size_t enumerated_pairs = 0;  ///< Valid pairs materialized.
+    size_t enumerated_pairs = 0;  ///< Valid pairs of expanded buckets.
     size_t rep_refreshes = 0;     ///< Tile representative rescorings.
     size_t expanded_buckets = 0;  ///< Final expansion set sizes, summed.
     size_t live_buckets = 0;      ///< Live buckets seen, summed.
@@ -269,9 +242,10 @@ class DqnAgent {
       bool with_features);
 
   /// The gated selection engine behind SelectBatch on tiled grids (CHECKs
-  /// HierEngaged): exact-scores a shortlist of bounded candidates, proves
-  /// the selection with the gate, and climbs the fallback ladder on
-  /// failure. Selections are identical to full scoring.
+  /// HierEngaged): exact-scores the pairs of the buckets its descent
+  /// expands, proves the selection with the gate, expands the buckets
+  /// that could still alter it on failure, and ends in full scoring.
+  /// Selections are identical to full scoring.
   std::vector<Assignment> SelectGated(
       const StateView& view, int k, int num_objects_to_pick,
       const std::vector<bool>& annotator_affordable);
@@ -345,16 +319,11 @@ class DqnAgent {
   /// million-object episode only pays for the ranges selection touches.
   PairCounts selection_counts_;
   size_t total_selections_ = 0;
-  /// Working set of the gated engine, reused across selections so that
-  /// steady-state selections write into resident buffers: the candidate
-  /// list; the spare exact-score buffers enumeration fills while it reads
-  /// the previous list's; the batch being exact-scored; and the
-  /// per-object top-k slots (one flat buffer, not one heap per object).
-  GateCandidates gate_;
-  std::vector<double> gate_raw_spare_;
-  std::vector<uint8_t> gate_exact_spare_;
-  std::vector<Action> gate_actions_;
-  SlotTopK<size_t> object_topk_;
+  /// The gated engine's per-object top-k slots, one per object of the
+  /// episode (one flat buffer, the annotator as payload), reused across
+  /// selections so that steady-state selections write into resident
+  /// pages. Nothing the engine keeps is sized by the pairs it scores.
+  SlotTopK<int> object_topk_;
   std::vector<std::vector<double>> pending_;  // Executed pairs' features.
   uint64_t rows_featurized_ = 0;  // Diagnostic; bumped serially post-dispatch.
 };

@@ -55,7 +55,7 @@ struct HierarchyOptions {
 ///
 /// Storage is O(num_buckets x num_groups) — ~8k tiles for 1M x 1k —
 /// never O(pairs). Owned and driven by one DqnAgent; the const bound
-/// queries may run concurrently (the gate's chunked bounds pass).
+/// queries may run concurrently (the gate's chunked scoring pass).
 class BucketHierarchy {
  public:
   void Reset(size_t num_objects, size_t num_annotators,

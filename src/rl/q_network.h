@@ -93,7 +93,7 @@ class QNetwork {
   size_t train_steps() const { return train_steps_; }
 
   /// The inference pool (QNetworkOptions::threads lanes), or null when
-  /// serial. The agent's tiled selection runs its per-pair loops on it too.
+  /// serial. The agent's tiled selection runs its scoring pass on it too.
   ThreadPool* inference_pool() const { return pool_.get(); }
 
   /// Parameter transfer for offline pre-training ("cross training

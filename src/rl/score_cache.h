@@ -92,12 +92,13 @@ class ScoreCache {
   const Matrix& annotator_blocks() const { return annotator_blocks_; }
   const double* global_block() const { return global_block_; }
 
-  /// Monotone drift accumulators, the staleness signal for shortlist
-  /// pruning (ShortlistPruner). Every time a block is refreshed with
+  /// Monotone drift accumulators, the staleness signal of the gate's tile
+  /// bounds (BucketHierarchy). Every time a block is refreshed with
   /// different values, the max-abs element change is added to that
-  /// block's accumulator; a pruner that snapshotted the accumulator when
-  /// it last scored a pair exactly can bound how much the pair's features
-  /// have moved since as (current accumulator - snapshot). Reset to zero
+  /// block's accumulator; a tile that snapshotted the accumulators when it
+  /// last scored its representative exactly can bound how much the
+  /// representative's features have moved since as (current accumulator -
+  /// snapshot). Reset to zero
   /// by a full rebuild — consumers must drop their snapshots whenever
   /// rebuild_epoch() changes.
   const std::vector<double>& object_drift() const { return object_drift_; }

@@ -2,32 +2,19 @@
 #define CROWDRL_RL_SHORTLIST_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "util/thread_pool.h"
 
 namespace crowdrl::rl {
 
-/// Knobs of the gated engine's shortlist stage
-/// (DqnAgentOptions::prune_shortlist).
-struct ShortlistOptions {
-  /// Shortlist size sent to the exact Q forward. 0 = auto:
-  /// clamp(num_pairs / 16, 256, num_pairs), scaled up after gate
-  /// fallbacks.
-  size_t shortlist = 0;
-};
-
-/// \brief Shortlist sizing, drift sensitivities and outcome stats of the
-/// gated selection engine.
+/// \brief Drift sensitivities, the descent's adaptive boost and outcome
+/// stats of the gated selection engine.
 ///
 /// Used only by the gated engine, which runs only on tiled grids (see
 /// DqnAgentOptions::hier_min_pairs); untiled selections score the whole
 /// grid and never touch it. The selection structure (per-object top-k by
 /// score, then objects by top-k sums) only ever needs exact scores near
 /// the top of the score distribution, so the engine exact-scores the
-/// candidates whose upper bounds rank highest and proves the rest cannot
-/// matter. The bounds come from the tiling alone
+/// buckets whose upper bounds rank highest and proves the unexpanded rest
+/// cannot matter. The bounds come from the tiling alone
 /// (BucketHierarchy::TileBound): one exactly-scored representative per
 /// tile plus drift slack,
 ///
@@ -41,9 +28,9 @@ struct ShortlistOptions {
 /// refreshes and from exact scores that beat their tile bound, doubled for
 /// headroom and decayed slowly. The bounds are heuristic — exactness is
 /// NOT assumed from them; the caller's selection gate verifies after the
-/// fact that no non-shortlisted pair could have altered the selection,
-/// and climbs its fallback ladder otherwise (see DESIGN.md "Gated
-/// selection").
+/// fact that no unexpanded bucket could have altered the selection, and
+/// expands buckets or scores the whole grid otherwise (see DESIGN.md
+/// "Gated selection").
 ///
 /// Nothing here grows with the pair grid, and nothing is checkpointed:
 /// gated selections equal full scoring, so a restored run reproduces the
@@ -51,29 +38,22 @@ struct ShortlistOptions {
 /// restart from.
 ///
 /// Owned and driven by one DqnAgent; the const accessors may be read
-/// concurrently (the gate's chunked bounds pass).
+/// concurrently (the gate's chunked scoring pass).
 class ShortlistPruner {
  public:
   struct Stats {
-    size_t pruned_iterations = 0;  ///< Gated shortlist selections served.
+    size_t pruned_iterations = 0;  ///< Gated selections served.
     size_t full_iterations = 0;    ///< Full-scoring fallbacks.
-    size_t gate_fallbacks = 0;     ///< Selection gate rejected the shortlist.
-    size_t precheck_fallbacks = 0; ///< A rescored pair exceeded its bound.
+    size_t gate_fallbacks = 0;     ///< Selections whose gate failed.
+    size_t precheck_fallbacks = 0; ///< A scored pair exceeded its bound.
     size_t gate_recoveries = 0;    ///< Gated selections served after the
                                    ///< gate failed once in the iteration.
-    size_t exact_rows = 0;         ///< Rows sent to the exact Q forward.
-    size_t bounded_rows = 0;       ///< Rows served by upper bounds alone.
+    size_t exact_rows = 0;         ///< Rows forwarded by served selections.
   };
-
-  ShortlistPruner() = default;
-  explicit ShortlistPruner(const ShortlistOptions& options);
 
   /// Call once per selection iteration before reading bounds: applies the
   /// slow sensitivity decay.
   void BeginIteration();
-
-  /// Shortlist size for a grid of `num_pairs` candidates.
-  size_t ShortlistSize(size_t num_pairs) const;
 
   /// Feeds one observed exact-rescore move into the sensitivity
   /// adaptation. Callers keep the stale anchors — the hierarchical tile
@@ -84,12 +64,10 @@ class ShortlistPruner {
   /// sensitivity to cover it alone.
   void ObserveMove(double dq, double drift, double ticks);
 
-  /// Outcome notes, driving the adaptive shortlist boost and stats: a
-  /// gate fallback doubles the boost, and a streak of gated successes
-  /// halves it. `recovered` marks a selection served after a failed gate
-  /// run.
-  void NotePrunedSuccess(size_t exact_rows, size_t bounded_rows,
-                         bool recovered = false);
+  /// Outcome notes, driving the adaptive boost and stats: a gate fallback
+  /// doubles the boost, and a streak of gated successes halves it.
+  /// `recovered` marks a selection served after a failed gate run.
+  void NotePrunedSuccess(size_t exact_rows, bool recovered = false);
   void NoteFullPass();
   void NoteGateFallback();
   void NotePrecheckFallback();
@@ -98,6 +76,8 @@ class ShortlistPruner {
   double beta() const { return sensitivity_.beta; }
   /// Additive slack on every upper bound.
   double margin() const { return kBoundMargin; }
+  /// Multiplier on the tiled descent's pair target
+  /// (DqnAgentOptions::prune_shortlist).
   size_t boost() const { return boost_; }
   const Stats& stats() const { return stats_; }
 
@@ -117,28 +97,14 @@ class ShortlistPruner {
   static Sensitivity ApplyMove(Sensitivity s, double dq, double drift,
                                double ticks);
 
-  ShortlistOptions options_;
-
   Sensitivity sensitivity_;
-  // Shortlist-size multiplier: doubled on gate fallback, halved after a
+  // Descent-target multiplier: doubled on gate fallback, halved after a
   // streak of gated successes.
   size_t boost_ = 1;
   size_t success_streak_ = 0;
 
   Stats stats_;
 };
-
-/// The shortlist cut: the `size` candidates that are not yet exact and
-/// come first in one total order, upper bound descending and then index
-/// ascending (a NaN bound ranks with +infinity), returned in ascending
-/// index order. `size` must be below the count of such candidates. Runs
-/// in the given chunks of [0, ub.size()) on `pool`; the total order makes
-/// the result independent of the chunking.
-std::vector<uint32_t> CutShortlist(ThreadPool* pool,
-                                   const std::vector<size_t>& chunks,
-                                   const std::vector<double>& ub,
-                                   const std::vector<uint8_t>& is_exact,
-                                   size_t size);
 
 }  // namespace crowdrl::rl
 

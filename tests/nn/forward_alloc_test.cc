@@ -1,16 +1,14 @@
 // Heap allocations of a warm blocked forward. A counting global operator
-// new sees every allocation of the process; with no pool the forward runs
-// on the calling thread, so the count between two points is the forward's
-// own. A warm call may allocate per call (its result, its weight slices)
-// but never per 256-row block: the same call must make as many
-// allocations at 4,096 rows as at 409,600.
+// new (tests/testing/counting_new.h) sees every allocation of the
+// process; with no pool the forward runs on the calling thread, so the
+// count between two points is the forward's own. A warm call may allocate
+// per call (its result, its weight slices) but never per 256-row block:
+// the same call must make as many allocations at 4,096 rows as at
+// 409,600.
 //
 // This binary replaces the global allocator, so it holds nothing else.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,20 +20,9 @@
 #include "rl/q_network.h"
 #include "rl/score_cache.h"
 #include "rl/state.h"
+#include "tests/testing/counting_new.h"
 #include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
-
-namespace {
-std::atomic<size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace crowdrl {
 namespace {
@@ -46,9 +33,9 @@ constexpr size_t kLargeRows = 409600;
 // Allocations made by one call of `fn`.
 template <typename Fn>
 size_t AllocationsOf(Fn&& fn) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = testing::AllocationCount();
   fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return testing::AllocationCount() - before;
 }
 
 // The selection forward: QNetwork's factorized head over an object-major

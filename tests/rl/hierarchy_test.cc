@@ -5,15 +5,16 @@
 //    drifting run, including across checkpoint/resume, at thread counts 1
 //    and 8 (every second SelectBatch is additionally audited against the
 //    agent's own full scoring);
-//  - on select-hier's index-smooth landscape the gate serves selections,
-//    recovers from failed gate runs, and still equals full scoring;
+//  - on select-hier's index-smooth landscape the gate serves selections
+//    while live buckets stay unexpanded, serves others after expanding
+//    the buckets that failed its gate, and still equals full scoring;
 //  - every tiled selection is counted exactly once, as gated or as a full
 //    fallback, through the end of an episode;
 //  - the bucket x group tiling's bookkeeping: ranges, liveness, tile
 //    records, bound monotonicity, invalidation on cache rebuild, and the
 //    alpha adaptation after an exact score beats its tile bound;
 //  - the default hier_min_pairs threshold keeps small grids untiled;
-//  - the gate's per-pair loops run in chunks on the Q pool, so a churned
+//  - the gate's scoring pass runs in chunks on the Q pool, so a churned
 //    tiled run on the smooth landscape selects, counts, adapts and
 //    checkpoints identically at 1, 2 and 4 lanes;
 //  - at the pruned-selection micro row's shape (2048 x 40 in 64 x 8
@@ -66,8 +67,8 @@ TEST_P(HierarchicalSelectionTest, AuditedRunMatchesFullScoringExactly) {
   // 12 selections per run) every selection was counted once, tile
   // representatives were refreshed, and the descent expanded no more than
   // the live buckets. Random beliefs leave the tile bounds too loose to
-  // serve a selection, so these runs prove the ladder's full-scoring
-  // rung; SmoothLandscapeServesAndRecoversSelections covers served ones.
+  // serve a selection, so these runs prove the full-scoring fallback;
+  // SmoothLandscapeServesAndRecoversSelections covers served ones.
   for (const testing::LockstepStats* half :
        {&outcome.before, &outcome.after}) {
     const DqnAgent::HierStats& stats = half->hier;
@@ -88,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, HierarchicalSelectionTest,
 // against a full-scoring twin (and every second one against the agent's
 // own full scoring), across a checkpoint/restore. Neighbouring pairs
 // score alike here, so the tile bounds are tight enough for the gate to
-// serve selections, and some are served only after a failed gate run.
+// serve selections while live buckets stay unexpanded.
 testing::LockstepConfig SmoothConfig(int threads) {
   testing::LockstepConfig config;
   config.smooth = true;
@@ -112,11 +113,21 @@ TEST(HierarchicalSelectionTest, SmoothLandscapeServesAndRecoversSelections) {
   const DqnAgent::HierStats& before = outcome.before.hier;
   const DqnAgent::HierStats& after = outcome.after.hier;
   EXPECT_EQ(before.iterations + after.iterations, 16u);
-  EXPECT_GT(before.gated_iterations + after.gated_iterations, 0u);
-  EXPECT_GT(outcome.before.prune.gate_recoveries +
-                outcome.after.prune.gate_recoveries,
+  EXPECT_GT(outcome.before.served_unexpanded + outcome.after.served_unexpanded,
             0u);
   EXPECT_LE(before.expanded_buckets, before.live_buckets);
+
+  // Twice the objects in one annotator group: the restored agent's gate
+  // fails, expands the buckets whose bounds reach the cutoff, scores only
+  // those, and then serves (2 of its 4 selections).
+  testing::LockstepConfig wide = SmoothConfig(/*threads=*/1);
+  wide.objects = 8192;
+  wide.group = wide.annotators;
+  testing::LockstepOutcome recovered;
+  testing::RunAuditedLockstep(wide, &recovered);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(recovered.after.prune.gate_recoveries, 0u);
+  EXPECT_GT(recovered.after.hier.rounds, recovered.after.hier.iterations);
 }
 
 // HierStats accounting: every tiled selection counts once, as gated or as
@@ -181,15 +192,16 @@ struct LaneRun {
   std::vector<double> beta;
   DqnAgent::HierStats hier;
   ShortlistPruner::Stats prune;
-  std::string state;  // SaveState bytes at the end.
+  size_t served_unexpanded = 0;  // Served with a live bucket unexpanded.
+  std::string state;             // SaveState bytes at the end.
 };
 
 // One churned tiled run on the smooth landscape's 4096 x 32 grid in
 // 256 x 8 tiles: the descent starts from one 8,192-pair bucket, and
-// ladder expansions and full fallbacks grow candidate lists to many
-// buckets, which split into several chunks at 2 and 4 lanes. Annotators
-// flip affordability and objects get labelled along the way. Shortlist
-// cuts, served and recovered gates and full fallbacks all occur.
+// offender expansions and full fallbacks score many buckets, whose
+// chunks spread over 2 and 4 lanes. Annotators flip affordability and
+// objects get labelled along the way. Served gates, offender expansions
+// and full fallbacks all occur.
 LaneRun RunTiledAtLanes(int lanes) {
   const testing::LockstepConfig config = SmoothConfig(lanes);
   Scenario s(/*seed=*/4409, /*twins=*/false, config.objects,
@@ -208,8 +220,15 @@ LaneRun RunTiledAtLanes(int lanes) {
       s.labelled[static_cast<size_t>(
           s.rng.UniformInt(static_cast<int>(config.objects)))] = true;
     }
+    const DqnAgent::HierStats prior = agent.hier_stats();
     run.selections.push_back(
         agent.SelectBatch(s.View(), config.k, config.picks, s.affordable));
+    const DqnAgent::HierStats& now = agent.hier_stats();
+    if (now.gated_iterations > prior.gated_iterations &&
+        now.expanded_buckets - prior.expanded_buckets <
+            now.live_buckets - prior.live_buckets) {
+      ++run.served_unexpanded;
+    }
     run.alpha.push_back(agent.shortlist_pruner().alpha());
     run.beta.push_back(agent.shortlist_pruner().beta());
     for (const Assignment& assignment : run.selections.back()) {
@@ -232,15 +251,15 @@ LaneRun RunTiledAtLanes(int lanes) {
 
 TEST(GateLaneInvarianceTest, TiledRunIsIdenticalAtOneTwoAndFourLanes) {
   const LaneRun serial = RunTiledAtLanes(1);
-  // Not vacuous: the gate served selections, failed and recovered, and
-  // fell back to full scoring at least once.
-  EXPECT_GT(serial.hier.gated_iterations, 0u);
+  // Not vacuous: the gate served selections while live buckets stayed
+  // unexpanded, failed and expanded offending buckets (a second scoring
+  // round), and fell back to full scoring at least once.
+  EXPECT_GT(serial.served_unexpanded, 0u);
   EXPECT_GT(serial.hier.full_fallbacks, 0u);
   EXPECT_GT(serial.prune.gate_fallbacks, 0u);
-  EXPECT_GT(serial.prune.gate_recoveries, 0u);
-  // Candidate lists of several 16,384-pair chunks on average.
-  EXPECT_GT(serial.hier.enumerated_pairs,
-            serial.hier.iterations * 2 * 16384);
+  EXPECT_GT(serial.hier.rounds, serial.hier.iterations);
+  // Several 8,192-pair chunks per selection on average.
+  EXPECT_GT(serial.hier.scored_pairs, serial.hier.iterations * 4 * 8192);
   for (int lanes : {2, 4}) {
     const LaneRun run = RunTiledAtLanes(lanes);
     ASSERT_EQ(run.selections.size(), serial.selections.size());
@@ -267,15 +286,15 @@ TEST(GateLaneInvarianceTest, TiledRunIsIdenticalAtOneTwoAndFourLanes) {
     EXPECT_EQ(run.prune.precheck_fallbacks, serial.prune.precheck_fallbacks);
     EXPECT_EQ(run.prune.gate_recoveries, serial.prune.gate_recoveries);
     EXPECT_EQ(run.prune.exact_rows, serial.prune.exact_rows);
-    EXPECT_EQ(run.prune.bounded_rows, serial.prune.bounded_rows);
+    EXPECT_EQ(run.served_unexpanded, serial.served_unexpanded);
     EXPECT_TRUE(run.state == serial.state) << "lanes " << lanes;
   }
 }
 
 // The pruned-selection row of bench/micro_components' BENCH_scoring.json
-// as a test: its 2048 x 40 grid in 64 x 8 tiles with the auto shortlist,
-// the gated agent against a full-scoring twin every iteration (and against
-// its own full scoring every second one), on 4 lanes, across a
+// as a test: its 2048 x 40 grid in 64 x 8 tiles with the auto descent
+// target, the gated agent against a full-scoring twin every iteration (and
+// against its own full scoring every second one), on 4 lanes, across a
 // checkpoint/restore.
 TEST(HierarchicalSelectionTest, MicroRowShapeMatchesFullScoringOnFourLanes) {
   testing::LockstepOutcome outcome;
@@ -344,7 +363,7 @@ TEST(BucketHierarchyTest, TileRecordLifecycleAndBoundCoverage) {
               hierarchy.BucketRange(b).second - hierarchy.BucketRange(b).first);
   }
 
-  ShortlistPruner pruner{ShortlistOptions{}};
+  ShortlistPruner pruner;
   pruner.BeginIteration();
 
   // All live tiles start stale.
@@ -408,7 +427,7 @@ TEST(BucketHierarchyTest, TileViolationRaisesAlphaUntilTheBoundCovers) {
   hierarchy.Reset(kObjects, kAnnotators, options);
   hierarchy.BeginIteration(cache, s.labelled, s.affordable);
 
-  ShortlistPruner pruner{ShortlistOptions{}};
+  ShortlistPruner pruner;
   pruner.BeginIteration();
   constexpr double kRepQ = 0.25;
   constexpr double kBonus = 0.125;

@@ -5,17 +5,12 @@
 //    drifting run, including across checkpoint/resume, without ever
 //    touching the pruner;
 //  - over randomized tiled and untiled configurations, every selection
-//    must equal full scoring (the tiled gate climbs its ladder to full
-//    scoring on any ambiguity);
+//    must equal full scoring (the tiled gate expands buckets, and scores
+//    the whole grid, on any ambiguity);
 //  - the pruner's bookkeeping: sensitivity adaptation and attribution,
-//    boost dynamics, shortlist sizing;
-//  - the ScoreCache drift accumulators the bounds are built from;
-//  - the shortlist cut against a sort, at several chunkings.
+//    boost dynamics;
+//  - the ScoreCache drift accumulators the bounds are built from.
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +20,6 @@
 #include "rl/shortlist.h"
 #include "tests/testing/selection_lockstep.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace crowdrl::rl {
 namespace {
@@ -71,7 +65,7 @@ TEST(ShortlistPruningTest, AuditedPrunedRunMatchesFullScoringExactly) {
 }
 
 // The same audited lockstep over randomized configurations — grid shape,
-// tiled or not (random tile geometry), shortlist size, exploration mode,
+// tiled or not (random tile geometry), descent target, exploration mode,
 // training rate, tied annotators, checkpoint point — with churn:
 // objects get labelled, annotators flip affordability, and k and the pick
 // count change every iteration. Every selection must equal full scoring.
@@ -110,7 +104,7 @@ TEST(ShortlistPruningTest, RandomizedConfigurationsMatchFullScoring) {
 }
 
 // Epsilon-greedy consumes RNG inside Score, so the gated engine must stand
-// down entirely, even on a tiled grid (a shortlist pass would desync the
+// down entirely, even on a tiled grid (a gated pass would desync the
 // exploration stream).
 TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
   Scenario s;
@@ -134,7 +128,7 @@ TEST(ShortlistPruningTest, EpsilonGreedyAlwaysRunsFullPath) {
 // current slack missed raises its sensitivity to twice the observed rate
 // (2x headroom), so the adapted slack covers a same-sized move.
 TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
-  ShortlistPruner pruner{ShortlistOptions{}};
+  ShortlistPruner pruner;
   pruner.BeginIteration();
 
   // Q moved by 0.5 with no drift and 10 elapsed train steps: the bound
@@ -171,13 +165,13 @@ TEST(ShortlistPrunerTest, SensitivityAdaptsToObservedMoves) {
 // missed raises each sensitivity to cover it alone.
 TEST(ShortlistPrunerTest, UnmeasuredSensitivityBoundsNothing) {
   // Training never measured: a covered two-signal move is all training's.
-  ShortlistPruner fresh{ShortlistOptions{}};
+  ShortlistPruner fresh;
   fresh.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
   EXPECT_EQ(fresh.beta(), 0.3 / 3.0);
   EXPECT_EQ(fresh.alpha(), 1.0);  // Covers it: max(1, 0.3 / 1).
 
   // An unmoved rescore measures nothing more: beta stays unmeasured.
-  ShortlistPruner unmoved{ShortlistOptions{}};
+  ShortlistPruner unmoved;
   unmoved.ObserveMove(/*dq=*/0.0, /*drift=*/1.0, /*ticks=*/3.0);
   EXPECT_EQ(unmoved.beta(), 0.0);
   unmoved.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
@@ -185,7 +179,7 @@ TEST(ShortlistPrunerTest, UnmeasuredSensitivityBoundsNothing) {
 
   // Training measured by a covered training-only move: the same covered
   // two-signal move then leaves beta where it was.
-  ShortlistPruner measured{ShortlistOptions{}};
+  ShortlistPruner measured;
   measured.ObserveMove(/*dq=*/0.0, /*drift=*/0.0, /*ticks=*/3.0);
   EXPECT_EQ(measured.beta(), 0.0);
   measured.ObserveMove(/*dq=*/0.3, /*drift=*/1.0, /*ticks=*/3.0);
@@ -202,121 +196,24 @@ TEST(ShortlistPrunerTest, UnmeasuredSensitivityBoundsNothing) {
 // streak; the boost doubles on gate fallback (capped) and halves back only
 // after a streak of gated successes.
 TEST(ShortlistPrunerTest, BoundViolationIsReportedAndBoostReacts) {
-  ShortlistPruner pruner{ShortlistOptions{}};
+  ShortlistPruner pruner;
   EXPECT_EQ(pruner.boost(), 1u);
   pruner.NoteGateFallback();
   EXPECT_EQ(pruner.boost(), 2u);
   pruner.NoteGateFallback();
   EXPECT_EQ(pruner.boost(), 4u);
-  for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1, 1);
+  for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1);
   EXPECT_EQ(pruner.boost(), 4u);  // Streak not reached yet.
   pruner.NotePrecheckFallback();  // Restarts the streak.
   EXPECT_EQ(pruner.stats().precheck_fallbacks, 1u);
-  pruner.NotePrunedSuccess(1, 1);
+  pruner.NotePrunedSuccess(1);
   EXPECT_EQ(pruner.boost(), 4u);
-  for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1, 1);
+  for (int i = 0; i < 7; ++i) pruner.NotePrunedSuccess(1);
   EXPECT_EQ(pruner.boost(), 2u);
   EXPECT_EQ(pruner.stats().gate_fallbacks, 2u);
   EXPECT_EQ(pruner.stats().pruned_iterations, 15u);
   for (int i = 0; i < 10; ++i) pruner.NoteGateFallback();
   EXPECT_EQ(pruner.boost(), 64u);  // Capped.
-}
-
-TEST(ShortlistPrunerTest, ShortlistSizeHonoursFloorAndBoost) {
-  ShortlistOptions options;  // Auto sizing.
-  ShortlistPruner pruner(options);
-  // Auto: max(256, pairs/16), clamped to the pair count.
-  EXPECT_EQ(pruner.ShortlistSize(10000), std::max<size_t>(256, 625));
-  EXPECT_EQ(pruner.ShortlistSize(300), 256u);  // Floor, below the grid.
-  EXPECT_EQ(pruner.ShortlistSize(200), 200u);  // Clamped to the grid.
-
-  ShortlistOptions fixed;
-  fixed.shortlist = 64;
-  ShortlistPruner small(fixed);
-  EXPECT_EQ(small.ShortlistSize(10000), 64u);
-  small.NoteGateFallback();
-  EXPECT_EQ(small.ShortlistSize(10000), 128u);  // Boost doubles it.
-}
-
-// Bounds with the shapes the cut meets: exact ties within a tile, NaN and
-// infinities, tight clusters beside far outliers (so one value class holds
-// most of the grid and the cut refines), and plain spread values.
-std::vector<double> CutBounds(Rng* rng, size_t n, int shape) {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> ub(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double u = rng->Uniform();
-    switch (shape) {
-      case 0:  // Tiles: runs of one shared bound.
-        ub[i] = static_cast<double>((i / 97) % 7) * 0.25;
-        break;
-      case 1:  // Specials among a few distinct values.
-        ub[i] = u < 0.05   ? inf
-                : u < 0.08 ? -inf
-                : u < 0.10 ? std::numeric_limits<double>::quiet_NaN()
-                : u < 0.12 ? -0.0
-                : u < 0.14 ? 0.0
-                           : static_cast<double>(rng->UniformInt(5));
-        break;
-      case 2:  // A tight cluster beside far outliers.
-        ub[i] = u < 0.01 ? 1e6 * rng->Uniform() : 1.0 + 1e-9 * rng->Uniform();
-        break;
-      default:
-        ub[i] = rng->Uniform(-3.0, 3.0);
-    }
-  }
-  return ub;
-}
-
-// The cut takes the `size` unscored candidates first in (bound descending,
-// index ascending), NaN ranking with +inf, and returns them in index
-// order — at every chunking, on a pool or inline.
-TEST(ShortlistCutTest, TakesTheFirstInBoundThenIndexOrderAtEveryChunking) {
-  Rng rng(5171);
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 160; ++trial) {
-    const int shape = trial % 4;
-    // Every fifth trial is large enough for the cut to refine a class.
-    const size_t n = static_cast<size_t>(
-        trial % 5 == 0 ? 20000 + rng.UniformInt(20000)
-                       : 1 + rng.UniformInt(3000));
-    const std::vector<double> ub = CutBounds(&rng, n, shape);
-    std::vector<uint8_t> is_exact(n);
-    std::vector<uint32_t> unscored;
-    for (size_t i = 0; i < n; ++i) {
-      is_exact[i] = rng.Bernoulli(0.2) ? 1 : 0;
-      if (!is_exact[i]) unscored.push_back(static_cast<uint32_t>(i));
-    }
-    if (unscored.size() < 2) continue;
-    const size_t size =
-        1 + static_cast<size_t>(
-                rng.UniformInt(static_cast<int>(unscored.size() - 1)));
-    const auto rank = [&](uint32_t i) {
-      return std::isnan(ub[i]) ? std::numeric_limits<double>::infinity()
-                               : ub[i];
-    };
-    std::vector<uint32_t> want = unscored;
-    std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
-      return rank(a) > rank(b);
-    });
-    want.resize(size);
-    std::sort(want.begin(), want.end());
-
-    std::vector<size_t> random_chunks{0};
-    while (random_chunks.back() < n) {
-      random_chunks.push_back(std::min(
-          n, random_chunks.back() + 1 + static_cast<size_t>(rng.UniformInt(
-                                            static_cast<int>(n / 3 + 1)))));
-    }
-    const std::vector<size_t> chunkings[] = {
-        {0, n}, EvenChunks(n, &pool, 1), random_chunks};
-    for (const std::vector<size_t>& chunks : chunkings) {
-      EXPECT_EQ(CutShortlist(&pool, chunks, ub, is_exact, size), want)
-          << "trial " << trial << " chunks " << chunks.size() - 1;
-      EXPECT_EQ(CutShortlist(nullptr, chunks, ub, is_exact, size), want)
-          << "trial " << trial << " inline";
-    }
-  }
 }
 
 TEST(ScoreCacheDriftTest, AccumulatorsTrackBlockRefreshes) {

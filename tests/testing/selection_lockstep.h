@@ -234,8 +234,9 @@ struct LockstepConfig {
   bool tiled = false;
   size_t bucket = 8;
   size_t group = 4;
-  /// Forces gating on these small grids by shrinking the shortlist well
-  /// below the pair count (the auto floor of 256 would score everything).
+  /// The tiled descent's pair target (DqnAgentOptions::prune_shortlist):
+  /// small, so that the descent leaves buckets of these small grids
+  /// unexpanded (the auto floor of 4,096 pairs would expand them all).
   size_t shortlist = 48;
   rl::ExplorationMode exploration = rl::ExplorationMode::kUcb;
   int train_steps_per_observe = 2;
@@ -278,6 +279,8 @@ inline rl::DqnAgentOptions LockstepOptions(const LockstepConfig& config) {
 struct LockstepStats {
   rl::ShortlistPruner::Stats prune;
   rl::DqnAgent::HierStats hier;
+  /// Gated selections that left a live bucket unexpanded.
+  size_t served_unexpanded = 0;
 };
 
 /// The two halves of lockstep runs, kept apart: stats are not
@@ -288,7 +291,12 @@ struct LockstepOutcome {
   LockstepStats after;   ///< The restored agent.
 };
 
+/// Adds one agent's stats to `out`. The tiled gate scores every pair of
+/// the buckets it expands exactly once, so each agent's scored and
+/// enumerated pairs must agree.
 inline void Accumulate(const rl::DqnAgent& agent, LockstepStats* out) {
+  EXPECT_EQ(agent.hier_stats().scored_pairs,
+            agent.hier_stats().enumerated_pairs);
   const rl::ShortlistPruner::Stats& p = agent.shortlist_pruner().stats();
   out->prune.pruned_iterations += p.pruned_iterations;
   out->prune.full_iterations += p.full_iterations;
@@ -296,7 +304,6 @@ inline void Accumulate(const rl::DqnAgent& agent, LockstepStats* out) {
   out->prune.precheck_fallbacks += p.precheck_fallbacks;
   out->prune.gate_recoveries += p.gate_recoveries;
   out->prune.exact_rows += p.exact_rows;
-  out->prune.bounded_rows += p.bounded_rows;
   const rl::DqnAgent::HierStats& h = agent.hier_stats();
   out->hier.iterations += h.iterations;
   out->hier.gated_iterations += h.gated_iterations;
@@ -353,6 +360,7 @@ inline void RunAuditedLockstep(const LockstepConfig& config,
       picks = 1 + s.rng.UniformInt(6);
     }
 
+    const rl::DqnAgent::HierStats prior = gated.hier_stats();
     std::vector<rl::Assignment> got;
     if (since_fresh++ % 2 == 1) {
       AuditedSelectBatch(&gated, s.View(), k, picks, s.affordable, iter,
@@ -365,6 +373,13 @@ inline void RunAuditedLockstep(const LockstepConfig& config,
         SelectByFullScoring(&twin, s.View(), k, picks, s.affordable);
     ExpectSameAssignments(got, want, iter);
     if (::testing::Test::HasFatalFailure()) return;
+    const rl::DqnAgent::HierStats& now = gated.hier_stats();
+    if (now.gated_iterations > prior.gated_iterations &&
+        now.expanded_buckets - prior.expanded_buckets <
+            now.live_buckets - prior.live_buckets) {
+      ++(iter <= config.restore_after ? outcome->before : outcome->after)
+            .served_unexpanded;
+    }
 
     for (const rl::Assignment& assignment : want) {
       for (int j : assignment.annotators) {
